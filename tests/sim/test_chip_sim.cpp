@@ -1,10 +1,13 @@
-/// Whole-chip simulation: the column-equivalence anchor (a ChipSim
-/// restricted to its shared column is metric-identical to ColumnSim on
-/// the same seed), full-chip delivery guarantees, and structural
-/// invariants after every scenario.
+/// Whole-chip simulation: the column-equivalence anchor (a ChipSim whose
+/// traffic comes only from the column's own terminal flows leaves the
+/// rows idle and is metric-identical to ColumnSim on the same seed),
+/// full-chip delivery guarantees, and structural invariants after every
+/// scenario.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/experiments.h"
 #include "sim/chip_sim.h"
@@ -33,6 +36,20 @@ expectMetricsIdentical(const SimMetrics &a, const SimMetrics &b)
         EXPECT_EQ(a.flowFlits[f], b.flowFlits[f]) << "flow " << f;
 }
 
+/// `t` restricted to the column's terminal flows (injector 0 of every
+/// column node): the compute nodes stay silent, so the rows carry nothing.
+TrafficConfig
+terminalFlowsOnly(TrafficConfig t, const ColumnConfig &col)
+{
+    std::vector<bool> active(static_cast<std::size_t>(col.numFlows()), false);
+    for (NodeId node = 0; node < col.numNodes; ++node) {
+        const FlowId f = col.flowOf(node, 0);
+        active[static_cast<std::size_t>(f)] = t.flowActive(f);
+    }
+    t.activeFlows = std::move(active);
+    return t;
+}
+
 class ChipEquivalence : public ::testing::TestWithParam<TopologyKind> {};
 
 TEST_P(ChipEquivalence, SingleColumnMatchesColumnSimExactly)
@@ -46,13 +63,13 @@ TEST_P(ChipEquivalence, SingleColumnMatchesColumnSimExactly)
     t.pattern = TrafficPattern::UniformRandom;
     t.injectionRate = 0.06;
     t.genUntil = 6000;
+    t = terminalFlowsOnly(t, col);
 
     ColumnSim ref(col, t);
     ref.setMeasureWindow(1000, 5000);
 
     ChipNetConfig cc;
     cc.column = col;
-    cc.injectAtSources = false; // column-equivalence mode: rows idle
     ChipSim chip(cc, t);
     chip.setMeasureWindow(1000, 5000);
 
@@ -75,13 +92,12 @@ TEST_P(ChipEquivalence, HotspotPreemptionsMatchExactly)
     col.topology = GetParam();
     col.mode = QosMode::Pvc;
     col.pvc.frameLen = 3000;
-    TrafficConfig t = makeHotspotAll(col, 0.05);
+    TrafficConfig t = terminalFlowsOnly(makeHotspotAll(col, 0.05), col);
     t.genUntil = 5000;
 
     ColumnSim ref(col, t);
     ChipNetConfig cc;
     cc.column = col;
-    cc.injectAtSources = false;
     ChipSim chip(cc, t);
 
     for (int i = 0; i < 8000; ++i) {
@@ -89,6 +105,8 @@ TEST_P(ChipEquivalence, HotspotPreemptionsMatchExactly)
         chip.step();
     }
     expectMetricsIdentical(ref.metrics(), chip.metrics());
+    EXPECT_GT(chip.metrics().preemptionEvents, 0u);
+    EXPECT_EQ(chip.handoffs(), 0u);
     ref.checkInvariants();
     chip.checkInvariants();
 }
@@ -158,17 +176,13 @@ TEST(ChipSimLatency, RowSegmentAddsEndToEndLatency)
     t.injectionRate = 0.04;
     t.genUntil = 6000;
 
-    ChipNetConfig atColumn;
-    atColumn.column = col;
-    atColumn.injectAtSources = false;
-    ChipSim fast(atColumn, t);
+    ColumnSim fast(col, t);
     fast.setMeasureWindow(1000, 6000);
     fast.runUntilDrained(40000, 6000);
 
-    ChipNetConfig atSources;
-    atSources.column = col;
-    atSources.injectAtSources = true;
-    ChipSim slow(atSources, t);
+    ChipNetConfig cc;
+    cc.column = col;
+    ChipSim slow(cc, t);
     slow.setMeasureWindow(1000, 6000);
     const Cycle done = slow.runUntilDrained(60000, 6000);
     ASSERT_NE(done, kNoCycle);

@@ -1,11 +1,14 @@
-/// Structure of the whole-chip fabric: node-id mapping, the
-/// compute-node/row-injector correspondence the OS flow registers rely
-/// on, row wiring into the handoff buffers, and column intactness.
+/// Structure of the whole-chip network — the one-chip, one-column
+/// fabric: node-id mapping, the compute-node/row-injector correspondence
+/// the OS flow registers rely on, row wiring into the handoff buffers,
+/// and column intactness.
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "chip/os.h"
 #include "topo/chip_network.h"
+#include "topo/fabric.h"
 
 namespace taqos {
 namespace {
@@ -19,16 +22,36 @@ defaultChip(TopologyKind kind = TopologyKind::Dps)
     return cc;
 }
 
+std::unique_ptr<FabricNetwork>
+buildChip(const ChipNetConfig &cc)
+{
+    FabricSpec spec;
+    spec.chip = cc.chip;
+    spec.chip.sharedColumns = {cc.columnX()};
+    spec.column = cc.column;
+    spec.rowVcs = cc.rowVcs;
+    return FabricNetwork::build(spec);
+}
+
+/// Node id of grid position (x, y): the column node or a compute node.
+NodeId
+nodeIdAt(const FabricNetwork &net, int columnX, int x, int y)
+{
+    return x == columnX ? net.blockNodeId(0, 0, y)
+                        : net.computeNodeId(0, x, y);
+}
+
 TEST(ChipNetwork, GridCoversAllNodesExactlyOnce)
 {
-    auto net = ChipNetwork::build(defaultChip());
-    const ChipConfig &chip = net->chipCfg().chip;
+    const ChipNetConfig cc = defaultChip();
+    auto net = buildChip(cc);
+    const ChipConfig &chip = cc.chip;
     EXPECT_EQ(net->numNodes(), chip.numNodes());
 
     std::set<NodeId> seen;
     for (int y = 0; y < chip.nodesY(); ++y) {
         for (int x = 0; x < chip.nodesX(); ++x) {
-            const NodeId id = net->nodeIdAt(x, y);
+            const NodeId id = nodeIdAt(*net, cc.columnX(), x, y);
             EXPECT_TRUE(seen.insert(id).second) << x << "," << y;
             EXPECT_GE(id, 0);
             EXPECT_LT(id, net->numNodes());
@@ -40,34 +63,58 @@ TEST(ChipNetwork, GridCoversAllNodesExactlyOnce)
 
 TEST(ChipNetwork, ColumnNodesKeepColumnIds)
 {
-    auto net = ChipNetwork::build(defaultChip());
-    const int c = net->chipCfg().columnX();
-    for (int y = 0; y < net->chipCfg().chip.nodesY(); ++y)
-        EXPECT_EQ(net->nodeIdAt(c, y), y);
+    const ChipNetConfig cc = defaultChip();
+    auto net = buildChip(cc);
+    for (int y = 0; y < cc.chip.nodesY(); ++y)
+        EXPECT_EQ(nodeIdAt(*net, cc.columnX(), cc.columnX(), y), y);
 }
 
 TEST(ChipNetwork, InjectorIndexMatchesOsFlowRegisterMapping)
 {
-    auto net = ChipNetwork::build(defaultChip());
-    const ChipConfig &chip = net->chipCfg().chip;
-    const int c = net->chipCfg().columnX();
+    const ChipNetConfig cc = defaultChip();
+    auto net = buildChip(cc);
+    const ChipConfig &chip = cc.chip;
+    const int c = cc.columnX();
 
     // os.cpp walks x in order, skipping the column, assigning 1,2,3,...
+    // and the fabric's catchment slots follow the same order, so the
+    // flow register of injector k is the flow whose origin queue sits on
+    // the k-th compute node of the row.
     int expected = 1;
     for (int x = 0; x < chip.nodesX(); ++x) {
         if (x == c)
             continue;
-        EXPECT_EQ(net->injectorIndexOf(x), expected);
-        EXPECT_EQ(net->computeXOf(expected), x);
+        EXPECT_EQ(cc.injectorIndexOf(x), expected);
+        EXPECT_EQ(cc.computeXOf(expected), x);
+        for (int y = 0; y < chip.nodesY(); ++y) {
+            const FlowId f = cc.column.flowOf(y, expected);
+            EXPECT_EQ(net->sourceQueue(f).node, net->computeNodeId(0, x, y))
+                << x << "," << y;
+        }
         ++expected;
+    }
+    EXPECT_EQ(net->slotsPerNode(), cc.column.injectorsPerNode);
+
+    // A VM's weight lands on the flow its compute nodes originate.
+    OsScheduler os(chip);
+    ASSERT_TRUE(os.createVm(0, 16, 3).has_value());
+    const PvcParams regs = os.columnFlowRegisters(c, cc.column);
+    for (int y = 0; y < chip.nodesY(); ++y) {
+        for (int k = 1; k < cc.column.injectorsPerNode; ++k) {
+            const int owner = os.ownerOf(NodeCoord{cc.computeXOf(k), y});
+            EXPECT_EQ(regs.weights[static_cast<std::size_t>(
+                          cc.column.flowOf(y, k))],
+                      owner == 0 ? 3u : 1u);
+        }
     }
 }
 
 TEST(ChipNetwork, EveryRowHandsOffIntoTheColumn)
 {
-    auto net = ChipNetwork::build(defaultChip());
-    const ChipConfig &chip = net->chipCfg().chip;
-    const int c = net->chipCfg().columnX();
+    const ChipNetConfig cc = defaultChip();
+    auto net = buildChip(cc);
+    const ChipConfig &chip = cc.chip;
+    const int c = cc.columnX();
     const int sides = (c > 0 ? 1 : 0) + (c < chip.nodesX() - 1 ? 1 : 0);
     EXPECT_EQ(static_cast<int>(net->auxPorts().size()),
               sides * chip.nodesY());
@@ -79,17 +126,18 @@ TEST(ChipNetwork, EveryRowHandsOffIntoTheColumn)
 
 TEST(ChipNetwork, ComputeRoutersRouteTowardTheirColumnNode)
 {
-    auto net = ChipNetwork::build(defaultChip());
-    const ChipConfig &chip = net->chipCfg().chip;
-    const int c = net->chipCfg().columnX();
+    const ChipNetConfig cc = defaultChip();
+    auto net = buildChip(cc);
+    const ChipConfig &chip = cc.chip;
+    const int c = cc.columnX();
     for (int y = 0; y < chip.nodesY(); ++y) {
         for (int x = 0; x < chip.nodesX(); ++x) {
             if (x == c)
                 continue;
             NetPacket pkt;
-            pkt.dst = net->columnNodeId(y);
+            pkt.dst = net->blockNodeId(0, 0, y);
             const RouteEntry e =
-                net->router(net->nodeIdAt(x, y))->routeFor(pkt);
+                net->router(net->computeNodeId(0, x, y))->routeFor(pkt);
             EXPECT_GE(e.outPort, 0);
         }
     }
@@ -97,17 +145,17 @@ TEST(ChipNetwork, ComputeRoutersRouteTowardTheirColumnNode)
 
 TEST(ChipNetwork, SourceQueuesCoverEveryRowInjectorFlow)
 {
-    auto net = ChipNetwork::build(defaultChip());
-    const ColumnConfig &col = net->cfg();
-    for (FlowId f = 0; f < col.numFlows(); ++f) {
+    const ChipNetConfig cc = defaultChip();
+    auto net = buildChip(cc);
+    for (FlowId f = 0; f < net->totalFlows(); ++f) {
         InjectorQueue &q = net->sourceQueue(f);
-        if (f % col.injectorsPerNode == 0) {
+        if (f % net->slotsPerNode() == 0) {
             // Terminal flows originate at the column entrance itself.
             EXPECT_EQ(&q, &net->injector(f));
         } else {
             EXPECT_NE(&q, &net->injector(f));
             EXPECT_EQ(q.flow, f);
-            EXPECT_GE(q.node, net->chipCfg().chip.nodesY());
+            EXPECT_GE(q.node, cc.chip.nodesY());
         }
     }
 }
