@@ -17,10 +17,7 @@
 /// rest is scheduler noise — important on shared CI runners).
 ///
 /// Also runs the sharded-execution ablation into `BENCH_shard.json`:
-///   - layout_{object,arena}_serial: the arena/SoA hot-state layout vs
-///     the object-graph baseline, serial engine, on a 64-node column
-///     (the layout must not be a serial regression — CI floor 0.95x);
-///   - shard_mecs_s{1,2,4,8}: the sharded engine on the same 64-node
+///   - shard_mecs_s{1,2,4,8}: the sharded engine on a 64-node MECS
 ///     column at a saturating rate;
 ///   - shard_chip_s{1,2,4,8}: the whole-chip consolidation config.
 /// Every variant is digest-cross-checked against its serial twin (the
@@ -36,7 +33,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/arena.h"
 #include "common/strings.h"
 #include "common/table.h"
 #include "core/experiments.h"
@@ -84,7 +80,7 @@ timedRun(TopologyKind kind, double rate, Cycle cycles, bool activity,
     return sec;
 }
 
-/// One timed row of the shard/layout ablation.
+/// One timed row of the shard ablation.
 struct ShardRow {
     std::string name;
     std::uint64_t cycles = 0;
@@ -264,23 +260,11 @@ main(int argc, char **argv)
     if (writeTextFile(json, w.str() + "\n"))
         std::printf("wrote %s\n", json.c_str());
 
-    // ---------------- sharded-execution and hot-layout ablation ----------
+    // ------------------------------------ sharded-execution ablation ----
 
     const Cycle shardCycles = fast ? 10000 : 40000;
     const ColumnConfig big = bigColumn();
     std::vector<ShardRow> shardRows;
-
-    // Layout ablation first (serial engine, big column): the arena pass
-    // must not cost serial throughput. Construction happens under the
-    // selected layout; restore the default afterwards.
-    setHotLayout(HotLayout::ObjectGraph);
-    shardRows.push_back(timedColumnRun("layout_object_serial", big, 0.10,
-                                       shardCycles, 1, reps));
-    setHotLayout(HotLayout::Arena);
-    shardRows.push_back(timedColumnRun("layout_arena_serial", big, 0.10,
-                                       shardCycles, 1, reps));
-    if (shardRows[0].digest != shardRows[1].digest)
-        ++mismatches;
 
     // Shard scaling on the big column and on the whole-chip config; every
     // row must stay bit-identical to its serial (s1) twin.
@@ -309,9 +293,7 @@ main(int argc, char **argv)
     for (const auto &row : shardRows) {
         const char *base = row.name.rfind("shard_chip", 0) == 0
                                ? "shard_chip_s1"
-                               : (row.name.rfind("shard_mecs", 0) == 0
-                                      ? "shard_mecs_s1"
-                                      : "layout_object_serial");
+                               : "shard_mecs_s1";
         const auto ref = std::find_if(
             shardRows.begin(), shardRows.end(),
             [base](const ShardRow &r) { return r.name == base; });
@@ -321,9 +303,8 @@ main(int argc, char **argv)
     }
     std::printf("%s\n", st.render().c_str());
     std::printf("(CI enforces shard_*_s4 >= 1.3x shard_*_s1 on 4-vCPU "
-                "runners and layout_arena_serial >= 0.95x "
-                "layout_object_serial; single-core machines will show "
-                "~1x shard scaling — the pool parks its workers.)\n");
+                "runners; single-core machines will show ~1x shard "
+                "scaling — the pool parks its workers.)\n");
 
     const std::string shardJson = opts.get("shardjson", "BENCH_shard.json");
     JsonWriter sw;

@@ -108,7 +108,7 @@ BM_BuildChip(benchmark::State &state)
     for (auto _ : state) {
         ChipNetConfig cfg;
         cfg.column = paperColumn(kind);
-        benchmark::DoNotOptimize(ChipNetwork::build(cfg));
+        benchmark::DoNotOptimize(FabricNetwork::build(cfg.fabricSpec()));
     }
     state.SetLabel(topologyName(kind));
 }

@@ -101,10 +101,9 @@ main()
     // Attribute delivered bandwidth back to VMs through node ownership.
     double vmFlits[4] = {};
     const SimMetrics &m = sim.metrics();
-    const ChipNetwork &net = sim.network();
     for (int row = 0; row < chip.nodesY(); ++row) {
         for (int k = 1; k < cfg.column.injectorsPerNode; ++k) {
-            const int owner = os.ownerOf(NodeCoord{net.computeXOf(k), row});
+            const int owner = os.ownerOf(NodeCoord{cfg.computeXOf(k), row});
             if (owner >= 1 && owner <= 3) {
                 vmFlits[owner] += static_cast<double>(
                     m.flowFlits[static_cast<std::size_t>(

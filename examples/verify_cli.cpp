@@ -21,7 +21,7 @@
 ///                 CI workload smoke audits a bursty cell through this
 ///   seed=S
 ///   warmup=C measure=C drain=C                    (default 2000/6000/4000)
-///   legacy=1      use the always-tick reference engine
+///   legacy=1      use the always-tick reference engine (serial only)
 ///   shards=N      run the sharded engine on N threads (bit-identical;
 ///                 the audit exercises its recorded trace)
 ///   fabric=1      record a multi-chip fabric run (FabricSim) instead of
@@ -159,6 +159,14 @@ parseRunOptions(const std::vector<std::string> &args)
         } else {
             badOption(arg);
         }
+    }
+    if (run.legacy && run.shards > 1) {
+        std::fprintf(stderr,
+                     "verify_cli: legacy=1 is the serial always-tick "
+                     "reference; shards=%d needs the activity-driven "
+                     "engine\n",
+                     run.shards);
+        std::exit(2);
     }
     run.col = paperColumn(topo, mode);
     return run;

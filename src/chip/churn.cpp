@@ -127,7 +127,7 @@ void
 ChurnDriver::applyTo(ChipSim &sim) const
 {
     sim.network().reprogramFlowWeights(flowRegisters().weights);
-    TrafficGenerator &gen = sim.traffic().generator();
+    TrafficGenerator &gen = sim.traffic().generator(0);
     const auto active = activeComputeFlows();
     for (int row = 0; row < cfg_.chip.nodesY(); ++row) {
         for (int k = 1; k < cfg_.column.injectorsPerNode; ++k) {

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "chip/os.h"
-#include "topo/chip_network.h"
+#include "topo/fabric.h"
 #include "traffic/workload_spec.h"
 
 namespace taqos {

@@ -7,6 +7,8 @@
 ///  - sim/net_sim.h        — the cycle-level simulation engine
 ///  - sim/column_sim.h     — the shared-column specialization
 ///  - sim/chip_sim.h       — whole-chip simulation (rows + QOS column)
+///  - sim/fabric_sim.h     — multi-chip fabrics (ChipSim is the one-chip
+///                           case)
 ///  - traffic/pattern.h    — synthetic traffic configuration
 ///  - traffic/workloads.h  — Table-2 hotspot, adversarial Workloads 1 & 2
 ///  - qos/pvc.h            — Preemptive Virtual Clock parameters
@@ -33,9 +35,10 @@
 #include "qos/pvc.h"
 #include "sim/chip_sim.h"
 #include "sim/column_sim.h"
+#include "sim/fabric_sim.h"
 #include "sim/net_sim.h"
-#include "topo/chip_network.h"
 #include "topo/column_network.h"
+#include "topo/fabric.h"
 #include "topo/geometry.h"
 #include "topo/network.h"
 #include "topo/topology.h"

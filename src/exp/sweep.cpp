@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -285,102 +286,24 @@ runAdversarialCell(const CellSpec &cell)
     return res;
 }
 
-/// Tenant-churn consolidation cell: the placement preset seeds the
-/// initial tenant mix, then a ChurnDriver arrives/departs one VM per
-/// epoch (churnFrames QOS frames), reprogramming the live sim's flow
-/// registers and compute-flow activity at each frame-aligned epoch
-/// boundary. Under churnAttack the column's own terminal flows run the
-/// fig. 5 adversarial rates throughout, so preemption is exercised
-/// against a shifting tenant mix.
-CellResult
-runChipChurnCell(const CellSpec &cell)
-{
-    const auto &placements = vmPlacements();
-    TAQOS_ASSERT(cell.placement >= 0 &&
-                     static_cast<std::size_t>(cell.placement) <
-                         placements.size(),
-                 "placement index out of range");
-    const VmPlacement &pl =
-        placements[static_cast<std::size_t>(cell.placement)];
-
-    ChipNetConfig cfg;
-    cfg.column.topology = cell.topology;
-    cfg.column.mode = cell.mode;
-    cfg.column.numNodes = cfg.chip.nodesY();
-
-    std::vector<ChurnTenant> initial;
-    for (const auto &s : pl.servers)
-        initial.push_back({s.id, s.threads, s.weight});
-    ChurnDriver churn(cfg, initial, cell.workloadSpec, cell.seed);
-    cfg.column.pvc = churn.flowRegisters();
-
-    TrafficConfig traffic;
-    traffic.pattern = TrafficPattern::UniformRandom;
-    traffic.injectionRate = cell.rate;
-    traffic.genUntil = cell.phases.measureEnd();
-    traffic.seed = cell.seed;
-    const std::vector<bool> active = churn.activeComputeFlows();
-    traffic.activeFlows.assign(active.begin(), active.end());
-    if (cell.workloadSpec.churnAttack) {
-        // The driver never touches terminal flows, so the attacker's
-        // activity and rates survive every reprogramming epoch.
-        const auto &rates = workload1Rates();
-        traffic.flowRates.assign(
-            static_cast<std::size_t>(cfg.column.numFlows()), -1.0);
-        for (int row = 0; row < cfg.chip.nodesY(); ++row) {
-            const FlowId f = cfg.column.flowOf(row, 0);
-            traffic.activeFlows[static_cast<std::size_t>(f)] = true;
-            traffic.flowRates[static_cast<std::size_t>(f)] =
-                rates[static_cast<std::size_t>(row) % rates.size()];
-        }
-    }
-
-    ChipSim sim(cfg, traffic);
-    sim.configure({.shards = cell.shards});
-    sim.setMeasureWindow(cell.phases.warmup, cell.phases.measureEnd());
-
-    // Segment loop: run to each frame-aligned epoch boundary inside the
-    // generation horizon, apply that epoch's tenant change, continue.
-    const Cycle epochLen = churn.epochLen();
-    const Cycle genEnd = traffic.genUntil;
-    Cycle now = 0;
-    for (int e = 1; static_cast<Cycle>(e) * epochLen < genEnd; ++e) {
-        const Cycle boundary = static_cast<Cycle>(e) * epochLen;
-        sim.run(boundary - now);
-        now = boundary;
-        churn.advanceTo(e);
-        churn.applyTo(sim);
-    }
-    const Cycle budget = cell.phases.total() * 4;
-    const Cycle drain = sim.runUntilDrained(
-        budget > now ? budget - now : 0, genEnd);
-    sim.checkInvariants();
-
-    const SimMetrics &m = sim.metrics();
-    CellResult res;
-    res.spec = cell;
-    res.put("drain_cycle",
-            drain == kNoCycle ? -1.0 : static_cast<double>(drain));
-    res.put("delivered_packets", static_cast<double>(m.deliveredPackets));
-    res.put("handoffs", static_cast<double>(sim.handoffs()));
-    res.put("preemptions", static_cast<double>(m.preemptionEvents));
-    res.put("avg_latency", m.latency.mean());
-    res.put("churn_epochs", static_cast<double>(churn.currentEpoch()));
-    res.put("churn_arrivals", static_cast<double>(churn.arrivals()));
-    res.put("churn_departures", static_cast<double>(churn.departures()));
-    res.put("churn_live_vms", static_cast<double>(churn.liveVms()));
-    return res;
-}
-
+/// Whole-chip consolidation cell: the placement preset's VMs are admitted
+/// by the hypervisor, which programs the column's flow registers, and
+/// every VM-owned compute node streams memory requests at the cell rate
+/// to uniformly spread memory-controller rows; terminal flows (the
+/// column's own resources) stay quiet.
+///
+/// Under a churn workload a ChurnDriver owns the hypervisor and arrives
+/// or departs one VM per epoch (churnFrames QOS frames), reprogramming
+/// the live sim's flow registers and compute-flow activity at each
+/// frame-aligned epoch boundary. Under churnAttack the column's own
+/// terminal flows run the fig. 5 adversarial rates throughout, so
+/// preemption is exercised against a shifting tenant mix.
 CellResult
 runChipConsolidationCell(const CellSpec &cell)
 {
     TAQOS_ASSERT(cell.workloadSpec.kind != WorkloadKind::Trace,
                  "trace replay is a column workload; the chip "
                  "consolidation scenario has no embedding for it");
-    if (cell.workloadSpec.kind == WorkloadKind::Churn)
-        return runChipChurnCell(cell);
-
     const auto &placements = vmPlacements();
     TAQOS_ASSERT(cell.placement >= 0 &&
                      static_cast<std::size_t>(cell.placement) <
@@ -393,17 +316,25 @@ runChipConsolidationCell(const CellSpec &cell)
     cfg.column.mode = cell.mode;
     cfg.column.numNodes = cfg.chip.nodesY();
 
-    OsScheduler os(cfg.chip);
-    for (const auto &s : pl.servers) {
-        const auto vm = os.createVm(s.id, s.threads, s.weight);
-        TAQOS_ASSERT(vm.has_value(), "VM %d admission failed", s.id);
+    std::optional<ChurnDriver> churn;
+    std::optional<OsScheduler> fixedOs;
+    if (cell.workloadSpec.kind == WorkloadKind::Churn) {
+        std::vector<ChurnTenant> initial;
+        for (const auto &s : pl.servers)
+            initial.push_back({s.id, s.threads, s.weight});
+        churn.emplace(cfg, initial, cell.workloadSpec, cell.seed);
+    } else {
+        fixedOs.emplace(cfg.chip);
+        for (const auto &s : pl.servers) {
+            const auto vm = fixedOs->createVm(s.id, s.threads, s.weight);
+            TAQOS_ASSERT(vm.has_value(), "VM %d admission failed", s.id);
+        }
+        TAQOS_ASSERT(fixedOs->coScheduleInvariant(),
+                     "co-scheduling violated");
     }
-    TAQOS_ASSERT(os.coScheduleInvariant(), "co-scheduling violated");
+    const OsScheduler &os = churn ? churn->os() : *fixedOs;
     cfg.column.pvc = os.columnFlowRegisters(cfg.columnX(), cfg.column);
 
-    // Every VM-owned compute node streams memory requests at the cell
-    // rate to uniformly spread memory-controller rows; terminal flows
-    // (the column's own resources) stay quiet.
     TrafficConfig traffic;
     traffic.pattern = TrafficPattern::UniformRandom;
     traffic.injectionRate = cell.rate;
@@ -419,12 +350,40 @@ runChipConsolidationCell(const CellSpec &cell)
             }
         }
     }
+    if (churn && cell.workloadSpec.churnAttack) {
+        // The driver never touches terminal flows, so the attacker's
+        // activity and rates survive every reprogramming epoch.
+        const auto &rates = workload1Rates();
+        traffic.flowRates.assign(
+            static_cast<std::size_t>(cfg.column.numFlows()), -1.0);
+        for (int row = 0; row < cfg.chip.nodesY(); ++row) {
+            const FlowId f = cfg.column.flowOf(row, 0);
+            traffic.activeFlows[static_cast<std::size_t>(f)] = true;
+            traffic.flowRates[static_cast<std::size_t>(f)] =
+                rates[static_cast<std::size_t>(row) % rates.size()];
+        }
+    }
 
     ChipSim sim(cfg, traffic, cell.workloadSpec);
     sim.configure({.shards = cell.shards});
     sim.setMeasureWindow(cell.phases.warmup, cell.phases.measureEnd());
-    const Cycle drain =
-        sim.runUntilDrained(cell.phases.total() * 4, traffic.genUntil);
+
+    // Churn segment loop: run to each frame-aligned epoch boundary inside
+    // the generation horizon, apply that epoch's tenant change, continue.
+    // A fixed tenant mix is one epoch spanning the whole horizon.
+    const Cycle genEnd = traffic.genUntil;
+    const Cycle epochLen = churn ? churn->epochLen() : genEnd;
+    Cycle now = 0;
+    for (int e = 1; static_cast<Cycle>(e) * epochLen < genEnd; ++e) {
+        const Cycle boundary = static_cast<Cycle>(e) * epochLen;
+        sim.run(boundary - now);
+        now = boundary;
+        churn->advanceTo(e);
+        churn->applyTo(sim);
+    }
+    const Cycle budget = cell.phases.total() * 4;
+    const Cycle drain = sim.runUntilDrained(
+        budget > now ? budget - now : 0, genEnd);
     sim.checkInvariants();
 
     const SimMetrics &m = sim.metrics();
@@ -436,6 +395,14 @@ runChipConsolidationCell(const CellSpec &cell)
     res.put("handoffs", static_cast<double>(sim.handoffs()));
     res.put("preemptions", static_cast<double>(m.preemptionEvents));
     res.put("avg_latency", m.latency.mean());
+    if (churn) {
+        res.put("churn_epochs", static_cast<double>(churn->currentEpoch()));
+        res.put("churn_arrivals", static_cast<double>(churn->arrivals()));
+        res.put("churn_departures",
+                static_cast<double>(churn->departures()));
+        res.put("churn_live_vms", static_cast<double>(churn->liveVms()));
+        return res;
+    }
 
     for (const auto &s : pl.servers) {
         const VmInfo *vm = os.vm(s.id);

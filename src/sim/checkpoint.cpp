@@ -78,6 +78,9 @@ readVcArray(CheckpointReader &r, InputPort &port)
         // structure and must match the fingerprinted shape exactly.
         if (!port.unboundedVcs || count < port.vcs.size())
             r.fail("VC count mismatch on port " + port.name);
+        if (count > kMaxQueueLen)
+            r.fail("implausible VC count " + std::to_string(count) +
+                   " on port " + port.name);
         port.vcs.resize(count);
         port.attachVcs();
     }

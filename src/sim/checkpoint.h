@@ -50,7 +50,9 @@ inline constexpr char kCheckpointMagic[8] = {'T', 'A', 'Q', 'O',
                                              'S', 'C', 'K', 'P'};
 
 /// Bump on any change to the section layout or record encodings below.
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// Version 2: whole-chip runs save the fabric's traffic-source and
+/// "extra" records (ChipSim became the one-chip FabricSim).
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// A checkpoint could not be read: wrong magic/version/salt, topology
 /// mismatch, truncation, or a corrupted record. The message names the

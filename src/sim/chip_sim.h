@@ -1,107 +1,36 @@
 /// \file chip_sim.h
-/// Whole-chip cycle-level simulation: the NetSim engine driving a
-/// ChipNetwork, so the paper's headline scenario — VMs on compute nodes
-/// sharing one QOS-protected column — runs cycle-accurately end to end.
+/// Whole-chip cycle-level simulation: the paper's headline scenario —
+/// VMs on compute nodes sharing one QOS-protected column — run
+/// cycle-accurately end to end. A ChipSim is the one-chip, one-column
+/// FabricSim (ChipNetConfig::fabricSpec): rows, handoffs, checkpoints
+/// and invariants are all the fabric's.
 ///
-/// A packet's journey in full-chip mode:
+/// A packet's journey on the chip:
 ///   1. generated into its compute node's aggregate source queue,
 ///   2. row segment: NoQos row mesh to the row's column-entry node
 ///      (`dst` = entry node, `finalDst` = the real destination row),
 ///   3. handoff: the boundary buffer releases the row window slot and
 ///      re-queues the packet into its column-entrance injector queue,
-///   4. column segment: normal PVC arbitration, preemption, ACK/NACK —
+///   4. column segment: normal QOS arbitration, preemption, ACK/NACK —
 ///      identical to the standalone column simulator.
-/// In column-equivalence mode (ChipNetConfig::injectAtSources = false)
-/// step 1 targets the entrance queues directly and the run is
-/// cycle-identical to ColumnSim — the refactor's regression anchor.
+/// The column's own terminal flows (injector 0) skip steps 1-3; traffic
+/// on terminal flows only leaves the rows idle and is cycle-identical to
+/// ColumnSim.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-
-#include "sim/net_sim.h"
-#include "topo/chip_network.h"
-#include "traffic/generator.h"
+#include "sim/fabric_sim.h"
 
 namespace taqos {
 
-/// Generates column-flow traffic and injects it at the owning compute
-/// nodes (full-chip mode) or directly into the column entrance queues
-/// (column-equivalence mode; byte-identical to ColumnSim's generator
-/// stream).
-class ChipTrafficSource : public TrafficSource {
+class ChipSim : public FabricSim {
   public:
-    ChipTrafficSource(ChipNetwork &net, const TrafficConfig &traffic);
-    /// Generate under a dynamic workload: bursty/ramp specs modulate the
-    /// inner generator (steady and churn specs leave it plain — churn is
-    /// driven from outside by ChurnDriver). Trace replay is a column
-    /// workload; it has no chip embedding.
-    ChipTrafficSource(ChipNetwork &net, const TrafficConfig &traffic,
-                      const WorkloadSpec &workload);
-
-    void tick(Cycle now, PacketPool &pool,
-              std::vector<InjectorQueue> &injectors,
-              SimMetrics &metrics) override;
-
-    TrafficGenerator &generator() { return gen_; }
-
-    /// Packets whose generation was skipped due to a full source queue
-    /// (either by the inner generator or at a compute-node queue).
-    std::uint64_t suppressed() const
-    {
-        return suppressed_ + gen_.suppressed();
-    }
-
-    /// Checkpointing: the inner generator's state (length-prefixed) plus
-    /// the dispatch-side suppression counter. The scratch queues drain
-    /// within each tick, so they carry no cross-cycle state.
-    std::vector<std::uint64_t> packState() const override;
-    void unpackState(const std::vector<std::uint64_t> &words) override;
-
-  private:
-    ChipNetwork &net_;
-    TrafficConfig traffic_;
-    TrafficGenerator gen_;
-    /// Staging queues the generator fills before packets are dispatched
-    /// to their origin (compute-node or column-entrance) queues.
-    std::vector<InjectorQueue> scratch_;
-    std::uint64_t suppressed_ = 0;
-};
-
-class ChipSim : public NetSim {
-  public:
-    ChipSim(const ChipNetConfig &cfg, const TrafficConfig &traffic);
+    /// Steady and churn workloads run the plain generator (churn is
+    /// driven from outside by ChurnDriver); bursty/ramp modulate it.
     ChipSim(const ChipNetConfig &cfg, const TrafficConfig &traffic,
-            const WorkloadSpec &workload);
-    ~ChipSim() override;
-
-    ChipNetwork &network() { return static_cast<ChipNetwork &>(*net_); }
-    const ChipNetwork &network() const
+            const WorkloadSpec &workload = {})
+        : FabricSim(cfg.fabricSpec(), traffic, workload)
     {
-        return static_cast<const ChipNetwork &>(*net_);
     }
-    const ChipNetConfig &chipCfg() const { return network().chipCfg(); }
-    const ColumnConfig &cfg() const { return network().cfg(); }
-    ChipTrafficSource &traffic() { return *src_; }
-
-    /// Packets that crossed a row-to-column handoff so far.
-    std::uint64_t handoffs() const { return handoffs_; }
-
-    void checkInvariants() const override;
-
-  protected:
-    void tickTerminals() override;
-    /// Checkpoint "extra" section: the handoff counter and the
-    /// compute-node source queues (the handoff buffers themselves are
-    /// aux ports, covered by the base format).
-    void saveExtra(CheckpointWriter &w) const override;
-    void restoreExtra(CheckpointReader &r) override;
-
-  private:
-    void handoff(NetPacket *pkt, InputPort *port, int vcIdx);
-
-    ChipTrafficSource *src_ = nullptr; ///< owned by NetSim::source_
-    std::uint64_t handoffs_ = 0;
 };
 
 } // namespace taqos

@@ -7,21 +7,14 @@
 namespace taqos {
 
 FabricTrafficSource::FabricTrafficSource(FabricNetwork &net,
-                                         const TrafficConfig &traffic)
-    : FabricTrafficSource(net, traffic, WorkloadSpec{})
-{
-}
-
-FabricTrafficSource::FabricTrafficSource(FabricNetwork &net,
                                          const TrafficConfig &traffic,
                                          const WorkloadSpec &workload)
     : net_(net), traffic_(traffic),
       scratch_(static_cast<std::size_t>(net.flowsPerBlock()))
 {
-    TAQOS_ASSERT(workload.isSteady() || workload.modulated(),
-                 "fabric traffic supports steady/bursty/ramp workloads, "
-                 "got %s",
-                 workloadKindName(workload.kind));
+    TAQOS_ASSERT(workload.kind != WorkloadKind::Trace,
+                 "trace replay is a column workload; the fabric has no "
+                 "embedding for it");
     const int fpb = net_.flowsPerBlock();
     const int slots = net_.slotsPerNode();
     gens_.reserve(static_cast<std::size_t>(net_.blocks()));
@@ -29,10 +22,9 @@ FabricTrafficSource::FabricTrafficSource(FabricNetwork &net,
         const int j = g % net_.blocksPerChip();
         TrafficConfig bt = traffic_;
         // Decorrelate the blocks' Bernoulli streams; block 0 keeps the
-        // seed unchanged so a one-block fabric reproduces
-        // ChipTrafficSource's stream byte for byte. A modulated workload
-        // derives each block's modulator streams from the same
-        // per-block seed, so burst phases decorrelate too.
+        // seed unchanged. A modulated workload derives each block's
+        // modulator streams from the same per-block seed, so burst
+        // phases decorrelate too.
         bt.seed = traffic_.seed +
                   0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(g);
         bt.activeFlows.assign(static_cast<std::size_t>(fpb), false);
@@ -75,39 +67,40 @@ FabricTrafficSource::tick(Cycle now, PacketPool &pool,
                                                  metrics);
         const int c = g / B;
         const int j = g % B;
+        const int localSlots = static_cast<int>(net_.catchment(j).size());
         const NodeId base = net_.blockBase(g);
         for (int f = 0; f < fpb; ++f) {
             InjectorQueue &staged =
                 scratch_[static_cast<std::size_t>(f)];
+            if (staged.queue().empty())
+                continue;
+            const int k = f % slots;
+            const int y = f / slots;
+            const FlowId F = g * fpb + f;
+            // Terminal flows originate at the block node itself. Row
+            // flows ride the origin chip's row mesh to its block-entry
+            // node first; the wiring decides which compute-node port
+            // pulls this flow's row queue. `src` stays the column entry
+            // so ACK/NACK distances remain column-local.
+            InjectorQueue *origin = &injectors[static_cast<std::size_t>(F)];
+            NodeId rowEntry = kInvalidNode;
+            if (k != 0) {
+                origin = &net_.rowQueues()[static_cast<std::size_t>(F)];
+                const int originChip =
+                    k > localSlots ? net_.remoteSourceChip(c, k) : c;
+                rowEntry = net_.blockNodeId(originChip, j, y);
+            }
             while (!staged.queue().empty()) {
                 NetPacket *pkt = staged.dequeue();
-                const int k = f % slots;
-                const int y = f / slots;
-                const FlowId F = g * fpb + f;
                 const NodeId localDst = pkt->dst; // generator picks 0..H-1
                 TAQOS_ASSERT(localDst >= 0 && localDst < H,
                              "generated destination out of the block");
-
-                InjectorQueue *origin = nullptr;
+                pkt->src = base + y;
                 if (k == 0) {
-                    // Terminal flows originate at the block node itself.
-                    origin = &injectors[static_cast<std::size_t>(F)];
-                    pkt->src = base + y;
                     pkt->dst = base + localDst;
                 } else {
-                    // Row flows ride the origin chip's row mesh to its
-                    // block-entry node first; the wiring decides which
-                    // compute-node port pulls this flow's row queue.
-                    // `src` stays the column entry so ACK/NACK distances
-                    // remain column-local, exactly like ChipSim.
-                    int originChip = c;
-                    if (k > static_cast<int>(net_.catchment(j).size()))
-                        originChip = net_.remoteSourceChip(c, k);
-                    origin =
-                        &net_.rowQueues()[static_cast<std::size_t>(F)];
-                    pkt->src = base + y;
                     pkt->finalDst = base + localDst;
-                    pkt->dst = net_.blockNodeId(originChip, j, y);
+                    pkt->dst = rowEntry;
                 }
                 pkt->flow = F;
 
@@ -165,11 +158,6 @@ FabricTrafficSource::unpackState(const std::vector<std::uint64_t> &words)
     TAQOS_ASSERT(pos + 1 == words.size(),
                  "fabric traffic-source state size mismatch");
     suppressed_ = words[pos];
-}
-
-FabricSim::FabricSim(const FabricSpec &spec, const TrafficConfig &traffic)
-    : FabricSim(spec, traffic, WorkloadSpec{})
-{
 }
 
 FabricSim::FabricSim(const FabricSpec &spec, const TrafficConfig &traffic,

@@ -1,10 +1,11 @@
 /// \file fabric_sim.h
-/// Kilo-node fabric simulation: the NetSim engine driving a
-/// FabricNetwork (topo/fabric.h) — every shared column of every chip
+/// Whole-chip and kilo-node fabric simulation: the NetSim engine driving
+/// a FabricNetwork (topo/fabric.h) — every shared column of every chip
 /// active, with inter-chip links joining the chips — so the
-/// consolidated-server scenario runs cycle-accurately at 1000+ routers.
+/// consolidated-server scenario runs cycle-accurately from one 64-node
+/// chip (ChipSim, the one-chip, one-column fabric) to 1000+ routers.
 ///
-/// A packet's journey generalizes the ChipSim one:
+/// A packet's journey:
 ///   1. generated into its origin compute node's aggregate source queue
 ///      (terminal flows start at their block's entrance queue directly);
 ///   2. row segment: NoQos row mesh to the origin chip's block-entry
@@ -21,8 +22,7 @@
 /// Inter-chip links are FIFO delay lines with serialization (width
 /// flits/cycle); on a ring, packets hop chip to chip, paying the link
 /// delay per hop. Link state is only touched in the serial phases of
-/// the cycle, so the sharded engine stays bit-identical; a one-chip
-/// one-column fabric is cycle-identical to ChipSim (pinned by tests).
+/// the cycle, so the sharded engine stays bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -40,16 +40,17 @@ namespace taqos {
 /// owning origin: the block entrance for terminal flows, the catchment
 /// compute node for local row flows, the remote chip's designated
 /// compute node for cross-chip flows. One deterministic generator per
-/// block (block 0 keeps the seed unchanged, so a one-block fabric's
-/// stream is byte-identical to ChipTrafficSource's).
+/// block; block 0 keeps the traffic seed unchanged, so a one-block
+/// fabric's stream is the standalone column generator's.
 class FabricTrafficSource : public TrafficSource {
   public:
-    FabricTrafficSource(FabricNetwork &net, const TrafficConfig &traffic);
-    /// Generate under a dynamic workload: bursty/ramp specs modulate
-    /// every block generator (each block's modulator streams derive from
-    /// its own decorrelated seed). Trace/churn have no fabric embedding.
+    /// Bursty/ramp workloads modulate every block generator (each
+    /// block's modulator streams derive from its own decorrelated seed).
+    /// Steady and churn workloads run plain generators — churn is driven
+    /// from outside, by ChurnDriver reprogramming flow activity. Trace
+    /// replay is a column workload with no fabric embedding.
     FabricTrafficSource(FabricNetwork &net, const TrafficConfig &traffic,
-                        const WorkloadSpec &workload);
+                        const WorkloadSpec &workload = {});
 
     void tick(Cycle now, PacketPool &pool,
               std::vector<InjectorQueue> &injectors,
@@ -57,6 +58,13 @@ class FabricTrafficSource : public TrafficSource {
 
     /// Packets whose generation was skipped due to a full origin queue.
     std::uint64_t suppressed() const;
+
+    /// Block `g`'s generator; its flow ids are block-local (block 0's
+    /// are the global ids).
+    TrafficGenerator &generator(int g)
+    {
+        return *gens_[static_cast<std::size_t>(g)];
+    }
 
     /// Checkpointing: each block generator's state (length-prefixed per
     /// block) plus the dispatch-side suppression counter. The scratch
@@ -76,9 +84,8 @@ class FabricTrafficSource : public TrafficSource {
 
 class FabricSim : public NetSim {
   public:
-    FabricSim(const FabricSpec &spec, const TrafficConfig &traffic);
     FabricSim(const FabricSpec &spec, const TrafficConfig &traffic,
-              const WorkloadSpec &workload);
+              const WorkloadSpec &workload = {});
     ~FabricSim() override;
 
     FabricNetwork &network() { return static_cast<FabricNetwork &>(*net_); }

@@ -47,6 +47,10 @@ NetSim::configure(const EngineConfig &cfg)
         return;
     }
     TAQOS_ASSERT(cfg.shards >= 1, "need at least one shard");
+    TAQOS_ASSERT(cfg.activityDriven || cfg.shards == 1,
+                 "the always-tick reference engine runs serially; "
+                 "shards=%d needs the activity-driven engine",
+                 cfg.shards);
     engineCfg_ = cfg;
     engineCfg_.shards =
         std::min(cfg.shards, std::max(1, net_->numNodes()));
@@ -309,80 +313,63 @@ NetSim::stepSharded()
     ctx.ack = &ack_;
     ctx.metrics = &metrics_;
     ctx.gate = gate_.get();
-    ctx.forceScan = !engineCfg_.activityDriven;
+    TickContext scanCtx = ctx;
+    scanCtx.speculative = true;
 
-    if (engineCfg_.activityDriven) {
-        TickContext scanCtx = ctx;
-        scanCtx.speculative = true;
+    // Dispatch only when there is enough live work to amortize the
+    // fork-join; the threshold reads pre-sweep state, so the choice
+    // is a pure function of simulation state (deterministic).
+    std::size_t live = 0;
+    for (const Region &reg : regions_)
+        live += reg.active.size() + reg.wl.pending.size();
+    const bool par =
+        live >= regions_.size() *
+                    static_cast<std::size_t>(engineCfg_.shardMinActive);
 
-        // Dispatch only when there is enough live work to amortize the
-        // fork-join; the threshold reads pre-sweep state, so the choice
-        // is a pure function of simulation state (deterministic).
-        std::size_t live = 0;
-        for (const Region &reg : regions_)
-            live += reg.active.size() + reg.wl.pending.size();
-        const bool par =
-            live >= regions_.size() *
-                        static_cast<std::size_t>(engineCfg_.shardMinActive);
-
-        if (trace_ != nullptr) {
-            // Completions emit trace events; keep every mutating walk
-            // serial in node order so the recorded stream is
-            // byte-identical to the serial engines'. The scans are pure
-            // and may still fan out.
-            for (Region &reg : regions_) {
-                sweepRegion(reg);
-                mergeRegion(reg);
-                for (NodeId n : reg.active)
-                    net_->router(n)->tickCompletions(now_);
-            }
-            if (par) {
-                shardPool_->dispatch(
-                    static_cast<int>(regions_.size()), [&](int i) {
-                        Region &reg =
-                            regions_[static_cast<std::size_t>(i)];
-                        for (NodeId n : reg.active)
-                            net_->router(n)->tickScan(scanCtx);
-                    });
-            } else {
-                for (Region &reg : regions_)
-                    for (NodeId n : reg.active)
-                        net_->router(n)->tickScan(scanCtx);
-            }
-        } else if (par) {
+    if (trace_ != nullptr) {
+        // Completions emit trace events; keep every mutating walk
+        // serial in node order so the recorded stream is
+        // byte-identical to the serial engines'. The scans are pure
+        // and may still fan out.
+        for (Region &reg : regions_) {
+            sweepRegion(reg);
+            mergeRegion(reg);
+            for (NodeId n : reg.active)
+                net_->router(n)->tickCompletions(now_);
+        }
+        if (par) {
             shardPool_->dispatch(
                 static_cast<int>(regions_.size()), [&](int i) {
-                    regionPhase(regions_[static_cast<std::size_t>(i)],
-                                scanCtx);
+                    Region &reg =
+                        regions_[static_cast<std::size_t>(i)];
+                    for (NodeId n : reg.active)
+                        net_->router(n)->tickScan(scanCtx);
                 });
         } else {
             for (Region &reg : regions_)
-                regionPhase(reg, scanCtx);
+                for (NodeId n : reg.active)
+                    net_->router(n)->tickScan(scanCtx);
         }
-
-        // Serial grant phase: regions are contiguous and ascending, so
-        // this is the serial engine's global node order. All cross-router
-        // mutation (VC reservation, preemption kills, gate charges, arms)
-        // happens here; a grant that invalidates a later router's
-        // speculative scan re-dirties it through the usual hooks, and
-        // tickArbitrate rescans exactly those outputs.
-        for (Region &reg : regions_)
-            for (NodeId n : reg.active)
-                net_->router(n)->tickArbitrate(ctx);
-    } else {
-        // Always-tick reference, sharded: completions are router-local
-        // and run over the full node ranges in parallel; the arbitration
-        // sweep stays serial (it is where all ordering lives).
+    } else if (par) {
         shardPool_->dispatch(
             static_cast<int>(regions_.size()), [&](int i) {
-                const Region &reg =
-                    regions_[static_cast<std::size_t>(i)];
-                for (NodeId n = reg.begin; n < reg.end; ++n)
-                    net_->router(n)->tickCompletions(now_);
+                regionPhase(regions_[static_cast<std::size_t>(i)],
+                            scanCtx);
             });
-        for (NodeId n = 0; n < net_->numNodes(); ++n)
-            net_->router(n)->tickArbitrate(ctx);
+    } else {
+        for (Region &reg : regions_)
+            regionPhase(reg, scanCtx);
     }
+
+    // Serial grant phase: regions are contiguous and ascending, so
+    // this is the serial engine's global node order. All cross-router
+    // mutation (VC reservation, preemption kills, gate charges, arms)
+    // happens here; a grant that invalidates a later router's
+    // speculative scan re-dirties it through the usual hooks, and
+    // tickArbitrate rescans exactly those outputs.
+    for (Region &reg : regions_)
+        for (NodeId n : reg.active)
+            net_->router(n)->tickArbitrate(ctx);
 
     tickTerminals();
     ++now_;

@@ -1,7 +1,8 @@
 /// \file net_sim.h
 /// The topology-agnostic cycle-level simulation engine. Drives any
 /// Network (topo/network.h) from any TrafficSource (traffic/source.h);
-/// ColumnSim and ChipSim are thin specializations.
+/// ColumnSim (one QOS column) and FabricSim (whole chips and multi-chip
+/// fabrics, with ChipSim as its one-chip case) are thin specializations.
 ///
 /// Per-cycle phase order (dependences are cut by explicit delays, so the
 /// order within a cycle only has to be internally consistent):
@@ -20,13 +21,14 @@
 /// within a ticked router the candidate scan reruns only when an event
 /// invalidated the cached winner set. Both optimizations are exact —
 /// skipped work is provably a no-op — so the engine is bit-identical to
-/// the always-tick reference (setActivityDriven(false)), which the
+/// the always-tick reference (EngineConfig::activityDriven = false), which the
 /// golden-digest and toggle-equivalence tests pin. Engine phases 1-3 and
 /// 5 always run: time-driven policy state (the GSF frame window) must
 /// advance even when every router is idle.
 ///
-/// setShards(N) splits phase 4 across N threads while staying
-/// bit-identical to the serial engines. The fabric is partitioned into N
+/// EngineConfig::shards = N splits the activity-driven phase 4 across N
+/// threads while staying bit-identical to the serial engines (the
+/// always-tick reference stays serial). The fabric is partitioned into N
 /// contiguous node-range regions (sim/shard_plan.h), each with a private
 /// worklist, and the cycle is restructured into:
 ///   - a serial prelude (phases 1-3, unchanged);
@@ -96,34 +98,12 @@ class NetSim {
     /// shard count, dispatch threshold) in one call. Must precede the
     /// first step, except that `shardMinActive` alone may be re-tuned
     /// mid-run (it only gates the dispatch heuristic, never results).
+    /// Sharding requires the activity-driven engine.
     void configure(const EngineConfig &cfg);
     const EngineConfig &engineConfig() const { return engineCfg_; }
 
     bool activityDriven() const { return engineCfg_.activityDriven; }
     int shards() const { return engineCfg_.shards; }
-
-    /// Deprecated shims over configure() — prefer one EngineConfig.
-    [[deprecated("use configure(EngineConfig)")]]
-    void setActivityDriven(bool on)
-    {
-        EngineConfig cfg = engineCfg_;
-        cfg.activityDriven = on;
-        configure(cfg);
-    }
-    [[deprecated("use configure(EngineConfig)")]]
-    void setShards(int shards)
-    {
-        EngineConfig cfg = engineCfg_;
-        cfg.shards = shards;
-        configure(cfg);
-    }
-    [[deprecated("use configure(EngineConfig)")]]
-    void setShardMinActive(int n)
-    {
-        // Preserves the historical mid-run-callable contract: tune the
-        // dispatch threshold without touching engine or shard state.
-        engineCfg_.shardMinActive = n;
-    }
 
     /// Open the measurement window [start, end): latency is recorded for
     /// packets generated inside it, per-flow throughput for deliveries
@@ -167,8 +147,8 @@ class NetSim {
     /// Install the per-cycle traffic source (call before the first step).
     void setTrafficSource(std::unique_ptr<TrafficSource> source);
 
-    /// Subclass state riding in the checkpoint's "extra" section (chip
-    /// handoff buffers, fabric link queues). Overrides must write and
+    /// Subclass state riding in the checkpoint's "extra" section (the
+    /// fabric's row source queues and link queues). Overrides must write and
     /// read exactly matching records; restoreExtra reports corruption by
     /// calling CheckpointReader::fail.
     virtual void saveExtra(CheckpointWriter &w) const;
@@ -178,7 +158,7 @@ class NetSim {
     void processAcks();
     /// Phase 5: scan the per-node terminal buffers and deliver
     /// tail-arrived packets. Subclasses extend it for extra ejection-side
-    /// buffers (the chip's row-to-column handoffs).
+    /// buffers (the fabric's row-to-column handoffs).
     virtual void tickTerminals();
     void deliver(NetPacket *pkt, InputPort *port, int vcIdx);
 
@@ -210,7 +190,7 @@ class NetSim {
     void sweepWorklist();
 
     /// The sharded cycle (see file comment); step() delegates here when
-    /// setShards(N > 1) partitioned the fabric.
+    /// configure({.shards = N > 1}) partitioned the fabric.
     void stepSharded();
     /// A region's parallel slice of the cycle: sweep + merge its
     /// worklist, completions, then the speculative scan.

@@ -24,8 +24,7 @@ testPhases()
 }
 
 /// Engine selection for a NetSim, applied in one NetSim::configure call
-/// before the first step. Replaces the deprecated setActivityDriven /
-/// setShards / setShardMinActive mutator trio.
+/// before the first step.
 struct EngineConfig {
     /// Activity-driven router phase (default) vs. the always-tick
     /// reference that visits every router every cycle. Bit-identical;
@@ -33,7 +32,8 @@ struct EngineConfig {
     bool activityDriven = true;
 
     /// Threads sharding the router phase (1 = serial). Bit-identical to
-    /// the serial engine under either activityDriven setting.
+    /// the serial engines; only the activity-driven engine shards (the
+    /// always-tick reference stays serial, as the oracle).
     int shards = 1;
 
     /// Minimum live routers per shard before a cycle is dispatched to

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "common/assert.h"
+#include "common/strings.h"
 #include "qos/policy.h"
 
 namespace taqos {
@@ -31,6 +32,23 @@ parseLinkTopology(const std::string &name)
     if (name == "ring")
         return LinkTopology::Ring;
     return std::nullopt;
+}
+
+FabricSpec
+ChipNetConfig::fabricSpec() const
+{
+    TAQOS_ASSERT(chip.isSharedColumn(columnX()),
+                 "grid column %d is not a shared column", columnX());
+    TAQOS_ASSERT(column.injectorsPerNode == chip.nodesX(),
+                 "the row-injector/compute-node mapping requires "
+                 "injectorsPerNode (%d) == nodesX (%d)",
+                 column.injectorsPerNode, chip.nodesX());
+    FabricSpec spec;
+    spec.chip = chip;
+    spec.chip.sharedColumns = {columnX()};
+    spec.column = column;
+    spec.rowVcs = rowVcs;
+    return spec;
 }
 
 std::vector<std::vector<int>>
@@ -87,9 +105,12 @@ FabricNetwork::FabricNetwork(FabricSpec spec)
     const int B = blocksPerChip();
 
     catchments_.resize(static_cast<std::size_t>(B));
+    rankOfX_.assign(static_cast<std::size_t>(chip.nodesX()), -1);
     for (int x = 0; x < chip.nodesX(); ++x) {
         if (chip.isSharedColumn(x))
             continue;
+        rankOfX_[static_cast<std::size_t>(x)] =
+            static_cast<int>(computeXs_.size());
         computeXs_.push_back(x);
         blockOfX_.push_back(-1);
         for (int j = 0; j < B; ++j) {
@@ -127,17 +148,6 @@ FabricNetwork::FabricNetwork(FabricSpec spec)
     }
 }
 
-int
-FabricNetwork::blockOfX(int x) const
-{
-    for (std::size_t r = 0; r < computeXs_.size(); ++r) {
-        if (computeXs_[r] == x)
-            return blockOfX_[r];
-    }
-    TAQOS_ASSERT(false, "grid column %d is not a compute column", x);
-    return -1;
-}
-
 QosMode
 FabricNetwork::blockMode(int g) const
 {
@@ -153,19 +163,6 @@ FabricNetwork::blockOfNode(NodeId n) const
     TAQOS_ASSERT(isBlockNode(n), "node %d is not a block node", n);
     return chipOfNode(n) * blocksPerChip() +
            n % nodesPerChip() / gridHeight();
-}
-
-NodeId
-FabricNetwork::computeNodeId(int chip, int x, int y) const
-{
-    int rank = -1;
-    for (std::size_t r = 0; r < computeXs_.size(); ++r) {
-        if (computeXs_[r] == x)
-            rank = static_cast<int>(r);
-    }
-    TAQOS_ASSERT(rank >= 0, "grid column %d is not a compute column", x);
-    return chip * nodesPerChip() + blocksPerChip() * gridHeight() +
-           y * computePerRow() + rank;
 }
 
 bool
@@ -253,6 +250,16 @@ buildFabric(FabricNetwork &net)
     net.injectors().resize(static_cast<std::size_t>(net.totalFlows()));
     net.rowQueues_.resize(static_cast<std::size_t>(net.totalFlows()));
 
+    // Port names carry the chip and block only when the fabric has more
+    // than one, so a one-chip, one-column fabric keeps the standalone
+    // names, short enough to skip a heap allocation per port.
+    const auto chipTag = [&](int c) {
+        return spec.chips > 1 ? strFormat("c%d_", c) : std::string();
+    };
+    const auto blockTag = [&](int j) {
+        return B > 1 ? strFormat("b%d_", j) : std::string();
+    };
+
     const auto wiring = [&](int c, int j) {
         const int g = c * B + j;
         const QosMode m = net.blockMode(g);
@@ -264,8 +271,7 @@ buildFabric(FabricNetwork &net)
                             net.blockCfg(g),
                             net.blockBase(g),
                             g * fpb,
-                            "c" + std::to_string(c) + "_b" +
-                                std::to_string(j) + "_",
+                            chipTag(c) + blockTag(j),
                             m,
                             proto->usesReservedVc() ? 0 : -1,
                             proto->unboundedVcs()};
@@ -290,8 +296,8 @@ buildFabric(FabricNetwork &net)
                 net.addTermPort(id, 1);
 
                 auto port = std::make_unique<InputPort>();
-                port->name = "c" + std::to_string(c) + "_row_inj_" +
-                             std::to_string(x) + "_" + std::to_string(y);
+                port->name = chipTag(c) + "row_inj_" + std::to_string(x) +
+                             "_" + std::to_string(y);
                 port->node = id;
                 port->kind = InputPort::Kind::Injection;
                 port->pipelineDelay = depth;
@@ -333,7 +339,6 @@ buildFabric(FabricNetwork &net)
 
         // Row meshes: each catchment side chains toward its block's
         // column-entry node, ending in a boundary handoff buffer
-        // (buildChipRows generalized to one segment per block side).
         const auto makeRowInput = [&](Router *router,
                                       const std::string &name,
                                       NodeId node) {
@@ -365,8 +370,8 @@ buildFabric(FabricNetwork &net)
                                       const char *dir, InputPort *down) {
             Router *router = net.router(net.computeNodeId(c, x, y));
             auto out = std::make_unique<OutputPort>();
-            out->name = "c" + std::to_string(c) + "_row_out_" + dir +
-                        "_" + std::to_string(x) + "_" + std::to_string(y);
+            out->name = chipTag(c) + "row_out_" + dir + "_" +
+                        std::to_string(x) + "_" + std::to_string(y);
             out->node = net.computeNodeId(c, x, y);
             out->tableIdx = Network::nextTableIdx(router);
             out->drops.push_back(OutputPort::Drop{down, /*wireDelay=*/1,
@@ -387,21 +392,19 @@ buildFabric(FabricNetwork &net)
                 (x < cx ? west : east).push_back(x);
 
             for (int y = 0; y < H; ++y) {
-                const std::string suffix =
-                    "b" + std::to_string(j) + "_" + std::to_string(y);
+                const std::string suffix = blockTag(j) + std::to_string(y);
                 if (!west.empty()) {
                     std::vector<InputPort *> in(west.size(), nullptr);
                     for (std::size_t i = 1; i < west.size(); ++i) {
                         in[i] = makeRowInput(
                             net.router(net.computeNodeId(c, west[i], y)),
-                            "c" + std::to_string(c) + "_row_in_e_" +
+                            chipTag(c) + "row_in_e_" +
                                 std::to_string(west[i]) + "_" +
                                 std::to_string(y),
                             net.computeNodeId(c, west[i], y));
                     }
                     InputPort *hand = makeHandoff(
-                        "c" + std::to_string(c) + "_handoff_w_" + suffix,
-                        j, y);
+                        chipTag(c) + "handoff_w_" + suffix, j, y);
                     for (std::size_t i = 0; i < west.size(); ++i) {
                         addRowOutput(west[i], y, j, "e",
                                      i + 1 == west.size() ? hand
@@ -413,14 +416,13 @@ buildFabric(FabricNetwork &net)
                     for (std::size_t i = 0; i + 1 < east.size(); ++i) {
                         in[i] = makeRowInput(
                             net.router(net.computeNodeId(c, east[i], y)),
-                            "c" + std::to_string(c) + "_row_in_w_" +
+                            chipTag(c) + "row_in_w_" +
                                 std::to_string(east[i]) + "_" +
                                 std::to_string(y),
                             net.computeNodeId(c, east[i], y));
                     }
                     InputPort *hand = makeHandoff(
-                        "c" + std::to_string(c) + "_handoff_e_" + suffix,
-                        j, y);
+                        chipTag(c) + "handoff_e_" + suffix, j, y);
                     for (std::size_t i = east.size(); i-- > 0;) {
                         addRowOutput(east[i], y, j, "w",
                                      i == 0 ? hand : in[i - 1]);

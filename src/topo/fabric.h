@@ -1,14 +1,17 @@
 /// \file fabric.h
-/// Kilo-node whole-chip and multi-chip fabrics, declared by a FabricSpec
-/// and finalized into a Network by FabricNetwork::build.
+/// Whole-chip and multi-chip fabrics, declared by a FabricSpec and
+/// finalized into a Network by FabricNetwork::build. The single-chip
+/// scenario (ChipNetConfig) is the one-chip, one-block fabric.
 ///
-/// A fabric generalizes ChipNetwork from "one shared column + its rows"
-/// to the full consolidated-server machine:
+/// A fabric is the consolidated-server machine around the paper's QOS
+/// column:
 ///   - every shared column of every chip is an active QOS block, built by
 ///     the same ColumnWiring machinery as the standalone column;
 ///   - each compute node belongs to the catchment of its nearest shared
 ///     column and reaches it over a 1-D NoQos row mesh ending in a
-///     handoff buffer (the ChipNetwork pattern, replicated per block);
+///     handoff buffer at the column boundary, where the packet re-enters
+///     through the block's per-flow entrance queue (the row injector the
+///     OS programs a flow register for);
 ///   - chips are joined by inter-chip links (point-to-point or a ring of
 ///     chip-to-chip channels). A packet for a remote column rides its
 ///     local row mesh to the boundary handoff, crosses the link fabric,
@@ -19,8 +22,8 @@
 /// [c*nodesPerChip, (c+1)*nodesPerChip); within a chip the block (column)
 /// nodes come first — block j's node for grid row y is
 /// chipBase + j*H + y — followed by the compute nodes in row-major order.
-/// A one-chip, one-column fabric therefore reproduces ChipNetwork's id
-/// space exactly, and FabricSim pins cycle-identity against ChipSim.
+/// A one-chip, one-column fabric therefore numbers its column nodes
+/// 0..H-1 exactly like the standalone column.
 ///
 /// Flow-id space (chip-major, block-major): block g's flows are
 /// [g*flowsPerBlock, (g+1)*flowsPerBlock), laid out per column row as
@@ -41,6 +44,7 @@
 #include <vector>
 
 #include "chip/geometry.h"
+#include "common/assert.h"
 #include "topo/column_network.h"
 
 namespace taqos {
@@ -102,6 +106,50 @@ struct FabricSpec {
     int blocks() const { return chips * blocksPerChip(); }
 };
 
+/// The whole-chip scenario (Sec. 2.1): one chip, one simulated shared
+/// column, every other grid column a compute column feeding it over the
+/// unprotected rows. It is the one-chip, one-block fabric (fabricSpec()),
+/// so the column's node ids are 0..H-1 (id == grid row) and its flow ids,
+/// routes and flow-register indices are the standalone column's.
+struct ChipNetConfig {
+    ChipConfig chip;
+
+    /// The shared column's interconnect/QOS configuration. `numNodes` is
+    /// forced to the chip's node-grid height; `injectorsPerNode` must
+    /// equal the chip's nodesX (the column node's terminal flow plus one
+    /// row injector per compute node of its row).
+    ColumnConfig column;
+
+    /// Grid x of the simulated shared column; -1 selects the chip's first
+    /// shared column.
+    int sharedColumn = -1;
+
+    /// VC buffers per row-mesh input and per handoff buffer.
+    int rowVcs = 4;
+
+    int columnX() const
+    {
+        if (sharedColumn >= 0)
+            return sharedColumn;
+        TAQOS_ASSERT(!chip.sharedColumns.empty(),
+                     "chip has no shared column to simulate");
+        return chip.sharedColumns.front();
+    }
+
+    /// Column row-injector index (1..injectorsPerNode-1) fed by the
+    /// compute node at grid column `x` (os.cpp flow-register mapping:
+    /// injectors 1.. map to the row's compute nodes ordered by x).
+    int injectorIndexOf(int x) const
+    {
+        return x < columnX() ? x + 1 : x;
+    }
+    /// Inverse: grid x of the compute node feeding row-injector `k`.
+    int computeXOf(int k) const { return k <= columnX() ? k - 1 : k; }
+
+    /// The equivalent fabric: one chip whose only block is columnX().
+    FabricSpec fabricSpec() const;
+};
+
 class FabricNetwork : public Network {
   public:
     static std::unique_ptr<FabricNetwork> build(FabricSpec spec);
@@ -132,7 +180,10 @@ class FabricNetwork : public Network {
         return catchments_[static_cast<std::size_t>(j)];
     }
     /// Local block index whose catchment contains compute column `x`.
-    int blockOfX(int x) const;
+    int blockOfX(int x) const
+    {
+        return blockOfX_[static_cast<std::size_t>(rankOf(x))];
+    }
 
     /// QoS mode of global block `g` (columnModes cycled).
     QosMode blockMode(int g) const;
@@ -160,7 +211,11 @@ class FabricNetwork : public Network {
     }
     /// Global block index of a block node (asserts `n` is one).
     int blockOfNode(NodeId n) const;
-    NodeId computeNodeId(int chip, int x, int y) const;
+    NodeId computeNodeId(int chip, int x, int y) const
+    {
+        return chip * nodesPerChip() + blocksPerChip() * gridHeight() +
+               y * computePerRow() + rankOf(x);
+    }
     /// Grid x of the compute node with row rank `r` (inverse of the
     /// row-major compute layout).
     int xOfRank(int r) const { return computeXs_[static_cast<std::size_t>(r)]; }
@@ -194,6 +249,16 @@ class FabricNetwork : public Network {
   private:
     explicit FabricNetwork(FabricSpec spec);
 
+    /// Row rank of compute column `x` (asserts `x` is one).
+    int rankOf(int x) const
+    {
+        const int r = x >= 0 && x < spec_.chip.nodesX()
+            ? rankOfX_[static_cast<std::size_t>(x)]
+            : -1;
+        TAQOS_ASSERT(r >= 0, "grid column %d is not a compute column", x);
+        return r;
+    }
+
     friend void buildFabric(FabricNetwork &net);
 
     FabricSpec spec_;
@@ -201,6 +266,7 @@ class FabricNetwork : public Network {
     int maxCatchment_ = 0;
     std::vector<std::vector<int>> catchments_; ///< per local block
     std::vector<int> computeXs_;               ///< non-shared xs, ascending
+    std::vector<int> rankOfX_;                 ///< per grid x; -1 = shared
     std::vector<int> blockOfX_;                ///< local block per rank
     std::vector<ColumnConfig> blockCfgs_;      ///< per global block
     std::vector<InjectorQueue> rowQueues_;     ///< indexed by global flow

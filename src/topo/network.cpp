@@ -129,7 +129,7 @@ Network::finalizeRouters()
 void
 Network::packHotState()
 {
-    if (hotLayout() != HotLayout::Arena || hotPacked_)
+    if (hotPacked_)
         return;
     hotPacked_ = true;
 

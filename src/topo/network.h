@@ -6,8 +6,9 @@
 /// A Network owns no cycle semantics — that is the NetSim engine
 /// (sim/net_sim.h). Concrete fabrics subclass it: ColumnNetwork wires the
 /// paper's QOS-protected shared column (topo/column_network.h), and
-/// ChipNetwork wraps that column with the whole chip's unprotected row
-/// meshes (topo/chip_network.h).
+/// FabricNetwork wires whole chips — every shared column plus the
+/// unprotected row meshes feeding it — and the links between chips
+/// (topo/fabric.h).
 #pragma once
 
 #include <memory>
@@ -139,13 +140,12 @@ class Network {
     /// tracking: VC-to-port back-pointers (incremental occupancy),
     /// injector-to-port back-pointers (enqueue arming), and the shared
     /// worklist every router initially arms onto. Builders must call this
-    /// once, after the full port structure exists. Under the default
-    /// HotLayout::Arena it then packs the per-router hot state (see
-    /// packHotState).
+    /// once, after the full port structure exists. It then packs the
+    /// per-router hot state (see packHotState).
     void finalizeRouters();
 
-    /// Bytes of hot state packed into the network-owned arena (0 under
-    /// HotLayout::ObjectGraph, or before finalizeRouters).
+    /// Bytes of hot state packed into the network-owned arena (0 before
+    /// finalizeRouters).
     std::size_t hotArenaBytes() const { return arena_.bytesAllocated(); }
 
     /// Next unused flow-table id on `r` (builders group replicated
@@ -174,7 +174,6 @@ class Network {
     /// terminals, then aux), then every port's VC array and every
     /// router's cached candidate-slot lists. Indices are preserved —
     /// only storage moves — so VcRef/slot bookkeeping is untouched.
-    /// No-op under HotLayout::ObjectGraph (the layout-ablation baseline).
     void packHotState();
 
     /// Backing store for the packed hot state; owned here so its lifetime

@@ -7,7 +7,7 @@
 ///
 /// Modulators plug *into* TrafficGenerator (see its workload constructor)
 /// rather than wrapping it from outside, so every embedding of the
-/// generator — plain columns, ChipTrafficSource, FabricTrafficSource —
+/// generator — plain columns and FabricTrafficSource —
 /// inherits bursty/ramp workloads unchanged, and the generator's
 /// packState/unpackState covers the modulator words so checkpoint/restore
 /// stays bit-identical.

@@ -2,8 +2,8 @@
 /// The traffic-source interface the NetSim engine drives once per cycle.
 /// Implementations push newly generated packets into the network's
 /// per-flow injector queues: TrafficGenerator (stochastic),
-/// TraceReplayer (deterministic replay), and ChipTrafficSource
-/// (compute-node injection on the whole-chip fabric).
+/// TraceReplayer (deterministic replay), and FabricTrafficSource
+/// (compute-node injection on whole-chip and multi-chip fabrics).
 #pragma once
 
 #include <cstdint>

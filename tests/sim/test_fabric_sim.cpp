@@ -1,4 +1,4 @@
-/// Fabric simulation: the ChipSim cycle-identity anchor (a one-chip,
+/// Fabric simulation: the one-chip anchor (a hand-built one-chip,
 /// one-column fabric is metric-identical to ChipSim on the same seed),
 /// cross-chip delivery over both link topologies, serial-vs-sharded
 /// bit-identity up to the kilo-node scale, and recorded fabric traces

@@ -7,7 +7,6 @@
 #include <set>
 
 #include "chip/os.h"
-#include "topo/chip_network.h"
 #include "topo/fabric.h"
 
 namespace taqos {
@@ -25,12 +24,7 @@ defaultChip(TopologyKind kind = TopologyKind::Dps)
 std::unique_ptr<FabricNetwork>
 buildChip(const ChipNetConfig &cc)
 {
-    FabricSpec spec;
-    spec.chip = cc.chip;
-    spec.chip.sharedColumns = {cc.columnX()};
-    spec.column = cc.column;
-    spec.rowVcs = cc.rowVcs;
-    return FabricNetwork::build(spec);
+    return FabricNetwork::build(cc.fabricSpec());
 }
 
 /// Node id of grid position (x, y): the column node or a compute node.
