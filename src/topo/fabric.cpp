@@ -37,8 +37,6 @@ parseLinkTopology(const std::string &name)
 FabricSpec
 ChipNetConfig::fabricSpec() const
 {
-    TAQOS_ASSERT(chip.isSharedColumn(columnX()),
-                 "grid column %d is not a shared column", columnX());
     TAQOS_ASSERT(column.injectorsPerNode == chip.nodesX(),
                  "the row-injector/compute-node mapping requires "
                  "injectorsPerNode (%d) == nodesX (%d)",
@@ -47,7 +45,6 @@ ChipNetConfig::fabricSpec() const
     spec.chip = chip;
     spec.chip.sharedColumns = {columnX()};
     spec.column = column;
-    spec.rowVcs = rowVcs;
     return spec;
 }
 

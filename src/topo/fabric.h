@@ -106,11 +106,12 @@ struct FabricSpec {
     int blocks() const { return chips * blocksPerChip(); }
 };
 
-/// The whole-chip scenario (Sec. 2.1): one chip, one simulated shared
-/// column, every other grid column a compute column feeding it over the
-/// unprotected rows. It is the one-chip, one-block fabric (fabricSpec()),
-/// so the column's node ids are 0..H-1 (id == grid row) and its flow ids,
-/// routes and flow-register indices are the standalone column's.
+/// The whole-chip scenario (Sec. 2.1): one chip, its first shared column
+/// simulated, every other grid column a compute column feeding it over
+/// the unprotected rows. It is the one-chip, one-block fabric
+/// (fabricSpec()), so the column's node ids are 0..H-1 (id == grid row)
+/// and its flow ids, routes and flow-register indices are the standalone
+/// column's.
 struct ChipNetConfig {
     ChipConfig chip;
 
@@ -120,17 +121,9 @@ struct ChipNetConfig {
     /// row injector per compute node of its row).
     ColumnConfig column;
 
-    /// Grid x of the simulated shared column; -1 selects the chip's first
-    /// shared column.
-    int sharedColumn = -1;
-
-    /// VC buffers per row-mesh input and per handoff buffer.
-    int rowVcs = 4;
-
+    /// Grid x of the simulated shared column.
     int columnX() const
     {
-        if (sharedColumn >= 0)
-            return sharedColumn;
         TAQOS_ASSERT(!chip.sharedColumns.empty(),
                      "chip has no shared column to simulate");
         return chip.sharedColumns.front();
