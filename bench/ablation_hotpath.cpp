@@ -16,17 +16,8 @@
 /// time (classic min-of-N: the minimum estimates the true cost, the
 /// rest is scheduler noise — important on shared CI runners).
 ///
-/// Also runs the sharded-execution ablation into `BENCH_shard.json`:
-///   - shard_mecs_s{1,2,4,8}: the sharded engine on a 64-node MECS
-///     column at a saturating rate;
-///   - shard_chip_s{1,2,4,8}: the whole-chip consolidation config.
-/// Every variant is digest-cross-checked against its serial twin (the
-/// bit-identity contract); CI enforces shard_*_s4 >= 1.3x shard_*_s1 on
-/// its 4-vCPU runners.
-///
 /// Options: fast=1 (short runs), reps=N (default 3, fast 2),
-///          json=<path> (default BENCH_hotpath.json),
-///          shardjson=<path> (default BENCH_shard.json)
+///          json=<path> (default BENCH_hotpath.json)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -37,7 +28,6 @@
 #include "common/table.h"
 #include "core/experiments.h"
 #include "exp/json_writer.h"
-#include "sim/chip_sim.h"
 #include "sim/column_sim.h"
 
 using namespace taqos;
@@ -78,87 +68,6 @@ timedRun(TopologyKind kind, double rate, Cycle cycles, bool activity,
                            .count();
     *digest = metricsDigest(sim.metrics());
     return sec;
-}
-
-/// One timed row of the shard ablation.
-struct ShardRow {
-    std::string name;
-    std::uint64_t cycles = 0;
-    double sec = 0.0;
-    std::uint64_t digest = 0;
-
-    double rate() const
-    {
-        return sec > 0.0 ? static_cast<double>(cycles) / sec : 0.0;
-    }
-};
-
-/// The 64-node column the shard rows scale on: large enough that 4-8
-/// regions still hold several routers each, saturated so every router
-/// has work every cycle. MECS, not mesh_x1: the packet charge log caps
-/// at 12 hops per attempt, which a 63-hop 1-D mesh traversal would
-/// overflow — MECS buses reach any row peer in one hop.
-ColumnConfig
-bigColumn()
-{
-    ColumnConfig col = paperColumn(TopologyKind::Mecs, QosMode::Pvc);
-    col.numNodes = 64;
-    col.canonicalize();
-    return col;
-}
-
-ShardRow
-timedColumnRun(std::string name, const ColumnConfig &col, double rate,
-               Cycle cycles, int shards, int reps)
-{
-    ShardRow row;
-    row.name = std::move(name);
-    row.cycles = cycles;
-    for (int r = 0; r < reps; ++r) {
-        TrafficConfig traffic;
-        traffic.pattern = TrafficPattern::UniformRandom;
-        traffic.injectionRate = rate;
-        ColumnSim sim(col, traffic);
-        if (shards > 1)
-            sim.configure({.shards = shards});
-        sim.setMeasureWindow(cycles / 4, cycles);
-        const auto t0 = std::chrono::steady_clock::now();
-        sim.run(cycles);
-        const double sec = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-        row.sec = r == 0 ? sec : std::min(row.sec, sec);
-        row.digest = metricsDigest(sim.metrics());
-    }
-    return row;
-}
-
-ShardRow
-timedChipRun(std::string name, Cycle cycles, int shards, int reps)
-{
-    ShardRow row;
-    row.name = std::move(name);
-    row.cycles = cycles;
-    for (int r = 0; r < reps; ++r) {
-        ChipNetConfig cc;
-        cc.column = paperColumn(TopologyKind::Dps, QosMode::Pvc);
-        cc.column.pvc.frameLen = 2000;
-        TrafficConfig traffic;
-        traffic.pattern = TrafficPattern::UniformRandom;
-        traffic.injectionRate = 0.05;
-        ChipSim sim(cc, traffic);
-        if (shards > 1)
-            sim.configure({.shards = shards});
-        sim.setMeasureWindow(cycles / 4, cycles);
-        const auto t0 = std::chrono::steady_clock::now();
-        sim.run(cycles);
-        const double sec = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-        row.sec = r == 0 ? sec : std::min(row.sec, sec);
-        row.digest = metricsDigest(sim.metrics());
-    }
-    return row;
 }
 
 } // namespace
@@ -259,73 +168,6 @@ main(int argc, char **argv)
     w.endObject();
     if (writeTextFile(json, w.str() + "\n"))
         std::printf("wrote %s\n", json.c_str());
-
-    // ------------------------------------ sharded-execution ablation ----
-
-    const Cycle shardCycles = fast ? 10000 : 40000;
-    const ColumnConfig big = bigColumn();
-    std::vector<ShardRow> shardRows;
-
-    // Shard scaling on the big column and on the whole-chip config; every
-    // row must stay bit-identical to its serial (s1) twin.
-    for (int shards : {1, 2, 4, 8}) {
-        shardRows.push_back(
-            timedColumnRun(strFormat("shard_mecs_s%d", shards), big, 0.10,
-                           shardCycles, shards, reps));
-    }
-    for (int shards : {1, 2, 4, 8}) {
-        shardRows.push_back(timedChipRun(strFormat("shard_chip_s%d", shards),
-                                         shardCycles / 2, shards, reps));
-    }
-    for (const char *base : {"shard_mecs_s1", "shard_chip_s1"}) {
-        const auto ref = std::find_if(
-            shardRows.begin(), shardRows.end(),
-            [base](const ShardRow &r) { return r.name == base; });
-        for (const auto &row : shardRows) {
-            if (row.name.rfind(std::string(base).substr(0, 11), 0) == 0 &&
-                row.digest != ref->digest)
-                ++mismatches;
-        }
-    }
-
-    TextTable st;
-    st.setHeader({"row", "cyc/s", "vs serial", "identical"});
-    for (const auto &row : shardRows) {
-        const char *base = row.name.rfind("shard_chip", 0) == 0
-                               ? "shard_chip_s1"
-                               : "shard_mecs_s1";
-        const auto ref = std::find_if(
-            shardRows.begin(), shardRows.end(),
-            [base](const ShardRow &r) { return r.name == base; });
-        st.addRow({row.name, benchutil::num(row.rate(), 0),
-                   strFormat("%.2fx", row.rate() / ref->rate()),
-                   row.digest == ref->digest ? "yes" : "NO"});
-    }
-    std::printf("%s\n", st.render().c_str());
-    std::printf("(CI enforces shard_*_s4 >= 1.3x shard_*_s1 on 4-vCPU "
-                "runners; single-core machines will show ~1x shard "
-                "scaling — the pool parks its workers.)\n");
-
-    const std::string shardJson = opts.get("shardjson", "BENCH_shard.json");
-    JsonWriter sw;
-    sw.beginObject();
-    sw.field("benchmark", "shard");
-    sw.beginObject("unit");
-    sw.field("simCyclesPerSec", "Hz");
-    sw.endObject();
-    sw.beginArray("results");
-    for (const auto &row : shardRows) {
-        sw.beginObject();
-        sw.field("name", row.name);
-        sw.field("simCycles", row.cycles);
-        sw.field("wallMs", row.sec * 1e3);
-        sw.field("simCyclesPerSec", row.rate());
-        sw.endObject();
-    }
-    sw.endArray();
-    sw.endObject();
-    if (writeTextFile(shardJson, sw.str() + "\n"))
-        std::printf("wrote %s\n", shardJson.c_str());
 
     if (mismatches != 0) {
         std::fprintf(stderr,

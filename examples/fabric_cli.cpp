@@ -17,9 +17,6 @@
 ///   workload=SPEC        dynamic workload (steady | bursty:... |
 ///                        ramp:...; burst=on,off,gain shorthand works
 ///                        too — trace/churn have no fabric embedding)
-///   shards=1             engine shard threads (bit-identical)
-///   crosscheck=N         also run with N shards and require the metrics
-///                        digest to match the first run (exit 1 if not)
 ///   verify=1             record the flit trace and run the independent
 ///                        checker's audit on it (exit 1 on violations)
 ///   seed=S warmup=C measure=C drain=C
@@ -28,7 +25,7 @@
 /// Examples:
 ///   fabric_cli fast=1
 ///   fabric_cli chips=2 tiles=16 columns=4 links=ring verify=1
-///   fabric_cli fast=1 shards=4 crosscheck=1 verify=1   # CI smoke
+///   fabric_cli fast=1 verify=1   # CI smoke
 #include <cstdio>
 
 #include "common/options.h"
@@ -70,7 +67,6 @@ main(int argc, char **argv)
         }
         cfg.workload = wspecs[0];
     }
-    cfg.shards = static_cast<int>(opts.getInt("shards", 1));
     cfg.seed = static_cast<std::uint64_t>(opts.getInt("seed", 1));
     cfg.audit = opts.getBool("verify", false);
     cfg.phases = opts.getBool("fast", false) ? RunPhases{500, 2000, 1000}
@@ -133,27 +129,6 @@ main(int argc, char **argv)
         } else {
             std::printf("checker audit: FAILED — %s\n",
                         res.auditDiagnostic.c_str());
-            rc = 1;
-        }
-    }
-
-    const int crossShards = static_cast<int>(opts.getInt("crosscheck", 0));
-    if (crossShards > 0) {
-        FabricConsolidationConfig other = cfg;
-        other.shards = crossShards;
-        other.audit = false;
-        const FabricConsolidationResult check =
-            runFabricConsolidation(other);
-        if (check.digest == res.digest) {
-            std::printf("digest cross-check: OK (shards=%d == shards=%d)\n",
-                        cfg.shards, crossShards);
-        } else {
-            std::printf("digest cross-check: MISMATCH (shards=%d %016llx "
-                        "vs shards=%d %016llx)\n",
-                        cfg.shards,
-                        static_cast<unsigned long long>(res.digest),
-                        crossShards,
-                        static_cast<unsigned long long>(check.digest));
             rc = 1;
         }
     }

@@ -22,10 +22,8 @@
 ///   churn=frames[,maxvms[,attack]] | churn=1 tenant-churn shorthand
 ///   reps=N seed=S mix=0|1
 ///   warmup=C measure=C drain=C gencycles=C
-///   threads=N            (0 = hardware concurrency)
-///   shards=N             intra-run shard threads per cell (default 1;
-///                        bit-identical output — the runner divides the
-///                        machine between cell workers and shards)
+///   threads=N            cell workers (0 = hardware concurrency; each
+///                        cell runs serially, one core per worker)
 ///   out=path.json        (write the taqos-sweep/v1 record)
 ///   cache=DIR            content-addressed cell cache: cells already in
 ///                        DIR are loaded instead of re-run, fresh cells
@@ -155,8 +153,6 @@ main(int argc, char **argv)
         spec.genCycles =
             static_cast<Cycle>(opts.getInt("gencycles", 100000));
     }
-
-    spec.shards = static_cast<int>(opts.getInt("shards", 1));
 
     const int threads = static_cast<int>(opts.getInt("threads", 0));
     const SweepRunner runner(threads);

@@ -21,9 +21,7 @@
 ///                 CI workload smoke audits a bursty cell through this
 ///   seed=S
 ///   warmup=C measure=C drain=C                    (default 2000/6000/4000)
-///   legacy=1      use the always-tick reference engine (serial only)
-///   shards=N      run the sharded engine on N threads (bit-identical;
-///                 the audit exercises its recorded trace)
+///   legacy=1      use the always-tick reference engine
 ///   fabric=1      record a multi-chip fabric run (FabricSim) instead of
 ///                 one column; with
 ///     chips=N tiles=N columns=a,b links=p2p|ring
@@ -33,7 +31,7 @@
 ///   verify_cli audit topo=dps mode=pvc rate=0.05
 ///   verify_cli record out=/tmp/t.txt topo=mecs pattern=hotspot legacy=1
 ///   verify_cli check /tmp/t.txt
-///   verify_cli audit fabric=1 chips=4 tiles=32 columns=4,12 shards=4
+///   verify_cli audit fabric=1 chips=4 tiles=32 columns=4,12
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -57,7 +55,6 @@ struct RunOptions {
     WorkloadSpec workload;
     RunPhases phases = testPhases();
     bool legacy = false;
-    int shards = 1;
     std::string out;
     /// fabric=1: record a multi-chip fabric run instead of one column.
     bool fabric = false;
@@ -139,8 +136,6 @@ parseRunOptions(const std::vector<std::string> &args)
             run.phases.drain = std::strtoull(val.c_str(), nullptr, 10);
         } else if (key == "legacy") {
             run.legacy = std::atoi(val.c_str()) != 0;
-        } else if (key == "shards") {
-            run.shards = std::atoi(val.c_str());
         } else if (key == "out") {
             run.out = val;
         } else if (key == "fabric") {
@@ -159,14 +154,6 @@ parseRunOptions(const std::vector<std::string> &args)
         } else {
             badOption(arg);
         }
-    }
-    if (run.legacy && run.shards > 1) {
-        std::fprintf(stderr,
-                     "verify_cli: legacy=1 is the serial always-tick "
-                     "reference; shards=%d needs the activity-driven "
-                     "engine\n",
-                     run.shards);
-        std::exit(2);
     }
     run.col = paperColumn(topo, mode);
     return run;
@@ -197,7 +184,7 @@ recordFabricRun(const RunOptions &run)
     traffic.genUntil = run.phases.measureEnd();
 
     FabricSim sim(spec, traffic, run.workload);
-    sim.configure({.activityDriven = !run.legacy, .shards = run.shards});
+    sim.configure({.activityDriven = !run.legacy});
     sim.setMeasureWindow(run.phases.warmup, run.phases.measureEnd());
 
     TraceRecorder rec(describeFabric(sim.network()));
@@ -223,7 +210,7 @@ recordRun(const RunOptions &run)
     traffic.genUntil = run.phases.measureEnd();
 
     ColumnSim sim(col, traffic, run.workload);
-    sim.configure({.activityDriven = !run.legacy, .shards = run.shards});
+    sim.configure({.activityDriven = !run.legacy});
     sim.setMeasureWindow(run.phases.warmup, run.phases.measureEnd());
 
     TraceRecorder rec(describeColumn(col));

@@ -6,8 +6,8 @@
 /// The tick loop's working set is dominated by small per-router arrays
 /// that the builders historically left wherever the heap put them; the
 /// arena pass relocates them once, at Network::finalizeRouters time, into
-/// a handful of large chunks laid out in node order — the order both the
-/// serial engine and the sharded engine's region tasks walk. Behaviour is
+/// a handful of large chunks laid out in node order — the order the
+/// engine walks its active routers. Behaviour is
 /// bit-identical to leaving them in place: relocation copies state
 /// verbatim and every cross-reference into these arrays is index-based
 /// (VcRef, slot keys). The packed layout measured 1.26x the unpacked

@@ -418,7 +418,6 @@ runFabricConsolidation(const FabricConsolidationConfig &cfg)
     spec.column.pvc.weights = weights;
 
     FabricSim sim(spec, traffic, cfg.workload);
-    sim.configure({.shards = cfg.shards});
     sim.setMeasureWindow(cfg.phases.warmup, cfg.phases.measureEnd());
 
     std::optional<TraceRecorder> rec;

@@ -203,7 +203,6 @@ struct FabricConsolidationConfig {
     /// Each owned compute node also streams this fraction of its rate
     /// into every remote chip's nearest protected column.
     double remoteShare = 0.25;
-    int shards = 1; ///< EngineConfig::shards (bit-identical by contract)
     std::uint64_t seed = 1;
     RunPhases phases;
     /// Dynamic-workload shape (steady/bursty/ramp; trace and churn have
@@ -233,7 +232,7 @@ struct FabricConsolidationResult {
     std::uint64_t linkHops = 0;    ///< inter-chip link traversals
     std::uint64_t preemptions = 0;
     double avgLatency = 0.0;       ///< end-to-end, rows and links included
-    std::uint64_t digest = 0;      ///< metricsDigest (sharding identity)
+    std::uint64_t digest = 0;      ///< metricsDigest (run identity)
     std::vector<FabricVmShare> vms;
     /// Checker audit of the recorded trace (cfg.audit only).
     bool auditOk = true;

@@ -5,10 +5,9 @@
 /// the coordinates that determine its dynamics — scenario, topology,
 /// pattern, mode, rate, workload, placement, dynamic-workload spec
 /// (when non-steady), replicate, seed, phases and generation horizon —
-/// mixed with the build's kEngineSalt. Execution
-/// knobs (shard count, runner threads) are deliberately excluded: they
-/// are bit-identical by contract, so a cached result is valid under any
-/// of them. Bumping kEngineSalt (the contract in sim/engine_salt.h)
+/// mixed with the build's kEngineSalt. The runner's thread count is
+/// deliberately excluded: it is bit-identical by contract, so a cached
+/// result is valid under any of them. Bumping kEngineSalt (the contract in sim/engine_salt.h)
 /// therefore invalidates every cached cell at once.
 ///
 /// The cache is a flat directory of one small text fragment per cell,

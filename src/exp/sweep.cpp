@@ -21,7 +21,6 @@
 #include "exp/json_writer.h"
 #include "sim/chip_sim.h"
 #include "sim/column_sim.h"
-#include "sim/shard_plan.h"
 #include "traffic/workloads.h"
 
 namespace taqos {
@@ -111,7 +110,6 @@ buildColumnCellSim(const CellSpec &cell)
     traffic.seed = cell.seed;
     auto sim =
         std::make_unique<ColumnSim>(col, traffic, cell.workloadSpec);
-    sim->configure({.shards = cell.shards});
     sim->setMeasureWindow(cell.phases.warmup, cell.phases.measureEnd());
     return sim;
 }
@@ -227,7 +225,6 @@ runAdversarialCell(const CellSpec &cell)
     finite.seed = cell.seed;
 
     ColumnSim sim(col, finite, cell.workloadSpec);
-    sim.configure({.shards = cell.shards});
     sim.setMeasureWindow(0, gen);
     const Cycle done = sim.runUntilDrained(budget, gen);
     TAQOS_ASSERT(done != kNoCycle, "%s: run did not drain",
@@ -238,7 +235,6 @@ runAdversarialCell(const CellSpec &cell)
     ColumnConfig colRef = col;
     colRef.mode = QosMode::PerFlowQueue;
     ColumnSim ref(colRef, finite, cell.workloadSpec);
-    ref.configure({.shards = cell.shards});
     ref.setMeasureWindow(0, gen);
     const Cycle doneRef = ref.runUntilDrained(budget, gen);
     TAQOS_ASSERT(doneRef != kNoCycle, "%s: reference run did not drain",
@@ -365,7 +361,6 @@ runChipConsolidationCell(const CellSpec &cell)
     }
 
     ChipSim sim(cfg, traffic, cell.workloadSpec);
-    sim.configure({.shards = cell.shards});
     sim.setMeasureWindow(cell.phases.warmup, cell.phases.measureEnd());
 
     // Churn segment loop: run to each frame-aligned epoch boundary inside
@@ -515,8 +510,6 @@ SweepSpec::canonical() const
         c.rates = {0.05};
     if (c.replicates < 1)
         c.replicates = 1;
-    if (c.shards < 1)
-        c.shards = 1;
 
     // Axes a scenario does not consume are collapsed to a single
     // canonical value so they never multiply the grid.
@@ -601,7 +594,6 @@ SweepSpec::expand() const
                                     cell.replicate = rep;
                                     cell.phases = c.phases;
                                     cell.genCycles = c.genCycles;
-                                    cell.shards = c.shards;
                                     cell.seed = cellSeed(c, cell);
                                     cells.push_back(cell);
                                 }
@@ -873,11 +865,10 @@ SweepRunner::run(const SweepSpec &spec, CellCache *cache) const
             runColumnGroup(cells, u, result.cells);
     };
 
-    // Cell workers x intra-run shards must fit the machine (see the
-    // class comment for the precedence rules).
-    const int workers =
-        sweepWorkerBudget(threads_, units.size(), result.spec.shards,
-                          std::thread::hardware_concurrency());
+    // One serial cell per core (see the class comment).
+    const int hw = static_cast<int>(std::thread::hardware_concurrency());
+    const int workers = static_cast<int>(std::min<std::size_t>(
+        std::min(threads_, std::max(1, hw)), units.size()));
     if (workers <= 1) {
         for (const auto &u : units)
             runUnit(u);

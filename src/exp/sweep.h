@@ -79,10 +79,6 @@ struct CellSpec {
     std::uint64_t seed = 0; ///< traffic seed for this cell
     RunPhases phases;
     Cycle genCycles = 100000; ///< Adversarial generation horizon
-    /// Intra-run shard threads (EngineConfig::shards). An execution knob
-    /// like the runner's thread count: bit-identical results by the
-    /// sharding contract, so it is neither serialized nor seed-mixed.
-    int shards = 1;
 };
 
 /// Scalar metrics one cell produced, in a stable emission order.
@@ -129,8 +125,6 @@ struct SweepSpec {
 
     RunPhases phases;
     Cycle genCycles = 100000;
-    /// Intra-run shard threads, copied to every cell (see CellSpec).
-    int shards = 1;
 
     /// Copy with defaults filled in and unused axes collapsed.
     SweepSpec canonical() const;
@@ -174,13 +168,9 @@ struct SweepResult {
 };
 
 /// Executes the cells of a spec on a thread pool. Stateless between runs;
-/// safe to reuse.
-///
-/// Thread budgeting: cell-level workers multiply with the spec's
-/// intra-run `shards`, so run() caps the worker count at
-/// hardware_concurrency / shards (sweepWorkerBudget in
-/// sim/shard_plan.h). An explicit `numThreads` takes precedence up to
-/// that cap; shards take the remainder of the machine.
+/// safe to reuse. Each cell runs on the serial engine, so run() starts
+/// min(threads(), hardware_concurrency, work units) workers: one core
+/// per cell, never more workers than the machine or the grid.
 class SweepRunner {
   public:
     /// `numThreads` <= 0 selects std::thread::hardware_concurrency().

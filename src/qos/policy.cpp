@@ -239,14 +239,6 @@ class GsfGate final : public SourceGate {
         return false; // window exhausted: stall the source
     }
 
-    /// A stamped packet is re-admitted unconditionally with no state
-    /// change (the early return above); an unstamped one would charge a
-    /// window budget.
-    bool admitIsPure(const NetPacket &pkt) const override
-    {
-        return pkt.frameTag != kNoFrameTag;
-    }
-
     void onDeliver(const NetPacket &pkt, Cycle now) override
     {
         (void)now;

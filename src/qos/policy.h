@@ -155,17 +155,6 @@ class SourceGate {
     /// admission; must stay true for an already-admitted packet.
     virtual bool admit(NetPacket &pkt, Cycle now) = 0;
 
-    /// Would admit(pkt, ...) return true without mutating any state?
-    /// The sharded engine's parallel scan phase may only evaluate pure
-    /// admissions (the gate is engine-global and admission order must
-    /// match serial node order); an impure one defers the whole output
-    /// to the serial grant phase. Conservative default: nothing is pure.
-    virtual bool admitIsPure(const NetPacket &pkt) const
-    {
-        (void)pkt;
-        return false;
-    }
-
     /// `pkt` reached its final destination terminal.
     virtual void onDeliver(const NetPacket &pkt, Cycle now) = 0;
 

@@ -385,7 +385,7 @@ Router::collectCandidates(TickContext &ctx)
     }
 }
 
-bool
+void
 Router::collectOutput(int outPort, TickContext &ctx)
 {
     Candidate &best = best_[static_cast<std::size_t>(outPort)];
@@ -410,24 +410,8 @@ Router::collectOutput(int outPort, TickContext &ctx)
                     wake = at;
                 continue;
             }
-            if (ctx.gate != nullptr) {
-                // A gate admission may mutate engine-global state (GSF
-                // charges a frame budget and stamps the packet). The
-                // sharded parallel scan must not do that — both for
-                // determinism (admissions are ordered by node) and
-                // because the gate is shared across regions — so it only
-                // proceeds when the gate vouches the call is pure;
-                // otherwise the whole output is left for the serial
-                // grant phase.
-                if (ctx.speculative) {
-                    if (!ctx.gate->admitIsPure(*pkt)) {
-                        best.pkt = nullptr;
-                        return false;
-                    }
-                } else if (!ctx.gate->admit(*pkt, ctx.now)) {
-                    continue;
-                }
-            }
+            if (ctx.gate != nullptr && !ctx.gate->admit(*pkt, ctx.now))
+                continue;
         } else {
             const VirtualChannel &vc =
                 slot.port->vcs[static_cast<std::size_t>(slot.vc)];
@@ -459,7 +443,6 @@ Router::collectOutput(int outPort, TickContext &ctx)
     }
 
     outWake_[static_cast<std::size_t>(outPort)] = wake;
-    return true;
 }
 
 bool
@@ -834,48 +817,6 @@ Router::tickArbitrate(TickContext &ctx)
 }
 
 void
-Router::tickScan(TickContext &ctx)
-{
-    TAQOS_ASSERT(ctx.speculative, "tickScan is the speculative scan phase");
-    if (!(anyOutDirty_ || ctx.now >= minWake_))
-        return;
-    // Same per-output rescan condition and summary recomputation as
-    // tickArbitrate's scan block. The scan's inputs are all router-local
-    // (own slot lists, own input VCs and injector queues, packet fields
-    // no concurrent phase writes), so regions can run it concurrently; a
-    // grant-phase event at another router that could change a result
-    // re-dirties the affected output through the hooks, re-scanning it
-    // serially at this router's turn — exactly when the serial engine
-    // would have scanned it.
-    Cycle minWake = kNoCycle;
-    int winners = 0;
-    bool aborted = false;
-    for (std::size_t o = 0; o < outputs_.size(); ++o) {
-        if (outDirty_[o] != 0 || ctx.now >= outWake_[o]) {
-            if (collectOutput(static_cast<int>(o), ctx)) {
-                outDirty_[o] = 0;
-            } else {
-                // Impure gate admission: the serial grant phase must
-                // redo this output with the real admit call. Force its
-                // rescan by keeping the dirty flag; the cleared best
-                // keeps the stale winner from being granted if the
-                // rescan finds the packet inadmissible.
-                outDirty_[o] = 1;
-                outWake_[o] = kNoCycle;
-                aborted = true;
-            }
-        }
-        if (outWake_[o] < minWake)
-            minWake = outWake_[o];
-        if (best_[o].pkt != nullptr)
-            ++winners;
-    }
-    anyOutDirty_ = aborted;
-    minWake_ = minWake;
-    winners_ = winners;
-}
-
-void
 Router::tick(TickContext &ctx)
 {
     tickCompletions(ctx.now);
@@ -936,7 +877,7 @@ Router::rebuildFromRestore()
     minWake_ = 0;
     winners_ = 0;
     mutEpoch_ = 0;
-    inWorklist_ = false; // the engine repopulates its pending lists
+    inWorklist_ = false; // the engine repopulates its pending list
 }
 
 void

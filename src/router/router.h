@@ -62,12 +62,6 @@ struct TickContext {
     /// no activity shortcuts (the bit-identity reference the activity-
     /// driven engine is checked against).
     bool forceScan = false;
-    /// Sharded engine's parallel scan phase: recompute cached winners
-    /// without any side effect outside this router. A scan that would
-    /// have to consult impure gate state (SourceGate::admit can charge a
-    /// GSF budget) aborts instead, leaving the output dirty for the
-    /// serial grant phase to rescan.
-    bool speculative = false;
 };
 
 /// The per-router counters and schedule bounds the engine consults every
@@ -131,15 +125,6 @@ class Router {
     /// One simulation cycle, phase 2: VC allocation / preemption.
     void tickArbitrate(TickContext &ctx);
 
-    /// Sharded engine, parallel phase: refresh this router's cached
-    /// winner sets (the scan half of tickArbitrate) touching nothing
-    /// outside the router. ctx.speculative must be set. Outputs whose
-    /// scan would need an impure gate admission stay dirty; everything
-    /// else ends up exactly as a serial tickArbitrate would leave it
-    /// before its grant loop, so the subsequent serial grant phase takes
-    /// the cached-winner fast path.
-    void tickScan(TickContext &ctx);
-
     /// Both phases (single-router unit tests only).
     void tick(TickContext &ctx);
 
@@ -173,9 +158,6 @@ class Router {
 
     /// Register with the engine worklist (arms the router immediately).
     void setWorklist(ActivityWorklist *wl);
-    /// Sharded engine: point future arms at a per-region worklist without
-    /// touching the membership flag (the caller moves pending entries).
-    void rebindWorklist(ActivityWorklist *wl) { worklist_ = wl; }
     bool inWorklist() const { return inWorklist_; }
     /// Engine sweep: drop an idle router from the worklist.
     void leaveWorklist() { inWorklist_ = false; }
@@ -264,9 +246,7 @@ class Router {
     /// outputs at once (the always-tick reference path).
     void collectCandidates(TickContext &ctx);
     /// Activity path: re-derive one output's winner from its slot list.
-    /// Returns false when a speculative scan had to abort on an impure
-    /// gate admission (the output must stay dirty; best is cleared).
-    bool collectOutput(int outPort, TickContext &ctx);
+    void collectOutput(int outPort, TickContext &ctx);
 
     void addVcSlot(InputPort *in, int vcIdx);
     void updateInjectorSlot(InjectorQueue &inj);

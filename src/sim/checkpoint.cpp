@@ -15,8 +15,8 @@ namespace taqos {
 namespace {
 
 /// Bytes of the fixed header (magic + version + salt + fingerprint +
-/// cycle + engine config) — the reader's starting byte offset.
-constexpr std::uint64_t kHeaderBytes = 8 + 4 + 8 + 8 + 8 + 1 + 4 + 4;
+/// cycle + engine flag) — the reader's starting byte offset.
+constexpr std::uint64_t kHeaderBytes = 8 + 4 + 8 + 8 + 8 + 1;
 
 /// Upper bounds a corrupted length prefix is rejected against (far above
 /// anything a real run produces, far below an allocation that could
@@ -161,13 +161,7 @@ readCheckpointInfo(std::istream &is)
     read(&info.now, sizeof(info.now), "cycle");
     std::uint8_t act = 0;
     read(&act, sizeof(act), "engine config");
-    std::uint32_t shards = 0;
-    std::uint32_t minActive = 0;
-    read(&shards, sizeof(shards), "engine config");
-    read(&minActive, sizeof(minActive), "engine config");
     info.engine.activityDriven = act != 0;
-    info.engine.shards = static_cast<int>(shards);
-    info.engine.shardMinActive = static_cast<int>(minActive);
     return info;
 }
 
@@ -487,8 +481,6 @@ NetSim::saveCheckpoint(std::ostream &os) const
     w.u64(topologyFingerprint(net));
     w.u64(now_);
     w.u8(engineCfg_.activityDriven ? 1 : 0);
-    w.u32(static_cast<std::uint32_t>(engineCfg_.shards));
-    w.u32(static_cast<std::uint32_t>(engineCfg_.shardMinActive));
 
     w.section("metrics");
     w.u64(metrics_.measureStart);
@@ -886,32 +878,16 @@ NetSim::restoreCheckpoint(std::istream &is, std::string *err)
 
         now_ = info.now;
 
-        // Re-arm the worklists with exactly the routers that have work.
+        // Re-arm the worklist with exactly the routers that have work.
         // The uninterrupted run's worklist may hold extra (just-drained)
         // routers, but ticking a work-less router is a provable no-op,
         // so the restored run stays bit-identical.
-        if (regions_.empty()) {
-            net_->worklist().pending.clear();
-            active_.clear();
-            for (NodeId n = 0; n < net_->numNodes(); ++n) {
-                Router *rt = net_->router(n);
-                if (rt->hasWork())
-                    rt->setWorklist(&net_->worklist());
-                else
-                    rt->rebindWorklist(&net_->worklist());
-            }
-        } else {
-            for (Region &reg : regions_) {
-                reg.wl.pending.clear();
-                reg.active.clear();
-                for (NodeId n = reg.begin; n < reg.end; ++n) {
-                    Router *rt = net_->router(n);
-                    if (rt->hasWork())
-                        rt->setWorklist(&reg.wl);
-                    else
-                        rt->rebindWorklist(&reg.wl);
-                }
-            }
+        net_->worklist().pending.clear();
+        active_.clear();
+        for (NodeId n = 0; n < net_->numNodes(); ++n) {
+            Router *rt = net_->router(n);
+            if (rt->hasWork())
+                rt->setWorklist(&net_->worklist());
         }
         return true;
     } catch (const CheckpointError &e) {

@@ -9,12 +9,11 @@
 /// structural state (Router::rebuildFromRestore), which is equivalent to
 /// the frame-boundary invalidation the engines are already proven
 /// bit-identical under. A checkpoint is therefore engine-neutral: a run
-/// saved under any engine (activity-driven or always-tick, any shard
-/// count, either hot-state layout) restores bit-identically under any
-/// other.
+/// saved under either engine (activity-driven or always-tick) restores
+/// bit-identically under the other.
 ///
 /// Wire format: a fixed header (magic, format version, engine salt,
-/// topology fingerprint, cycle, saving engine config) followed by tagged
+/// topology fingerprint, cycle, saving engine flag) followed by tagged
 /// sections in a fixed order. Integers are host-endian (checkpoints are
 /// a same-machine warm-start mechanism, not an interchange format).
 /// Cross-references use canonical indices: packets by packet-pool slot,
@@ -49,10 +48,13 @@ struct InjectorQueue;
 inline constexpr char kCheckpointMagic[8] = {'T', 'A', 'Q', 'O',
                                              'S', 'C', 'K', 'P'};
 
-/// Bump on any change to the section layout or record encodings below.
+/// Bump on any change to the header, the section layout or the record
+/// encodings below; kEngineSalt stays (it versions dynamics, not bytes).
 /// Version 2: whole-chip runs save the fabric's traffic-source and
 /// "extra" records (ChipSim became the one-chip FabricSim).
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+/// Version 3: the header's engine echo shrinks to the saving engine's
+/// activity-driven flag.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// A checkpoint could not be read: wrong magic/version/salt, topology
 /// mismatch, truncation, or a corrupted record. The message names the
@@ -63,8 +65,8 @@ class CheckpointError : public std::runtime_error {
 };
 
 /// The checkpoint header, readable without a simulation (cache tooling,
-/// CLI validation). `engine` is the configuration the run was saved
-/// under — informational only; restore is engine-neutral.
+/// CLI validation). `engine.activityDriven` is the engine the run was
+/// saved under — informational only; restore is engine-neutral.
 struct CheckpointInfo {
     std::uint32_t version = 0;
     std::uint64_t salt = 0;        ///< kEngineSalt of the saving build

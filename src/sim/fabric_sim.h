@@ -21,8 +21,8 @@
 ///      standalone column simulator.
 /// Inter-chip links are FIFO delay lines with serialization (width
 /// flits/cycle); on a ring, packets hop chip to chip, paying the link
-/// delay per hop. Link state is only touched in the serial phases of
-/// the cycle, so the sharded engine stays bit-identical.
+/// delay per hop. Link arrivals and handoffs run in the engine's
+/// terminal phase, after every router has ticked.
 #pragma once
 
 #include <cstdint>

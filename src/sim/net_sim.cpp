@@ -5,8 +5,6 @@
 #include "common/assert.h"
 #include "noc/trace_sink.h"
 #include "router/router.h"
-#include "sim/shard_plan.h"
-#include "sim/shard_pool.h"
 
 namespace taqos {
 
@@ -36,56 +34,10 @@ NetSim::setMeasureWindow(Cycle start, Cycle end)
 void
 NetSim::configure(const EngineConfig &cfg)
 {
-    // The dispatch threshold only gates the pool-vs-inline heuristic
-    // (never results), so it stays tunable mid-run; everything else must
-    // precede the first step.
-    if (now_ != 0) {
-        TAQOS_ASSERT(cfg.activityDriven == engineCfg_.activityDriven &&
-                         cfg.shards == engineCfg_.shards,
-                     "engine selection must precede the first step");
-        engineCfg_.shardMinActive = cfg.shardMinActive;
-        return;
-    }
     TAQOS_ASSERT(cfg.shards >= 1, "need at least one shard");
-    TAQOS_ASSERT(cfg.activityDriven || cfg.shards == 1,
-                 "the always-tick reference engine runs serially; "
-                 "shards=%d needs the activity-driven engine",
-                 cfg.shards);
+    TAQOS_ASSERT(now_ == 0 || cfg.activityDriven == engineCfg_.activityDriven,
+                 "engine selection must precede the first step");
     engineCfg_ = cfg;
-    engineCfg_.shards =
-        std::min(cfg.shards, std::max(1, net_->numNodes()));
-    regions_.clear();
-    shardPool_.reset();
-    net_->worklist().pending.clear();
-
-    if (engineCfg_.shards <= 1) {
-        // Back to the shared worklist (tests flip this both ways). Armed
-        // routers re-enter pending; their flags are authoritative.
-        for (NodeId n = 0; n < net_->numNodes(); ++n) {
-            Router *r = net_->router(n);
-            r->rebindWorklist(&net_->worklist());
-            if (r->inWorklist())
-                net_->worklist().pending.push_back(n);
-        }
-        return;
-    }
-
-    const auto ranges =
-        planShardRanges(shardWeights(*net_), engineCfg_.shards);
-    regions_.resize(ranges.size());
-    for (std::size_t i = 0; i < ranges.size(); ++i) {
-        Region &reg = regions_[i];
-        reg.begin = ranges[i].first;
-        reg.end = ranges[i].second;
-        for (NodeId n = reg.begin; n < reg.end; ++n) {
-            Router *r = net_->router(n);
-            r->rebindWorklist(&reg.wl);
-            if (r->inWorklist())
-                reg.wl.pending.push_back(n);
-        }
-    }
-    shardPool_ =
-        std::make_unique<ShardPool>(static_cast<int>(regions_.size()) - 1);
 }
 
 void
@@ -256,132 +208,8 @@ NetSim::tickTerminals()
 }
 
 void
-NetSim::sweepRegion(Region &reg)
-{
-    std::erase_if(reg.active, [this](NodeId n) {
-        Router *r = net_->router(n);
-        if (r->hasWork())
-            return false;
-        r->leaveWorklist();
-        return true;
-    });
-}
-
-void
-NetSim::mergeRegion(Region &reg)
-{
-    auto &pending = reg.wl.pending;
-    if (pending.empty())
-        return;
-    std::sort(pending.begin(), pending.end());
-    const auto mid = static_cast<std::ptrdiff_t>(reg.active.size());
-    reg.active.insert(reg.active.end(), pending.begin(), pending.end());
-    std::inplace_merge(reg.active.begin(), reg.active.begin() + mid,
-                       reg.active.end());
-    pending.clear();
-}
-
-void
-NetSim::regionPhase(Region &reg, TickContext &scanCtx)
-{
-    // The sweep is the serial engine's end-of-cycle sweep, delayed to the
-    // start of the next: a router that drained last cycle but was armed
-    // again by this cycle's prelude simply stays (the prelude's arm was a
-    // no-op on its still-set flag), which is exactly the set the serial
-    // order produces.
-    sweepRegion(reg);
-    mergeRegion(reg);
-    for (NodeId n : reg.active)
-        net_->router(n)->tickCompletions(scanCtx.now);
-    for (NodeId n : reg.active)
-        net_->router(n)->tickScan(scanCtx);
-}
-
-void
-NetSim::stepSharded()
-{
-    if (trace_ != nullptr)
-        trace_->noteCycle(now_);
-    processFrameBoundary();
-    processAcks();
-    if (source_ != nullptr)
-        source_->tick(now_, pool_, net_->injectors(), metrics_);
-
-    TickContext ctx;
-    ctx.now = now_;
-    ctx.quota = quota_.get();
-    ctx.ack = &ack_;
-    ctx.metrics = &metrics_;
-    ctx.gate = gate_.get();
-    TickContext scanCtx = ctx;
-    scanCtx.speculative = true;
-
-    // Dispatch only when there is enough live work to amortize the
-    // fork-join; the threshold reads pre-sweep state, so the choice
-    // is a pure function of simulation state (deterministic).
-    std::size_t live = 0;
-    for (const Region &reg : regions_)
-        live += reg.active.size() + reg.wl.pending.size();
-    const bool par =
-        live >= regions_.size() *
-                    static_cast<std::size_t>(engineCfg_.shardMinActive);
-
-    if (trace_ != nullptr) {
-        // Completions emit trace events; keep every mutating walk
-        // serial in node order so the recorded stream is
-        // byte-identical to the serial engines'. The scans are pure
-        // and may still fan out.
-        for (Region &reg : regions_) {
-            sweepRegion(reg);
-            mergeRegion(reg);
-            for (NodeId n : reg.active)
-                net_->router(n)->tickCompletions(now_);
-        }
-        if (par) {
-            shardPool_->dispatch(
-                static_cast<int>(regions_.size()), [&](int i) {
-                    Region &reg =
-                        regions_[static_cast<std::size_t>(i)];
-                    for (NodeId n : reg.active)
-                        net_->router(n)->tickScan(scanCtx);
-                });
-        } else {
-            for (Region &reg : regions_)
-                for (NodeId n : reg.active)
-                    net_->router(n)->tickScan(scanCtx);
-        }
-    } else if (par) {
-        shardPool_->dispatch(
-            static_cast<int>(regions_.size()), [&](int i) {
-                regionPhase(regions_[static_cast<std::size_t>(i)],
-                            scanCtx);
-            });
-    } else {
-        for (Region &reg : regions_)
-            regionPhase(reg, scanCtx);
-    }
-
-    // Serial grant phase: regions are contiguous and ascending, so
-    // this is the serial engine's global node order. All cross-router
-    // mutation (VC reservation, preemption kills, gate charges, arms)
-    // happens here; a grant that invalidates a later router's
-    // speculative scan re-dirties it through the usual hooks, and
-    // tickArbitrate rescans exactly those outputs.
-    for (Region &reg : regions_)
-        for (NodeId n : reg.active)
-            net_->router(n)->tickArbitrate(ctx);
-
-    tickTerminals();
-    ++now_;
-}
-
-void
 NetSim::step()
 {
-    if (!regions_.empty()) {
-        stepSharded();
-        return;
-    }
     if (trace_ != nullptr)
         trace_->noteCycle(now_);
     processFrameBoundary();

@@ -26,28 +26,8 @@
 /// 5 always run: time-driven policy state (the GSF frame window) must
 /// advance even when every router is idle.
 ///
-/// EngineConfig::shards = N splits the activity-driven phase 4 across N
-/// threads while staying bit-identical to the serial engines (the
-/// always-tick reference stays serial). The fabric is partitioned into N
-/// contiguous node-range regions (sim/shard_plan.h), each with a private
-/// worklist, and the cycle is restructured into:
-///   - a serial prelude (phases 1-3, unchanged);
-///   - one parallel dispatch per region: sweep and merge the region's
-///     worklist, run transfer completions over its active routers
-///     (mutations are router-local by construction), then run the
-///     *speculative* candidate scan (Router::tickScan) — a read-only
-///     rebuild of each router's cached winner set that defers any
-///     impure decision (an unstamped GSF admission) to the next phase;
-///   - a serial grant phase: tickArbitrate over every region's active
-///     list in region order, which — regions being contiguous and
-///     ascending — is exactly the serial engine's node order. Grants,
-///     preemptions and gate charges happen only here, so every
-///     cross-router effect is ordered as in the serial engine;
-///   - serial terminal ejection (phase 5, unchanged).
-/// When the live-router count is too small for the dispatch to pay for
-/// itself the same schedule runs inline (a state-derived, deterministic
-/// choice). With a trace sink attached, completions run serially so the
-/// recorded flit stream is byte-identical to the serial engines'.
+/// One run is serial: a sweep keeps every core busy with independent
+/// cells instead (exp/sweep.h). See README "Why the engine is serial".
 #pragma once
 
 #include <iosfwd>
@@ -66,7 +46,6 @@
 
 namespace taqos {
 
-class ShardPool;
 class CheckpointWriter;
 class CheckpointReader;
 
@@ -94,16 +73,13 @@ class NetSim {
     /// True when no packet is live (queued, in flight, or awaiting ACK).
     bool drained() const { return pool_.liveCount() == 0; }
 
-    /// Apply the engine selection (activity-driven vs. always-tick,
-    /// shard count, dispatch threshold) in one call. Must precede the
-    /// first step, except that `shardMinActive` alone may be re-tuned
-    /// mid-run (it only gates the dispatch heuristic, never results).
-    /// Sharding requires the activity-driven engine.
+    /// Apply the engine selection (activity-driven vs. always-tick). Must
+    /// precede the first step; a mid-run call may only repeat the
+    /// current selection.
     void configure(const EngineConfig &cfg);
     const EngineConfig &engineConfig() const { return engineCfg_; }
 
     bool activityDriven() const { return engineCfg_.activityDriven; }
-    int shards() const { return engineCfg_.shards; }
 
     /// Open the measurement window [start, end): latency is recorded for
     /// packets generated inside it, per-flow throughput for deliveries
@@ -174,33 +150,13 @@ class NetSim {
     TraceSink *trace_ = nullptr; ///< flit-trace recorder (null = off)
 
   private:
-    /// One contiguous node range [begin, end) with its private activity
-    /// tracking; the engine owns one per shard.
-    struct Region {
-        NodeId begin = 0;
-        NodeId end = 0;
-        ActivityWorklist wl;         ///< arms raised by this region's nodes
-        std::vector<NodeId> active;  ///< sorted ids with work, in-range
-    };
-
     /// Fold newly-armed routers into the sorted active list (node order —
     /// the same relative order the always-tick engine visits).
     void mergeWorklist();
     /// Drop routers whose work drained this cycle.
     void sweepWorklist();
 
-    /// The sharded cycle (see file comment); step() delegates here when
-    /// configure({.shards = N > 1}) partitioned the fabric.
-    void stepSharded();
-    /// A region's parallel slice of the cycle: sweep + merge its
-    /// worklist, completions, then the speculative scan.
-    void regionPhase(Region &reg, TickContext &scanCtx);
-    void sweepRegion(Region &reg);
-    static void mergeRegion(Region &reg);
-
     std::vector<NodeId> active_; ///< sorted ids of routers with work
-    std::vector<Region> regions_;
-    std::unique_ptr<ShardPool> shardPool_;
 };
 
 } // namespace taqos

@@ -31,16 +31,10 @@ struct EngineConfig {
     /// the reference exists for equivalence tests and ablations.
     bool activityDriven = true;
 
-    /// Threads sharding the router phase (1 = serial). Bit-identical to
-    /// the serial engines; only the activity-driven engine shards (the
-    /// always-tick reference stays serial, as the oracle).
+    /// Accepted and ignored: the engine is serial at every value. The
+    /// field exists only for the benchmark's shard twin (which now times
+    /// two serial runs); configure() still rejects values below 1.
     int shards = 1;
-
-    /// Minimum live routers per shard before a cycle is dispatched to
-    /// the thread pool rather than run inline (0 forces the parallel
-    /// path every cycle — equivalence tests use it to exercise the pool
-    /// on workloads of any size).
-    int shardMinActive = 2;
 };
 
 } // namespace taqos

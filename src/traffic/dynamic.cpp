@@ -58,7 +58,7 @@ OnOffModulator::advance(Cycle now)
     (void)now;
     // One transition draw per flow per cycle, always — the chain's draw
     // count is a pure function of elapsed cycles, which keeps restore
-    // and sharding bit-identical.
+    // and both engines bit-identical.
     for (std::size_t f = 0; f < rng_.size(); ++f) {
         const double flip = on_[f] ? spec_.burstOff : spec_.burstOn;
         if (rng_[f].bernoulli(flip))

@@ -46,8 +46,8 @@ class TrafficGenerator : public TrafficSource {
 
     /// Reprogram one flow mid-run (the tenant-churn driver's hook; apply
     /// at frame boundaries). An inactive flow's stream freezes — it
-    /// consumes no draws — so the change is exactly reproducible at any
-    /// shard count and across checkpoint restore.
+    /// consumes no draws — so the change is exactly reproducible under
+    /// either engine and across checkpoint restore.
     void setFlowActive(FlowId flow, bool active);
     void setFlowRate(FlowId flow, double rate);
 

@@ -102,19 +102,6 @@ TEST(SweepRunner, ParallelIsBitIdenticalToSerial)
     EXPECT_EQ(serial.toJson(), parallel.toJson());
 }
 
-TEST(SweepRunner, ShardedCellsAreBitIdenticalAndJsonInvariant)
-{
-    // shards is an execution knob like the thread count: a 4-shard run
-    // must serialize to the same bytes as a serial one (the CI smoke
-    // `cmp`s records produced this way), which also requires that
-    // shards never leak into the JSON or the cell seeds.
-    SweepSpec spec = tinySpec(2);
-    const SweepResult serial = SweepRunner(1).run(spec);
-    spec.shards = 4;
-    const SweepResult sharded = SweepRunner(1).run(spec);
-    EXPECT_EQ(serial.toJson(), sharded.toJson());
-}
-
 TEST(SweepRunner, OversubscribedPoolMatchesToo)
 {
     // More threads than cells exercises the worker cap.

@@ -1,6 +1,6 @@
 /// Checkpoint/restore: mid-run save -> restore bit-identity across every
-/// QOS policy, topology, engine and shard count; engine-neutral restore
-/// (save under one engine, resume under another); trace continuity
+/// QOS policy, topology and engine, restoring under the same engine and
+/// under the other one; trace continuity
 /// across the checkpoint boundary (merged prefix+suffix trace
 /// byte-identical to the uninterrupted run's and clean under the
 /// independent checker); whole-chip and fabric round-trips; and
@@ -63,8 +63,8 @@ restoreFromString(NetSim &sim, const std::string &bytes, std::string *err)
 struct CkptCase {
     TopologyKind topology;
     QosMode mode;
-    bool activity;
-    int shards;
+    bool activity; ///< engine the run is saved under
+    int shards;    ///< EngineConfig::shards of the restoring sim
 };
 
 class CheckpointEquivalence : public ::testing::TestWithParam<CkptCase> {};
@@ -73,22 +73,18 @@ TEST_P(CheckpointEquivalence, MidRunRestoreIsBitIdentical)
 {
     // One run saved mid-warmup and continued (saving is const, so this
     // is also the uninterrupted reference), one run restored from the
-    // snapshot into a freshly built sim: digests must match exactly.
-    // Only the activity-driven engine shards, so a tick x shards case
-    // saves from the serial always-tick oracle and restores sharded.
+    // snapshot into a freshly built sim: digests must match exactly. An
+    // s1 case restores under the saving engine; an s4 case restores under
+    // the other engine with shards = 4, which the serial engine accepts
+    // and ignores.
     const CkptCase &tc = GetParam();
+    const bool cross = tc.shards > 1;
     const RunPhases phases = testPhases();
     const ColumnConfig col = paperColumn(tc.topology, tc.mode);
     const TrafficConfig traffic = uniformTraffic(0.08);
-    EngineConfig ec;
-    ec.activityDriven = tc.activity || tc.shards > 1;
-    ec.shards = tc.shards;
-    ec.shardMinActive = 0; // exercise the pool every cycle
 
     ColumnSim ref(col, traffic);
-    ref.configure({.activityDriven = tc.activity,
-                   .shards = tc.activity ? tc.shards : 1,
-                   .shardMinActive = 0});
+    ref.configure({.activityDriven = tc.activity});
     ref.setMeasureWindow(phases.warmup, phases.measureEnd());
     ref.run(phases.warmup);
     const std::string bytes = saveToString(ref);
@@ -97,7 +93,8 @@ TEST_P(CheckpointEquivalence, MidRunRestoreIsBitIdentical)
     const std::uint64_t want = runDigest(ref);
 
     ColumnSim sim(col, traffic);
-    sim.configure(ec);
+    sim.configure({.activityDriven = tc.activity != cross,
+                   .shards = tc.shards});
     sim.setMeasureWindow(phases.warmup, phases.measureEnd());
     std::string err;
     ASSERT_TRUE(restoreFromString(sim, bytes, &err)) << err;
@@ -156,52 +153,16 @@ TEST(CheckpointEngines, SavedUnderOneEngineRestoresUnderAnyOther)
     ref.run(phases.total() - phases.warmup);
     const std::uint64_t want = runDigest(ref);
 
-    struct EnginePick {
-        bool activity;
-        int shards;
-    };
-    for (const auto &[activity, shards] :
-         {EnginePick{true, 4}, EnginePick{false, 1}}) {
+    for (bool activity : {true, false}) {
         ColumnSim sim(col, traffic);
-        EngineConfig ec;
-        ec.activityDriven = activity;
-        ec.shards = shards;
-        ec.shardMinActive = 0;
-        sim.configure(ec);
+        sim.configure({.activityDriven = activity});
         sim.setMeasureWindow(phases.warmup, phases.measureEnd());
         std::string err;
         ASSERT_TRUE(restoreFromString(sim, bytes, &err)) << err;
         sim.run(phases.total() - phases.warmup);
         sim.checkInvariants();
-        EXPECT_EQ(runDigest(sim), want)
-            << (activity ? "event" : "tick") << "/shards=" << shards;
+        EXPECT_EQ(runDigest(sim), want) << (activity ? "event" : "tick");
     }
-}
-
-TEST(CheckpointEngines, SavedUnderShardedRestoresUnderSerial)
-{
-    const RunPhases phases = testPhases();
-    const ColumnConfig col = paperColumn(TopologyKind::Mecs, QosMode::Gsf);
-    const TrafficConfig traffic = uniformTraffic(0.08);
-
-    ColumnSim ref(col, traffic);
-    EngineConfig sharded;
-    sharded.shards = 4;
-    sharded.shardMinActive = 0;
-    ref.configure(sharded);
-    ref.setMeasureWindow(phases.warmup, phases.measureEnd());
-    ref.run(phases.warmup);
-    const std::string bytes = saveToString(ref);
-    ref.run(phases.total() - phases.warmup);
-    const std::uint64_t want = runDigest(ref);
-
-    ColumnSim sim(col, traffic);
-    sim.setMeasureWindow(phases.warmup, phases.measureEnd());
-    std::string err;
-    ASSERT_TRUE(restoreFromString(sim, bytes, &err)) << err;
-    sim.run(phases.total() - phases.warmup);
-    sim.checkInvariants();
-    EXPECT_EQ(runDigest(sim), want);
 }
 
 // --------------------------------------------- trace continuity + audit
@@ -334,10 +295,7 @@ TEST(CheckpointHeader, InfoIsReadableWithoutASimulation)
 {
     const ColumnConfig col = paperColumn(TopologyKind::MeshX1, QosMode::Wrr);
     ColumnSim sim(col, uniformTraffic(0.08));
-    EngineConfig ec;
-    ec.activityDriven = false;
-    ec.shardMinActive = 7;
-    sim.configure(ec);
+    sim.configure({.activityDriven = false});
     sim.run(2000);
     const std::string bytes = saveToString(sim);
 
@@ -348,8 +306,8 @@ TEST(CheckpointHeader, InfoIsReadableWithoutASimulation)
     EXPECT_EQ(info.fingerprint, topologyFingerprint(sim.net()));
     EXPECT_EQ(info.now, 2000u);
     EXPECT_FALSE(info.engine.activityDriven);
-    EXPECT_EQ(info.engine.shards, 1);
-    EXPECT_EQ(info.engine.shardMinActive, 7);
+    // The header ends where the first section's tag ("metrics") starts.
+    EXPECT_EQ(is.get(), 7);
 }
 
 class CheckpointRejects : public ::testing::Test {
@@ -410,8 +368,16 @@ TEST_F(CheckpointRejects, EngineSaltMismatch)
 
 TEST_F(CheckpointRejects, CorruptSectionTag)
 {
+    // The fixed header (magic, format version, salt, fingerprint, cycle,
+    // engine flag) is followed by the first section tag's length byte
+    // ("metrics" = 7).
+    const std::size_t tag =
+        sizeof(kCheckpointMagic) + sizeof(CheckpointInfo::version) +
+        sizeof(CheckpointInfo::salt) + sizeof(CheckpointInfo::fingerprint) +
+        sizeof(CheckpointInfo::now) + sizeof(std::uint8_t);
     std::string s = bytes_;
-    s[45] = 3; // the first section tag's length byte ("metrics" = 7)
+    ASSERT_EQ(s[tag], 7);
+    s[tag] = 3;
     expectReject(s, "expected section");
 }
 

@@ -1,8 +1,9 @@
 /// Fabric simulation: the one-chip anchor (a hand-built one-chip,
 /// one-column fabric is metric-identical to ChipSim on the same seed),
-/// cross-chip delivery over both link topologies, serial-vs-sharded
-/// bit-identity up to the kilo-node scale, and recorded fabric traces
-/// passing the independent checker's audit byte-identically.
+/// cross-chip delivery over both link topologies, activity-driven vs
+/// always-tick bit-identity up to the kilo-node scale, and recorded
+/// fabric traces passing the independent checker's audit
+/// byte-identically under both engines.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -139,43 +140,38 @@ TEST(FabricSimTest, MixedBlockPoliciesRunToDrain)
     sim.checkInvariants();
 }
 
-TEST(FabricShard, TwoChipShardedEngineIsBitIdentical)
+TEST(FabricEngines, TwoChipAlwaysTickIsBitIdentical)
 {
-    std::uint64_t serial = 0;
-    std::uint64_t serialHandoffs = 0, serialLinkHops = 0;
-    for (int shards : {1, 2, 4}) {
+    std::uint64_t digest[2] = {};
+    std::uint64_t handoffs[2] = {}, linkHops[2] = {};
+    for (int activity = 0; activity < 2; ++activity) {
         FabricSpec spec = twoChipSpec();
         TrafficConfig t;
         t.pattern = TrafficPattern::UniformRandom;
         t.injectionRate = 0.04;
         t.genUntil = 4000;
         FabricSim sim(spec, t);
-        if (shards > 1)
-            sim.configure({.shards = shards, .shardMinActive = 0});
+        sim.configure({.activityDriven = activity == 1});
         sim.setMeasureWindow(0, 4000);
         const Cycle done = sim.runUntilDrained(120000, 4000);
-        ASSERT_NE(done, kNoCycle) << "shards=" << shards;
+        ASSERT_NE(done, kNoCycle) << "activity=" << activity;
         sim.checkInvariants();
-        if (shards == 1) {
-            serial = metricsDigest(sim.metrics());
-            serialHandoffs = sim.handoffs();
-            serialLinkHops = sim.linkHops();
-        } else {
-            EXPECT_EQ(metricsDigest(sim.metrics()), serial)
-                << "shards=" << shards;
-            EXPECT_EQ(sim.handoffs(), serialHandoffs);
-            EXPECT_EQ(sim.linkHops(), serialLinkHops);
-        }
+        digest[activity] = metricsDigest(sim.metrics());
+        handoffs[activity] = sim.handoffs();
+        linkHops[activity] = sim.linkHops();
     }
-    EXPECT_GT(serialLinkHops, 0u);
+    EXPECT_EQ(digest[1], digest[0]);
+    EXPECT_EQ(handoffs[1], handoffs[0]);
+    EXPECT_EQ(linkHops[1], linkHops[0]);
+    EXPECT_GT(linkHops[1], 0u);
 }
 
-TEST(FabricShard, KiloNodeFabricIsBitIdenticalSerialVsSharded)
+TEST(FabricEngines, KiloNodeFabricMatchesAlwaysTick)
 {
     // The acceptance scale: 4 chips x 256 nodes = 1024 routers, every
     // shared column active, short phases to keep the suite fast.
-    std::uint64_t serial = 0;
-    for (int shards : {1, 4}) {
+    std::uint64_t digest[2] = {};
+    for (int activity = 0; activity < 2; ++activity) {
         FabricSpec spec;
         spec.chips = 4;
         spec.chip.tilesX = 32;
@@ -188,31 +184,27 @@ TEST(FabricShard, KiloNodeFabricIsBitIdenticalSerialVsSharded)
         t.genUntil = 800;
         FabricSim sim(spec, t);
         ASSERT_GE(sim.net().numNodes(), 1024);
-        if (shards > 1)
-            sim.configure({.shards = shards, .shardMinActive = 0});
+        sim.configure({.activityDriven = activity == 1});
         sim.setMeasureWindow(0, 800);
         const Cycle done = sim.runUntilDrained(60000, 800);
-        ASSERT_NE(done, kNoCycle) << "shards=" << shards;
+        ASSERT_NE(done, kNoCycle) << "activity=" << activity;
         sim.checkInvariants();
-        if (shards == 1)
-            serial = metricsDigest(sim.metrics());
-        else
-            EXPECT_EQ(metricsDigest(sim.metrics()), serial);
+        digest[activity] = metricsDigest(sim.metrics());
     }
+    EXPECT_EQ(digest[1], digest[0]);
 }
 
-TEST(FabricTrace, ShardedTraceIsByteIdenticalAndAuditsClean)
+TEST(FabricTrace, AlwaysTickTraceIsByteIdenticalAndAuditsClean)
 {
     std::string serialized[2];
-    for (int sharded = 0; sharded < 2; ++sharded) {
+    for (int activity = 0; activity < 2; ++activity) {
         FabricSpec spec = twoChipSpec();
         TrafficConfig t;
         t.pattern = TrafficPattern::UniformRandom;
         t.injectionRate = 0.05;
         t.genUntil = 4000;
         FabricSim sim(spec, t);
-        if (sharded == 1)
-            sim.configure({.shards = 4, .shardMinActive = 0});
+        sim.configure({.activityDriven = activity == 1});
         sim.setMeasureWindow(0, 4000);
         TraceRecorder rec(describeFabric(sim.network()));
         rec.setMeasureWindow(0, 4000);
@@ -225,39 +217,33 @@ TEST(FabricTrace, ShardedTraceIsByteIdenticalAndAuditsClean)
         const CheckReport report = verifyTrace(rec.trace());
         EXPECT_TRUE(report.ok()) << report.firstDiagnostic();
         EXPECT_GT(report.eventsChecked, 1000u);
-        serialized[sharded] = serializeFlitTrace(rec.trace());
+        serialized[activity] = serializeFlitTrace(rec.trace());
     }
-    EXPECT_EQ(serialized[0], serialized[1]);
+    EXPECT_EQ(serialized[1], serialized[0]);
 }
 
-TEST(FabricConsolidation, ExperimentDrainsAndShardsBitIdentically)
+TEST(FabricConsolidation, ExperimentDrainsAndServesEveryVm)
 {
     FabricConsolidationConfig cfg;
     cfg.chips = 2;
     cfg.ratePerNode = 0.03;
     cfg.phases = RunPhases{500, 2000, 1000};
 
-    const FabricConsolidationResult serial = runFabricConsolidation(cfg);
-    ASSERT_NE(serial.drainCycle, kNoCycle);
-    EXPECT_EQ(serial.nodes, 2 * 64);
-    EXPECT_GT(serial.deliveredPackets, 0u);
-    EXPECT_GT(serial.handoffs, 0u);
-    EXPECT_GT(serial.linkHops, 0u);
+    const FabricConsolidationResult res = runFabricConsolidation(cfg);
+    ASSERT_NE(res.drainCycle, kNoCycle);
+    EXPECT_EQ(res.nodes, 2 * 64);
+    EXPECT_GT(res.deliveredPackets, 0u);
+    EXPECT_GT(res.handoffs, 0u);
+    EXPECT_GT(res.linkHops, 0u);
 
     // Every admitted VM on every chip got service, and both chips carry
     // the same three-VM mix.
-    ASSERT_EQ(serial.vms.size(), 6u);
-    for (const auto &vm : serial.vms) {
+    ASSERT_EQ(res.vms.size(), 6u);
+    for (const auto &vm : res.vms) {
         EXPECT_GT(vm.flits, 0u) << "chip " << vm.chip << " vm " << vm.vmId;
         EXPECT_GT(vm.domainNodes, 0u);
         EXPECT_GT(vm.flitsPerNode, 0.0);
     }
-
-    cfg.shards = 4;
-    const FabricConsolidationResult sharded = runFabricConsolidation(cfg);
-    EXPECT_EQ(sharded.digest, serial.digest);
-    EXPECT_EQ(sharded.handoffs, serial.handoffs);
-    EXPECT_EQ(sharded.linkHops, serial.linkHops);
 }
 
 } // namespace

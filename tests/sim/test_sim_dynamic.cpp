@@ -1,9 +1,10 @@
 /// Dynamic workloads at simulation level: bursty/ramp columns are
-/// bit-identical between the serial and sharded engines and across
-/// checkpoint restore; trace replay with inflation is deterministic at
-/// cell level; the tenant-churn driver's schedule is a pure function of
-/// (seed, epoch), holds the co-scheduling invariant, and a churned chip
-/// reproduces exactly at any shard count and across a mid-run restore;
+/// bit-identical between the activity-driven and always-tick engines and
+/// across checkpoint restore; trace replay with inflation is
+/// deterministic at cell level; the tenant-churn driver's schedule is a
+/// pure function of (seed, epoch), holds the co-scheduling invariant,
+/// and a churned chip reproduces exactly under either engine and across
+/// a mid-run restore that may switch engines;
 /// and the sweep layer keys non-steady workloads into cell seeds and
 /// cache keys while leaving steady cells untouched.
 #include <gtest/gtest.h>
@@ -59,7 +60,8 @@ rampSpec(Cycle period)
 }
 
 std::uint64_t
-modulatedDigest(const WorkloadSpec &workload, QosMode mode, int shards)
+modulatedDigest(const WorkloadSpec &workload, QosMode mode,
+                bool activity = true)
 {
     ColumnConfig col;
     col.topology = TopologyKind::Dps;
@@ -67,7 +69,7 @@ modulatedDigest(const WorkloadSpec &workload, QosMode mode, int shards)
     TrafficConfig traffic = uniformTraffic(0.05, 77);
     traffic.genUntil = 4000;
     ColumnSim sim(col, traffic, workload);
-    sim.configure({.shards = shards});
+    sim.configure({.activityDriven = activity});
     sim.setMeasureWindow(500, 4000);
     const Cycle done = sim.runUntilDrained(30000, 4000);
     EXPECT_NE(done, kNoCycle);
@@ -75,29 +77,28 @@ modulatedDigest(const WorkloadSpec &workload, QosMode mode, int shards)
     return runDigest(sim);
 }
 
-TEST(SimDynamic, BurstyColumnIsShardInvariantAcrossPolicies)
+TEST(SimDynamic, BurstyColumnMatchesAlwaysTickAcrossPolicies)
 {
     for (auto mode : {QosMode::Pvc, QosMode::Gsf, QosMode::NoQos}) {
-        const auto serial = modulatedDigest(burstyDefaults(), mode, 1);
-        const auto sharded = modulatedDigest(burstyDefaults(), mode, 4);
-        EXPECT_EQ(serial, sharded) << qosModeName(mode);
+        const auto activity = modulatedDigest(burstyDefaults(), mode);
+        const auto tick = modulatedDigest(burstyDefaults(), mode, false);
+        EXPECT_EQ(activity, tick) << qosModeName(mode);
     }
 }
 
-TEST(SimDynamic, RampColumnIsShardInvariant)
+TEST(SimDynamic, RampColumnMatchesAlwaysTick)
 {
-    const auto serial = modulatedDigest(rampSpec(1000), QosMode::Pvc, 1);
-    const auto sharded = modulatedDigest(rampSpec(1000), QosMode::Pvc, 4);
-    EXPECT_EQ(serial, sharded);
+    const auto activity = modulatedDigest(rampSpec(1000), QosMode::Pvc);
+    const auto tick = modulatedDigest(rampSpec(1000), QosMode::Pvc, false);
+    EXPECT_EQ(activity, tick);
 }
 
 TEST(SimDynamic, BurstyWorkloadActuallyChangesTheRun)
 {
     // The modulator must not be a no-op: the same cell under steady and
     // bursty generation produces different traffic.
-    const auto steady =
-        modulatedDigest(WorkloadSpec{}, QosMode::Pvc, 1);
-    const auto bursty = modulatedDigest(burstyDefaults(), QosMode::Pvc, 1);
+    const auto steady = modulatedDigest(WorkloadSpec{}, QosMode::Pvc);
+    const auto bursty = modulatedDigest(burstyDefaults(), QosMode::Pvc);
     EXPECT_NE(steady, bursty);
 }
 
@@ -131,8 +132,8 @@ TEST(SimDynamic, BurstyCheckpointRestoresBitIdentically)
 TEST(SimDynamic, TraceInflationCellsAreDeterministicAndThinned)
 {
     // Record a real workload, replay it through the sweep cell runner at
-    // x1 and x0.5 inflation: each cell reproduces exactly (serial vs
-    // sharded), and the thinned replay delivers strictly less.
+    // x1 and x0.5 inflation: each cell reproduces exactly on a rerun,
+    // and the thinned replay delivers strictly less.
     ColumnConfig col;
     col.topology = TopologyKind::Dps;
     const TrafficTrace recorded =
@@ -151,9 +152,7 @@ TEST(SimDynamic, TraceInflationCellsAreDeterministicAndThinned)
     cell.workloadSpec.tracePath = path;
 
     const CellResult full = SweepRunner::runCell(cell);
-    CellSpec sharded = cell;
-    sharded.shards = 4;
-    EXPECT_EQ(full.metrics, SweepRunner::runCell(sharded).metrics);
+    EXPECT_EQ(full.metrics, SweepRunner::runCell(cell).metrics);
 
     CellSpec thinned = cell;
     thinned.workloadSpec.inflate = 0.5;
@@ -236,9 +235,12 @@ TEST(ChurnDriver, ChurnsWithinBoundsAndKeepsCoSchedule)
 }
 
 /// The cell runner's segment loop in miniature, with a short QOS frame
-/// so several churn epochs land inside a fast test run.
+/// so several churn epochs land inside a fast test run. `activity`
+/// picks the engine; a mid-epoch restart at `restartAt` resumes under
+/// `resumeActivity`.
 std::uint64_t
-churnedChipDigest(int shards, std::uint64_t seed, Cycle restartAt = 0)
+churnedChipDigest(std::uint64_t seed, bool activity = true,
+                  Cycle restartAt = 0, bool resumeActivity = true)
 {
     const ChipNetConfig base = churnChip(1500);
     ChurnDriver churn(base, initialTenants(), churnSpec(), seed);
@@ -251,7 +253,7 @@ churnedChipDigest(int shards, std::uint64_t seed, Cycle restartAt = 0)
     traffic.activeFlows.assign(active.begin(), active.end());
 
     auto sim = std::make_unique<ChipSim>(cfg, traffic);
-    sim->configure({.shards = shards});
+    sim->configure({.activityDriven = activity});
     sim->setMeasureWindow(500, 8000);
 
     const Cycle epochLen = churn.epochLen();
@@ -269,7 +271,7 @@ churnedChipDigest(int shards, std::uint64_t seed, Cycle restartAt = 0)
             const std::string snapshot = os.str();
 
             sim = std::make_unique<ChipSim>(cfg, traffic);
-            sim->configure({.shards = shards});
+            sim->configure({.activityDriven = resumeActivity});
             sim->setMeasureWindow(500, 8000);
             churn.applyTo(*sim);
             std::istringstream is(snapshot);
@@ -290,17 +292,18 @@ churnedChipDigest(int shards, std::uint64_t seed, Cycle restartAt = 0)
     return runDigest(*sim);
 }
 
-TEST(SimDynamic, ChurnedChipIsShardInvariant)
+TEST(SimDynamic, ChurnedChipMatchesAlwaysTick)
 {
-    EXPECT_EQ(churnedChipDigest(1, 11), churnedChipDigest(4, 11));
+    EXPECT_EQ(churnedChipDigest(11), churnedChipDigest(11, false));
 }
 
 TEST(SimDynamic, ChurnedChipSurvivesMidEpochRestore)
 {
-    const auto uninterrupted = churnedChipDigest(1, 23);
-    EXPECT_EQ(uninterrupted, churnedChipDigest(1, 23, 2800));
-    // And the restore may change the shard count, too.
-    EXPECT_EQ(uninterrupted, churnedChipDigest(4, 23, 2800));
+    const auto uninterrupted = churnedChipDigest(23);
+    EXPECT_EQ(uninterrupted, churnedChipDigest(23, true, 2800, true));
+    // And the restore may switch engines, either way.
+    EXPECT_EQ(uninterrupted, churnedChipDigest(23, true, 2800, false));
+    EXPECT_EQ(uninterrupted, churnedChipDigest(23, false, 2800, true));
 }
 
 // ------------------------------------------- sweep keys and expansion
