@@ -1,0 +1,110 @@
+/// Pinned multi-chip behaviour: the metric digest, boundary handoffs and
+/// inter-chip link hops of one run on each multi-block fabric shape —
+/// two chips over point-to-point links, a three-chip ring, mixed
+/// per-column policies (PVC, WRR and per-flow blocks, all of which keep
+/// flow tables), the 4-chip, 1024-router fabric and a weighted two-chip
+/// consolidation. Any drift means the fabric's cycle behaviour moved.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+
+#include "core/experiments.h"
+#include "sim/fabric_sim.h"
+
+namespace taqos {
+namespace {
+
+struct FabricPin {
+    std::uint64_t digest;
+    std::uint64_t handoffs;
+    std::uint64_t linkHops;
+};
+
+TrafficConfig
+uniform(double rate, Cycle genUntil)
+{
+    TrafficConfig t;
+    t.pattern = TrafficPattern::UniformRandom;
+    t.injectionRate = rate;
+    t.genUntil = genUntil;
+    return t;
+}
+
+/// Run `spec` to drain with the whole generation horizon measured, and
+/// compare against `pin`.
+void
+expectPinned(const FabricSpec &spec, const TrafficConfig &t,
+             const FabricPin &pin)
+{
+    FabricSim sim(spec, t);
+    sim.setMeasureWindow(0, t.genUntil);
+    ASSERT_NE(sim.runUntilDrained(200000, t.genUntil), kNoCycle);
+    sim.checkInvariants();
+    EXPECT_EQ(metricsDigest(sim.metrics()), pin.digest);
+    EXPECT_EQ(sim.handoffs(), pin.handoffs);
+    EXPECT_EQ(sim.linkHops(), pin.linkHops);
+}
+
+FabricSpec
+dpsPvc(int chips)
+{
+    FabricSpec spec;
+    spec.chips = chips;
+    spec.column = paperColumn(TopologyKind::Dps, QosMode::Pvc);
+    spec.column.pvc.frameLen = 2000;
+    return spec;
+}
+
+TEST(FabricDigests, TwoChipPointToPointDpsPvc)
+{
+    expectPinned(dpsPvc(2), uniform(0.04, 4000),
+                 {3829173824403274811ull, 8066, 1003});
+}
+
+TEST(FabricDigests, ThreeChipRing)
+{
+    FabricSpec spec = dpsPvc(3);
+    spec.links = LinkTopology::Ring;
+    expectPinned(spec, uniform(0.02, 3000),
+                 {17452348482140952390ull, 5147, 1694});
+}
+
+TEST(FabricDigests, MixedColumnModes)
+{
+    FabricSpec spec = dpsPvc(2);
+    spec.chip.tilesX = 32;
+    spec.chip.sharedColumns = {3, 8, 12};
+    spec.columnModes = {QosMode::Pvc, QosMode::Wrr, QosMode::PerFlowQueue};
+    expectPinned(spec, uniform(0.03, 3000),
+                 {17181959394339549568ull, 9100, 1731});
+}
+
+TEST(FabricDigests, KiloNodeFabric)
+{
+    FabricSpec spec = dpsPvc(4);
+    spec.chip.tilesX = 32;
+    spec.chip.tilesY = 32;
+    spec.chip.sharedColumns = {4, 12};
+    ASSERT_EQ(spec.chips * spec.chip.numNodes(), 1024);
+    expectPinned(spec, uniform(0.02, 2000),
+                 {12961033687450707290ull, 20300, 6063});
+}
+
+TEST(FabricDigests, WeightedTwoChipConsolidation)
+{
+    FabricConsolidationConfig cfg;
+    cfg.chips = 2;
+    cfg.ratePerNode = 0.04;
+    cfg.phases = RunPhases{500, 2500, 1000};
+    const FabricConsolidationResult res = runFabricConsolidation(cfg);
+    ASSERT_NE(res.drainCycle, kNoCycle);
+    // The three-VM mix is weighted, so the flow registers are not flat.
+    ASSERT_EQ(res.vms.size(), 6u);
+    EXPECT_NE(res.vms[0].weight, res.vms[2].weight);
+    EXPECT_EQ(res.digest, 11777116479683620195ull);
+    EXPECT_EQ(res.handoffs, 3721u);
+    EXPECT_EQ(res.linkHops, 188u);
+}
+
+} // namespace
+} // namespace taqos
