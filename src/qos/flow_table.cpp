@@ -6,11 +6,22 @@
 namespace taqos {
 
 FlowTable::FlowTable(const PvcParams &params, int numOutputs)
-    : params_(&params), numOutputs_(numOutputs),
+    : FlowTable(params, numOutputs, 0, params.numFlows)
+{
+}
+
+FlowTable::FlowTable(const PvcParams &params, int numOutputs,
+                     FlowId flowBase, int flowCount)
+    : params_(&params), numOutputs_(numOutputs), flowBase_(flowBase),
+      flowCount_(flowCount),
       counts_(static_cast<std::size_t>(numOutputs) *
-                  static_cast<std::size_t>(params.numFlows),
+                  static_cast<std::size_t>(flowCount),
               0)
 {
+    TAQOS_ASSERT(flowBase >= 0 && flowCount >= 0 &&
+                     flowBase + flowCount <= params.numFlows,
+                 "flow window [%d, %d) outside the %d flows", flowBase,
+                 flowBase + flowCount, params.numFlows);
 }
 
 void

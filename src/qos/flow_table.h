@@ -3,6 +3,13 @@
 /// output port. The Virtual Clock priority of a packet is its flow's
 /// consumed bandwidth scaled by the flow's provisioned rate; lower values
 /// win arbitration.
+///
+/// A table holds counters for one contiguous window of global flow ids:
+/// the flows whose packets can reach its router. A standalone column
+/// (and a one-block fabric) windows every flow; a multi-block fabric's
+/// router windows only its own block's flows, so its state grows with
+/// the block, not the machine. Callers always pass global flow ids, and
+/// weights are read by global id.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +25,11 @@ class Router;
 class FlowTable {
   public:
     FlowTable() = default;
+    /// Counters for every flow of `params` (the full window).
     FlowTable(const PvcParams &params, int numOutputs);
+    /// Counters for the global flow ids [flowBase, flowBase + flowCount).
+    FlowTable(const PvcParams &params, int numOutputs, FlowId flowBase,
+              int flowCount);
 
     bool enabled() const { return params_ != nullptr; }
 
@@ -74,17 +85,21 @@ class FlowTable {
     {
         TAQOS_ASSERT(out >= 0 && out < numOutputs_,
                      "output %d out of range", out);
-        TAQOS_ASSERT(flow >= 0 && flow < params_->numFlows,
-                     "flow %d out of range", flow);
+        TAQOS_ASSERT(flow >= flowBase_ && flow - flowBase_ < flowCount_,
+                     "flow %d outside the table's window [%d, %d)", flow,
+                     flowBase_, flowBase_ + flowCount_);
         return static_cast<std::size_t>(out) *
-                   static_cast<std::size_t>(params_->numFlows) +
-               static_cast<std::size_t>(flow);
+                   static_cast<std::size_t>(flowCount_) +
+               static_cast<std::size_t>(flow - flowBase_);
     }
 
     const PvcParams *params_ = nullptr;
     Router *owner_ = nullptr;
     int numOutputs_ = 0;
-    std::vector<std::uint64_t> counts_; ///< [out * numFlows + flow]
+    FlowId flowBase_ = 0;
+    int flowCount_ = 0;
+    /// [out * flowCount + (flow - flowBase)]
+    std::vector<std::uint64_t> counts_;
 };
 
 } // namespace taqos

@@ -7,8 +7,10 @@
 
 namespace taqos {
 
-Router::Router(NodeId node, QosMode mode, const PvcParams &params)
-    : node_(node), params_(&params), policy_(makeQosPolicy(mode, params))
+Router::Router(NodeId node, QosMode mode, const PvcParams &params,
+               FlowId flowBase, int flowCount)
+    : node_(node), params_(&params), flowBase_(flowBase),
+      flowCount_(flowCount), policy_(makeQosPolicy(mode, params))
 {
 }
 
@@ -228,9 +230,18 @@ Router::addXbarGroup()
 void
 Router::setRoute(NodeId dest, RouteEntry entry)
 {
-    if (static_cast<std::size_t>(dest) >= routes_.size())
-        routes_.resize(static_cast<std::size_t>(dest) + 1);
-    routes_[static_cast<std::size_t>(dest)] = entry;
+    if (routes_.empty()) {
+        routeBase_ = dest;
+    } else if (dest < routeBase_) {
+        routes_.insert(routes_.begin(),
+                       static_cast<std::size_t>(routeBase_ - dest),
+                       RouteEntry{});
+        routeBase_ = dest;
+    }
+    const auto idx = static_cast<std::size_t>(dest - routeBase_);
+    if (idx >= routes_.size())
+        routes_.resize(idx + 1);
+    routes_[idx] = entry;
 }
 
 void
@@ -246,7 +257,7 @@ Router::finalize()
     // by it: PVC, the per-flow queueing reference (same virtual clock),
     // and WRR (round-count meter).
     if (policy_->usesFlowTable()) {
-        flowTable_ = FlowTable(*params_, numTables);
+        flowTable_ = FlowTable(*params_, numTables, flowBase_, flowCount_);
         flowTable_.setOwner(this);
     }
     best_.resize(outputs_.size());
@@ -282,9 +293,11 @@ Router::finalize()
 RouteEntry
 Router::routeFor(const NetPacket &pkt) const
 {
-    TAQOS_ASSERT(static_cast<std::size_t>(pkt.dst) < routes_.size(),
-                 "router %d has no route to %d", node_, pkt.dst);
-    RouteEntry entry = routes_[static_cast<std::size_t>(pkt.dst)];
+    // A destination below routeBase_ wraps to a huge index.
+    const auto idx = static_cast<std::size_t>(pkt.dst - routeBase_);
+    TAQOS_ASSERT(idx < routes_.size(), "router %d has no route to %d",
+                 node_, pkt.dst);
+    RouteEntry entry = routes_[idx];
     TAQOS_ASSERT(entry.outPort >= 0, "router %d: unroutable dest %d", node_,
                  pkt.dst);
     if (entry.numParallel > 1) {

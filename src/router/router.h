@@ -80,7 +80,11 @@ struct alignas(64) RouterHot {
 
 class Router {
   public:
-    Router(NodeId node, QosMode mode, const PvcParams &params);
+    /// A router whose flow table, if its policy keeps one, covers the
+    /// global flow ids [flowBase, flowBase + flowCount): the flows that
+    /// can reach it (see FlowTable).
+    Router(NodeId node, QosMode mode, const PvcParams &params,
+           FlowId flowBase, int flowCount);
 
     NodeId node() const { return node_; }
     QosMode mode() const { return policy_->mode(); }
@@ -90,6 +94,8 @@ class Router {
     InputPort *addInputPort(std::unique_ptr<InputPort> port);
     OutputPort *addOutputPort(std::unique_ptr<OutputPort> port);
     XbarGroup *addXbarGroup();
+    /// Route to `dest`. The table spans only the destinations the
+    /// builder sets, from the lowest one up.
     void setRoute(NodeId dest, RouteEntry entry);
     /// Must be called once all output ports exist (sizes the flow table).
     void finalize();
@@ -272,6 +278,9 @@ class Router {
 
     NodeId node_;
     const PvcParams *params_;
+    /// The flow table's window of global flow ids.
+    FlowId flowBase_;
+    int flowCount_;
     /// Flit-trace recorder (null = not recording): injection grants,
     /// hop starts and preemption kills are emitted from this router.
     TraceSink *trace_ = nullptr;
@@ -282,7 +291,9 @@ class Router {
     std::vector<std::unique_ptr<InputPort>> inputs_;
     std::vector<std::unique_ptr<OutputPort>> outputs_;
     std::vector<std::unique_ptr<XbarGroup>> groups_;
+    /// Indexed by destination - routeBase_.
     std::vector<RouteEntry> routes_;
+    NodeId routeBase_ = 0;
     FlowTable flowTable_;
 
     /// Best candidate per output; cached between cycles and re-derived

@@ -54,7 +54,9 @@ inline constexpr char kCheckpointMagic[8] = {'T', 'A', 'Q', 'O',
 /// "extra" records (ChipSim became the one-chip FabricSim).
 /// Version 3: the header's engine echo shrinks to the saving engine's
 /// activity-driven flag.
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+/// Version 4: a multi-block fabric's routers save flow tables holding
+/// only their own block's flows (see FlowTable), not every flow.
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// A checkpoint could not be read: wrong magic/version/salt, topology
 /// mismatch, truncation, or a corrupted record. The message names the

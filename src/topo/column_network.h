@@ -46,7 +46,13 @@ struct ColumnWiring {
     std::string name(const std::string &s) const { return prefix + s; }
 
     Router *router(int i) const { return net.router(node(i)); }
-    Router *addRouter(int i) const { return net.addRouter(node(i), mode); }
+    /// The block's routers keep flow state for the block's own flows
+    /// only: remote flows keep their destination block's ids, so no
+    /// other flow reaches them.
+    Router *addRouter(int i) const
+    {
+        return net.addRouter(node(i), mode, flowBase, cfg.numFlows());
+    }
 
     InputPort *addTermPort(int i, int vcs) const
     {

@@ -35,7 +35,9 @@
 ///                                source chip (c + 1 + r) % chips.
 /// Remote flows keep their destination-block flow id for the whole
 /// journey, so the destination column's flow registers (weights, quotas,
-/// windows) govern them exactly like local sources.
+/// windows) govern them exactly like local sources, and no block router
+/// ever sees another block's flow: its flow table windows the block's
+/// own [g*flowsPerBlock, (g+1)*flowsPerBlock) only.
 #pragma once
 
 #include <memory>

@@ -35,7 +35,14 @@ Network::unbounded() const
 Router *
 Network::addRouter(NodeId node, QosMode mode)
 {
-    routers_.push_back(std::make_unique<Router>(node, mode, pvc_));
+    return addRouter(node, mode, 0, pvc_.numFlows);
+}
+
+Router *
+Network::addRouter(NodeId node, QosMode mode, FlowId flowBase, int flowCount)
+{
+    routers_.push_back(
+        std::make_unique<Router>(node, mode, pvc_, flowBase, flowCount));
     return routers_.back().get();
 }
 

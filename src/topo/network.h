@@ -117,10 +117,12 @@ class Network {
     /// Per-flow-queueing reference: VCs grow on demand.
     bool unbounded() const;
 
-    /// Create a router operating under this network's QOS mode.
-    Router *addRouter(NodeId node) { return addRouter(node, mode_); }
     /// Create a router with an explicit mode (unprotected row routers).
     Router *addRouter(NodeId node, QosMode mode);
+    /// Create a router whose flow table covers only the global flow ids
+    /// [flowBase, flowBase + flowCount) (one block of a larger fabric).
+    Router *addRouter(NodeId node, QosMode mode, FlowId flowBase,
+                      int flowCount);
 
     /// Create the ejection buffer for node `node`. Routers and terminal
     /// ports must be created in the same node order so the per-node

@@ -61,6 +61,30 @@ TEST(FlowTable, FlushClearsEverything)
             EXPECT_EQ(t.countOf(out, f), 0u);
 }
 
+TEST(FlowTable, WindowTakesGlobalFlowIds)
+{
+    // A table over flows [8, 11) of 12: counters only for its window,
+    // addressed and weighted by global flow id.
+    PvcParams p;
+    p.numFlows = 12;
+    p.weights.assign(12, 1);
+    p.weights[9] = 4;
+    FlowTable t(p, 2, 8, 3);
+    EXPECT_EQ(t.counts().size(), 2u * 3u);
+    t.charge(0, 8, 8);
+    t.charge(0, 9, 8);
+    t.charge(1, 10, 6);
+    EXPECT_EQ(t.countOf(0, 8), 8u);
+    EXPECT_EQ(t.countOf(1, 8), 0u);
+    EXPECT_EQ(t.countOf(1, 10), 6u);
+    EXPECT_EQ(t.priorityOf(0, 8), 8u * 15u / 1u);
+    EXPECT_EQ(t.priorityOf(0, 9), 8u * 15u / 4u);
+    t.uncharge(1, 10, 2);
+    EXPECT_EQ(t.countOf(1, 10), 4u);
+    EXPECT_DEATH(t.countOf(0, 7), "outside the table's window");
+    EXPECT_DEATH(t.countOf(0, 11), "outside the table's window");
+}
+
 TEST(FlowTable, FreshTableAllZero)
 {
     PvcParams p;

@@ -175,6 +175,33 @@ TEST(FabricBuild, FrameLenScalesWithTheBlockCount)
     EXPECT_EQ(flat->pvcParams().frameLen, 1000u);
 }
 
+TEST(FabricBuild, FlowTablesHoldOnlyTheirBlocksFlows)
+{
+    // Per-flow state grows with the block, not the machine: a router
+    // with a flow table keeps one counter per table per flow of its own
+    // block.
+    for (int chips : {1, 2, 4}) {
+        FabricSpec spec = wideSpec(chips);
+        spec.column.topology = TopologyKind::Dps;
+        spec.column.mode = QosMode::Pvc;
+        auto net = FabricNetwork::build(spec);
+        ASSERT_LT(net->flowsPerBlock(), net->totalFlows());
+        int withTable = 0;
+        for (NodeId n = 0; n < net->numNodes(); ++n) {
+            Router *r = net->router(n);
+            if (!r->flowTable().enabled())
+                continue;
+            ++withTable;
+            const auto tables =
+                static_cast<std::size_t>(Network::nextTableIdx(r));
+            EXPECT_EQ(r->flowTable().counts().size(),
+                      tables * static_cast<std::size_t>(net->flowsPerBlock()))
+                << chips << " chips, node " << n;
+        }
+        EXPECT_EQ(withTable, net->blocks() * net->gridHeight());
+    }
+}
+
 TEST(FabricLinks, TopologyNamesRoundTrip)
 {
     for (LinkTopology k : {LinkTopology::PointToPoint, LinkTopology::Ring})
