@@ -97,6 +97,24 @@ readVcArray(CheckpointReader &r, InputPort &port)
     }
 }
 
+/// Opaque packState words of `what` for a restore target that packs
+/// `expected` words. The unpackState functions assert on geometry, and
+/// the topology fingerprint covers neither the workload nor the PVC/GSF
+/// parameters, so a length mismatch is refused here, naming its likely
+/// cause `why`.
+std::vector<std::uint64_t>
+readStateWords(CheckpointReader &r, std::size_t expected,
+               const std::string &what, const char *why)
+{
+    std::vector<std::uint64_t> words = r.words();
+    if (words.size() != expected) {
+        r.fail(what + " state size mismatch (checkpoint " +
+               std::to_string(words.size()) + " words, this simulation " +
+               std::to_string(expected) + "): " + why);
+    }
+    return words;
+}
+
 } // namespace
 
 std::uint64_t
@@ -800,7 +818,10 @@ NetSim::restoreCheckpoint(std::istream &is, std::string *err)
                            std::to_string(n));
                 rt->flowTable().restoreCounts(counts);
             }
-            rt->policyState().unpackState(r.words());
+            rt->policyState().unpackState(readStateWords(
+                r, rt->policy().packState().size(),
+                "node " + std::to_string(n) + " arbitration-policy",
+                "saved under different QoS parameters"));
         }
 
         r.expectSection("injectors");
@@ -852,13 +873,19 @@ NetSim::restoreCheckpoint(std::istream &is, std::string *err)
         const bool hasGate = r.u8() != 0;
         if (hasGate != (gate_ != nullptr))
             r.fail("source-gate presence mismatch");
-        if (hasGate)
-            gate_->unpackState(r.words());
+        if (hasGate) {
+            gate_->unpackState(readStateWords(
+                r, gate_->packState().size(), "source-gate",
+                "saved under different GSF frame parameters"));
+        }
         const bool hasSource = r.u8() != 0;
         if (hasSource != (source_ != nullptr))
             r.fail("traffic-source presence mismatch");
-        if (hasSource)
-            source_->unpackState(r.words());
+        if (hasSource) {
+            source_->unpackState(readStateWords(
+                r, source_->packState().size(), "traffic-source",
+                "saved under a different workload"));
+        }
 
         r.expectSection("extra");
         restoreExtra(r);

@@ -420,6 +420,47 @@ TEST_F(CheckpointRejects, SteppedTargetRefused)
     EXPECT_NE(err.find("freshly built"), std::string::npos) << err;
 }
 
+TEST_F(CheckpointRejects, WorkloadMismatchFailsInsteadOfAborting)
+{
+    // Same topology fingerprint, different workload: the bursty source
+    // packs its ON/OFF modulator, the steady one does not.
+    const ColumnConfig col = paperColumn(TopologyKind::Dps, QosMode::Pvc);
+    const auto bursty =
+        WorkloadSpec::parse("bursty:on=0.002,off=0.01,gain=4");
+    ASSERT_TRUE(bursty.has_value());
+    ColumnSim saved(col, uniformTraffic(0.05), *bursty);
+    saved.run(1000);
+    const std::string bytes = saveToString(saved);
+
+    ColumnSim steady(col, uniformTraffic(0.05));
+    std::string err;
+    EXPECT_FALSE(restoreFromString(steady, bytes, &err));
+    EXPECT_NE(err.find("traffic-source state size mismatch"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(steady.now(), 0u);
+}
+
+TEST_F(CheckpointRejects, GsfFrameCountMismatchFailsInsteadOfAborting)
+{
+    // The GSF gate packs one budget record per frame window; the
+    // fingerprint does not cover the window count.
+    const ColumnConfig col = paperColumn(TopologyKind::Mecs, QosMode::Gsf);
+    ColumnSim saved(col, uniformTraffic(0.05));
+    saved.run(1000);
+    const std::string bytes = saveToString(saved);
+
+    ColumnConfig other = col;
+    other.pvc.gsfFrames = 2;
+    ASSERT_NE(other.pvc.gsfFrames, col.pvc.gsfFrames);
+    ColumnSim target(other, uniformTraffic(0.05));
+    std::string err;
+    EXPECT_FALSE(restoreFromString(target, bytes, &err));
+    EXPECT_NE(err.find("source-gate state size mismatch"), std::string::npos)
+        << err;
+    EXPECT_EQ(target.now(), 0u);
+}
+
 TEST(CheckpointBounds, ImplausibleVcCountOnPerFlowPortIsRejected)
 {
     // Per-flow queueing grows VCs on demand, so its ports accept a saved
