@@ -80,6 +80,26 @@ TEST(CellKey, SensitiveToDynamicsCoordinatesOnly)
     EXPECT_NE(CellCache::cellKey(c5), base);
 }
 
+TEST(CellKey, IsPinned)
+{
+    // Fragments are named by their key: a changed key turns every
+    // stored fragment into a miss.
+    CellSpec cell;
+    cell.scenario = Scenario::LatencyLoad;
+    cell.topology = TopologyKind::Dps;
+    cell.rate = 0.05;
+    cell.seed = 42;
+    EXPECT_EQ(CellCache::cellKey(cell), 0x3439d86d12598b38ull);
+
+    SweepSpec bursty;
+    bursty.topologies = {TopologyKind::Dps};
+    bursty.rates = {0.02};
+    WorkloadSpec w;
+    w.kind = WorkloadKind::Bursty;
+    bursty.workloadSpecs = {w};
+    EXPECT_EQ(CellCache::cellKey(bursty.expand()[0]), 0xa175fc8f45ab5480ull);
+}
+
 TEST(CellCacheIO, StoreLoadRoundTripsExactly)
 {
     const CellCache cache(cacheDir("cellcache_roundtrip"));

@@ -71,6 +71,24 @@ TEST(SweepSpec, MixedSeedsAreDistinctAndStable)
         EXPECT_EQ(cells[i].seed, again[i].seed);
 }
 
+TEST(SweepSpec, MixedSeedsArePinned)
+{
+    // A cell's seed selects its traffic and joins its cache key: a
+    // changed mix silently changes every sweep record and orphans every
+    // cached fragment.
+    const auto cells = tinySpec(2).expand();
+    ASSERT_EQ(cells.size(), 8u);
+    EXPECT_EQ(cells[0].seed, 0x4035802badd80daaull);
+    EXPECT_EQ(cells[7].seed, 0xf816d8d8de4a126eull);
+
+    // A non-steady workload spec mixes its canonical words in as well.
+    SweepSpec bursty = tinySpec(2);
+    WorkloadSpec w;
+    w.kind = WorkloadKind::Bursty;
+    bursty.workloadSpecs = {w};
+    EXPECT_EQ(bursty.expand()[0].seed, 0x9d795d1a921c3a21ull);
+}
+
 TEST(SweepSpec, UnmixedSeedsUseTheBaseSeedVerbatim)
 {
     SweepSpec spec = tinySpec();

@@ -310,6 +310,15 @@ TEST(CheckpointHeader, InfoIsReadableWithoutASimulation)
     EXPECT_EQ(is.get(), 7);
 }
 
+TEST(CheckpointHeader, TopologyFingerprintIsPinned)
+{
+    // Every saved checkpoint carries this value; restoring one needs the
+    // target to compute it again, byte for byte.
+    const ColumnSim sim(paperColumn(TopologyKind::Dps, QosMode::Pvc),
+                        uniformTraffic(0.05));
+    EXPECT_EQ(topologyFingerprint(sim.net()), 0xb32be543e0d0c79aull);
+}
+
 class CheckpointRejects : public ::testing::Test {
   protected:
     void SetUp() override

@@ -212,6 +212,29 @@ TEST(ReplayWindow, InflationIsDeterministicMonotoneThinning)
     EXPECT_LT(half.size(), full.size());
 }
 
+TEST(ReplayWindow, HalfInflationKeepsPinnedEntries)
+{
+    // The thinning hash is fixed, so a (trace, window, inflate) triple
+    // replays the same entries on every machine and in every release.
+    TrafficTrace trace;
+    for (Cycle c = 0; c < 64; ++c)
+        trace.append(TraceEntry{c, static_cast<FlowId>(c),
+                                static_cast<NodeId>(c % 8), 1});
+
+    WorkloadSpec spec;
+    spec.kind = WorkloadKind::Trace;
+    spec.tracePath = "mem";
+    spec.inflate = 0.5;
+
+    const TrafficTrace windowed = applyReplayWindow(trace, spec);
+    std::vector<FlowId> kept;
+    for (const TraceEntry &e : windowed.entries())
+        kept.push_back(e.flow);
+    EXPECT_EQ(kept, (std::vector<FlowId>{1,  4,  5,  7,  9,  10, 13, 15,
+                                         16, 18, 19, 21, 26, 27, 37, 39,
+                                         41, 43, 50, 51, 53, 54, 57}));
+}
+
 TEST(MakeTrafficSource, RoutesEveryKindToItsSource)
 {
     ColumnConfig col;
