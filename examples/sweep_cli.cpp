@@ -29,10 +29,9 @@
 ///                        DIR are loaded instead of re-run, fresh cells
 ///                        are stored; output stays byte-identical to a
 ///                        cold sweep (invalidated by the engine salt)
-///   checkpoint=FILE      single-cell grids only: warm-start from (or,
-///                        cold, create) a checkpoint sidecar taken at
-///                        the warmup boundary; exclusive with cache=
 ///   name=label
+///
+/// Any other key fails with "unknown option '<key>'" before work starts.
 ///
 /// Examples:
 ///   sweep_cli rates=0.01:0.12:0.01 patterns=uniform,tornado out=fig4.json
@@ -85,6 +84,21 @@ int
 main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
+    // Every key read below (the usage header's order).
+    static const char *const kKeys[] = {
+        "preset", "scenario", "topos", "patterns", "modes", "rates",
+        "workloads", "placements", "workload", "trace", "inflate",
+        "window", "loop", "burst", "churn", "reps", "seed", "mix",
+        "warmup", "measure", "drain", "gencycles", "threads", "out",
+        "cache", "name"};
+    for (const auto &[key, value] : opts.raw()) {
+        (void)value;
+        if (std::find(std::begin(kKeys), std::end(kKeys), key) ==
+            std::end(kKeys)) {
+            unknownValue("option", key,
+                         joinNames(kKeys, [](const char *k) { return k; }));
+        }
+    }
 
     SweepSpec spec;
     const std::string preset = opts.get("preset", "");
@@ -158,31 +172,8 @@ main(int argc, char **argv)
     const SweepRunner runner(threads);
 
     const std::string cacheDir = opts.get("cache", "");
-    const std::string ckptFile = opts.get("checkpoint", "");
-    if (!cacheDir.empty() && !ckptFile.empty()) {
-        std::fprintf(stderr, "cache= and checkpoint= are exclusive\n");
-        return 1;
-    }
-
     SweepResult result;
-    if (!ckptFile.empty()) {
-        result.spec = spec.canonical();
-        const std::vector<CellSpec> cells = result.spec.expand();
-        if (cells.size() != 1) {
-            std::fprintf(stderr,
-                         "checkpoint= needs a single-cell grid, got %zu "
-                         "cells\n",
-                         cells.size());
-            return 1;
-        }
-        bool restored = false;
-        result.cells.push_back(
-            SweepRunner::runCellCheckpointed(cells[0], ckptFile, &restored));
-        result.aggregates = aggregateCells(result.spec, result.cells);
-        std::printf("checkpoint %s: %s\n", ckptFile.c_str(),
-                    restored ? "restored (warmup skipped)"
-                             : "cold run (sidecar written)");
-    } else if (!cacheDir.empty()) {
+    if (!cacheDir.empty()) {
         CellCache cache(cacheDir);
         result = runner.run(spec, &cache);
         std::printf("cell cache %s: %zu hits, %zu misses\n",

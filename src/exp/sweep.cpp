@@ -4,12 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <fstream>
-#include <memory>
 #include <optional>
-#include <sstream>
 #include <thread>
-#include <unordered_map>
 
 #include "chip/churn.h"
 #include "chip/os.h"
@@ -92,12 +88,8 @@ putCommonColumnMetrics(CellResult &res, const ColumnSim &sim)
     res.put("delivered_packets", static_cast<double>(m.latency.count()));
 }
 
-/// The two plain-column scenarios are split into build / collect so a
-/// replicate group sharing its traffic seed can warm one sim, snapshot
-/// it, and fork the remaining replicates from the checkpoint — the
-/// continuation is bit-identical to each replicate's own cold run.
-std::unique_ptr<ColumnSim>
-buildColumnCellSim(const CellSpec &cell)
+CellResult
+runColumnCell(const CellSpec &cell)
 {
     const ColumnConfig col = cellColumn(cell);
     TrafficConfig traffic;
@@ -108,15 +100,10 @@ buildColumnCellSim(const CellSpec &cell)
         traffic.injectionRate = cell.rate;
     }
     traffic.seed = cell.seed;
-    auto sim =
-        std::make_unique<ColumnSim>(col, traffic, cell.workloadSpec);
-    sim->setMeasureWindow(cell.phases.warmup, cell.phases.measureEnd());
-    return sim;
-}
+    ColumnSim sim(col, traffic, cell.workloadSpec);
+    sim.setMeasureWindow(cell.phases.warmup, cell.phases.measureEnd());
+    sim.run(cell.phases.total());
 
-CellResult
-collectColumnCellMetrics(const CellSpec &cell, const ColumnSim &sim)
-{
     const SimMetrics &m = sim.metrics();
     CellResult res;
     res.spec = cell;
@@ -139,69 +126,6 @@ collectColumnCellMetrics(const CellSpec &cell, const ColumnSim &sim)
                 offered > 0.0 && delivered < 0.95 * offered ? 1.0 : 0.0);
     }
     return res;
-}
-
-CellResult
-runColumnCell(const CellSpec &cell)
-{
-    auto sim = buildColumnCellSim(cell);
-    sim->run(cell.phases.total());
-    return collectColumnCellMetrics(cell, *sim);
-}
-
-/// Can cells of this shape share a warm checkpoint across replicates?
-/// Only the plain fixed-horizon column scenarios qualify (the
-/// adversarial and chip scenarios run to drain from cycle zero).
-bool
-warmShareable(const CellSpec &cell)
-{
-    return (cell.scenario == Scenario::LatencyLoad ||
-            cell.scenario == Scenario::Hotspot) &&
-           cell.phases.warmup > 0;
-}
-
-/// Dynamics key ignoring the replicate index: cells agreeing on it run
-/// the same simulation through the warmup. With mixed seeds each
-/// replicate's seed differs, so groups collapse to singletons and the
-/// cold path runs as before.
-std::uint64_t
-warmGroupKey(const CellSpec &cell)
-{
-    CellSpec k = cell;
-    k.replicate = 0;
-    return CellCache::cellKey(k);
-}
-
-/// Run one shared-warmup group: the first replicate's sim carries the
-/// warmup and is snapshotted at the warmup boundary; every later
-/// replicate restores the snapshot and runs only measure + drain.
-void
-runColumnGroup(const std::vector<CellSpec> &cells,
-               const std::vector<std::size_t> &unit,
-               std::vector<CellResult> &out)
-{
-    const CellSpec &first = cells[unit[0]];
-    auto warm = buildColumnCellSim(first);
-    warm->run(first.phases.warmup);
-    std::string snapshot;
-    {
-        std::ostringstream os;
-        warm->saveCheckpoint(os);
-        snapshot = os.str();
-    }
-    warm->run(first.phases.total() - first.phases.warmup);
-    out[unit[0]] = collectColumnCellMetrics(first, *warm);
-
-    for (std::size_t j = 1; j < unit.size(); ++j) {
-        const CellSpec &cell = cells[unit[j]];
-        auto sim = buildColumnCellSim(cell);
-        std::istringstream is(snapshot);
-        std::string err;
-        const bool ok = sim->restoreCheckpoint(is, &err);
-        TAQOS_ASSERT(ok, "warm-group restore failed: %s", err.c_str());
-        sim->run(cell.phases.total() - cell.phases.warmup);
-        out[unit[j]] = collectColumnCellMetrics(cell, *sim);
-    }
 }
 
 CellResult
@@ -761,61 +685,6 @@ SweepRunner::runCell(const CellSpec &cell)
     return CellResult{};
 }
 
-namespace {
-
-/// Sidecar magic for runCellCheckpointed (followed by the u64 cell key,
-/// then the NetSim checkpoint stream).
-constexpr char kSidecarMagic[8] = {'T', 'Q', 'S', 'W', 'C', 'K', 'P', 'T'};
-
-} // namespace
-
-CellResult
-SweepRunner::runCellCheckpointed(const CellSpec &cell,
-                                 const std::string &ckptFile, bool *restored)
-{
-    if (restored != nullptr)
-        *restored = false;
-    if (!warmShareable(cell))
-        return runCell(cell);
-
-    const std::uint64_t key = CellCache::cellKey(cell);
-
-    // Warm path: a sidecar keyed to this very cell restores in place of
-    // the warmup run.
-    {
-        std::ifstream is(ckptFile, std::ios::binary);
-        char magic[8];
-        std::uint64_t fileKey = 0;
-        if (is.read(magic, sizeof(magic)) &&
-            std::memcmp(magic, kSidecarMagic, sizeof(magic)) == 0 &&
-            is.read(reinterpret_cast<char *>(&fileKey), sizeof(fileKey)) &&
-            fileKey == key) {
-            auto sim = buildColumnCellSim(cell);
-            std::string err;
-            if (sim->restoreCheckpoint(is, &err)) {
-                sim->run(cell.phases.total() - cell.phases.warmup);
-                if (restored != nullptr)
-                    *restored = true;
-                return collectColumnCellMetrics(cell, *sim);
-            }
-        }
-    }
-
-    // Cold path: run the warmup, drop the sidecar, finish the cell.
-    auto sim = buildColumnCellSim(cell);
-    sim->run(cell.phases.warmup);
-    {
-        std::ofstream os(ckptFile, std::ios::binary | std::ios::trunc);
-        if (os) {
-            os.write(kSidecarMagic, sizeof(kSidecarMagic));
-            os.write(reinterpret_cast<const char *>(&key), sizeof(key));
-            sim->saveCheckpoint(os);
-        }
-    }
-    sim->run(cell.phases.total() - cell.phases.warmup);
-    return collectColumnCellMetrics(cell, *sim);
-}
-
 SweepResult
 SweepRunner::run(const SweepSpec &spec, CellCache *cache) const
 {
@@ -838,55 +707,32 @@ SweepRunner::run(const SweepSpec &spec, CellCache *cache) const
     }
     result.cacheMisses = todo.size();
 
-    // Work units: replicate groups that share a warm checkpoint, every
-    // other cell a singleton. Grouping is deterministic
-    // (first-appearance order over the expansion order).
-    std::vector<std::vector<std::size_t>> units;
-    {
-        std::unordered_map<std::uint64_t, std::size_t> groupOf;
-        for (std::size_t i : todo) {
-            if (!warmShareable(cells[i])) {
-                units.push_back({i});
-                continue;
-            }
-            const auto [it, fresh] =
-                groupOf.try_emplace(warmGroupKey(cells[i]), units.size());
-            if (fresh)
-                units.push_back({i});
-            else
-                units[it->second].push_back(i);
-        }
-    }
-
-    const auto runUnit = [&cells, &result](const std::vector<std::size_t> &u) {
-        if (u.size() == 1)
-            result.cells[u[0]] = runCell(cells[u[0]]);
-        else
-            runColumnGroup(cells, u, result.cells);
+    const auto runOne = [&cells, &result](std::size_t i) {
+        result.cells[i] = runCell(cells[i]);
     };
 
     // One serial cell per core (see the class comment).
     const int hw = static_cast<int>(std::thread::hardware_concurrency());
     const int workers = static_cast<int>(std::min<std::size_t>(
-        std::min(threads_, std::max(1, hw)), units.size()));
+        std::min(threads_, std::max(1, hw)), todo.size()));
     if (workers <= 1) {
-        for (const auto &u : units)
-            runUnit(u);
+        for (std::size_t i : todo)
+            runOne(i);
     } else {
-        // Work-stealing by atomic index: units land in their expansion
+        // Work-stealing by atomic index: cells land in their expansion
         // slots regardless of which worker ran them, so the result is
         // independent of scheduling.
         std::atomic<std::size_t> next{0};
         std::vector<std::thread> pool;
         pool.reserve(static_cast<std::size_t>(workers));
         for (int t = 0; t < workers; ++t) {
-            pool.emplace_back([&units, &next, &runUnit] {
+            pool.emplace_back([&todo, &next, &runOne] {
                 while (true) {
-                    const std::size_t i =
+                    const std::size_t k =
                         next.fetch_add(1, std::memory_order_relaxed);
-                    if (i >= units.size())
+                    if (k >= todo.size())
                         return;
-                    runUnit(units[i]);
+                    runOne(todo[k]);
                 }
             });
         }

@@ -169,37 +169,23 @@ struct SweepResult {
 
 /// Executes the cells of a spec on a thread pool. Stateless between runs;
 /// safe to reuse. Each cell runs on the serial engine, so run() starts
-/// min(threads(), hardware_concurrency, work units) workers: one core
+/// min(threads(), hardware_concurrency, cells to run) workers: one core
 /// per cell, never more workers than the machine or the grid.
 class SweepRunner {
   public:
     /// `numThreads` <= 0 selects std::thread::hardware_concurrency().
     explicit SweepRunner(int numThreads = 0);
 
-    /// Run the spec's cells. With a cache (exp/cell_cache.h), cells
-    /// whose content key is already stored are loaded instead of run
-    /// and fresh cells are stored back, with the merged output
-    /// byte-identical to a cold run. Replicate groups that share their
-    /// traffic seed (mixSeeds = false) warm up once and fork the
-    /// remaining replicates from a checkpoint of that warm state.
+    /// Run the spec's cells, each one a runCell() call. With a cache
+    /// (exp/cell_cache.h), cells whose content key is already stored are
+    /// loaded instead of run and fresh cells are stored back, with the
+    /// merged output byte-identical to a cold run. The cache is the
+    /// sweep's only reuse layer: no cell starts from a checkpoint.
     SweepResult run(const SweepSpec &spec, CellCache *cache = nullptr) const;
 
     /// Execute one cell (pure: owns every sim it constructs; no shared
     /// mutable state). Exposed for tests and custom drivers.
     static CellResult runCell(const CellSpec &cell);
-
-    /// Execute one cell warm-starting from a checkpoint sidecar file.
-    /// The sidecar is an 8-byte magic ("TQSWCKPT") plus the cell's
-    /// content key, then a NetSim checkpoint of the warmed sim. When
-    /// the file exists and its key matches, the warmup is skipped by
-    /// restoring it (bit-identical continuation); otherwise the cell
-    /// runs cold and writes the sidecar at the warmup boundary.
-    /// `restored`, when non-null, reports which path was taken. Cells
-    /// that cannot share warm state (adversarial/chip scenarios, zero
-    /// warmup) always run cold and write no sidecar.
-    static CellResult runCellCheckpointed(const CellSpec &cell,
-                                          const std::string &ckptFile,
-                                          bool *restored = nullptr);
 
     int threads() const { return threads_; }
 

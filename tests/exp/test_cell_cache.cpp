@@ -1,8 +1,9 @@
 /// The content-addressed sweep cache: key sensitivity (dynamics
-/// coordinates in, execution knobs out), exact store/load round-trips,
-/// corrupt fragments degrading to misses, cached re-runs emitting
-/// byte-identical JSON with every cell a hit, and the shared-warmup
-/// replicate fork staying bit-identical to per-cell cold runs.
+/// coordinates in, execution knobs out), pinned keys, exact store/load
+/// round-trips, corrupt fragments degrading to misses, cached re-runs
+/// emitting byte-identical JSON with every cell a hit, and replicates
+/// that share their seed (mixSeeds = false) running one identical
+/// simulation each, so the cache alone covers their reuse.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -191,22 +192,24 @@ TEST(CellCacheSweep, PartialCacheMergesCachedAndFreshCells)
 
 TEST(CellCacheSweep, SharedWarmupForkMatchesPerCellColdRuns)
 {
-    // mixSeeds = false makes every replicate share its seed, so the
-    // runner warms each grid point once and forks the replicates from
-    // the checkpoint; the result must be bit-identical to running every
-    // cell cold from cycle zero.
+    // mixSeeds = false gives every replicate of a grid point the same
+    // seed, so all of them run the same simulation: each swept cell
+    // equals its own cold run and every other replicate of its point.
+    // Nothing is gained by forking the replicates from one warm-up.
     SweepSpec spec = tinySpec();
     spec.replicates = 3;
     spec.mixSeeds = false;
 
     const SweepRunner runner(2);
-    const SweepResult forked = runner.run(spec);
+    const SweepResult swept = runner.run(spec);
 
     const std::vector<CellSpec> cells = spec.expand();
-    ASSERT_EQ(forked.cells.size(), cells.size());
+    ASSERT_EQ(swept.cells.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        const CellResult cold = SweepRunner::runCell(cells[i]);
-        expectCellsEqual(forked.cells[i], cold);
+        expectCellsEqual(swept.cells[i], SweepRunner::runCell(cells[i]));
+        // Replicates are adjacent in expansion order.
+        if (cells[i].replicate > 0)
+            expectCellsEqual(swept.cells[i], swept.cells[i - 1]);
     }
 }
 
