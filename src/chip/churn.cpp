@@ -3,21 +3,13 @@
 #include <algorithm>
 
 #include "common/assert.h"
+#include "common/rng.h"
 #include "sim/chip_sim.h"
 
 namespace taqos {
 namespace {
 
 constexpr std::uint64_t kChurnSalt = 0x7a05'c4c4'0000'0001ull;
-
-std::uint64_t
-splitmix(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 /// Arriving tenants draw their shape from small fixed tables — enough
 /// variety to exercise every placement size the allocator handles.
@@ -55,8 +47,8 @@ ChurnDriver::step()
 {
     const int epoch = epoch_ + 1;
     const std::uint64_t h =
-        splitmix(splitmix(seed_ ^ kChurnSalt) ^
-                 static_cast<std::uint64_t>(epoch));
+        splitmix64(splitmix64(seed_ ^ kChurnSalt) ^
+                   static_cast<std::uint64_t>(epoch));
     const int live = liveVms();
 
     bool arrive = (h & 1) != 0;

@@ -1,26 +1,15 @@
 #include "common/rng.h"
 
 namespace taqos {
-namespace {
-
-std::uint64_t
-splitmix64(std::uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-} // namespace
 
 void
 Rng::reseed(std::uint64_t seed)
 {
-    std::uint64_t sm = seed;
-    for (auto &s : s_)
-        s = splitmix64(sm);
+    // Four consecutive outputs of a splitmix64 generator started at seed.
+    for (auto &s : s_) {
+        s = splitmix64(seed);
+        seed += kGoldenGamma;
+    }
     // A zero state would be absorbing; splitmix64 output of four words is
     // never all-zero in practice, but guard anyway.
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0)

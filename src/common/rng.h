@@ -18,6 +18,33 @@
 
 namespace taqos {
 
+/// splitmix64's state increment (2^64 / golden ratio, odd).
+inline constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ull;
+
+/// splitmix64 (Steele, Lea & Flood): one step of the generator from
+/// state `x`, i.e. the increment followed by the avalanche finalizer.
+/// Seeds Rng and derives every salted stream (burst modulators, tenant
+/// churn, trace thinning) and the checkpoint topology fingerprint.
+constexpr std::uint64_t
+splitmix64(std::uint64_t x)
+{
+    x += kGoldenGamma;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/// Order-sensitive hash combine: boost's hash_combine spread of `v` into
+/// `h`, avalanched by the splitmix64 finalizer (subtracting the gamma
+/// cancels splitmix64's increment). Derives the sweep cell seeds, the
+/// cell-cache keys and metricsDigest: a change here changes all three.
+constexpr std::uint64_t
+hashCombine(std::uint64_t h, std::uint64_t v)
+{
+    return splitmix64((h ^ (v + kGoldenGamma + (h << 6) + (h >> 2))) -
+                      kGoldenGamma);
+}
+
 /// xoshiro256** by Blackman & Vigna, seeded through splitmix64.
 /// Small, fast, and statistically strong enough for traffic generation.
 class Rng {

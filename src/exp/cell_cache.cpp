@@ -1,37 +1,18 @@
 #include "exp/cell_cache.h"
 
+#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "common/rng.h"
 #include "common/strings.h"
 #include "exp/json_writer.h"
 #include "sim/engine_salt.h"
 
 namespace taqos {
 namespace {
-
-/// splitmix64-strength combine (same construction as the sweep's seed
-/// derivation: order-sensitive, avalanche on every word).
-std::uint64_t
-mix(std::uint64_t h, std::uint64_t v)
-{
-    std::uint64_t x = h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t
-doubleBits(double v)
-{
-    std::uint64_t bits = 0;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&bits, &v, sizeof bits);
-    return bits;
-}
 
 /// Exact double round-trip: C hexfloat in, strtod out.
 std::string
@@ -62,13 +43,13 @@ std::uint64_t
 CellCache::cellKey(const CellSpec &cell)
 {
     std::uint64_t h = kEngineSalt;
-    h = mix(h, static_cast<std::uint64_t>(cell.scenario));
-    h = mix(h, static_cast<std::uint64_t>(cell.topology));
-    h = mix(h, static_cast<std::uint64_t>(cell.pattern));
-    h = mix(h, static_cast<std::uint64_t>(cell.mode));
-    h = mix(h, doubleBits(cell.rate));
-    h = mix(h, static_cast<std::uint64_t>(cell.workload));
-    h = mix(h, static_cast<std::uint64_t>(cell.placement));
+    h = hashCombine(h, static_cast<std::uint64_t>(cell.scenario));
+    h = hashCombine(h, static_cast<std::uint64_t>(cell.topology));
+    h = hashCombine(h, static_cast<std::uint64_t>(cell.pattern));
+    h = hashCombine(h, static_cast<std::uint64_t>(cell.mode));
+    h = hashCombine(h, std::bit_cast<std::uint64_t>(cell.rate));
+    h = hashCombine(h, static_cast<std::uint64_t>(cell.workload));
+    h = hashCombine(h, static_cast<std::uint64_t>(cell.placement));
     // Mirror of the sweep's seed policy: only a non-steady workload spec
     // joins the key, so every fragment stored before the dynamic-workload
     // axis existed keeps its key (and stays a hit).
@@ -76,14 +57,14 @@ CellCache::cellKey(const CellSpec &cell)
         std::vector<std::uint64_t> words;
         cell.workloadSpec.appendKeyWords(words);
         for (std::uint64_t w : words)
-            h = mix(h, w);
+            h = hashCombine(h, w);
     }
-    h = mix(h, static_cast<std::uint64_t>(cell.replicate));
-    h = mix(h, cell.seed);
-    h = mix(h, cell.phases.warmup);
-    h = mix(h, cell.phases.measure);
-    h = mix(h, cell.phases.drain);
-    h = mix(h, cell.genCycles);
+    h = hashCombine(h, static_cast<std::uint64_t>(cell.replicate));
+    h = hashCombine(h, cell.seed);
+    h = hashCombine(h, cell.phases.warmup);
+    h = hashCombine(h, cell.phases.measure);
+    h = hashCombine(h, cell.phases.drain);
+    h = hashCombine(h, cell.genCycles);
     return h;
 }
 

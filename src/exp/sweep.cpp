@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
-#include <cstring>
 #include <optional>
 #include <thread>
 
 #include "chip/churn.h"
 #include "chip/os.h"
 #include "common/assert.h"
+#include "common/rng.h"
 #include "common/strings.h"
 #include "core/experiments.h"
 #include "core/maxmin.h"
@@ -22,40 +23,22 @@
 namespace taqos {
 namespace {
 
-/// splitmix64-strength hash combine for per-cell seed derivation: the
-/// seed depends only on the spec and the cell coordinates, never on
-/// execution order — the root of the parallel == serial guarantee.
-std::uint64_t
-mixSeed(std::uint64_t h, std::uint64_t v)
-{
-    std::uint64_t x = h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t
-rateBits(double rate)
-{
-    std::uint64_t bits = 0;
-    static_assert(sizeof bits == sizeof rate);
-    std::memcpy(&bits, &rate, sizeof bits);
-    return bits;
-}
-
+/// A cell's seed depends only on the spec and the cell coordinates,
+/// never on execution order — the root of the parallel == serial
+/// guarantee.
 std::uint64_t
 cellSeed(const SweepSpec &spec, const CellSpec &cell)
 {
     if (!spec.mixSeeds)
         return spec.baseSeed;
     std::uint64_t h = spec.baseSeed;
-    h = mixSeed(h, static_cast<std::uint64_t>(cell.scenario));
-    h = mixSeed(h, static_cast<std::uint64_t>(cell.topology));
-    h = mixSeed(h, static_cast<std::uint64_t>(cell.pattern));
-    h = mixSeed(h, static_cast<std::uint64_t>(cell.mode));
-    h = mixSeed(h, rateBits(cell.rate));
-    h = mixSeed(h, static_cast<std::uint64_t>(cell.workload));
-    h = mixSeed(h, static_cast<std::uint64_t>(cell.placement));
+    h = hashCombine(h, static_cast<std::uint64_t>(cell.scenario));
+    h = hashCombine(h, static_cast<std::uint64_t>(cell.topology));
+    h = hashCombine(h, static_cast<std::uint64_t>(cell.pattern));
+    h = hashCombine(h, static_cast<std::uint64_t>(cell.mode));
+    h = hashCombine(h, std::bit_cast<std::uint64_t>(cell.rate));
+    h = hashCombine(h, static_cast<std::uint64_t>(cell.workload));
+    h = hashCombine(h, static_cast<std::uint64_t>(cell.placement));
     // A non-steady workload spec changes the cell's dynamics, so its
     // canonical words join the mix; steady cells skip it entirely and
     // keep the seeds every pre-existing sweep derived.
@@ -63,9 +46,9 @@ cellSeed(const SweepSpec &spec, const CellSpec &cell)
         std::vector<std::uint64_t> words;
         cell.workloadSpec.appendKeyWords(words);
         for (std::uint64_t w : words)
-            h = mixSeed(h, w);
+            h = hashCombine(h, w);
     }
-    h = mixSeed(h, static_cast<std::uint64_t>(cell.replicate));
+    h = hashCombine(h, static_cast<std::uint64_t>(cell.replicate));
     return h;
 }
 

@@ -1,5 +1,6 @@
 #include "noc/metrics.h"
 
+#include "common/rng.h"
 #include "common/strings.h"
 
 namespace taqos {
@@ -26,38 +27,25 @@ SimMetrics::summary() const
     return out;
 }
 
-namespace {
-
-std::uint64_t
-mixDigest(std::uint64_t h, std::uint64_t v)
-{
-    std::uint64_t x = h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-} // namespace
-
 std::uint64_t
 metricsDigest(const SimMetrics &m, bool extended)
 {
     std::uint64_t h = 0x5eedu;
     if (extended) {
-        h = mixDigest(h, m.generatedPackets);
-        h = mixDigest(h, m.injectedAttempts);
+        h = hashCombine(h, m.generatedPackets);
+        h = hashCombine(h, m.injectedAttempts);
     }
-    h = mixDigest(h, m.deliveredPackets);
-    h = mixDigest(h, m.deliveredFlits);
-    h = mixDigest(h, m.preemptionEvents);
-    h = mixDigest(h, static_cast<std::uint64_t>(m.latency.count()));
-    h = mixDigest(h, static_cast<std::uint64_t>(m.latency.mean() * 1e6));
+    h = hashCombine(h, m.deliveredPackets);
+    h = hashCombine(h, m.deliveredFlits);
+    h = hashCombine(h, m.preemptionEvents);
+    h = hashCombine(h, static_cast<std::uint64_t>(m.latency.count()));
+    h = hashCombine(h, static_cast<std::uint64_t>(m.latency.mean() * 1e6));
     if (extended) {
-        h = mixDigest(h, static_cast<std::uint64_t>(m.usefulHops * 1e3));
-        h = mixDigest(h, static_cast<std::uint64_t>(m.wastedHops * 1e3));
+        h = hashCombine(h, static_cast<std::uint64_t>(m.usefulHops * 1e3));
+        h = hashCombine(h, static_cast<std::uint64_t>(m.wastedHops * 1e3));
     }
     for (auto f : m.flowFlits)
-        h = mixDigest(h, f);
+        h = hashCombine(h, f);
     return h;
 }
 

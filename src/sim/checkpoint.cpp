@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "common/assert.h"
+#include "common/rng.h"
 #include "router/router.h"
 #include "sim/engine_salt.h"
 #include "sim/net_sim.h"
@@ -26,18 +27,9 @@ constexpr std::uint32_t kMaxWords = 1u << 24;
 constexpr std::uint32_t kMaxQueueLen = 1u << 24;
 
 std::uint64_t
-splitmix(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t
 mix(std::uint64_t h, std::uint64_t v)
 {
-    return splitmix(h ^ (v + 0x9e3779b97f4a7c15ull));
+    return splitmix64(h ^ (v + kGoldenGamma));
 }
 
 /// The canonical save-order enumeration of every VC-holding buffer in

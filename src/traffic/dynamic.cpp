@@ -4,23 +4,13 @@
 #include <sstream>
 
 #include "common/assert.h"
+#include "common/rng.h"
 #include "common/strings.h"
 #include "traffic/generator.h"
 #include "traffic/trace.h"
 
 namespace taqos {
 namespace {
-
-/// splitmix64 finalizer: the same avalanche construction the sweep seed
-/// chain and the cell cache use.
-std::uint64_t
-splitmix(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 /// Salt separating the modulator master stream from the per-flow packet
 /// streams (both derive from the same traffic seed).
@@ -40,7 +30,7 @@ OnOffModulator::OnOffModulator(const WorkloadSpec &spec, int numFlows,
     TAQOS_ASSERT(spec_.kind == WorkloadKind::Bursty,
                  "ON/OFF modulator needs a bursty workload, got %s",
                  workloadKindName(spec_.kind));
-    Rng master(splitmix(seed ^ kModulatorSalt));
+    Rng master(splitmix64(seed ^ kModulatorSalt));
     rng_.reserve(static_cast<std::size_t>(numFlows));
     on_.reserve(static_cast<std::size_t>(numFlows));
     for (FlowId f = 0; f < numFlows; ++f) {
@@ -175,7 +165,7 @@ applyReplayWindow(const TrafficTrace &trace, const WorkloadSpec &spec)
             break;
         const std::uint64_t i = idx++;
         if (spec.inflate < 1.0 &&
-            Rng::doubleFromBits(splitmix(kThinningSalt ^ i)) >=
+            Rng::doubleFromBits(splitmix64(kThinningSalt ^ i)) >=
                 spec.inflate) {
             continue;
         }

@@ -1,7 +1,7 @@
 #include "traffic/workload_spec.h"
 
+#include <bit>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/options.h"
 
@@ -15,15 +15,6 @@ std::string
 fmtDouble(double v)
 {
     return strFormat("%.12g", v);
-}
-
-std::uint64_t
-doubleBits(double v)
-{
-    std::uint64_t bits = 0;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&bits, &v, sizeof bits);
-    return bits;
 }
 
 bool
@@ -299,13 +290,13 @@ WorkloadSpec::appendKeyWords(std::vector<std::uint64_t> &words) const
       case WorkloadKind::Steady:
         break;
       case WorkloadKind::Bursty:
-        words.push_back(doubleBits(burstOn));
-        words.push_back(doubleBits(burstOff));
-        words.push_back(doubleBits(burstGain));
+        words.push_back(std::bit_cast<std::uint64_t>(burstOn));
+        words.push_back(std::bit_cast<std::uint64_t>(burstOff));
+        words.push_back(std::bit_cast<std::uint64_t>(burstGain));
         break;
       case WorkloadKind::Ramp:
-        words.push_back(doubleBits(rampLow));
-        words.push_back(doubleBits(rampHigh));
+        words.push_back(std::bit_cast<std::uint64_t>(rampLow));
+        words.push_back(std::bit_cast<std::uint64_t>(rampHigh));
         words.push_back(rampPeriod);
         break;
       case WorkloadKind::Trace: {
@@ -315,7 +306,7 @@ WorkloadSpec::appendKeyWords(std::vector<std::uint64_t> &words) const
         for (unsigned char ch : tracePath)
             h = (h ^ ch) * 0x100000001b3ull;
         words.push_back(h);
-        words.push_back(doubleBits(inflate));
+        words.push_back(std::bit_cast<std::uint64_t>(inflate));
         words.push_back(windowBegin);
         words.push_back(windowEnd);
         words.push_back(traceLoop ? 1 : 0);
