@@ -10,11 +10,6 @@ ColumnSim::ColumnSim(std::unique_ptr<ColumnNetwork> net)
 {
 }
 
-ColumnSim::ColumnSim(const ColumnConfig &col, const TrafficConfig &traffic)
-    : ColumnSim(col, traffic, WorkloadSpec{})
-{
-}
-
 ColumnSim::ColumnSim(const ColumnConfig &col, const TrafficConfig &traffic,
                      const WorkloadSpec &workload)
     : ColumnSim(ColumnNetwork::build(col))

@@ -17,16 +17,12 @@ namespace taqos {
 
 class ColumnSim : public NetSim {
   public:
-    /// Steady-workload shim: equivalent to the WorkloadSpec constructor
-    /// with a default (steady) spec. Prefer the three-argument form in
-    /// new code — it is the one entry point every workload kind shares.
-    ColumnSim(const ColumnConfig &col, const TrafficConfig &traffic);
-    /// Drive the column under a declarative workload: steady, bursty or
-    /// ramp generation, or trace replay (the spec's tracePath is loaded
-    /// here; a load failure asserts — CLIs validate paths up front via
-    /// makeTrafficSource).
+    /// Drive the column under a declarative workload: steady (the
+    /// default), bursty or ramp generation, or trace replay (the spec's
+    /// tracePath is loaded here; a load failure asserts — CLIs validate
+    /// paths up front via makeTrafficSource).
     ColumnSim(const ColumnConfig &col, const TrafficConfig &traffic,
-              const WorkloadSpec &workload);
+              const WorkloadSpec &workload = {});
     /// Drive the column from a pre-recorded trace instead of a stochastic
     /// generator (bit-identical replays, external workloads).
     ColumnSim(const ColumnConfig &col, TrafficTrace trace);

@@ -5,6 +5,14 @@
 #include "sim/checkpoint.h"
 
 namespace taqos {
+namespace {
+
+/// Inter-chip wire delay, cycles per link traversal.
+constexpr int kLinkDelay = 8;
+/// Link serialization width, flits accepted per cycle.
+constexpr int kLinkWidthFlits = 4;
+
+} // namespace
 
 FabricTrafficSource::FabricTrafficSource(FabricNetwork &net,
                                          const TrafficConfig &traffic,
@@ -198,11 +206,11 @@ FabricSim::sendOnLink(NetPacket *pkt, int srcChip, int dstChip)
     ChipLink &link = sp.links == LinkTopology::PointToPoint
         ? links_[static_cast<std::size_t>(srcChip * sp.chips + dstChip)]
         : links_[static_cast<std::size_t>(srcChip)];
-    const Cycle due = std::max(
-        now_ + static_cast<Cycle>(sp.linkDelay), link.nextFree);
+    const Cycle due =
+        std::max(now_ + static_cast<Cycle>(kLinkDelay), link.nextFree);
     link.nextFree =
-        due + static_cast<Cycle>((pkt->sizeFlits + sp.linkWidthFlits - 1) /
-                                 sp.linkWidthFlits);
+        due + static_cast<Cycle>((pkt->sizeFlits + kLinkWidthFlits - 1) /
+                                 kLinkWidthFlits);
     link.inFlight.emplace_back(pkt, due);
     ++linkHops_;
 }

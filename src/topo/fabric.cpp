@@ -65,6 +65,9 @@ fabricCatchments(const ChipConfig &chip)
 
 namespace {
 
+/// VC buffers per row-mesh input and per handoff buffer.
+constexpr int kRowVcs = 4;
+
 /// Slot count per block node for `spec` (terminal + largest catchment +
 /// one remote slot per other chip), recomputed independently of the
 /// network so the Network base class can be constructed first.
@@ -86,7 +89,7 @@ fabricPvc(const FabricSpec &spec)
     PvcParams pvc = spec.column.pvc;
     pvc.numFlows =
         spec.blocks() * spec.chip.nodesY() * fabricSlots(spec);
-    if (spec.scaleFrameLen && spec.blocks() > 1) {
+    if (spec.blocks() > 1) {
         pvc.frameLen *= static_cast<Cycle>(spec.blocks());
         pvc.gsfFrameLen *= static_cast<Cycle>(spec.blocks());
     }
@@ -204,9 +207,6 @@ FabricNetwork::build(FabricSpec spec)
                  "fabric needs at least one compute column");
     TAQOS_ASSERT(spec.chip.nodesY() >= 2,
                  "columns need at least two nodes");
-    TAQOS_ASSERT(spec.rowVcs >= 1, "row links need at least one VC");
-    TAQOS_ASSERT(spec.linkDelay >= 1 && spec.linkWidthFlits >= 1,
-                 "inter-chip links need positive delay and width");
     spec.column.numNodes = spec.chip.nodesY();
 
     std::unique_ptr<FabricNetwork> net(new FabricNetwork(std::move(spec)));
@@ -238,7 +238,7 @@ buildFabric(FabricNetwork &net)
     const int H = net.gridHeight();
     const int slots = net.slotsPerNode();
     const int fpb = net.flowsPerBlock();
-    const int vcs = spec.rowVcs;
+    const int vcs = kRowVcs;
     /// Row routers are 2-stage (VA, XT) like the mesh/DPS column routers.
     const int depth = 2;
 

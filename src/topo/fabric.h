@@ -87,19 +87,7 @@ struct FabricSpec {
     /// machinery and so must match the global mode.
     std::vector<QosMode> columnModes;
 
-    /// VC buffers per row-mesh input and per handoff buffer.
-    int rowVcs = 4;
-
     LinkTopology links = LinkTopology::PointToPoint;
-    /// Inter-chip wire delay, cycles per link traversal.
-    int linkDelay = 8;
-    /// Link serialization width, flits accepted per cycle.
-    int linkWidthFlits = 4;
-
-    /// Scale the QoS frame length by the number of blocks so per-flow
-    /// frame quotas stay comparable to the single-column configuration
-    /// as the fabric grows.
-    bool scaleFrameLen = true;
 
     int blocksPerChip() const
     {

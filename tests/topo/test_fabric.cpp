@@ -170,9 +170,6 @@ TEST(FabricBuild, FrameLenScalesWithTheBlockCount)
     spec.column.pvc.frameLen = 1000;
     auto scaled = FabricNetwork::build(spec);
     EXPECT_EQ(scaled->pvcParams().frameLen, 4000u);
-    spec.scaleFrameLen = false;
-    auto flat = FabricNetwork::build(spec);
-    EXPECT_EQ(flat->pvcParams().frameLen, 1000u);
 }
 
 TEST(FabricBuild, FlowTablesHoldOnlyTheirBlocksFlows)
