@@ -104,7 +104,10 @@ struct NetPacket {
         void *table = nullptr; ///< FlowTable*, opaque to this layer
         int tableIdx = -1;
     };
-    std::array<ChargeRef, 12> charges{};
+    /// Charge-log capacity. A mesh route charges at every router it
+    /// crosses, so buildMeshColumn rejects taller flow-table columns.
+    static constexpr int kMaxCharges = 12;
+    std::array<ChargeRef, kMaxCharges> charges{};
     int numCharges = 0;
 
     void addLoc(InputPort *port, int vc);

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "noc/packet.h"
 #include "topo/column_network.h"
 
 namespace taqos {
@@ -17,6 +18,17 @@ buildMeshColumn(const ColumnWiring &w)
     const int rep = replicationOf(cfg.topology);
     const int vcs = cfg.effectiveVcs();
     const int depth = pipelineDepth(cfg.topology);
+
+    // An end-to-end route charges one flow-table entry at each of the n
+    // routers it crosses (ejection included), and a packet logs every
+    // charge of its attempt so a preemption can refund them.
+    TAQOS_ASSERT(n <= NetPacket::kMaxCharges ||
+                     !w.router(0)->policy().usesFlowTable(),
+                 "%s column of %d rows under %s: a route charges one "
+                 "flow-table entry per row and the packet charge log holds "
+                 "%d",
+                 topologyName(cfg.topology), n, qosModeName(w.mode),
+                 NetPacket::kMaxCharges);
 
     // inNorth[i][k]: input at node i fed by node i-1 on channel k.
     // inSouth[i][k]: input at node i fed by node i+1 on channel k.

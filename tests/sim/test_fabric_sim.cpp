@@ -140,6 +140,31 @@ TEST(FabricSimTest, MixedBlockPoliciesRunToDrain)
     sim.checkInvariants();
 }
 
+TEST(FabricSimTest, TwelveRowMeshColumnsRunToDrain)
+{
+    // 24 tiles, 4-way concentrated: 12 rows, the tallest mesh column
+    // whose routes fit the packet charge log under every flow-table
+    // policy.
+    FabricSpec spec;
+    spec.chips = 2;
+    spec.chip.tilesX = spec.chip.tilesY = 24;
+    spec.chip.sharedColumns = {2, 6};
+    TrafficConfig t;
+    t.pattern = TrafficPattern::UniformRandom;
+    t.injectionRate = 0.02;
+    t.genUntil = 3000;
+    for (QosMode mode : {QosMode::Pvc, QosMode::PerFlowQueue, QosMode::Wrr}) {
+        spec.column = paperColumn(TopologyKind::MeshX1, mode);
+        FabricSim sim(spec, t);
+        ASSERT_EQ(sim.network().gridHeight(), 12);
+        const Cycle done = sim.runUntilDrained(120000, 3000);
+        ASSERT_NE(done, kNoCycle) << qosModeName(mode);
+        EXPECT_EQ(sim.metrics().deliveredPackets,
+                  sim.metrics().generatedPackets);
+        sim.checkInvariants();
+    }
+}
+
 TEST(FabricEngines, TwoChipAlwaysTickIsBitIdentical)
 {
     std::uint64_t digest[2] = {};

@@ -179,6 +179,26 @@ TEST(BuildMesh, ParallelSpreadUsesAllChannels)
     EXPECT_EQ(ports.size(), 4u);
 }
 
+TEST(BuildMesh, ColumnTallerThanTheChargeLogIsRejected)
+{
+    // A mesh route charges a flow-table entry at every router it
+    // crosses, so under PVC a 13-row column would overflow the packet's
+    // 12-entry charge log mid-run: the build refuses it up front.
+    ColumnConfig col;
+    col.topology = TopologyKind::MeshX1;
+    col.mode = QosMode::Pvc;
+    col.numNodes = NetPacket::kMaxCharges + 1;
+    EXPECT_DEATH(ColumnNetwork::build(col),
+                 "mesh_x1 column of 13 rows under pvc.*charge log holds 12");
+
+    // Policies without flow tables log no charges; 12 rows fit the log.
+    col.mode = QosMode::NoQos;
+    EXPECT_NE(ColumnNetwork::build(col), nullptr);
+    col.mode = QosMode::Pvc;
+    col.numNodes = NetPacket::kMaxCharges;
+    EXPECT_NE(ColumnNetwork::build(col), nullptr);
+}
+
 TEST(BuildMecs, SingleNetworkHopToEveryDestination)
 {
     ColumnConfig col;
