@@ -91,11 +91,10 @@ main(int argc, char **argv)
         "window", "loop", "burst", "churn", "reps", "seed", "mix",
         "warmup", "measure", "drain", "gencycles", "threads", "out",
         "cache", "name"};
-    for (const auto &[key, value] : opts.raw()) {
-        (void)value;
-        if (std::find(std::begin(kKeys), std::end(kKeys), key) ==
+    for (const auto &kv : opts.raw()) {
+        if (std::find(std::begin(kKeys), std::end(kKeys), kv.first) ==
             std::end(kKeys)) {
-            unknownValue("option", key,
+            unknownValue("option", kv.first,
                          joinNames(kKeys, [](const char *k) { return k; }));
         }
     }
