@@ -1,10 +1,14 @@
 #include "verify/flit_trace.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
+#include <istream>
+#include <iterator>
 #include <ostream>
-#include <sstream>
+#include <type_traits>
 
 namespace taqos {
 
@@ -12,111 +16,268 @@ namespace {
 
 const char kMagic[] = "taqos-flit-trace";
 
-void
-writeEvent(std::ostream &os, const TraceEvent &e)
+// ------------------------------------------------------------- writer
+
+/// A separator and the longest decimal field (20 digits of a uint64).
+constexpr std::size_t kMaxField = 21;
+
+/// Longest event line: the kind, at most eleven fields and the newline.
+constexpr std::size_t kMaxEventLine = 1 + 11 * kMaxField + 1;
+
+/// Bytes reserved per event before the first write; the traces the
+/// benchmark audits average 20-22 (a longer trace grows the string).
+constexpr std::size_t kEventBytesHint = 24;
+
+/// Write ' ' and `v` at `p`, which has kMaxField bytes of room; returns
+/// the end of what was written.
+template <typename T>
+char *
+putField(char *p, T v)
 {
-    os << static_cast<char>(e.kind) << ' ' << e.cycle;
+    *p++ = ' ';
+    return std::to_chars(p, p + kMaxField - 1, v).ptr;
+}
+
+void
+appendEvent(std::string &out, const TraceEvent &e)
+{
+    char line[kMaxEventLine];
+    char *p = line;
+    *p++ = static_cast<char>(e.kind);
+    p = putField(p, e.cycle);
     switch (e.kind) {
       case TraceEventKind::Inject:
-        os << ' ' << e.node << ' ' << e.pkt << ' ' << e.flow << ' ' << e.src
-           << ' ' << e.dst << ' ' << e.size << ' ' << e.attempt << ' '
-           << e.gen << ' ' << e.frameTag << ' ' << (e.compliant ? 1 : 0);
+        p = putField(p, e.node);
+        p = putField(p, e.pkt);
+        p = putField(p, e.flow);
+        p = putField(p, e.src);
+        p = putField(p, e.dst);
+        p = putField(p, e.size);
+        p = putField(p, e.attempt);
+        p = putField(p, e.gen);
+        p = putField(p, e.frameTag);
+        p = putField(p, e.compliant ? 1 : 0);
         break;
       case TraceEventKind::VcReserve:
-        os << ' ' << e.port << ' ' << e.vc << ' ' << e.pkt << ' ' << e.head
-           << ' ' << e.tail;
+        p = putField(p, e.port);
+        p = putField(p, e.vc);
+        p = putField(p, e.pkt);
+        p = putField(p, e.head);
+        p = putField(p, e.tail);
         break;
       case TraceEventKind::VcDrain:
       case TraceEventKind::VcFree:
       case TraceEventKind::Deliver:
-        os << ' ' << e.port << ' ' << e.vc << ' ' << e.pkt;
+        p = putField(p, e.port);
+        p = putField(p, e.vc);
+        p = putField(p, e.pkt);
         break;
       case TraceEventKind::Hop:
-        os << ' ' << e.node << ' ' << e.port << ' ' << e.vc << ' ' << e.pkt;
+        p = putField(p, e.node);
+        p = putField(p, e.port);
+        p = putField(p, e.vc);
+        p = putField(p, e.pkt);
         break;
       case TraceEventKind::Kill:
-        os << ' ' << e.node << ' ' << e.pkt;
+        p = putField(p, e.node);
+        p = putField(p, e.pkt);
         break;
       case TraceEventKind::Requeue:
       case TraceEventKind::Retire:
-        os << ' ' << e.pkt;
+        p = putField(p, e.pkt);
         break;
       case TraceEventKind::Segment:
-        os << ' ' << e.port << ' ' << e.vc << ' ' << e.pkt << ' ' << e.dst;
+        p = putField(p, e.port);
+        p = putField(p, e.vc);
+        p = putField(p, e.pkt);
+        p = putField(p, e.dst);
         break;
     }
-    os << '\n';
+    *p++ = '\n';
+    out.append(line, static_cast<std::size_t>(p - line));
 }
 
-/// Tokenizing parser state for one line; every numeric read is checked.
-class LineReader {
-  public:
-    explicit LineReader(const std::string &line) : is_(line) {}
+/// One "<key> <value>" meta line. A double prints as ostream's default
+/// does: %g with six significant digits.
+template <typename T>
+void
+appendMeta(std::string &out, std::string_view key, T v)
+{
+    char value[32];
+    char *p = value;
+    *p++ = ' ';
+    if constexpr (std::is_floating_point_v<T>)
+        p = std::to_chars(p, std::end(value), v, std::chars_format::general,
+                          6)
+                .ptr;
+    else
+        p = std::to_chars(p, std::end(value), v).ptr;
+    *p++ = '\n';
+    out += key;
+    out.append(value, static_cast<std::size_t>(p - value));
+}
 
-    bool next(std::string &tok) { return static_cast<bool>(is_ >> tok); }
+// ------------------------------------------------------------- parser
 
-    bool nextU64(std::uint64_t &out)
-    {
-        std::string tok;
-        if (!next(tok))
-            return false;
-        errno = 0;
-        char *end = nullptr;
-        out = std::strtoull(tok.c_str(), &end, 10);
-        return errno == 0 && end != nullptr && *end == '\0' &&
-               end != tok.c_str();
+/// The six characters the C locale's `operator>>` skips between tokens.
+constexpr bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// strtoull's reading of one token: an optional sign, then decimal
+/// digits up to the token's end or a NUL (strtoull sees the token as a C
+/// string). The magnitude must fit 64 bits.
+bool
+readMagnitude(std::string_view tok, bool &neg, std::uint64_t &mag)
+{
+    const char *p = tok.data();
+    const char *const end = p + tok.size();
+    neg = p != end && *p == '-';
+    if (p != end && (*p == '-' || *p == '+'))
+        ++p;
+    const auto [q, ec] = std::from_chars(p, end, mag);
+    return ec == std::errc{} && (q == end || *q == '\0');
+}
+
+/// As strtoull: a '-' negates in the unsigned type.
+bool
+readU64(std::string_view tok, std::uint64_t &out)
+{
+    bool neg = false;
+    std::uint64_t mag = 0;
+    if (!readMagnitude(tok, neg, mag))
+        return false;
+    out = neg ? 0 - mag : mag;
+    return true;
+}
+
+/// As strtoll, then a check that the value fits 32 bits.
+bool
+readI32(std::string_view tok, std::int32_t &out)
+{
+    bool neg = false;
+    std::uint64_t mag = 0;
+    if (!readMagnitude(tok, neg, mag) ||
+        mag > (neg ? 0x80000000u : 0x7fffffffu)) {
+        return false;
     }
+    out = static_cast<std::int32_t>(neg ? -static_cast<std::int64_t>(mag)
+                                        : static_cast<std::int64_t>(mag));
+    return true;
+}
 
-    bool nextI32(std::int32_t &out)
+/// strtod on a terminated copy of the token. Only two meta values are
+/// doubles, so this is the one token the parser copies.
+bool
+readDouble(std::string_view tok, double &out)
+{
+    const std::string s(tok);
+    errno = 0;
+    char *end = nullptr;
+    out = std::strtod(s.c_str(), &end);
+    return errno == 0 && end != s.c_str() && *end == '\0';
+}
+
+/// The whitespace-separated tokens of one line, in order.
+class Tokens {
+  public:
+    explicit Tokens(std::string_view line) : rest_(line) {}
+
+    /// False, consuming nothing, at the end of the line.
+    bool next(std::string_view &tok)
     {
-        std::string tok;
-        if (!next(tok))
+        const char *p = rest_.data();
+        const char *const end = p + rest_.size();
+        while (p != end && isSpace(*p))
+            ++p;
+        if (p == end)
             return false;
-        errno = 0;
-        char *end = nullptr;
-        const long long v = std::strtoll(tok.c_str(), &end, 10);
-        if (errno != 0 || end == nullptr || *end != '\0' ||
-            end == tok.c_str()) {
-            return false;
-        }
-        if (v < INT32_MIN || v > INT32_MAX)
-            return false;
-        out = static_cast<std::int32_t>(v);
+        const char *q = p;
+        while (q != end && !isSpace(*q))
+            ++q;
+        tok = std::string_view(p, static_cast<std::size_t>(q - p));
+        rest_ = std::string_view(q, static_cast<std::size_t>(end - q));
         return true;
     }
 
-    bool nextDouble(double &out)
+    bool next(std::string &out)
     {
-        std::string tok;
+        std::string_view tok;
         if (!next(tok))
             return false;
-        errno = 0;
-        char *end = nullptr;
-        out = std::strtod(tok.c_str(), &end);
-        return errno == 0 && end != nullptr && *end == '\0' &&
-               end != tok.c_str();
+        out.assign(tok);
+        return true;
+    }
+
+    // Each consumes the next token even when it does not parse.
+    bool nextU64(std::uint64_t &out)
+    {
+        std::string_view tok;
+        return next(tok) && readU64(tok, out);
+    }
+    bool nextI32(std::int32_t &out)
+    {
+        std::string_view tok;
+        return next(tok) && readI32(tok, out);
+    }
+    bool nextDouble(double &out)
+    {
+        std::string_view tok;
+        return next(tok) && readDouble(tok, out);
     }
 
     bool atEnd()
     {
-        std::string tok;
-        return !(is_ >> tok);
+        std::string_view tok;
+        return !next(tok);
     }
 
   private:
-    std::istringstream is_;
+    std::string_view rest_;
 };
 
+/// The lines of a text as std::getline returns them: split at '\n', with
+/// no empty line after a final '\n'.
+class Lines {
+  public:
+    explicit Lines(std::string_view text) : rest_(text) {}
+
+    bool next(std::string_view &line)
+    {
+        if (rest_.empty())
+            return false;
+        const std::size_t nl = rest_.find('\n');
+        if (nl == std::string_view::npos) {
+            line = rest_;
+            rest_ = {};
+        } else {
+            line = rest_.substr(0, nl);
+            rest_.remove_prefix(nl + 1);
+        }
+        return true;
+    }
+
+    std::size_t remaining() const { return rest_.size(); }
+
+  private:
+    std::string_view rest_;
+};
+
+/// The shortest event line and its separator ("A 0 0\n"): no text can
+/// hold more events than its length over this (plus one, for a last
+/// line without '\n').
+constexpr std::size_t kMinEventLine = 6;
+
 bool
-parseEvent(const std::string &line, TraceEvent &e)
+parseEvent(std::string_view line, TraceEvent &e)
 {
-    LineReader r(line);
-    std::string kind;
+    Tokens r(line);
+    std::string_view kind;
     if (!r.next(kind) || kind.size() != 1)
         return false;
-    std::uint64_t u = 0;
     std::int32_t i = 0;
-    e = TraceEvent{};
     switch (kind[0]) {
       case 'J': e.kind = TraceEventKind::Inject; break;
       case 'R': e.kind = TraceEventKind::VcReserve; break;
@@ -130,9 +291,8 @@ parseEvent(const std::string &line, TraceEvent &e)
       case 'S': e.kind = TraceEventKind::Segment; break;
       default: return false;
     }
-    if (!r.nextU64(u))
+    if (!r.nextU64(e.cycle))
         return false;
-    e.cycle = u;
     switch (e.kind) {
       case TraceEventKind::Inject:
         if (!r.nextI32(e.node) || !r.nextU64(e.pkt) || !r.nextI32(e.flow) ||
@@ -189,65 +349,84 @@ fail(std::string &error, std::size_t lineNo, const std::string &what)
 
 } // namespace
 
-void
-writeFlitTrace(std::ostream &os, const FlitTrace &trace)
-{
-    const TraceMeta &m = trace.meta;
-    os << kMagic << ' ' << kFlitTraceVersion << '\n';
-    os << "topology " << m.topology << '\n';
-    os << "mode " << m.mode << '\n';
-    os << "nodes " << m.nodes << '\n';
-    os << "injectors_per_node " << m.injectorsPerNode << '\n';
-    os << "flows " << m.flows << '\n';
-    os << "frame_len " << m.frameLen << '\n';
-    os << "quota_enabled " << (m.quotaEnabled ? 1 : 0) << '\n';
-    os << "quota_protect " << m.quotaProtect << '\n';
-    os << "window_limit " << m.windowLimit << '\n';
-    os << "gsf_frame_len " << m.gsfFrameLen << '\n';
-    os << "gsf_frames " << m.gsfFrames << '\n';
-    if (!m.weights.empty()) {
-        os << "weights";
-        for (auto w : m.weights)
-            os << ' ' << w;
-        os << '\n';
-    }
-    os << "max_age " << m.maxAge << '\n';
-    os << "wrr_tol " << m.wrrTol << '\n';
-    os << "measure_start " << m.measureStart << '\n';
-    os << "measure_end " << m.measureEnd << '\n';
-    os << "end_cycle " << m.endCycle << '\n';
-    os << "drained " << (m.drained ? 1 : 0) << '\n';
-    for (const TracePortInfo &p : trace.ports) {
-        os << "port " << p.id << ' ' << p.node << ' ' << (p.terminal ? 1 : 0)
-           << ' ' << p.name << '\n';
-    }
-    os << "events " << trace.events.size() << '\n';
-    for (const TraceEvent &e : trace.events)
-        writeEvent(os, e);
-}
-
 std::string
 serializeFlitTrace(const FlitTrace &trace)
 {
-    std::ostringstream os;
-    writeFlitTrace(os, trace);
-    return os.str();
+    const TraceMeta &m = trace.meta;
+    std::string out;
+    std::size_t header = 512 + m.topology.size() + m.mode.size() +
+                         11 * m.weights.size();
+    for (const TracePortInfo &p : trace.ports)
+        header += 32 + p.name.size();
+    out.reserve(header + kEventBytesHint * trace.events.size());
+
+    appendMeta(out, kMagic, kFlitTraceVersion);
+    out += "topology ";
+    out += m.topology;
+    out += "\nmode ";
+    out += m.mode;
+    out += '\n';
+    appendMeta(out, "nodes", m.nodes);
+    appendMeta(out, "injectors_per_node", m.injectorsPerNode);
+    appendMeta(out, "flows", m.flows);
+    appendMeta(out, "frame_len", m.frameLen);
+    appendMeta(out, "quota_enabled", m.quotaEnabled ? 1 : 0);
+    appendMeta(out, "quota_protect", m.quotaProtect);
+    appendMeta(out, "window_limit", m.windowLimit);
+    appendMeta(out, "gsf_frame_len", m.gsfFrameLen);
+    appendMeta(out, "gsf_frames", m.gsfFrames);
+    if (!m.weights.empty()) {
+        out += "weights";
+        char w[kMaxField];
+        for (std::uint32_t v : m.weights)
+            out.append(w, static_cast<std::size_t>(putField(w, v) - w));
+        out += '\n';
+    }
+    appendMeta(out, "max_age", m.maxAge);
+    appendMeta(out, "wrr_tol", m.wrrTol);
+    appendMeta(out, "measure_start", m.measureStart);
+    appendMeta(out, "measure_end", m.measureEnd);
+    appendMeta(out, "end_cycle", m.endCycle);
+    appendMeta(out, "drained", m.drained ? 1 : 0);
+    for (const TracePortInfo &p : trace.ports) {
+        char nums[3 * kMaxField + 1];
+        char *q = putField(nums, p.id);
+        q = putField(q, p.node);
+        q = putField(q, p.terminal ? 1 : 0);
+        *q++ = ' ';
+        out += "port";
+        out.append(nums, static_cast<std::size_t>(q - nums));
+        out += p.name;
+        out += '\n';
+    }
+    appendMeta(out, "events", trace.events.size());
+    for (const TraceEvent &e : trace.events)
+        appendEvent(out, e);
+    return out;
+}
+
+void
+writeFlitTrace(std::ostream &os, const FlitTrace &trace)
+{
+    const std::string text = serializeFlitTrace(trace);
+    os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 bool
-parseFlitTrace(std::istream &is, FlitTrace &out, std::string &error)
+parseFlitTrace(std::string_view text, FlitTrace &out, std::string &error)
 {
     out = FlitTrace{};
     error.clear();
-    std::string line;
+    Lines lines(text);
+    std::string_view line;
     std::size_t lineNo = 0;
 
-    if (!std::getline(is, line))
+    if (!lines.next(line))
         return fail(error, 1, "empty trace (missing header)");
     ++lineNo;
     {
-        LineReader r(line);
-        std::string magic;
+        Tokens r(line);
+        std::string_view magic;
         std::int32_t version = 0;
         if (!r.next(magic) || magic != kMagic || !r.nextI32(version))
             return fail(error, lineNo, "not a taqos flit trace");
@@ -261,12 +440,12 @@ parseFlitTrace(std::istream &is, FlitTrace &out, std::string &error)
     TraceMeta &m = out.meta;
     std::uint64_t declaredEvents = 0;
     bool sawEvents = false;
-    while (std::getline(is, line)) {
+    while (lines.next(line)) {
         ++lineNo;
         if (line.empty() || line[0] == '#')
             continue;
-        LineReader r(line);
-        std::string key;
+        Tokens r(line);
+        std::string_view key;
         if (!r.next(key))
             continue;
         bool ok = true;
@@ -326,18 +505,24 @@ parseFlitTrace(std::istream &is, FlitTrace &out, std::string &error)
             if (ok)
                 break; // event lines follow
         } else {
-            return fail(error, lineNo, "unknown meta key '" + key + "'");
+            return fail(error, lineNo,
+                        "unknown meta key '" + std::string(key) + "'");
         }
-        if (!ok)
-            return fail(error, lineNo, "malformed '" + key + "' line");
+        if (!ok) {
+            return fail(error, lineNo,
+                        "malformed '" + std::string(key) + "' line");
+        }
     }
 
     if (!sawEvents)
         return fail(error, lineNo, "truncated trace: no 'events' record");
 
-    out.events.reserve(static_cast<std::size_t>(declaredEvents));
+    // The declared count is outside input: reserve no more than the rest
+    // of the text can hold, so a hostile count is a truncation below.
+    out.events.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+        declaredEvents, (lines.remaining() + 1) / kMinEventLine)));
     while (out.events.size() < declaredEvents) {
-        if (!std::getline(is, line)) {
+        if (!lines.next(line)) {
             return fail(error, lineNo + 1,
                         "truncated trace: expected " +
                             std::to_string(declaredEvents) +
@@ -348,18 +533,23 @@ parseFlitTrace(std::istream &is, FlitTrace &out, std::string &error)
         if (line.empty() || line[0] == '#')
             continue;
         TraceEvent e;
-        if (!parseEvent(line, e))
-            return fail(error, lineNo, "malformed event '" + line + "'");
+        if (!parseEvent(line, e)) {
+            return fail(error, lineNo,
+                        "malformed event '" + std::string(line) + "'");
+        }
         out.events.push_back(e);
     }
     return true;
 }
 
 bool
-parseFlitTrace(const std::string &text, FlitTrace &out, std::string &error)
+parseFlitTrace(std::istream &is, FlitTrace &out, std::string &error)
 {
-    std::istringstream is(text);
-    return parseFlitTrace(is, out, error);
+    std::string text;
+    char chunk[1 << 16];
+    while (is.read(chunk, sizeof chunk) || is.gcount() > 0)
+        text.append(chunk, static_cast<std::size_t>(is.gcount()));
+    return parseFlitTrace(std::string_view(text), out, error);
 }
 
 bool

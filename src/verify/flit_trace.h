@@ -16,7 +16,9 @@
 ///   events <count>
 ///   <kind> <cycle> <fields...>
 ///
-/// Event kinds (first token; fields are unsigned decimal integers):
+/// Event kinds (first token; fields are decimal integers: cycle, pkt,
+/// gen, frameTag, head and tail unsigned 64-bit, the rest signed 32-bit,
+/// -1 for "none" on node, port, vc, src and dst):
 ///   J cycle node pkt flow src dst size attempt gen frameTag compliant
 ///   R cycle port vc pkt head tail       VC reserved
 ///   N cycle port vc pkt                 VC started draining
@@ -39,6 +41,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -68,12 +71,19 @@ enum class TraceEventKind : char {
     Segment = 'S',
 };
 
+/// Fields run widest first, so an event packs into 88 bytes with no
+/// interior padding; an audit holds two copies of every event (the
+/// recorded trace and the parsed one).
 struct TraceEvent {
-    TraceEventKind kind = TraceEventKind::Inject;
     Cycle cycle = 0;
     PacketId pkt = 0;
+    Cycle gen = 0;                        ///< J
+    std::uint64_t frameTag = kTraceNoTag; ///< J
+    Cycle head = 0;                       ///< R
+    Cycle tail = 0;                       ///< R
+
     std::int32_t node = -1; ///< J: injecting router; K: killer; H: from
-    std::int32_t port = -1; ///< R/N/F/H/D: input-port id
+    std::int32_t port = -1; ///< R/N/F/H/D/S: input-port id
     std::int32_t vc = -1;
 
     // Inject payload (the packet's identity and attempt state); `dst` is
@@ -83,16 +93,14 @@ struct TraceEvent {
     std::int32_t dst = -1;
     std::int32_t size = 0;
     std::int32_t attempt = 0;
-    Cycle gen = 0;
-    std::uint64_t frameTag = kTraceNoTag;
-    bool compliant = false;
 
-    // VcReserve-only payload.
-    Cycle head = 0;
-    Cycle tail = 0;
+    TraceEventKind kind = TraceEventKind::Inject;
+    bool compliant = false; ///< J
 
     bool operator==(const TraceEvent &) const = default;
 };
+static_assert(sizeof(TraceEvent) == 88,
+              "order TraceEvent's fields widest first");
 
 /// One announced input port (identity table at the head of the trace).
 struct TracePortInfo {
@@ -166,16 +174,20 @@ struct FlitTrace {
     bool operator==(const FlitTrace &) const = default;
 };
 
-/// Serialize to the versioned text format.
-void writeFlitTrace(std::ostream &os, const FlitTrace &trace);
+/// Serialize to the versioned text format. serializeFlitTrace builds
+/// the text in one pre-sized string; writeFlitTrace writes that text.
 std::string serializeFlitTrace(const FlitTrace &trace);
+void writeFlitTrace(std::ostream &os, const FlitTrace &trace);
 
-/// Parse a trace. Returns false (with a line-numbered `error`) on any
-/// malformed, unknown-version, or truncated input — never throws or
-/// crashes on corrupt data.
-bool parseFlitTrace(std::istream &is, FlitTrace &out, std::string &error);
-bool parseFlitTrace(const std::string &text, FlitTrace &out,
+/// Parse a trace in one pass over `text`, which it never copies. Returns
+/// false (with a one-line, line-numbered `error`) on any malformed,
+/// unknown-version or truncated input; never throws or crashes on
+/// corrupt data, and allocates no more than the text can fill, whatever
+/// event count it declares.
+bool parseFlitTrace(std::string_view text, FlitTrace &out,
                     std::string &error);
+/// Read the whole stream, then parse it as above.
+bool parseFlitTrace(std::istream &is, FlitTrace &out, std::string &error);
 
 /// File convenience wrappers.
 bool saveFlitTrace(const std::string &path, const FlitTrace &trace,

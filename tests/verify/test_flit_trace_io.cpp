@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -415,6 +416,38 @@ TEST(FlitTraceParse, MutantVerdictsArePinned)
     EXPECT_EQ(corpus.size(), 3161u);
     EXPECT_EQ(accepted, 872u);
     EXPECT_EQ(verdicts.h, 11799522637282907940ull);
+}
+
+TEST(FlitTraceParse, HugeEventCountIsTruncationNotCrash)
+{
+    // The declared count is outside input: it must neither size an
+    // allocation past what the text can hold nor abort the parse.
+    const std::pair<const char *, const char *> counts[] = {
+        {"100000000", "100000000"},
+        {"1000000000000", "1000000000000"},
+        {"18446744073709551615", "18446744073709551615"},
+        {"-1", "18446744073709551615"},
+    };
+    for (const auto &[declared, printed] : counts) {
+        const std::string text = std::string("taqos-flit-trace 2\n"
+                                             "topology dps\n"
+                                             "mode pvc\n"
+                                             "nodes 8\n"
+                                             "events ") +
+                                 declared + "\nA 5 9\n";
+        const std::string want = std::string("line 7: truncated trace: "
+                                             "expected ") +
+                                 printed + " events, got 1";
+        FlitTrace out;
+        std::string error;
+        EXPECT_FALSE(parseFlitTrace(text, out, error));
+        EXPECT_EQ(error, want);
+        EXPECT_LE(out.events.capacity(), text.size());
+
+        std::istringstream is(text);
+        EXPECT_FALSE(parseFlitTrace(is, out, error));
+        EXPECT_EQ(error, want);
+    }
 }
 
 } // namespace
