@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <istream>
-#include <iterator>
 #include <ostream>
 #include <type_traits>
 
@@ -28,14 +27,25 @@ constexpr std::size_t kMaxEventLine = 1 + 11 * kMaxField + 1;
 /// benchmark audits average 20-22 (a longer trace grows the string).
 constexpr std::size_t kEventBytesHint = 24;
 
-/// Write ' ' and `v` at `p`, which has kMaxField bytes of room; returns
-/// the end of what was written.
-template <typename T>
+/// Write each of `v` after a ' ' at `p`, which has kMaxField bytes of
+/// room per value; returns the end of what was written. A double prints
+/// as ostream's default does: %g with six significant digits.
+template <typename... T>
 char *
-putField(char *p, T v)
+putFields(char *p, T... v)
 {
-    *p++ = ' ';
-    return std::to_chars(p, p + kMaxField - 1, v).ptr;
+    const auto put = [&p](auto x) {
+        *p++ = ' ';
+        if constexpr (std::is_floating_point_v<decltype(x)>) {
+            p = std::to_chars(p, p + kMaxField - 1, x,
+                              std::chars_format::general, 6)
+                    .ptr;
+        } else {
+            p = std::to_chars(p, p + kMaxField - 1, x).ptr;
+        }
+    };
+    (put(v), ...);
+    return p;
 }
 
 void
@@ -44,74 +54,45 @@ appendEvent(std::string &out, const TraceEvent &e)
     char line[kMaxEventLine];
     char *p = line;
     *p++ = static_cast<char>(e.kind);
-    p = putField(p, e.cycle);
+    p = putFields(p, e.cycle);
     switch (e.kind) {
       case TraceEventKind::Inject:
-        p = putField(p, e.node);
-        p = putField(p, e.pkt);
-        p = putField(p, e.flow);
-        p = putField(p, e.src);
-        p = putField(p, e.dst);
-        p = putField(p, e.size);
-        p = putField(p, e.attempt);
-        p = putField(p, e.gen);
-        p = putField(p, e.frameTag);
-        p = putField(p, e.compliant ? 1 : 0);
+        p = putFields(p, e.node, e.pkt, e.flow, e.src, e.dst, e.size,
+                      e.attempt, e.gen, e.frameTag, e.compliant ? 1 : 0);
         break;
       case TraceEventKind::VcReserve:
-        p = putField(p, e.port);
-        p = putField(p, e.vc);
-        p = putField(p, e.pkt);
-        p = putField(p, e.head);
-        p = putField(p, e.tail);
+        p = putFields(p, e.port, e.vc, e.pkt, e.head, e.tail);
         break;
       case TraceEventKind::VcDrain:
       case TraceEventKind::VcFree:
       case TraceEventKind::Deliver:
-        p = putField(p, e.port);
-        p = putField(p, e.vc);
-        p = putField(p, e.pkt);
+        p = putFields(p, e.port, e.vc, e.pkt);
         break;
       case TraceEventKind::Hop:
-        p = putField(p, e.node);
-        p = putField(p, e.port);
-        p = putField(p, e.vc);
-        p = putField(p, e.pkt);
+        p = putFields(p, e.node, e.port, e.vc, e.pkt);
         break;
       case TraceEventKind::Kill:
-        p = putField(p, e.node);
-        p = putField(p, e.pkt);
+        p = putFields(p, e.node, e.pkt);
         break;
       case TraceEventKind::Requeue:
       case TraceEventKind::Retire:
-        p = putField(p, e.pkt);
+        p = putFields(p, e.pkt);
         break;
       case TraceEventKind::Segment:
-        p = putField(p, e.port);
-        p = putField(p, e.vc);
-        p = putField(p, e.pkt);
-        p = putField(p, e.dst);
+        p = putFields(p, e.port, e.vc, e.pkt, e.dst);
         break;
     }
     *p++ = '\n';
     out.append(line, static_cast<std::size_t>(p - line));
 }
 
-/// One "<key> <value>" meta line. A double prints as ostream's default
-/// does: %g with six significant digits.
+/// One "<key> <value>" meta line.
 template <typename T>
 void
 appendMeta(std::string &out, std::string_view key, T v)
 {
-    char value[32];
-    char *p = value;
-    *p++ = ' ';
-    if constexpr (std::is_floating_point_v<T>)
-        p = std::to_chars(p, std::end(value), v, std::chars_format::general,
-                          6)
-                .ptr;
-    else
-        p = std::to_chars(p, std::end(value), v).ptr;
+    char value[kMaxField + 1];
+    char *p = putFields(value, v);
     *p++ = '\n';
     out += key;
     out.append(value, static_cast<std::size_t>(p - value));
@@ -126,61 +107,9 @@ isSpace(char c)
     return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
-/// strtoull's reading of one token: an optional sign, then decimal
-/// digits up to the token's end or a NUL (strtoull sees the token as a C
-/// string). The magnitude must fit 64 bits.
-bool
-readMagnitude(std::string_view tok, bool &neg, std::uint64_t &mag)
-{
-    const char *p = tok.data();
-    const char *const end = p + tok.size();
-    neg = p != end && *p == '-';
-    if (p != end && (*p == '-' || *p == '+'))
-        ++p;
-    const auto [q, ec] = std::from_chars(p, end, mag);
-    return ec == std::errc{} && (q == end || *q == '\0');
-}
-
-/// As strtoull: a '-' negates in the unsigned type.
-bool
-readU64(std::string_view tok, std::uint64_t &out)
-{
-    bool neg = false;
-    std::uint64_t mag = 0;
-    if (!readMagnitude(tok, neg, mag))
-        return false;
-    out = neg ? 0 - mag : mag;
-    return true;
-}
-
-/// As strtoll, then a check that the value fits 32 bits.
-bool
-readI32(std::string_view tok, std::int32_t &out)
-{
-    bool neg = false;
-    std::uint64_t mag = 0;
-    if (!readMagnitude(tok, neg, mag) ||
-        mag > (neg ? 0x80000000u : 0x7fffffffu)) {
-        return false;
-    }
-    out = static_cast<std::int32_t>(neg ? -static_cast<std::int64_t>(mag)
-                                        : static_cast<std::int64_t>(mag));
-    return true;
-}
-
-/// strtod on a terminated copy of the token. Only two meta values are
-/// doubles, so this is the one token the parser copies.
-bool
-readDouble(std::string_view tok, double &out)
-{
-    const std::string s(tok);
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtod(s.c_str(), &end);
-    return errno == 0 && end != s.c_str() && *end == '\0';
-}
-
-/// The whitespace-separated tokens of one line, in order.
+/// The whitespace-separated tokens of one line, read in order. Every
+/// numeric read is checked and consumes its token even when the token
+/// does not parse.
 class Tokens {
   public:
     explicit Tokens(std::string_view line) : rest_(line) {}
@@ -211,21 +140,43 @@ class Tokens {
         return true;
     }
 
-    // Each consumes the next token even when it does not parse.
+    /// As strtoull: a '-' negates in the unsigned type.
     bool nextU64(std::uint64_t &out)
     {
-        std::string_view tok;
-        return next(tok) && readU64(tok, out);
+        bool neg = false;
+        std::uint64_t mag = 0;
+        if (!nextMagnitude(neg, mag))
+            return false;
+        out = neg ? 0 - mag : mag;
+        return true;
     }
+
+    /// As strtoll, then a check that the value fits 32 bits.
     bool nextI32(std::int32_t &out)
     {
-        std::string_view tok;
-        return next(tok) && readI32(tok, out);
+        bool neg = false;
+        std::uint64_t mag = 0;
+        if (!nextMagnitude(neg, mag) ||
+            mag > (neg ? 0x80000000u : 0x7fffffffu)) {
+            return false;
+        }
+        const auto v = static_cast<std::int64_t>(mag);
+        out = static_cast<std::int32_t>(neg ? -v : v);
+        return true;
     }
+
+    /// strtod on a terminated copy of the token. Only two meta values are
+    /// doubles, so this is the one token the parser copies.
     bool nextDouble(double &out)
     {
         std::string_view tok;
-        return next(tok) && readDouble(tok, out);
+        if (!next(tok))
+            return false;
+        const std::string s(tok);
+        errno = 0;
+        char *end = nullptr;
+        out = std::strtod(s.c_str(), &end);
+        return errno == 0 && end != s.c_str() && *end == '\0';
     }
 
     bool atEnd()
@@ -235,35 +186,38 @@ class Tokens {
     }
 
   private:
-    std::string_view rest_;
-};
-
-/// The lines of a text as std::getline returns them: split at '\n', with
-/// no empty line after a final '\n'.
-class Lines {
-  public:
-    explicit Lines(std::string_view text) : rest_(text) {}
-
-    bool next(std::string_view &line)
+    /// strtoull's reading of a token: an optional sign, then decimal
+    /// digits up to the token's end or a NUL (strtoull reads the token as
+    /// a C string). The magnitude must fit 64 bits.
+    bool nextMagnitude(bool &neg, std::uint64_t &mag)
     {
-        if (rest_.empty())
+        std::string_view tok;
+        if (!next(tok))
             return false;
-        const std::size_t nl = rest_.find('\n');
-        if (nl == std::string_view::npos) {
-            line = rest_;
-            rest_ = {};
-        } else {
-            line = rest_.substr(0, nl);
-            rest_.remove_prefix(nl + 1);
-        }
-        return true;
+        const char *p = tok.data();
+        const char *const end = p + tok.size();
+        neg = p != end && *p == '-';
+        if (p != end && (*p == '-' || *p == '+'))
+            ++p;
+        const auto [q, ec] = std::from_chars(p, end, mag);
+        return ec == std::errc{} && (q == end || *q == '\0');
     }
 
-    std::size_t remaining() const { return rest_.size(); }
-
-  private:
     std::string_view rest_;
 };
+
+/// Pop the next line off `rest` as std::getline reads it: split at '\n',
+/// with no empty line after a final '\n'.
+bool
+nextLine(std::string_view &rest, std::string_view &line)
+{
+    if (rest.empty())
+        return false;
+    const std::size_t nl = std::min(rest.find('\n'), rest.size());
+    line = rest.substr(0, nl);
+    rest.remove_prefix(std::min(nl + 1, rest.size()));
+    return true;
+}
 
 /// The shortest event line and its separator ("A 0 0\n"): no text can
 /// hold more events than its length over this (plus one, for a last
@@ -379,7 +333,7 @@ serializeFlitTrace(const FlitTrace &trace)
         out += "weights";
         char w[kMaxField];
         for (std::uint32_t v : m.weights)
-            out.append(w, static_cast<std::size_t>(putField(w, v) - w));
+            out.append(w, static_cast<std::size_t>(putFields(w, v) - w));
         out += '\n';
     }
     appendMeta(out, "max_age", m.maxAge);
@@ -390,9 +344,7 @@ serializeFlitTrace(const FlitTrace &trace)
     appendMeta(out, "drained", m.drained ? 1 : 0);
     for (const TracePortInfo &p : trace.ports) {
         char nums[3 * kMaxField + 1];
-        char *q = putField(nums, p.id);
-        q = putField(q, p.node);
-        q = putField(q, p.terminal ? 1 : 0);
+        char *q = putFields(nums, p.id, p.node, p.terminal ? 1 : 0);
         *q++ = ' ';
         out += "port";
         out.append(nums, static_cast<std::size_t>(q - nums));
@@ -417,11 +369,11 @@ parseFlitTrace(std::string_view text, FlitTrace &out, std::string &error)
 {
     out = FlitTrace{};
     error.clear();
-    Lines lines(text);
+    std::string_view rest = text;
     std::string_view line;
     std::size_t lineNo = 0;
 
-    if (!lines.next(line))
+    if (!nextLine(rest, line))
         return fail(error, 1, "empty trace (missing header)");
     ++lineNo;
     {
@@ -440,7 +392,7 @@ parseFlitTrace(std::string_view text, FlitTrace &out, std::string &error)
     TraceMeta &m = out.meta;
     std::uint64_t declaredEvents = 0;
     bool sawEvents = false;
-    while (lines.next(line)) {
+    while (nextLine(rest, line)) {
         ++lineNo;
         if (line.empty() || line[0] == '#')
             continue;
@@ -520,9 +472,9 @@ parseFlitTrace(std::string_view text, FlitTrace &out, std::string &error)
     // The declared count is outside input: reserve no more than the rest
     // of the text can hold, so a hostile count is a truncation below.
     out.events.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
-        declaredEvents, (lines.remaining() + 1) / kMinEventLine)));
+        declaredEvents, (rest.size() + 1) / kMinEventLine)));
     while (out.events.size() < declaredEvents) {
-        if (!lines.next(line)) {
+        if (!nextLine(rest, line)) {
             return fail(error, lineNo + 1,
                         "truncated trace: expected " +
                             std::to_string(declaredEvents) +
