@@ -56,6 +56,24 @@ describeFabric(const FabricNetwork &net)
     return m;
 }
 
+namespace {
+
+/// Events a recorder reserves room for at its first event: 32 MiB, the
+/// ceiling of glibc's dynamic mmap threshold, so glibc normally gives
+/// the buffer a mapping of its own. Pages are committed only as events
+/// are written, events are never copied to grow the buffer, and every
+/// run touches the same fresh pages, however much memory earlier runs
+/// left in the malloc heap. Grown by doubling from the heap instead,
+/// each 90k-event DPS trace of the audit benchmark took either 0 or
+/// about 4,000 page faults to record, depending on which side of the
+/// heap's trim threshold the process sat, so recording runs went 175k
+/// or 240k cycles/s from one process to the next (4-vCPU Xeon KVM
+/// guest).
+constexpr std::size_t kReservedEvents =
+    (std::size_t{32} << 20) / sizeof(TraceEvent) + 1;
+
+} // namespace
+
 TraceRecorder::TraceRecorder(TraceMeta meta)
 {
     trace_.meta = std::move(meta);
@@ -98,6 +116,14 @@ TraceRecorder::portId(const InputPort &port) const
     return it->second;
 }
 
+void
+TraceRecorder::append(const TraceEvent &e)
+{
+    if (trace_.events.capacity() == 0)
+        trace_.events.reserve(kReservedEvents);
+    trace_.events.push_back(e);
+}
+
 Cycle
 TraceRecorder::bump(Cycle now)
 {
@@ -128,7 +154,7 @@ TraceRecorder::inject(Cycle now, NodeId node, const NetPacket &pkt)
     e.gen = pkt.genCycle;
     e.frameTag = pkt.frameTag;
     e.compliant = pkt.rateCompliant;
-    trace_.events.push_back(e);
+    append(e);
 }
 
 void
@@ -144,7 +170,7 @@ TraceRecorder::vcReserved(const InputPort &port, int vc,
     e.pkt = pkt.id;
     e.head = headArrival;
     e.tail = tailArrival;
-    trace_.events.push_back(e);
+    append(e);
 }
 
 void
@@ -156,7 +182,7 @@ TraceRecorder::vcDrained(const InputPort &port, int vc, const NetPacket &pkt)
     e.port = portId(port);
     e.vc = vc;
     e.pkt = pkt.id;
-    trace_.events.push_back(e);
+    append(e);
 }
 
 void
@@ -168,7 +194,7 @@ TraceRecorder::vcFreed(const InputPort &port, int vc, const NetPacket &pkt)
     e.port = portId(port);
     e.vc = vc;
     e.pkt = pkt.id;
-    trace_.events.push_back(e);
+    append(e);
 }
 
 void
@@ -182,7 +208,7 @@ TraceRecorder::hop(Cycle now, NodeId from, const InputPort &down, int vc,
     e.port = portId(down);
     e.vc = vc;
     e.pkt = pkt.id;
-    trace_.events.push_back(e);
+    append(e);
 }
 
 void
@@ -193,7 +219,7 @@ TraceRecorder::kill(Cycle now, NodeId node, const NetPacket &pkt)
     e.cycle = bump(now);
     e.node = node;
     e.pkt = pkt.id;
-    trace_.events.push_back(e);
+    append(e);
 }
 
 void
@@ -203,7 +229,7 @@ TraceRecorder::requeue(Cycle now, const NetPacket &pkt)
     e.kind = TraceEventKind::Requeue;
     e.cycle = bump(now);
     e.pkt = pkt.id;
-    trace_.events.push_back(e);
+    append(e);
 }
 
 void
@@ -216,7 +242,7 @@ TraceRecorder::deliver(Cycle now, const InputPort &port, int vc,
     e.port = portId(port);
     e.vc = vc;
     e.pkt = pkt.id;
-    trace_.events.push_back(e);
+    append(e);
 }
 
 void
@@ -226,7 +252,7 @@ TraceRecorder::retire(Cycle now, const NetPacket &pkt)
     e.kind = TraceEventKind::Retire;
     e.cycle = bump(now);
     e.pkt = pkt.id;
-    trace_.events.push_back(e);
+    append(e);
 }
 
 void
@@ -240,7 +266,7 @@ TraceRecorder::segment(Cycle now, const InputPort &port, int vc,
     e.vc = vc;
     e.pkt = pkt.id;
     e.dst = newDst;
-    trace_.events.push_back(e);
+    append(e);
 }
 
 } // namespace taqos

@@ -70,6 +70,9 @@ class TraceRecorder final : public TraceSink {
 
   private:
     std::int32_t portId(const InputPort &port) const;
+    /// Add one event; the first reserves the recording buffer, so a
+    /// recorder that never records maps nothing.
+    void append(const TraceEvent &e);
     /// Keep `now_` monotone: explicit-cycle events (a test-driven kill
     /// between engine steps) may outrun the per-step clock.
     Cycle bump(Cycle now);

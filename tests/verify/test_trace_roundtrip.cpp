@@ -1,7 +1,8 @@
 /// Trace format round-trip: record a live run, serialize it, parse it
 /// back, and require the identical event stream — including the
 /// preemption-heavy adversarial workload 1, whose kill/requeue/replay
-/// chains exercise every event kind.
+/// chains exercise every event kind. Also: the recorder writes a run into
+/// one buffer, never moving it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -88,6 +89,31 @@ TEST(TraceRoundTrip, PreemptionHeavyWorkload1IsIdenticalAfterReparse)
     // preemption the engine performed respected the PVC quota.
     const CheckReport report = verifyTrace(parsed);
     EXPECT_TRUE(report.ok()) << report.firstDiagnostic();
+}
+
+/// The recorder reserves nothing until its first event, then writes the
+/// whole run into the buffer that event reserved: events are never
+/// copied to grow it, so recording costs the same in every run.
+TEST(TraceRecorder, RecordsTheRunIntoTheBufferItsFirstEventReserved)
+{
+    ColumnConfig col;
+    col.topology = TopologyKind::Dps;
+    col.canonicalize();
+    TrafficConfig t;
+    t.injectionRate = 0.05;
+    t.genUntil = 4000;
+
+    ColumnSim sim(col, t);
+    TraceRecorder rec(describeColumn(sim.cfg()));
+    sim.attachTraceSink(&rec);
+    EXPECT_EQ(rec.trace().events.capacity(), 0u);
+    while (rec.trace().events.empty())
+        sim.step();
+    const TraceEvent *buffer = rec.trace().events.data();
+
+    ASSERT_NE(sim.runUntilDrained(60000, 4000), kNoCycle);
+    EXPECT_GT(rec.trace().events.size(), 10000u);
+    EXPECT_EQ(rec.trace().events.data(), buffer);
 }
 
 } // namespace
