@@ -96,7 +96,7 @@ BM_BuildColumn(benchmark::State &state)
     const auto kind = static_cast<TopologyKind>(state.range(0));
     for (auto _ : state) {
         ColumnConfig col = paperColumn(kind);
-        benchmark::DoNotOptimize(ColumnNetwork::build(col));
+        benchmark::DoNotOptimize(FabricNetwork::build(columnFabricSpec(col)));
     }
     state.SetLabel(topologyName(kind));
 }

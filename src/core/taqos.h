@@ -5,10 +5,10 @@
 ///  - topo/topology.h      — topology kinds + ColumnConfig (Table 1)
 ///  - topo/network.h       — topology-agnostic network substrate
 ///  - sim/net_sim.h        — the cycle-level simulation engine
-///  - sim/column_sim.h     — the shared-column specialization
+///  - sim/fabric_sim.h     — the one simulator of columns, chips and
+///                           multi-chip fabrics
+///  - sim/column_sim.h     — one shared column (the row-less fabric)
 ///  - sim/chip_sim.h       — whole-chip simulation (rows + QOS column)
-///  - sim/fabric_sim.h     — multi-chip fabrics (ChipSim is the one-chip
-///                           case)
 ///  - traffic/pattern.h    — synthetic traffic configuration
 ///  - traffic/workloads.h  — Table-2 hotspot, adversarial Workloads 1 & 2
 ///  - qos/pvc.h            — Preemptive Virtual Clock parameters
@@ -37,7 +37,6 @@
 #include "sim/column_sim.h"
 #include "sim/fabric_sim.h"
 #include "sim/net_sim.h"
-#include "topo/column_network.h"
 #include "topo/fabric.h"
 #include "topo/geometry.h"
 #include "topo/network.h"

@@ -468,18 +468,6 @@ restoreInjectorQueues(CheckpointReader &r,
 // --- NetSim save ---------------------------------------------------------
 
 void
-NetSim::saveExtra(CheckpointWriter &w) const
-{
-    (void)w;
-}
-
-void
-NetSim::restoreExtra(CheckpointReader &r)
-{
-    (void)r;
-}
-
-void
 NetSim::saveCheckpoint(std::ostream &os) const
 {
     auto &net = const_cast<Network &>(*net_);

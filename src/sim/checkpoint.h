@@ -56,7 +56,9 @@ inline constexpr char kCheckpointMagic[8] = {'T', 'A', 'Q', 'O',
 /// activity-driven flag.
 /// Version 4: a multi-block fabric's routers save flow tables holding
 /// only their own block's flows (see FlowTable), not every flow.
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+/// Version 5: standalone-column runs save the fabric's "extra" record
+/// (ColumnSim became the row-less FabricSim).
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// A checkpoint could not be read: wrong magic/version/salt, topology
 /// mismatch, truncation, or a corrupted record. The message names the

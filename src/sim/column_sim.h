@@ -1,49 +1,38 @@
 /// \file column_sim.h
 /// The cycle-level simulator of one QOS-protected shared column — the
-/// in-house-simulator equivalent the paper's evaluation runs on. A thin
-/// specialization of the NetSim engine (sim/net_sim.h): ColumnNetwork
-/// provides the fabric, TrafficGenerator / TraceReplayer provide the
-/// traffic, and the engine supplies the per-cycle phase loop.
+/// in-house-simulator equivalent the paper's evaluation runs on. A
+/// ColumnSim is the row-less one-chip FabricSim (columnFabricSpec): a
+/// fabric whose grid holds only its shared column, fed directly by the
+/// column's TrafficGenerator or TraceReplayer. The engine, checkpoints
+/// and invariants are all the fabric's.
 #pragma once
 
-#include <memory>
+#include <utility>
 
-#include "sim/net_sim.h"
-#include "topo/column_network.h"
-#include "traffic/generator.h"
-#include "traffic/trace.h"
+#include "sim/fabric_sim.h"
 
 namespace taqos {
 
-class ColumnSim : public NetSim {
+class ColumnSim : public FabricSim {
   public:
     /// Drive the column under a declarative workload: steady (the
     /// default), bursty or ramp generation, or trace replay (the spec's
     /// tracePath is loaded here; a load failure asserts — CLIs validate
     /// paths up front via makeTrafficSource).
     ColumnSim(const ColumnConfig &col, const TrafficConfig &traffic,
-              const WorkloadSpec &workload = {});
+              const WorkloadSpec &workload = {})
+        : FabricSim(columnFabricSpec(col), traffic, workload)
+    {
+    }
     /// Drive the column from a pre-recorded trace instead of a stochastic
     /// generator (bit-identical replays, external workloads).
-    ColumnSim(const ColumnConfig &col, TrafficTrace trace);
-    ~ColumnSim() override;
-
-    ColumnNetwork &network()
+    ColumnSim(const ColumnConfig &col, TrafficTrace trace)
+        : FabricSim(columnFabricSpec(col), std::move(trace))
     {
-        return static_cast<ColumnNetwork &>(*net_);
     }
-    const ColumnNetwork &network() const
-    {
-        return static_cast<const ColumnNetwork &>(*net_);
-    }
-    const ColumnConfig &cfg() const { return network().cfg(); }
-    /// Null when the sim was constructed from a trace.
-    TrafficGenerator *traffic() { return gen_; }
 
-  private:
-    explicit ColumnSim(std::unique_ptr<ColumnNetwork> net);
-
-    TrafficGenerator *gen_ = nullptr; ///< owned by NetSim::source_
+    /// The column as built (flow count filled in).
+    const ColumnConfig &cfg() const { return network().blockCfg(0); }
 };
 
 } // namespace taqos

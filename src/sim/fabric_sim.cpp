@@ -3,6 +3,7 @@
 #include "common/assert.h"
 #include "noc/trace_sink.h"
 #include "sim/checkpoint.h"
+#include "traffic/dynamic.h"
 
 namespace taqos {
 namespace {
@@ -170,13 +171,38 @@ FabricTrafficSource::unpackState(const std::vector<std::uint64_t> &words)
 
 FabricSim::FabricSim(const FabricSpec &spec, const TrafficConfig &traffic,
                      const WorkloadSpec &workload)
-    : NetSim(FabricNetwork::build(spec))
+    : FabricSim(spec)
 {
+    if (network().rowless()) {
+        // The standalone column: its generator (or trace replayer) fills
+        // the entrance queues directly, with no dispatch step.
+        std::string err;
+        auto src = makeTrafficSource(workload, network().blockCfg(0),
+                                     traffic, &err);
+        TAQOS_ASSERT(src != nullptr, "workload '%s' failed: %s",
+                     workload.name().c_str(), err.c_str());
+        setTrafficSource(std::move(src));
+        return;
+    }
     auto src = std::make_unique<FabricTrafficSource>(network(), traffic,
                                                      workload);
     src_ = src.get();
     setTrafficSource(std::move(src));
+}
 
+FabricSim::FabricSim(const FabricSpec &spec, TrafficTrace trace)
+    : FabricSim(spec)
+{
+    TAQOS_ASSERT(network().rowless(),
+                 "trace replay is a column workload; only a row-less "
+                 "fabric has an embedding for it");
+    setTrafficSource(std::make_unique<TraceReplayer>(network().blockCfg(0),
+                                                     std::move(trace)));
+}
+
+FabricSim::FabricSim(const FabricSpec &spec)
+    : NetSim(FabricNetwork::build(spec))
+{
     const FabricSpec &sp = network().spec();
     if (sp.chips > 1) {
         if (sp.links == LinkTopology::PointToPoint) {

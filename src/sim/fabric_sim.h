@@ -1,9 +1,14 @@
 /// \file fabric_sim.h
-/// Whole-chip and kilo-node fabric simulation: the NetSim engine driving
-/// a FabricNetwork (topo/fabric.h) — every shared column of every chip
-/// active, with inter-chip links joining the chips — so the
-/// consolidated-server scenario runs cycle-accurately from one 64-node
-/// chip (ChipSim, the one-chip, one-column fabric) to 1000+ routers.
+/// The one simulator: the NetSim engine driving a FabricNetwork
+/// (topo/fabric.h) — every shared column of every chip active, with
+/// inter-chip links joining the chips — from the paper's lone QOS column
+/// (ColumnSim, the row-less fabric) through one 64-node chip (ChipSim,
+/// the one-chip, one-column fabric) to 1000+ routers.
+///
+/// The traffic source follows the network that was built: a row-less
+/// fabric is fed by the column's own TrafficGenerator or TraceReplayer
+/// straight into its entrance queues; every other fabric by a
+/// FabricTrafficSource, which routes each block's traffic to its origin.
 ///
 /// A packet's journey:
 ///   1. generated into its origin compute node's aggregate source queue
@@ -33,6 +38,7 @@
 #include "sim/net_sim.h"
 #include "topo/fabric.h"
 #include "traffic/generator.h"
+#include "traffic/trace.h"
 
 namespace taqos {
 
@@ -84,8 +90,15 @@ class FabricTrafficSource : public TrafficSource {
 
 class FabricSim : public NetSim {
   public:
+    /// Drive the fabric under a declarative workload. A row-less fabric
+    /// takes every column workload, trace replay included (the spec's
+    /// tracePath is loaded here; a load failure asserts — CLIs validate
+    /// paths up front via makeTrafficSource).
     FabricSim(const FabricSpec &spec, const TrafficConfig &traffic,
               const WorkloadSpec &workload = {});
+    /// Drive a row-less fabric from a pre-recorded trace (bit-identical
+    /// replays, external workloads).
+    FabricSim(const FabricSpec &spec, TrafficTrace trace);
     ~FabricSim() override;
 
     FabricNetwork &network() { return static_cast<FabricNetwork &>(*net_); }
@@ -94,7 +107,13 @@ class FabricSim : public NetSim {
         return static_cast<const FabricNetwork &>(*net_);
     }
     const FabricSpec &spec() const { return network().spec(); }
-    FabricTrafficSource &traffic() { return *src_; }
+    /// The block-dispatching source (not on a row-less fabric).
+    FabricTrafficSource &traffic()
+    {
+        TAQOS_ASSERT(src_ != nullptr,
+                     "a row-less fabric has no fabric traffic source");
+        return *src_;
+    }
 
     /// Packets that crossed a row-to-column boundary handoff so far.
     std::uint64_t handoffs() const { return handoffs_; }
@@ -112,6 +131,10 @@ class FabricSim : public NetSim {
     void restoreExtra(CheckpointReader &r) override;
 
   private:
+    /// Build the network and its inter-chip links; the public
+    /// constructors then install the traffic source.
+    explicit FabricSim(const FabricSpec &spec);
+
     /// One inter-chip channel: a FIFO delay line with serialization
     /// (`nextFree` models the width-limited occupancy).
     struct ChipLink {
@@ -129,7 +152,8 @@ class FabricSim : public NetSim {
     /// Entrance enqueue shared by local handoffs and link arrivals.
     void enterColumn(NetPacket *pkt);
 
-    FabricTrafficSource *src_ = nullptr; ///< owned by NetSim::source_
+    /// Owned by NetSim::source_; null on a row-less fabric.
+    FabricTrafficSource *src_ = nullptr;
     /// Point-to-point: links_[src * chips + dst] (diagonal unused).
     /// Ring: links_[c] is chip c's channel to (c + 1) % chips.
     std::vector<ChipLink> links_;

@@ -1,8 +1,10 @@
 /// \file net_sim.h
 /// The topology-agnostic cycle-level simulation engine. Drives any
-/// Network (topo/network.h) from any TrafficSource (traffic/source.h);
-/// ColumnSim (one QOS column) and FabricSim (whole chips and multi-chip
-/// fabrics, with ChipSim as its one-chip case) are thin specializations.
+/// Network (topo/network.h) from any TrafficSource (traffic/source.h).
+/// Its one concrete simulator is FabricSim (sim/fabric_sim.h), which
+/// adds the rows, handoffs and inter-chip links; ColumnSim (the
+/// row-less fabric) and ChipSim (the one-chip fabric) are FabricSim
+/// constructors.
 ///
 /// Per-cycle phase order (dependences are cut by explicit delays, so the
 /// order within a cycle only has to be internally consistent):
@@ -124,11 +126,11 @@ class NetSim {
     void setTrafficSource(std::unique_ptr<TrafficSource> source);
 
     /// Subclass state riding in the checkpoint's "extra" section (the
-    /// fabric's row source queues and link queues). Overrides must write and
-    /// read exactly matching records; restoreExtra reports corruption by
-    /// calling CheckpointReader::fail.
-    virtual void saveExtra(CheckpointWriter &w) const;
-    virtual void restoreExtra(CheckpointReader &r);
+    /// fabric's row source queues and link queues). Implementations must
+    /// write and read exactly matching records; restoreExtra reports
+    /// corruption by calling CheckpointReader::fail.
+    virtual void saveExtra(CheckpointWriter &w) const = 0;
+    virtual void restoreExtra(CheckpointReader &r) = 0;
 
     void processFrameBoundary();
     void processAcks();

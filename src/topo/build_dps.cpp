@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "topo/column_network.h"
+#include "topo/column_wiring.h"
 
 namespace taqos {
 

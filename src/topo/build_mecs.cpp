@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "topo/column_network.h"
+#include "topo/column_wiring.h"
 
 namespace taqos {
 

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "noc/packet.h"
-#include "topo/column_network.h"
+#include "topo/column_wiring.h"
 
 namespace taqos {
 

@@ -1,4 +1,4 @@
-#include "topo/column_network.h"
+#include "topo/column_wiring.h"
 
 #include "common/assert.h"
 
@@ -11,10 +11,9 @@ wireColumnInjection(const ColumnWiring &w)
     const int n = cfg.numNodes;
     const int depth = pipelineDepth(cfg.topology);
 
-    const std::size_t needed =
-        static_cast<std::size_t>(w.flowBase + cfg.numFlows());
-    if (w.net.injectors().size() < needed)
-        w.net.injectors().resize(needed);
+    TAQOS_ASSERT(w.net.injectors().size() >=
+                     static_cast<std::size_t>(w.flowBase + cfg.numFlows()),
+                 "injector store not sized for the block's flows");
 
     for (int i = 0; i < n; ++i) {
         Router *r = w.addRouter(i);
@@ -78,51 +77,6 @@ wireColumnTopology(const ColumnWiring &w)
         buildFlatButterflyColumn(w);
         break;
     }
-}
-
-void
-wireColumnBlock(const ColumnWiring &w)
-{
-    wireColumnInjection(w);
-    wireColumnTopology(w);
-}
-
-ColumnNetwork::ColumnNetwork(ColumnConfig cfg)
-    : Network(cfg.mode, cfg.pvc), cfg_(std::move(cfg))
-{
-}
-
-ColumnWiring
-ColumnNetwork::identityWiring() const
-{
-    auto &self = const_cast<ColumnNetwork &>(*this);
-    return ColumnWiring{self,   cfg_,          0, 0, "",
-                        mode(), reservedIdx(), unbounded()};
-}
-
-void
-ColumnNetwork::initCommon()
-{
-    wireColumnInjection(identityWiring());
-}
-
-void
-ColumnNetwork::wireColumn()
-{
-    wireColumnBlock(identityWiring());
-}
-
-std::unique_ptr<ColumnNetwork>
-ColumnNetwork::build(ColumnConfig cfg)
-{
-    cfg.canonicalize();
-    TAQOS_ASSERT(cfg.numNodes >= 2, "column needs at least two nodes");
-    TAQOS_ASSERT(cfg.injectorsPerNode >= 1, "need at least one injector");
-
-    std::unique_ptr<ColumnNetwork> net(new ColumnNetwork(std::move(cfg)));
-    net->wireColumn();
-    net->finalizeRouters();
-    return net;
 }
 
 } // namespace taqos

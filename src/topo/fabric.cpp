@@ -1,7 +1,8 @@
 /// \file fabric.cpp
 /// FabricSpec finalization: geometry, per-block column wiring (via the
 /// shared ColumnWiring machinery), the per-catchment row meshes with
-/// their boundary handoffs, and the id-space bookkeeping. The inter-chip
+/// their boundary handoffs, and the id-space bookkeeping. A row-less
+/// fabric (the standalone column) gets only its block. The inter-chip
 /// links themselves are cycle behavior and live in sim/fabric_sim.cpp.
 #include "topo/fabric.h"
 
@@ -48,6 +49,18 @@ ChipNetConfig::fabricSpec() const
     return spec;
 }
 
+FabricSpec
+columnFabricSpec(const ColumnConfig &col)
+{
+    FabricSpec spec;
+    spec.chip.tilesX = 1;
+    spec.chip.tilesY = col.numNodes;
+    spec.chip.concentration = 1;
+    spec.chip.sharedColumns = {0};
+    spec.column = col;
+    return spec;
+}
+
 std::vector<std::vector<int>>
 fabricCatchments(const ChipConfig &chip)
 {
@@ -69,11 +82,15 @@ namespace {
 constexpr int kRowVcs = 4;
 
 /// Slot count per block node for `spec` (terminal + largest catchment +
-/// one remote slot per other chip), recomputed independently of the
-/// network so the Network base class can be constructed first.
+/// one remote slot per other chip; a row-less fabric keeps the column's
+/// own injector count), computed before the network exists so the
+/// Network base class can be constructed first.
 int
 fabricSlots(const FabricSpec &spec)
 {
+    const int columns = static_cast<int>(spec.chip.sharedColumns.size());
+    if (spec.chip.nodesX() == columns)
+        return spec.column.injectorsPerNode;
     int maxCatchment = 0;
     for (const auto &cat : fabricCatchments(spec.chip))
         maxCatchment = std::max(maxCatchment, static_cast<int>(cat.size()));
@@ -125,25 +142,28 @@ FabricNetwork::FabricNetwork(FabricSpec spec)
         maxCatchment_ =
             std::max(maxCatchment_, static_cast<int>(cat.size()));
     }
-    slotsPerNode_ = 1 + maxCatchment_ + remoteSlots();
+    slotsPerNode_ = fabricSlots(spec_);
 
     // Per-block column configurations: the spec's template with the
     // block's own QoS mode and the crossbar grouping implied by its
-    // catchment split (slots west of the column share one port).
+    // catchment split (slots west of the column share one port). A
+    // row-less fabric's block keeps the template's injectors and split.
     blockCfgs_.reserve(static_cast<std::size_t>(blocks()));
     for (int g = 0; g < blocks(); ++g) {
         const int j = g % B;
         ColumnConfig cfg = spec_.column;
         cfg.numNodes = gridHeight();
-        cfg.injectorsPerNode = slotsPerNode_;
         cfg.mode = blockMode(g);
         cfg.pvc = pvcParams();
-        int east = 0;
-        for (int x : catchment(j)) {
-            if (x < chip.sharedColumns[static_cast<std::size_t>(j)])
-                ++east;
+        if (!rowless()) {
+            int east = 0;
+            for (int x : catchment(j)) {
+                if (x < chip.sharedColumns[static_cast<std::size_t>(j)])
+                    ++east;
+            }
+            cfg.injectorsPerNode = slotsPerNode_;
+            cfg.eastRowInjectors = east;
         }
-        cfg.eastRowInjectors = east;
         blockCfgs_.push_back(std::move(cfg));
     }
 }
@@ -202,9 +222,14 @@ FabricNetwork::build(FabricSpec spec)
         TAQOS_ASSERT(i == 0 || col > spec.chip.sharedColumns[i - 1],
                      "duplicate shared column %d", col);
     }
-    TAQOS_ASSERT(spec.chip.nodesX() >
-                     static_cast<int>(spec.chip.sharedColumns.size()),
-                 "fabric needs at least one compute column");
+    if (spec.chip.nodesX() ==
+        static_cast<int>(spec.chip.sharedColumns.size())) {
+        TAQOS_ASSERT(spec.chips == 1 && spec.chip.nodesX() == 1,
+                     "a fabric without compute columns must be one "
+                     "chip's one shared column");
+        TAQOS_ASSERT(spec.column.injectorsPerNode >= 1,
+                     "need at least one injector");
+    }
     TAQOS_ASSERT(spec.chip.nodesY() >= 2,
                  "columns need at least two nodes");
     spec.column.numNodes = spec.chip.nodesY();
@@ -245,7 +270,8 @@ buildFabric(FabricNetwork &net)
     // Pre-size the flow-indexed stores before any block takes pointers
     // into them (ports keep InjectorQueue pointers; growth would dangle).
     net.injectors().resize(static_cast<std::size_t>(net.totalFlows()));
-    net.rowQueues_.resize(static_cast<std::size_t>(net.totalFlows()));
+    if (!net.rowless())
+        net.rowQueues_.resize(static_cast<std::size_t>(net.totalFlows()));
 
     // Port names carry the chip and block only when the fabric has more
     // than one, so a one-chip, one-column fabric keeps the standalone

@@ -1,7 +1,11 @@
 /// \file fabric.h
-/// Whole-chip and multi-chip fabrics, declared by a FabricSpec and
-/// finalized into a Network by FabricNetwork::build. The single-chip
-/// scenario (ChipNetConfig) is the one-chip, one-block fabric.
+/// Columns, whole chips and multi-chip fabrics, declared by a FabricSpec
+/// and finalized into a Network by FabricNetwork::build. The single-chip
+/// scenario (ChipNetConfig::fabricSpec) is the one-chip, one-block
+/// fabric; the standalone column (columnFabricSpec) is the *row-less*
+/// fabric: one chip whose grid holds only its shared column, so it has
+/// no compute nodes, row meshes, handoffs or links, and its one block
+/// keeps the column's own injector count and east/west crossbar split.
 ///
 /// A fabric is the consolidated-server machine around the paper's QOS
 /// column:
@@ -47,7 +51,7 @@
 
 #include "chip/geometry.h"
 #include "common/assert.h"
-#include "topo/column_network.h"
+#include "topo/column_wiring.h"
 
 namespace taqos {
 
@@ -133,6 +137,12 @@ struct ChipNetConfig {
     FabricSpec fabricSpec() const;
 };
 
+/// The standalone column as a fabric: one chip, one grid column (the
+/// shared column, `col.numNodes` tall) and no compute columns. Its block
+/// is wired exactly as the column alone: node ids 0..numNodes-1, flow
+/// ids node * injectorsPerNode + injector, unprefixed port names.
+FabricSpec columnFabricSpec(const ColumnConfig &col);
+
 class FabricNetwork : public Network {
   public:
     static std::unique_ptr<FabricNetwork> build(FabricSpec spec);
@@ -149,7 +159,10 @@ class FabricNetwork : public Network {
     {
         return spec_.chip.nodesX() - blocksPerChip();
     }
-    /// Injector slots per block node: terminal + catchment + remote.
+    /// True for the standalone column: no compute nodes, so no rows.
+    bool rowless() const { return computePerRow() == 0; }
+    /// Injector slots per block node: terminal + catchment + remote, or
+    /// the column's own injector count when the fabric is row-less.
     int slotsPerNode() const { return slotsPerNode_; }
     int remoteSlots() const { return spec_.chips > 1 ? spec_.chips - 1 : 0; }
     int flowsPerBlock() const { return gridHeight() * slotsPerNode_; }
@@ -226,7 +239,7 @@ class FabricNetwork : public Network {
     InjectorQueue &sourceQueue(FlowId f);
 
     /// All compute-node origin queues, indexed by flow (terminal and
-    /// inactive-slot entries unused).
+    /// inactive-slot entries unused; empty when the fabric is row-less).
     std::vector<InjectorQueue> &rowQueues() { return rowQueues_; }
 
   private:

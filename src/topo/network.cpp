@@ -1,7 +1,5 @@
 #include "topo/network.h"
 
-#include <cstdlib>
-
 #include "common/assert.h"
 #include "noc/trace_sink.h"
 
@@ -13,12 +11,6 @@ Network::Network(QosMode mode, PvcParams pvc)
 }
 
 Network::~Network() = default;
-
-int
-Network::ackDistance(NodeId src, NodeId dst) const
-{
-    return std::abs(dst - src);
-}
 
 int
 Network::reservedIdx() const

@@ -4,13 +4,13 @@
 /// builder helpers the topology wiring code shares.
 ///
 /// A Network owns no cycle semantics — that is the NetSim engine
-/// (sim/net_sim.h). Concrete fabrics subclass it: ColumnNetwork wires the
-/// paper's QOS-protected shared column (topo/column_network.h), and
-/// FabricNetwork wires whole chips — every shared column plus the
-/// unprotected row meshes feeding it — and the links between chips
-/// (topo/fabric.h).
+/// (sim/net_sim.h). Its one concrete subclass, FabricNetwork
+/// (topo/fabric.h), wires the paper's QOS-protected shared columns
+/// (topo/column_wiring.h), the unprotected row meshes feeding them and
+/// the links between chips; the standalone column is its row-less case.
 #pragma once
 
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -76,7 +76,10 @@ class Network {
 
     /// ACK-network hop distance between two node ids (the modelled
     /// ACK/NACK return delay is proportional to it).
-    virtual int ackDistance(NodeId src, NodeId dst) const;
+    int ackDistance(NodeId src, NodeId dst) const
+    {
+        return std::abs(dst - src);
+    }
 
     /// Buffers not owned by any router beyond the per-node terminals
     /// (e.g. the chip's row-to-column handoff buffers, registered by the

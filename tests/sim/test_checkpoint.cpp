@@ -363,8 +363,9 @@ TEST_F(CheckpointRejects, TruncatedHeader)
 
 TEST_F(CheckpointRejects, UnknownFormatVersion)
 {
-    // 3 is the format before block-windowed flow tables.
-    for (const char version : {char{99}, char{3}}) {
+    // 4 is the format before standalone columns saved the fabric's
+    // extra record.
+    for (const char version : {char{99}, char{4}}) {
         std::string s = bytes_;
         s[8] = version; // first byte of the little-endian version word
         expectReject(s, "format version " + std::to_string(version));

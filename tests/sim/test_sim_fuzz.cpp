@@ -20,7 +20,7 @@ namespace {
 
 /// Collect every packet currently holding a VC anywhere in the column.
 std::vector<NetPacket *>
-inFlightPackets(ColumnNetwork &net)
+inFlightPackets(Network &net)
 {
     std::vector<NetPacket *> pkts;
     const auto scan = [&pkts](InputPort &port) {

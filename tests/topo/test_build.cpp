@@ -8,19 +8,19 @@
 #include <set>
 #include <string>
 
-#include "topo/column_network.h"
+#include "topo/fabric.h"
 
 namespace taqos {
 namespace {
 
 class BuildTest : public ::testing::TestWithParam<TopologyKind> {
   protected:
-    std::unique_ptr<ColumnNetwork> build(QosMode mode = QosMode::Pvc)
+    std::unique_ptr<FabricNetwork> build(QosMode mode = QosMode::Pvc)
     {
         ColumnConfig col;
         col.topology = GetParam();
         col.mode = mode;
-        return ColumnNetwork::build(col);
+        return FabricNetwork::build(columnFabricSpec(col));
     }
 };
 
@@ -150,7 +150,7 @@ TEST(BuildMesh, ParallelChannelsShareDirectionTable)
 {
     ColumnConfig col;
     col.topology = TopologyKind::MeshX4;
-    auto net = ColumnNetwork::build(col);
+    auto net = FabricNetwork::build(columnFabricSpec(col));
     Router *r = net->router(3); // interior node: north + south + term
     std::vector<int> tables;
     for (const auto &out : r->outputs())
@@ -168,7 +168,7 @@ TEST(BuildMesh, ParallelSpreadUsesAllChannels)
 {
     ColumnConfig col;
     col.topology = TopologyKind::MeshX4;
-    auto net = ColumnNetwork::build(col);
+    auto net = FabricNetwork::build(columnFabricSpec(col));
     NetPacket pkt;
     pkt.dst = 0;
     std::set<int> ports;
@@ -188,22 +188,22 @@ TEST(BuildMesh, ColumnTallerThanTheChargeLogIsRejected)
     col.topology = TopologyKind::MeshX1;
     col.mode = QosMode::Pvc;
     col.numNodes = NetPacket::kMaxCharges + 1;
-    EXPECT_DEATH(ColumnNetwork::build(col),
+    EXPECT_DEATH(FabricNetwork::build(columnFabricSpec(col)),
                  "mesh_x1 column of 13 rows under pvc.*charge log holds 12");
 
     // Policies without flow tables log no charges; 12 rows fit the log.
     col.mode = QosMode::NoQos;
-    EXPECT_NE(ColumnNetwork::build(col), nullptr);
+    EXPECT_NE(FabricNetwork::build(columnFabricSpec(col)), nullptr);
     col.mode = QosMode::Pvc;
     col.numNodes = NetPacket::kMaxCharges;
-    EXPECT_NE(ColumnNetwork::build(col), nullptr);
+    EXPECT_NE(FabricNetwork::build(columnFabricSpec(col)), nullptr);
 }
 
 TEST(BuildMecs, SingleNetworkHopToEveryDestination)
 {
     ColumnConfig col;
     col.topology = TopologyKind::Mecs;
-    auto net = ColumnNetwork::build(col);
+    auto net = FabricNetwork::build(columnFabricSpec(col));
     NetPacket pkt;
     for (NodeId n = 0; n < 8; ++n) {
         for (NodeId d = 0; d < 8; ++d) {
@@ -229,7 +229,7 @@ TEST(BuildMecs, SameDirectionInputsShareXbarPort)
 {
     ColumnConfig col;
     col.topology = TopologyKind::Mecs;
-    auto net = ColumnNetwork::build(col);
+    auto net = FabricNetwork::build(columnFabricSpec(col));
     Router *r = net->router(4);
     std::map<XbarGroup *, int> groupSizes;
     for (const auto &in : r->inputs()) {
@@ -251,7 +251,7 @@ TEST(BuildDps, IntermediateHopsArePassThrough)
 {
     ColumnConfig col;
     col.topology = TopologyKind::Dps;
-    auto net = ColumnNetwork::build(col);
+    auto net = FabricNetwork::build(columnFabricSpec(col));
     // Node 3 lies on the chains of subnets 0,1,2 (from the south side)
     // and 4,5,6,7 (from the north side): 7 pass-through ports.
     int passPorts = 0;
@@ -274,7 +274,7 @@ TEST(BuildDps, SubnetChainReachesDestination)
 {
     ColumnConfig col;
     col.topology = TopologyKind::Dps;
-    auto net = ColumnNetwork::build(col);
+    auto net = FabricNetwork::build(columnFabricSpec(col));
     // Follow subnet 0 from node 7: each hop must step one node closer.
     NetPacket pkt;
     pkt.dst = 0;
@@ -298,7 +298,7 @@ TEST(BuildDps, PerSubnetFlowTables)
 {
     ColumnConfig col;
     col.topology = TopologyKind::Dps;
-    auto net = ColumnNetwork::build(col);
+    auto net = FabricNetwork::build(columnFabricSpec(col));
     std::set<int> tables;
     for (const auto &out : net->router(3)->outputs())
         tables.insert(out->tableIdx);
@@ -313,7 +313,7 @@ TEST(Build, SmallColumns)
         ColumnConfig col;
         col.topology = kind;
         col.numNodes = 2;
-        auto net = ColumnNetwork::build(col);
+        auto net = FabricNetwork::build(columnFabricSpec(col));
         NetPacket pkt;
         pkt.dst = 1;
         EXPECT_GE(net->router(0)->routeFor(pkt).outPort, 0);

@@ -26,7 +26,7 @@ TEST(FlatButterfly, ParseAndName)
 
 TEST(FlatButterfly, DedicatedChannelPerPair)
 {
-    auto net = ColumnNetwork::build(fbColumn());
+    auto net = FabricNetwork::build(columnFabricSpec(fbColumn()));
     NetPacket pkt;
     for (NodeId n = 0; n < 8; ++n) {
         // 7 network outputs + terminal.
@@ -48,7 +48,7 @@ TEST(FlatButterfly, DedicatedChannelPerPair)
 
 TEST(FlatButterfly, EveryInputHasOwnXbarPort)
 {
-    auto net = ColumnNetwork::build(fbColumn());
+    auto net = FabricNetwork::build(columnFabricSpec(fbColumn()));
     std::set<XbarGroup *> groups;
     int netPorts = 0;
     for (const auto &in : net->router(4)->inputs()) {
