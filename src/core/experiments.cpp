@@ -407,7 +407,9 @@ runFabricConsolidation(const FabricConsolidationConfig &cfg)
                                     static_cast<int>(i),
                                 c, cat[i], y, cfg.ratePerNode);
                 }
-                for (int r = 0; r + 1 < cfg.chips; ++r) {
+                // A column without a catchment has no node to
+                // originate remote traffic (FabricNetwork::slotUsable).
+                for (int r = 0; r + 1 < cfg.chips && !cat.empty(); ++r) {
                     programFlow(g * fpb + y * slots + 1 + maxCat + r,
                                 (c + 1 + r) % cfg.chips, cat.front(), y,
                                 cfg.remoteShare * cfg.ratePerNode);

@@ -194,7 +194,9 @@ FabricNetwork::slotUsable(int j, int k) const
         return k - 1 <
                static_cast<int>(catchment(j).size());
     }
-    return k < slotsPerNode_;
+    // Remote traffic starts at the westernmost catchment node: a block
+    // with no catchment has no node to originate it.
+    return k < slotsPerNode_ && !catchment(j).empty();
 }
 
 InjectorQueue &

@@ -230,7 +230,8 @@ class FabricNetwork : public Network {
         return (c + 1 + (k - 1 - maxCatchment_)) % spec_.chips;
     }
     /// True when slot `k` of local block `j` carries traffic (terminal,
-    /// a real catchment entry, or a remote slot).
+    /// a real catchment entry, or a remote slot of a block that has a
+    /// catchment).
     bool slotUsable(int j, int k) const;
 
     /// Origin queue of flow `f`: the owning compute node's aggregate
