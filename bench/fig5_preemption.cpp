@@ -26,7 +26,7 @@ main(int argc, char **argv)
                       "Figure 5(a) Workload 1, Figure 5(b) Workload 2 "
                       "(Sec. 5.3)");
 
-    Cycle gen = static_cast<Cycle>(opts.getInt("gencycles", 100000));
+    Cycle gen = opts.getCycles("gencycles", 100000);
     if (opts.getBool("fast", false))
         gen = 30000;
 

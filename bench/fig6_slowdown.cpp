@@ -25,7 +25,7 @@ main(int argc, char **argv)
         "Preemption impact: slowdown and deviation from max-min fairness",
         "Figure 6(a) Workload 1, Figure 6(b) Workload 2 (Sec. 5.3)");
 
-    Cycle gen = static_cast<Cycle>(opts.getInt("gencycles", 100000));
+    Cycle gen = opts.getCycles("gencycles", 100000);
     if (opts.getBool("fast", false))
         gen = 30000;
 

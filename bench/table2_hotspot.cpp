@@ -27,7 +27,7 @@ main(int argc, char **argv)
         "Relative throughput of flows on the hotspot workload (flits)",
         "Table 2 (Sec. 5.3)");
 
-    Cycle measure = static_cast<Cycle>(opts.getInt("cycles", 280000));
+    Cycle measure = opts.getCycles("cycles", 280000);
     if (opts.getBool("fast", false))
         measure = 60000;
     if (measure == 0)

@@ -22,6 +22,9 @@
 ///   seed=S warmup=C measure=C drain=C
 ///   fast=1               short phases for smokes
 ///
+/// Any other key, or a value that does not parse as its option's type,
+/// fails before work starts.
+///
 /// Examples:
 ///   fabric_cli fast=1
 ///   fabric_cli chips=2 tiles=16 columns=4 links=ring verify=1
@@ -39,6 +42,11 @@ int
 main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
+    opts.rejectUnknown({"chips", "tiles", "columns", "topo", "mode",
+                        "links", "rate", "remote", "workload", "trace",
+                        "inflate", "window", "loop", "burst", "churn",
+                        "verify", "seed", "warmup", "measure", "drain",
+                        "fast"});
 
     FabricConsolidationConfig cfg;
     cfg.chips = static_cast<int>(opts.getInt("chips", 4));
@@ -71,18 +79,9 @@ main(int argc, char **argv)
     cfg.audit = opts.getBool("verify", false);
     cfg.phases = opts.getBool("fast", false) ? RunPhases{500, 2000, 1000}
                                              : RunPhases{2000, 8000, 4000};
-    cfg.phases.warmup =
-        static_cast<Cycle>(opts.getInt("warmup",
-                                       static_cast<std::int64_t>(
-                                           cfg.phases.warmup)));
-    cfg.phases.measure =
-        static_cast<Cycle>(opts.getInt("measure",
-                                       static_cast<std::int64_t>(
-                                           cfg.phases.measure)));
-    cfg.phases.drain =
-        static_cast<Cycle>(opts.getInt("drain",
-                                       static_cast<std::int64_t>(
-                                           cfg.phases.drain)));
+    cfg.phases.warmup = opts.getCycles("warmup", cfg.phases.warmup);
+    cfg.phases.measure = opts.getCycles("measure", cfg.phases.measure);
+    cfg.phases.drain = opts.getCycles("drain", cfg.phases.drain);
 
     std::printf("=== fabric: %d chip(s) x %dx%d tiles, %zu shared "
                 "column(s), %s links, %s/%s ===\n",

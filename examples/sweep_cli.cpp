@@ -31,7 +31,9 @@
 ///                        cold sweep (invalidated by the engine salt)
 ///   name=label
 ///
-/// Any other key fails with "unknown option '<key>'" before work starts.
+/// Any other key fails with "unknown option '<key>'", and a value that
+/// does not parse as its option's type with "bad option '<key>=<value>'",
+/// before work starts.
 ///
 /// Examples:
 ///   sweep_cli rates=0.01:0.12:0.01 patterns=uniform,tornado out=fig4.json
@@ -85,19 +87,12 @@ main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
     // Every key read below (the usage header's order).
-    static const char *const kKeys[] = {
-        "preset", "scenario", "topos", "patterns", "modes", "rates",
-        "workloads", "placements", "workload", "trace", "inflate",
-        "window", "loop", "burst", "churn", "reps", "seed", "mix",
-        "warmup", "measure", "drain", "gencycles", "threads", "out",
-        "cache", "name"};
-    for (const auto &kv : opts.raw()) {
-        if (std::find(std::begin(kKeys), std::end(kKeys), kv.first) ==
-            std::end(kKeys)) {
-            unknownValue("option", kv.first,
-                         joinNames(kKeys, [](const char *k) { return k; }));
-        }
-    }
+    opts.rejectUnknown({"preset", "scenario", "topos", "patterns", "modes",
+                        "rates", "workloads", "placements", "workload",
+                        "trace", "inflate", "window", "loop", "burst",
+                        "churn", "reps", "seed", "mix", "warmup", "measure",
+                        "drain", "gencycles", "threads", "out", "cache",
+                        "name"});
 
     SweepSpec spec;
     const std::string preset = opts.get("preset", "");
@@ -152,20 +147,14 @@ main(int argc, char **argv)
         spec.mixSeeds = opts.getBool("mix", true);
     // Presets carry the figure's paper-scale phase/horizon defaults;
     // explicit options still override them.
-    if (preset.empty() || opts.has("warmup")) {
-        spec.phases.warmup =
-            static_cast<Cycle>(opts.getInt("warmup", 20000));
-    }
-    if (preset.empty() || opts.has("measure")) {
-        spec.phases.measure =
-            static_cast<Cycle>(opts.getInt("measure", 50000));
-    }
+    if (preset.empty() || opts.has("warmup"))
+        spec.phases.warmup = opts.getCycles("warmup", 20000);
+    if (preset.empty() || opts.has("measure"))
+        spec.phases.measure = opts.getCycles("measure", 50000);
     if (preset.empty() || opts.has("drain"))
-        spec.phases.drain = static_cast<Cycle>(opts.getInt("drain", 30000));
-    if (preset.empty() || opts.has("gencycles")) {
-        spec.genCycles =
-            static_cast<Cycle>(opts.getInt("gencycles", 100000));
-    }
+        spec.phases.drain = opts.getCycles("drain", 30000);
+    if (preset.empty() || opts.has("gencycles"))
+        spec.genCycles = opts.getCycles("gencycles", 100000);
 
     const int threads = static_cast<int>(opts.getInt("threads", 0));
     const SweepRunner runner(threads);

@@ -30,7 +30,7 @@ main(int argc, char **argv)
     ColumnConfig col;
     col.topology = *kind;
     col.mode = *mode;
-    col.pvc.frameLen = static_cast<Cycle>(opts.getInt("frame", 50000));
+    col.pvc.frameLen = opts.getCycles("frame", 50000);
     col.pvc.windowLimit = static_cast<int>(opts.getInt("window", 16));
 
     TrafficConfig traffic;
@@ -38,7 +38,7 @@ main(int argc, char **argv)
     traffic.injectionRate = opts.getDouble("rate", 0.05);
     traffic.seed = static_cast<std::uint64_t>(opts.getInt("seed", 0x7a05c0de));
 
-    const Cycle measure = static_cast<Cycle>(opts.getInt("cycles", 50000));
+    const Cycle measure = opts.getCycles("cycles", 50000);
     const Cycle warmup = measure / 5;
 
     ColumnSim sim(col, traffic);

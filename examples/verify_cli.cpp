@@ -94,6 +94,13 @@ parseRunOptions(const std::vector<std::string> &args)
             badOption(arg);
         const std::string key = arg.substr(0, eq);
         const std::string val = arg.substr(eq + 1);
+        // Numbers parse strictly: "rate=0.05x" or "seed=abc" is a bad
+        // option, not a different run.
+        const auto parse = [&arg, &val](auto parseTok, auto &out) {
+            if (!parseTok(val, out))
+                badOption(arg);
+        };
+        std::int64_t count = 0;
         if (key == "topo") {
             const auto t = parseTopology(val);
             if (!t.has_value())
@@ -110,7 +117,7 @@ parseRunOptions(const std::vector<std::string> &args)
                 badOption(arg);
             run.traffic.pattern = *p;
         } else if (key == "rate") {
-            run.traffic.injectionRate = std::atof(val.c_str());
+            parse(parseDoubleTok, run.traffic.injectionRate);
         } else if (key == "workload") {
             std::string err;
             const auto w = WorkloadSpec::parse(val, &err);
@@ -127,23 +134,25 @@ parseRunOptions(const std::vector<std::string> &args)
             }
             run.workload = *w;
         } else if (key == "seed") {
-            run.traffic.seed = std::strtoull(val.c_str(), nullptr, 10);
+            parse(parseU64Tok, run.traffic.seed);
         } else if (key == "warmup") {
-            run.phases.warmup = std::strtoull(val.c_str(), nullptr, 10);
+            parse(parseU64Tok, run.phases.warmup);
         } else if (key == "measure") {
-            run.phases.measure = std::strtoull(val.c_str(), nullptr, 10);
+            parse(parseU64Tok, run.phases.measure);
         } else if (key == "drain") {
-            run.phases.drain = std::strtoull(val.c_str(), nullptr, 10);
+            parse(parseU64Tok, run.phases.drain);
         } else if (key == "legacy") {
-            run.legacy = std::atoi(val.c_str()) != 0;
+            parse(parseBoolTok, run.legacy);
         } else if (key == "out") {
             run.out = val;
         } else if (key == "fabric") {
-            run.fabric = std::atoi(val.c_str()) != 0;
+            parse(parseBoolTok, run.fabric);
         } else if (key == "chips") {
-            run.chips = std::atoi(val.c_str());
+            parse(parseI64Tok, count);
+            run.chips = static_cast<int>(count);
         } else if (key == "tiles") {
-            run.tiles = std::atoi(val.c_str());
+            parse(parseI64Tok, count);
+            run.tiles = static_cast<int>(count);
         } else if (key == "columns") {
             run.columns = parseIntList(val);
         } else if (key == "links") {

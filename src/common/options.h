@@ -1,10 +1,12 @@
 /// \file options.h
 /// Typed command-line option parsing shared by the example and bench
 /// binaries. Every CLI validates its options up front through these
-/// helpers and fails with one canonical message per error shape:
+/// helpers and OptionMap's getters, and fails with one canonical message
+/// per error shape:
 ///
 ///   bad rates '<s>': want a,b,c or lo:hi:step (step > 0)
 ///   bad integer list '<s>': want a,b,c
+///   bad option '<key>=<value>': want <what>
 ///   unknown <what> '<token>'[; valid: <names>]
 ///
 /// The enum helpers take the canonical `parseX` round-trip functions
@@ -68,9 +70,8 @@ badRates(const std::string &s)
 inline double
 parseRateToken(const std::string &token, const std::string &whole)
 {
-    char *end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0')
+    double v = 0.0;
+    if (!parseDoubleTok(token, v))
         badRates(whole);
     return v;
 }
@@ -115,9 +116,8 @@ parseIntList(const std::string &s)
         const std::string token = strTrim(part);
         if (token.empty())
             continue;
-        char *end = nullptr;
-        const long v = std::strtol(token.c_str(), &end, 10);
-        if (end == token.c_str() || *end != '\0')
+        std::int64_t v = 0;
+        if (!parseI64Tok(token, v))
             optionError(
                 strFormat("bad integer list '%s': want a,b,c", s.c_str()));
         out.push_back(static_cast<int>(v));

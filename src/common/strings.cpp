@@ -1,8 +1,13 @@
 #include "common/strings.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+
+#include "common/options.h"
 
 namespace taqos {
 
@@ -61,6 +66,65 @@ strLower(const std::string &s)
     return out;
 }
 
+bool
+parseI64Tok(const std::string &tok, std::int64_t &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoll(tok.c_str(), &end, 10);
+    return !tok.empty() && *end == '\0' && errno == 0;
+}
+
+bool
+parseU64Tok(const std::string &tok, std::uint64_t &out)
+{
+    if (tok.empty() || !std::isdigit(static_cast<unsigned char>(tok[0])))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoull(tok.c_str(), &end, 10);
+    return *end == '\0' && errno == 0;
+}
+
+bool
+parseDoubleTok(const std::string &tok, double &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtod(tok.c_str(), &end);
+    return !tok.empty() && *end == '\0' && errno == 0 && std::isfinite(out);
+}
+
+bool
+parseBoolTok(const std::string &tok, bool &out)
+{
+    const std::string v = strLower(tok);
+    out = v == "1" || v == "true" || v == "yes" || v == "on";
+    return out || v == "0" || v == "false" || v == "no" || v == "off";
+}
+
+namespace {
+
+/// The typed getters' shared shape: absent -> `dflt`, otherwise `parse`
+/// or exit with the key, the value and what was wanted.
+template <typename T, typename Parse>
+T
+getParsed(const std::map<std::string, std::string> &kv,
+          const std::string &key, T dflt, Parse parse, const char *want)
+{
+    const auto it = kv.find(key);
+    if (it == kv.end())
+        return dflt;
+    T v{};
+    if (!parse(it->second, v)) {
+        optionError(strFormat("bad option '%s=%s': want %s", key.c_str(),
+                              it->second.c_str(), want));
+    }
+    return v;
+}
+
+} // namespace
+
 OptionMap::OptionMap(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
@@ -89,25 +153,39 @@ OptionMap::get(const std::string &key, const std::string &dflt) const
 std::int64_t
 OptionMap::getInt(const std::string &key, std::int64_t dflt) const
 {
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : std::strtoll(it->second.c_str(), nullptr, 0);
+    return getParsed(kv_, key, dflt, parseI64Tok, "a whole number");
+}
+
+Cycle
+OptionMap::getCycles(const std::string &key, Cycle dflt) const
+{
+    return getParsed(kv_, key, dflt, parseU64Tok,
+                     "a cycle count (a whole number >= 0)");
 }
 
 double
 OptionMap::getDouble(const std::string &key, double dflt) const
 {
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? dflt : std::strtod(it->second.c_str(), nullptr);
+    return getParsed(kv_, key, dflt, parseDoubleTok, "a number");
 }
 
 bool
 OptionMap::getBool(const std::string &key, bool dflt) const
 {
-    const auto it = kv_.find(key);
-    if (it == kv_.end())
-        return dflt;
-    const std::string v = strLower(it->second);
-    return v == "1" || v == "true" || v == "yes" || v == "on";
+    return getParsed(kv_, key, dflt, parseBoolTok,
+                     "0/1/true/false/yes/no/on/off");
+}
+
+void
+OptionMap::rejectUnknown(std::initializer_list<const char *> known) const
+{
+    for (const auto &kv : kv_) {
+        if (std::none_of(known.begin(), known.end(),
+                         [&kv](const char *k) { return kv.first == k; })) {
+            unknownValue("option", kv.first,
+                         joinNames(known, [](const char *k) { return k; }));
+        }
+    }
 }
 
 } // namespace taqos

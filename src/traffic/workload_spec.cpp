@@ -1,7 +1,6 @@
 #include "traffic/workload_spec.h"
 
 #include <bit>
-#include <cstdlib>
 
 #include "common/options.h"
 
@@ -15,40 +14,6 @@ std::string
 fmtDouble(double v)
 {
     return strFormat("%.12g", v);
-}
-
-bool
-parseDoubleTok(const std::string &tok, double &out)
-{
-    if (tok.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(tok.c_str(), &end);
-    return end != tok.c_str() && *end == '\0';
-}
-
-bool
-parseU64Tok(const std::string &tok, std::uint64_t &out)
-{
-    if (tok.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(tok.c_str(), &end, 10);
-    return end != tok.c_str() && *end == '\0';
-}
-
-bool
-parseBoolTok(const std::string &tok, bool &out)
-{
-    if (tok == "1" || tok == "true") {
-        out = true;
-        return true;
-    }
-    if (tok == "0" || tok == "false") {
-        out = false;
-        return true;
-    }
-    return false;
 }
 
 void

@@ -78,5 +78,50 @@ TEST(OptionMap, BoolSpellings)
     EXPECT_FALSE(opts.getBool("d", true));
 }
 
+TEST(Strings, NumberTokensParseWholeOrNotAtAll)
+{
+    std::int64_t i = 0;
+    EXPECT_TRUE(parseI64Tok("-42", i));
+    EXPECT_EQ(i, -42);
+    EXPECT_FALSE(parseI64Tok("2k", i));
+    EXPECT_FALSE(parseI64Tok("", i));
+    EXPECT_FALSE(parseI64Tok("99999999999999999999", i));
+
+    std::uint64_t u = 0;
+    EXPECT_TRUE(parseU64Tok("18446744073709551615", u));
+    EXPECT_EQ(u, 18446744073709551615ull);
+    EXPECT_FALSE(parseU64Tok("-5", u)); // would wrap under strtoull
+    EXPECT_FALSE(parseU64Tok("18446744073709551616", u));
+
+    double d = 0.0;
+    EXPECT_TRUE(parseDoubleTok("1e-3", d));
+    EXPECT_DOUBLE_EQ(d, 1e-3);
+    EXPECT_FALSE(parseDoubleTok("0.05x", d));
+    EXPECT_FALSE(parseDoubleTok("inf", d));
+
+    bool b = false;
+    EXPECT_TRUE(parseBoolTok("Off", b));
+    EXPECT_FALSE(b);
+    EXPECT_FALSE(parseBoolTok("2", b));
+}
+
+TEST(OptionMap, MalformedValuesExitNamingTheKeyAndValue)
+{
+    const char *argv[] = {"prog", "measure=2k", "warmup=-5", "mix=maybe",
+                          "rate=0.05x", "chipz=2"};
+    OptionMap opts(6, const_cast<char **>(argv));
+    EXPECT_EXIT(opts.getInt("measure", 0), ::testing::ExitedWithCode(1),
+                "bad option 'measure=2k': want a whole number");
+    EXPECT_EXIT(opts.getCycles("warmup", 0), ::testing::ExitedWithCode(1),
+                "bad option 'warmup=-5': want a cycle count");
+    EXPECT_EXIT(opts.getBool("mix", true), ::testing::ExitedWithCode(1),
+                "bad option 'mix=maybe'");
+    EXPECT_EXIT(opts.getDouble("rate", 0.0), ::testing::ExitedWithCode(1),
+                "bad option 'rate=0.05x': want a number");
+    EXPECT_EXIT(opts.rejectUnknown({"measure", "warmup", "mix", "rate"}),
+                ::testing::ExitedWithCode(1), "unknown option 'chipz'");
+    opts.rejectUnknown({"measure", "warmup", "mix", "rate", "chipz"});
+}
+
 } // namespace
 } // namespace taqos
