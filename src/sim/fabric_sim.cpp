@@ -177,17 +177,16 @@ FabricSim::FabricSim(const FabricSpec &spec, const TrafficConfig &traffic,
         // The standalone column: its generator (or trace replayer) fills
         // the entrance queues directly, with no dispatch step.
         std::string err;
-        auto src = makeTrafficSource(workload, network().blockCfg(0),
-                                     traffic, &err);
-        TAQOS_ASSERT(src != nullptr, "workload '%s' failed: %s",
+        source_ = makeTrafficSource(workload, network().blockCfg(0),
+                                    traffic, &err);
+        TAQOS_ASSERT(source_ != nullptr, "workload '%s' failed: %s",
                      workload.name().c_str(), err.c_str());
-        setTrafficSource(std::move(src));
         return;
     }
     auto src = std::make_unique<FabricTrafficSource>(network(), traffic,
                                                      workload);
     src_ = src.get();
-    setTrafficSource(std::move(src));
+    source_ = std::move(src);
 }
 
 FabricSim::FabricSim(const FabricSpec &spec, TrafficTrace trace)
@@ -196,8 +195,8 @@ FabricSim::FabricSim(const FabricSpec &spec, TrafficTrace trace)
     TAQOS_ASSERT(network().rowless(),
                  "trace replay is a column workload; only a row-less "
                  "fabric has an embedding for it");
-    setTrafficSource(std::make_unique<TraceReplayer>(network().blockCfg(0),
-                                                     std::move(trace)));
+    source_ = std::make_unique<TraceReplayer>(network().blockCfg(0),
+                                              std::move(trace));
 }
 
 FabricSim::FabricSim(const FabricSpec &spec)

@@ -19,12 +19,6 @@ NetSim::NetSim(std::unique_ptr<Network> net)
 NetSim::~NetSim() = default;
 
 void
-NetSim::setTrafficSource(std::unique_ptr<TrafficSource> source)
-{
-    source_ = std::move(source);
-}
-
-void
 NetSim::setMeasureWindow(Cycle start, Cycle end)
 {
     metrics_.measureStart = start;

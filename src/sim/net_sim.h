@@ -79,7 +79,6 @@ class NetSim {
     /// precede the first step; a mid-run call may only repeat the
     /// current selection.
     void configure(const EngineConfig &cfg);
-    const EngineConfig &engineConfig() const { return engineCfg_; }
 
     bool activityDriven() const { return engineCfg_.activityDriven; }
 
@@ -122,9 +121,6 @@ class NetSim {
     virtual void checkInvariants() const;
 
   protected:
-    /// Install the per-cycle traffic source (call before the first step).
-    void setTrafficSource(std::unique_ptr<TrafficSource> source);
-
     /// Subclass state riding in the checkpoint's "extra" section (the
     /// fabric's row source queues and link queues). Implementations must
     /// write and read exactly matching records; restoreExtra reports
@@ -141,6 +137,7 @@ class NetSim {
     void deliver(NetPacket *pkt, InputPort *port, int vcIdx);
 
     std::unique_ptr<Network> net_;
+    /// Per-cycle traffic source, installed before the first step.
     std::unique_ptr<TrafficSource> source_;
     std::unique_ptr<QuotaTracker> quota_; ///< null unless PVC
     std::unique_ptr<SourceGate> gate_;    ///< null unless the policy gates

@@ -121,7 +121,6 @@ FabricNetwork::FabricNetwork(FabricSpec spec)
     const ChipConfig &chip = spec_.chip;
     const int B = blocksPerChip();
 
-    catchments_.resize(static_cast<std::size_t>(B));
     rankOfX_.assign(static_cast<std::size_t>(chip.nodesX()), -1);
     for (int x = 0; x < chip.nodesX(); ++x) {
         if (chip.isSharedColumn(x))
@@ -129,18 +128,14 @@ FabricNetwork::FabricNetwork(FabricSpec spec)
         rankOfX_[static_cast<std::size_t>(x)] =
             static_cast<int>(computeXs_.size());
         computeXs_.push_back(x);
-        blockOfX_.push_back(-1);
-        for (int j = 0; j < B; ++j) {
-            if (chip.nearestSharedColumn(x) == chip.sharedColumns[
-                    static_cast<std::size_t>(j)]) {
-                catchments_[static_cast<std::size_t>(j)].push_back(x);
-                blockOfX_.back() = j;
-            }
-        }
     }
-    for (const auto &cat : catchments_) {
+    catchments_ = fabricCatchments(chip);
+    blockOfX_.resize(computeXs_.size());
+    for (int j = 0; j < B; ++j) {
+        for (int x : catchment(j))
+            blockOfX_[static_cast<std::size_t>(rankOf(x))] = j;
         maxCatchment_ =
-            std::max(maxCatchment_, static_cast<int>(cat.size()));
+            std::max(maxCatchment_, static_cast<int>(catchment(j).size()));
     }
     slotsPerNode_ = fabricSlots(spec_);
 

@@ -82,22 +82,6 @@ TrafficTrace::toCsv() const
     return out;
 }
 
-namespace {
-
-/// Strict non-negative integer field (the CSV carries nothing signed);
-/// rejects empty tokens and trailing garbage, unlike atoi.
-bool
-parseCsvField(const std::string &tok, std::uint64_t &out)
-{
-    if (tok.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(tok.c_str(), &end, 10);
-    return end != tok.c_str() && *end == '\0' && tok[0] != '-';
-}
-
-} // namespace
-
 std::optional<TrafficTrace>
 TrafficTrace::fromCsv(const std::string &csv, std::string *err)
 {
@@ -130,7 +114,9 @@ TrafficTrace::fromCsv(const std::string &csv, std::string *err)
         std::uint64_t v[4];
         for (std::size_t i = 0; i < 4; ++i) {
             const std::string tok = strTrim(fields[i]);
-            if (!parseCsvField(tok, v[i])) {
+            // Strict: the CSV carries nothing signed, and an empty or
+            // trailing-garbage field is an error, not a zero.
+            if (!parseU64Tok(tok, v[i])) {
                 return fail(strFormat("trace csv line %zu: bad %s '%s'",
                                       lineNo, kFieldNames[i], tok.c_str()));
             }
