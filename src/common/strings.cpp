@@ -90,9 +90,8 @@ bool
 parseDoubleTok(const std::string &tok, double &out)
 {
     char *end = nullptr;
-    errno = 0;
     out = std::strtod(tok.c_str(), &end);
-    return !tok.empty() && *end == '\0' && errno == 0 && std::isfinite(out);
+    return !tok.empty() && *end == '\0' && std::isfinite(out);
 }
 
 bool

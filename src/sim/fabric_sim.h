@@ -54,7 +54,8 @@ class FabricTrafficSource : public TrafficSource {
     /// block's modulator streams derive from its own decorrelated seed).
     /// Steady and churn workloads run plain generators — churn is driven
     /// from outside, by ChurnDriver reprogramming flow activity. Trace
-    /// replay is a column workload with no fabric embedding.
+    /// replay is a column workload: only a row-less fabric, which does
+    /// not use this source, can run it.
     FabricTrafficSource(FabricNetwork &net, const TrafficConfig &traffic,
                         const WorkloadSpec &workload = {});
 
