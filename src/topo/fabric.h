@@ -78,10 +78,11 @@ struct FabricSpec {
     ChipConfig chip;
 
     /// Template for every QOS block: topology, VC provisioning, QoS
-    /// parameters. `numNodes` is forced to the grid height and
-    /// `injectorsPerNode` to the fabric's slot count; when
-    /// `pvc.weights` is non-empty it must be sized to the TOTAL flow
-    /// count (FabricNetwork::totalFlows).
+    /// parameters. `numNodes` is forced to the grid height and, unless
+    /// the fabric is row-less, `injectorsPerNode` and `eastRowInjectors`
+    /// to the fabric's slots and catchment split; when `pvc.weights` is
+    /// non-empty it must be sized to the TOTAL flow count
+    /// (FabricNetwork::totalFlows).
     ColumnConfig column;
 
     /// Per-column QoS policy override, cycled over the global block
