@@ -222,8 +222,6 @@ FabricSim::FabricSim(const FabricSpec &spec)
     }
 }
 
-FabricSim::~FabricSim() = default;
-
 void
 FabricSim::sendOnLink(NetPacket *pkt, int srcChip, int dstChip)
 {

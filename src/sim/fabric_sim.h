@@ -100,7 +100,6 @@ class FabricSim : public NetSim {
     /// Drive a row-less fabric from a pre-recorded trace (bit-identical
     /// replays, external workloads).
     FabricSim(const FabricSpec &spec, TrafficTrace trace);
-    ~FabricSim() override;
 
     FabricNetwork &network() { return static_cast<FabricNetwork &>(*net_); }
     const FabricNetwork &network() const

@@ -224,8 +224,14 @@ FabricNetwork::build(FabricSpec spec)
         TAQOS_ASSERT(spec.chips == 1 && spec.chip.nodesX() == 1,
                      "a fabric without compute columns must be one "
                      "chip's one shared column");
-        TAQOS_ASSERT(spec.column.injectorsPerNode >= 1,
-                     "need at least one injector");
+        // The block keeps the column's own injectors and east/west split.
+        TAQOS_ASSERT(spec.column.eastRowInjectors >= 0 &&
+                         spec.column.eastRowInjectors <
+                             spec.column.injectorsPerNode,
+                     "%d east row injectors, but the column has %d row "
+                     "injectors",
+                     spec.column.eastRowInjectors,
+                     spec.column.injectorsPerNode - 1);
     }
     TAQOS_ASSERT(spec.chip.nodesY() >= 2,
                  "columns need at least two nodes");

@@ -307,6 +307,17 @@ TEST(BuildDps, PerSubnetFlowTables)
     EXPECT_EQ(tables.size(), net->router(3)->outputs().size());
 }
 
+TEST(Build, ColumnRejectsMoreEastInjectorsThanRowInjectors)
+{
+    ColumnConfig col;
+    col.injectorsPerNode = 2; // terminal + one row injector
+    EXPECT_DEATH(FabricNetwork::build(columnFabricSpec(col)),
+                 "4 east row injectors, but the column has 1 row injectors");
+    col.eastRowInjectors = 1;
+    auto net = FabricNetwork::build(columnFabricSpec(col));
+    EXPECT_EQ(net->numFlows(), 16);
+}
+
 TEST(Build, SmallColumns)
 {
     for (auto kind : kAllTopologies) {
