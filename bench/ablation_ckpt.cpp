@@ -78,7 +78,7 @@ main(int argc, char **argv)
         "infrastructure (Fig. 4 cell / latency-load sweep as workload)");
 
     const bool fast = opts.getBool("fast", false);
-    const int reps = static_cast<int>(opts.getInt("reps", fast ? 3 : 5));
+    const int reps = opts.getInt("reps", fast ? 3 : 5);
     RunPhases phases;
     phases.warmup = fast ? 8000 : 16000;
     phases.measure = fast ? 2000 : 4000;

@@ -83,7 +83,7 @@ main(int argc, char **argv)
 
     const bool fast = opts.getBool("fast", false);
     const Cycle cycles = fast ? 20000 : 80000;
-    const int reps = static_cast<int>(opts.getInt("reps", fast ? 2 : 3));
+    const int reps = opts.getInt("reps", fast ? 2 : 3);
     const std::vector<double> lowRates{0.01, 0.02, 0.03, 0.05};
     const std::vector<double> satRates{0.10, 0.12, 0.15};
 

@@ -92,7 +92,7 @@ main(int argc, char **argv)
     spec.modes.assign(std::begin(kAllQosModes), std::end(kAllQosModes));
 
     const SweepResult result =
-        SweepRunner(static_cast<int>(opts.getInt("threads", 0))).run(spec);
+        SweepRunner(opts.getInt("threads", 0)).run(spec);
     const std::string json = opts.get("json", "");
     if (!json.empty() && result.writeJson(json))
         std::printf("wrote %s\n", json.c_str());

@@ -98,7 +98,7 @@ main(int argc, char **argv)
         "infrastructure (ROADMAP item 1: 1000+ router fabrics)");
 
     const bool fast = opts.getBool("fast", false);
-    const int reps = static_cast<int>(opts.getInt("reps", fast ? 1 : 3));
+    const int reps = opts.getInt("reps", fast ? 1 : 3);
     const std::vector<ScaleConfig> configs{
         {"64-node chip", 1, 16, {4}},
         {"256-node chip", 1, 32, {4, 12}},

@@ -87,7 +87,7 @@ main(int argc, char **argv)
         "datacenter-style workloads over the Sec. 4/5 scenarios (ours)");
 
     const bool fast = opts.getBool("fast", false);
-    const int reps = static_cast<int>(opts.getInt("reps", fast ? 3 : 5));
+    const int reps = opts.getInt("reps", fast ? 3 : 5);
 
     RunPhases colPhases;
     colPhases.warmup = fast ? 500 : 2000;

@@ -106,7 +106,7 @@ main(int argc, char **argv)
             rates.push_back(r);
     }
 
-    const int threads = static_cast<int>(opts.getInt("threads", 0));
+    const int threads = opts.getInt("threads", 0);
     const std::string json = opts.get("json", "");
     const QosMode mode = enumOption(opts, "mode", QosMode::Pvc,
                                     parseQosMode, "mode",

@@ -33,8 +33,7 @@ main(int argc, char **argv)
     // One 10-cell sweep (5 topologies x 2 workloads) so the runner's
     // pool stays fully busy across both workloads.
     const SweepResult result =
-        SweepRunner(static_cast<int>(opts.getInt("threads", 0)))
-            .run(adversarialSpec(0, gen));
+        SweepRunner(opts.getInt("threads", 0)).run(adversarialSpec(0, gen));
     const std::string json = opts.get("json", "");
     if (!json.empty() && result.writeJson(json))
         std::printf("wrote %s\n", json.c_str());

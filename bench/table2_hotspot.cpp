@@ -37,7 +37,7 @@ main(int argc, char **argv)
                                     parseQosMode, "mode",
                                     joinNames(kAllQosModes, qosModeName));
     const SweepResult result =
-        SweepRunner(static_cast<int>(opts.getInt("threads", 0)))
+        SweepRunner(opts.getInt("threads", 0))
             .run(table2Spec(measure, 20000, mode));
     const std::string json = opts.get("json", "");
     if (!json.empty() && result.writeJson(json))

@@ -16,14 +16,17 @@
 ///   remote=0.25          remote-chip share of each node's rate
 ///   workload=SPEC        dynamic workload (steady | bursty:... |
 ///                        ramp:...; burst=on,off,gain shorthand works
-///                        too — trace/churn have no fabric embedding)
+///                        too — trace has no fabric embedding, and churn
+///                        runs only in the sweep's chip scenario)
 ///   verify=1             record the flit trace and run the independent
 ///                        checker's audit on it (exit 1 on violations)
 ///   seed=S warmup=C measure=C drain=C
 ///   fast=1               short phases for smokes
 ///
-/// Any other key, or a value that does not parse as its option's type,
-/// fails before work starts.
+/// Any other key, a value that does not parse as its option's type (an
+/// integer out of its range, a negative rate or share included), or a
+/// fabric FabricNetwork::build would refuse fails with one line before
+/// work starts.
 ///
 /// Examples:
 ///   fabric_cli fast=1
@@ -49,8 +52,8 @@ main(int argc, char **argv)
                         "fast"});
 
     FabricConsolidationConfig cfg;
-    cfg.chips = static_cast<int>(opts.getInt("chips", 4));
-    const int tiles = static_cast<int>(opts.getInt("tiles", 32));
+    cfg.chips = opts.getInt("chips", 4);
+    const int tiles = opts.getInt("tiles", 32);
     cfg.chip.tilesX = cfg.chip.tilesY = tiles;
     cfg.chip.sharedColumns =
         opts.has("columns") ? parseIntList(opts.get("columns", ""))
@@ -62,8 +65,8 @@ main(int argc, char **argv)
                           joinNames(kAllQosModes, qosModeName));
     cfg.links = enumOption(opts, "links", LinkTopology::PointToPoint,
                            parseLinkTopology, "link topology", "p2p ring");
-    cfg.ratePerNode = opts.getDouble("rate", 0.05);
-    cfg.remoteShare = opts.getDouble("remote", 0.25);
+    cfg.ratePerNode = opts.getNonNegative("rate", cfg.ratePerNode);
+    cfg.remoteShare = opts.getNonNegative("remote", cfg.remoteShare);
     const std::vector<WorkloadSpec> wspecs = workloadAxisFromOpts(opts);
     if (wspecs.size() > 1)
         optionError("fabric_cli takes a single workload spec");
@@ -75,13 +78,20 @@ main(int argc, char **argv)
         }
         cfg.workload = wspecs[0];
     }
-    cfg.seed = static_cast<std::uint64_t>(opts.getInt("seed", 1));
+    cfg.seed = opts.getInt("seed", cfg.seed);
     cfg.audit = opts.getBool("verify", false);
     cfg.phases = opts.getBool("fast", false) ? RunPhases{500, 2000, 1000}
                                              : RunPhases{2000, 8000, 4000};
     cfg.phases.warmup = opts.getCycles("warmup", cfg.phases.warmup);
     cfg.phases.measure = opts.getCycles("measure", cfg.phases.measure);
     cfg.phases.drain = opts.getCycles("drain", cfg.phases.drain);
+
+    FabricSpec spec;
+    spec.chips = cfg.chips;
+    spec.chip = cfg.chip;
+    const std::string err = fabricSpecError(spec);
+    if (!err.empty())
+        optionError("bad fabric: " + err);
 
     std::printf("=== fabric: %d chip(s) x %dx%d tiles, %zu shared "
                 "column(s), %s links, %s/%s ===\n",

@@ -31,9 +31,11 @@
 ///                        cold sweep (invalidated by the engine salt)
 ///   name=label
 ///
-/// Any other key fails with "unknown option '<key>'", and a value that
-/// does not parse as its option's type with "bad option '<key>=<value>'",
-/// before work starts.
+/// Any other key fails with "unknown option '<key>'", a value that does
+/// not parse as its option's type (an integer out of its range, a
+/// negative rate included) with "bad option '<key>=<value>'" or the list
+/// forms' messages, and a workload or placement outside its table with
+/// "unknown workload/placement", before work starts.
 ///
 /// Examples:
 ///   sweep_cli rates=0.01:0.12:0.01 patterns=uniform,tornado out=fig4.json
@@ -53,6 +55,22 @@
 using namespace taqos;
 
 namespace {
+
+/// An integer-list option whose entries index a fixed table: every entry
+/// must lie in [lo, hi].
+std::vector<int>
+indexListOption(const OptionMap &opts, const char *key, const char *what,
+                int lo, int hi)
+{
+    const std::vector<int> list = parseIntList(opts.get(key, ""));
+    for (int v : list) {
+        if (v < lo || v > hi) {
+            unknownValue(what, std::to_string(v),
+                         strFormat("%d..%d", lo, hi));
+        }
+    }
+    return list;
+}
 
 /// Paper-figure presets: the same spec builders the figure drivers run,
 /// at their paper-scale defaults. Axis options override on top.
@@ -131,18 +149,22 @@ main(int argc, char **argv)
     }
     if (opts.has("rates"))
         spec.rates = parseRateList(opts.get("rates", ""));
-    if (opts.has("workloads"))
-        spec.workloads = parseIntList(opts.get("workloads", ""));
-    if (opts.has("placements"))
-        spec.placements = parseIntList(opts.get("placements", ""));
+    if (opts.has("workloads")) {
+        spec.workloads =
+            indexListOption(opts, "workloads", "adversarial workload", 1, 2);
+    }
+    if (opts.has("placements")) {
+        spec.placements =
+            indexListOption(opts, "placements", "placement", 0,
+                            static_cast<int>(vmPlacements().size()) - 1);
+    }
     const std::vector<WorkloadSpec> wspecs = workloadAxisFromOpts(opts);
     if (!wspecs.empty())
         spec.workloadSpecs = wspecs;
 
     if (preset.empty() || opts.has("reps"))
-        spec.replicates = static_cast<int>(opts.getInt("reps", 1));
-    spec.baseSeed = static_cast<std::uint64_t>(
-        opts.getInt("seed", static_cast<std::int64_t>(spec.baseSeed)));
+        spec.replicates = opts.getInt("reps", 1);
+    spec.baseSeed = opts.getInt("seed", spec.baseSeed);
     if (preset.empty() || opts.has("mix"))
         spec.mixSeeds = opts.getBool("mix", true);
     // Presets carry the figure's paper-scale phase/horizon defaults;
@@ -156,8 +178,7 @@ main(int argc, char **argv)
     if (preset.empty() || opts.has("gencycles"))
         spec.genCycles = opts.getCycles("gencycles", 100000);
 
-    const int threads = static_cast<int>(opts.getInt("threads", 0));
-    const SweepRunner runner(threads);
+    const SweepRunner runner(opts.getInt("threads", 0));
 
     const std::string cacheDir = opts.get("cache", "");
     SweepResult result;

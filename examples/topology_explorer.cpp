@@ -31,12 +31,12 @@ main(int argc, char **argv)
     col.topology = *kind;
     col.mode = *mode;
     col.pvc.frameLen = opts.getCycles("frame", 50000);
-    col.pvc.windowLimit = static_cast<int>(opts.getInt("window", 16));
+    col.pvc.windowLimit = opts.getInt("window", 16);
 
     TrafficConfig traffic;
     traffic.pattern = *pattern;
-    traffic.injectionRate = opts.getDouble("rate", 0.05);
-    traffic.seed = static_cast<std::uint64_t>(opts.getInt("seed", 0x7a05c0de));
+    traffic.injectionRate = opts.getNonNegative("rate", 0.05);
+    traffic.seed = opts.getInt("seed", traffic.seed);
 
     const Cycle measure = opts.getCycles("cycles", 50000);
     const Cycle warmup = measure / 5;

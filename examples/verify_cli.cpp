@@ -22,10 +22,14 @@
 ///   seed=S
 ///   warmup=C measure=C drain=C                    (default 2000/6000/4000)
 ///   legacy=1      use the always-tick reference engine
-///   fabric=1      record a multi-chip fabric run (FabricSim) instead of
-///                 one column; with
+///   fabric=1      record a multi-chip fabric run instead of one column;
+///                 with
 ///     chips=N tiles=N columns=a,b links=p2p|ring
 ///                 (tiles sets a square chip; columns the shared xs)
+///
+/// A bad option (a negative rate, an integer out of range) or a fabric
+/// FabricNetwork::build would refuse fails with one line and exit 2
+/// before any work starts.
 ///
 /// Examples:
 ///   verify_cli audit topo=dps mode=pvc rate=0.05
@@ -40,7 +44,6 @@
 #include "common/options.h"
 #include "common/strings.h"
 #include "core/experiments.h"
-#include "sim/column_sim.h"
 #include "sim/fabric_sim.h"
 #include "sim/trace_record.h"
 #include "verify/checker.h"
@@ -51,17 +54,15 @@ namespace {
 
 struct RunOptions {
     ColumnConfig col;
+    /// What is recorded: the column's row-less fabric, or with fabric=1
+    /// the chips/tiles/columns/links fabric around `col`.
+    FabricSpec spec;
     TrafficConfig traffic;
     WorkloadSpec workload;
     RunPhases phases = testPhases();
     bool legacy = false;
     std::string out;
-    /// fabric=1: record a multi-chip fabric run instead of one column.
     bool fabric = false;
-    int chips = 1;
-    int tiles = 0; ///< 0 = the default chip geometry
-    std::vector<int> columns;
-    LinkTopology links = LinkTopology::PointToPoint;
 };
 
 [[noreturn]] void
@@ -75,10 +76,16 @@ usage()
 }
 
 [[noreturn]] void
+fail(const std::string &msg)
+{
+    std::fprintf(stderr, "verify_cli: %s\n", msg.c_str());
+    std::exit(2);
+}
+
+[[noreturn]] void
 badOption(const std::string &opt)
 {
-    std::fprintf(stderr, "verify_cli: bad option '%s'\n", opt.c_str());
-    std::exit(2);
+    fail("bad option '" + opt + "'");
 }
 
 RunOptions
@@ -100,7 +107,6 @@ parseRunOptions(const std::vector<std::string> &args)
             if (!parseTok(val, out))
                 badOption(arg);
         };
-        std::int64_t count = 0;
         if (key == "topo") {
             const auto t = parseTopology(val);
             if (!t.has_value())
@@ -118,19 +124,16 @@ parseRunOptions(const std::vector<std::string> &args)
             run.traffic.pattern = *p;
         } else if (key == "rate") {
             parse(parseDoubleTok, run.traffic.injectionRate);
+            if (run.traffic.injectionRate < 0.0)
+                badOption(arg);
         } else if (key == "workload") {
             std::string err;
             const auto w = WorkloadSpec::parse(val, &err);
-            if (!w.has_value()) {
-                std::fprintf(stderr, "verify_cli: %s\n", err.c_str());
-                std::exit(2);
-            }
+            if (!w.has_value())
+                fail(err);
             if (w->kind == WorkloadKind::Churn) {
-                std::fprintf(stderr,
-                             "verify_cli: tenant churn needs the "
-                             "chip_consolidation scenario; the audited "
-                             "column has no embedding for it\n");
-                std::exit(2);
+                fail("tenant churn needs the chip_consolidation scenario; "
+                     "the audited column has no embedding for it");
             }
             run.workload = *w;
         } else if (key == "seed") {
@@ -148,81 +151,55 @@ parseRunOptions(const std::vector<std::string> &args)
         } else if (key == "fabric") {
             parse(parseBoolTok, run.fabric);
         } else if (key == "chips") {
-            parse(parseI64Tok, count);
-            run.chips = static_cast<int>(count);
+            parse(parseIntTok<int>, run.spec.chips);
         } else if (key == "tiles") {
-            parse(parseI64Tok, count);
-            run.tiles = static_cast<int>(count);
+            parse(parseIntTok<int>, run.spec.chip.tilesX);
+            run.spec.chip.tilesY = run.spec.chip.tilesX;
         } else if (key == "columns") {
-            run.columns = parseIntList(val);
+            run.spec.chip.sharedColumns = parseIntList(val);
         } else if (key == "links") {
             const auto l = parseLinkTopology(val);
             if (!l.has_value())
                 badOption(arg);
-            run.links = *l;
+            run.spec.links = *l;
         } else {
             badOption(arg);
         }
     }
     run.col = paperColumn(topo, mode);
+    if (!run.fabric) {
+        run.spec = columnFabricSpec(run.col);
+        return run;
+    }
+    run.spec.column = run.col;
+    const std::string err = fabricSpecError(run.spec);
+    if (!err.empty())
+        fail("bad fabric: " + err);
+    if (!run.workload.isSteady() && !run.workload.modulated()) {
+        fail(strFormat("fabric runs take steady/bursty/ramp workloads, "
+                       "got %s",
+                       workloadKindName(run.workload.kind)));
+    }
     return run;
 }
 
-/// Run the configured fabric with the recorder attached (fabric=1).
-FlitTrace
-recordFabricRun(const RunOptions &run)
-{
-    FabricSpec spec;
-    spec.chips = run.chips;
-    if (run.tiles > 0)
-        spec.chip.tilesX = spec.chip.tilesY = run.tiles;
-    if (!run.columns.empty())
-        spec.chip.sharedColumns = run.columns;
-    spec.column = run.col;
-    spec.links = run.links;
-
-    if (!run.workload.isSteady() && !run.workload.modulated()) {
-        std::fprintf(stderr,
-                     "verify_cli: fabric runs take steady/bursty/ramp "
-                     "workloads, got %s\n",
-                     workloadKindName(run.workload.kind));
-        std::exit(2);
-    }
-
-    TrafficConfig traffic = run.traffic;
-    traffic.genUntil = run.phases.measureEnd();
-
-    FabricSim sim(spec, traffic, run.workload);
-    sim.configure({.activityDriven = !run.legacy});
-    sim.setMeasureWindow(run.phases.warmup, run.phases.measureEnd());
-
-    TraceRecorder rec(describeFabric(sim.network()));
-    rec.setMeasureWindow(run.phases.warmup, run.phases.measureEnd());
-    sim.attachTraceSink(&rec);
-
-    const Cycle done = sim.runUntilDrained(run.phases.total() * 4,
-                                           run.phases.measureEnd());
-    rec.finish(sim.now(), done != kNoCycle && sim.drained());
-    return rec.trace();
-}
-
-/// Run the configured column with the recorder attached; the generator
-/// stops at the measurement end and the drain phase empties the network.
+/// Run the configured column or fabric with the recorder attached; the
+/// generator stops at the measurement end and the drain phase empties
+/// the network.
 FlitTrace
 recordRun(const RunOptions &run)
 {
-    if (run.fabric)
-        return recordFabricRun(run);
-
-    ColumnConfig col = run.col;
     TrafficConfig traffic = run.traffic;
     traffic.genUntil = run.phases.measureEnd();
 
-    ColumnSim sim(col, traffic, run.workload);
+    FabricSim sim(run.spec, traffic, run.workload);
     sim.configure({.activityDriven = !run.legacy});
     sim.setMeasureWindow(run.phases.warmup, run.phases.measureEnd());
 
-    TraceRecorder rec(describeColumn(col));
+    // A column keeps its own description, so its trace bytes are the
+    // standalone column's.
+    TraceRecorder rec(run.fabric ? describeFabric(sim.network())
+                                 : describeColumn(run.col));
     rec.setMeasureWindow(run.phases.warmup, run.phases.measureEnd());
     sim.attachTraceSink(&rec);
 
@@ -260,10 +237,8 @@ cmdRecord(const std::vector<std::string> &args)
     }
     const FlitTrace trace = recordRun(run);
     std::string err;
-    if (!saveFlitTrace(run.out, trace, err)) {
-        std::fprintf(stderr, "verify_cli: %s\n", err.c_str());
-        return 2;
-    }
+    if (!saveFlitTrace(run.out, trace, err))
+        fail(err);
     std::printf("recorded %zu events -> %s\n", trace.events.size(),
                 run.out.c_str());
     return 0;

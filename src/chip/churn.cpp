@@ -4,7 +4,7 @@
 
 #include "common/assert.h"
 #include "common/rng.h"
-#include "sim/chip_sim.h"
+#include "sim/fabric_sim.h"
 
 namespace taqos {
 namespace {
@@ -116,8 +116,10 @@ ChurnDriver::activeComputeFlows() const
 }
 
 void
-ChurnDriver::applyTo(ChipSim &sim) const
+ChurnDriver::applyTo(FabricSim &sim) const
 {
+    TAQOS_ASSERT(sim.network().blocks() == 1,
+                 "churn drives one chip with one shared column");
     sim.network().reprogramFlowWeights(flowRegisters().weights);
     TrafficGenerator &gen = sim.traffic().generator(0);
     const auto active = activeComputeFlows();

@@ -3,10 +3,10 @@
 /// server mid-run. The driver owns an OsScheduler and a deterministic
 /// event schedule — one arrival or departure per epoch (a configurable
 /// number of QOS frames), derived purely from the seed and the epoch
-/// index, never from execution order — and reprograms a live ChipSim at
-/// each epoch boundary: column flow registers rewritten through
-/// Network::reprogramFlowWeights, departed tenants' compute flows
-/// silenced and arriving tenants' flows enabled through
+/// index, never from execution order — and reprograms a live one-chip,
+/// one-column FabricSim at each epoch boundary: column flow registers
+/// rewritten through Network::reprogramFlowWeights, departed tenants'
+/// compute flows silenced and arriving tenants' flows enabled through
 /// TrafficGenerator::setFlowActive.
 ///
 /// Because the schedule is a pure function of (seed, epoch), a run can be
@@ -25,15 +25,10 @@
 
 namespace taqos {
 
-class ChipSim;
+class FabricSim;
 
-/// One initially admitted VM (mirrors the sweep layer's placement
-/// presets without depending on them).
-struct ChurnTenant {
-    int id = 0;
-    int threads = 0;
-    std::uint32_t weight = 1;
-};
+/// One initially admitted VM.
+using ChurnTenant = VmSpec;
 
 class ChurnDriver {
   public:
@@ -59,15 +54,15 @@ class ChurnDriver {
 
     /// Per-flow activity of the current mix for the chip's compute flows
     /// (injector slots k >= 1). Terminal flows (k == 0) are reported
-    /// false and never touched by applyTo — the cell runner owns them
-    /// (they carry the adversarial rates under churnAttack).
+    /// false and never touched by applyTo — the runner owns them (they
+    /// carry the adversarial rates under churnAttack).
     std::vector<bool> activeComputeFlows() const;
 
     /// Push the current epoch's state into a live sim: rewrite the flow
     /// registers and reprogram the compute flows' activity. Call at the
     /// frame-aligned epoch boundary (or right after a checkpoint
     /// restore, to re-establish the epoch the snapshot was taken in).
-    void applyTo(ChipSim &sim) const;
+    void applyTo(FabricSim &sim) const;
 
     const OsScheduler &os() const { return os_; }
     int arrivals() const { return arrivals_; }

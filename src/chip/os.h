@@ -25,6 +25,13 @@ struct ThreadPlacement {
     int terminal = 0; ///< slot within the node (0..concentration-1)
 };
 
+/// A VM to admit: its id, thread count and SLA weight.
+struct VmSpec {
+    int id = 0;
+    int threads = 0;
+    std::uint32_t weight = 1;
+};
+
 struct VmInfo {
     int id = -1;
     Domain domain;

@@ -4,8 +4,8 @@
 /// helpers and OptionMap's getters, and fails with one canonical message
 /// per error shape:
 ///
-///   bad rates '<s>': want a,b,c or lo:hi:step (step > 0)
-///   bad integer list '<s>': want a,b,c
+///   bad rates '<s>': want a,b,c or lo:hi:step (rates >= 0, step > 0)
+///   bad integer list '<s>': want a,b,c of int
 ///   bad option '<key>=<value>': want <what>
 ///   unknown <what> '<token>'[; valid: <names>]
 ///
@@ -63,15 +63,16 @@ namespace detail {
 [[noreturn]] inline void
 badRates(const std::string &s)
 {
-    optionError(strFormat(
-        "bad rates '%s': want a,b,c or lo:hi:step (step > 0)", s.c_str()));
+    optionError(strFormat("bad rates '%s': want a,b,c or lo:hi:step "
+                          "(rates >= 0, step > 0)",
+                          s.c_str()));
 }
 
 inline double
 parseRateToken(const std::string &token, const std::string &whole)
 {
     double v = 0.0;
-    if (!parseDoubleTok(token, v))
+    if (!parseDoubleTok(token, v) || v < 0.0)
         badRates(whole);
     return v;
 }
@@ -79,7 +80,7 @@ parseRateToken(const std::string &token, const std::string &whole)
 } // namespace detail
 
 /// `a,b,c` or `lo:hi:step` -> the list of rates, inclusive of `hi` up to
-/// rounding slack. Exits on malformed or empty input.
+/// rounding slack. Exits on malformed, negative or empty input.
 inline std::vector<double>
 parseRateList(const std::string &s)
 {
@@ -107,7 +108,8 @@ parseRateList(const std::string &s)
     return rates;
 }
 
-/// Comma-separated integers; rejects non-numeric tokens (unlike atoi).
+/// Comma-separated ints; rejects non-numeric tokens (unlike atoi) and
+/// values outside int (instead of wrapping them).
 inline std::vector<int>
 parseIntList(const std::string &s)
 {
@@ -116,11 +118,12 @@ parseIntList(const std::string &s)
         const std::string token = strTrim(part);
         if (token.empty())
             continue;
-        std::int64_t v = 0;
-        if (!parseI64Tok(token, v))
-            optionError(
-                strFormat("bad integer list '%s': want a,b,c", s.c_str()));
-        out.push_back(static_cast<int>(v));
+        int v = 0;
+        if (!parseIntTok(token, v)) {
+            optionError(strFormat("bad integer list '%s': want a,b,c of int",
+                                  s.c_str()));
+        }
+        out.push_back(v);
     }
     return out;
 }

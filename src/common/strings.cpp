@@ -102,28 +102,6 @@ parseBoolTok(const std::string &tok, bool &out)
     return out || v == "0" || v == "false" || v == "no" || v == "off";
 }
 
-namespace {
-
-/// The typed getters' shared shape: absent -> `dflt`, otherwise `parse`
-/// or exit with the key, the value and what was wanted.
-template <typename T, typename Parse>
-T
-getParsed(const std::map<std::string, std::string> &kv,
-          const std::string &key, T dflt, Parse parse, const char *want)
-{
-    const auto it = kv.find(key);
-    if (it == kv.end())
-        return dflt;
-    T v{};
-    if (!parse(it->second, v)) {
-        optionError(strFormat("bad option '%s=%s': want %s", key.c_str(),
-                              it->second.c_str(), want));
-    }
-    return v;
-}
-
-} // namespace
-
 OptionMap::OptionMap(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
@@ -149,29 +127,42 @@ OptionMap::get(const std::string &key, const std::string &dflt) const
     return it == kv_.end() ? dflt : it->second;
 }
 
-std::int64_t
-OptionMap::getInt(const std::string &key, std::int64_t dflt) const
+void
+OptionMap::badValue(const std::pair<const std::string, std::string> &kv,
+                    const std::string &want)
 {
-    return getParsed(kv_, key, dflt, parseI64Tok, "a whole number");
+    optionError(strFormat("bad option '%s=%s': want %s", kv.first.c_str(),
+                          kv.second.c_str(), want.c_str()));
 }
 
 Cycle
 OptionMap::getCycles(const std::string &key, Cycle dflt) const
 {
-    return getParsed(kv_, key, dflt, parseU64Tok,
+    return getParsed(key, dflt, parseU64Tok,
                      "a cycle count (a whole number >= 0)");
 }
 
 double
 OptionMap::getDouble(const std::string &key, double dflt) const
 {
-    return getParsed(kv_, key, dflt, parseDoubleTok, "a number");
+    return getParsed(key, dflt, parseDoubleTok, "a number");
+}
+
+double
+OptionMap::getNonNegative(const std::string &key, double dflt) const
+{
+    return getParsed(
+        key, dflt,
+        [](const std::string &tok, double &v) {
+            return parseDoubleTok(tok, v) && v >= 0.0;
+        },
+        "a number >= 0");
 }
 
 bool
 OptionMap::getBool(const std::string &key, bool dflt) const
 {
-    return getParsed(kv_, key, dflt, parseBoolTok,
+    return getParsed(key, dflt, parseBoolTok,
                      "0/1/true/false/yes/no/on/off");
 }
 

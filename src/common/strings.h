@@ -4,12 +4,16 @@
 /// used by examples/benches.
 #pragma once
 
+#include <concepts>
 #include <cstdarg>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -39,6 +43,25 @@ bool parseU64Tok(const std::string &tok, std::uint64_t &out);
 bool parseDoubleTok(const std::string &tok, double &out);
 bool parseBoolTok(const std::string &tok, bool &out);
 
+/// parseI64Tok/parseU64Tok into the integer type the caller stores:
+/// also fails when the value does not fit `T` ("4294967297" is no int).
+template <std::integral T>
+bool
+parseIntTok(const std::string &tok, T &out)
+{
+    std::conditional_t<std::is_signed_v<T>, std::int64_t, std::uint64_t>
+        v = 0;
+    bool ok = false;
+    if constexpr (std::is_signed_v<T>)
+        ok = parseI64Tok(tok, v);
+    else
+        ok = parseU64Tok(tok, v);
+    if (!ok || !std::in_range<T>(v))
+        return false;
+    out = static_cast<T>(v);
+    return true;
+}
+
 /// Parses argv of the form `key=value ...` (plus bare flags, stored with
 /// value "1"). The typed getters parse strictly (parse*Tok) and exit(1)
 /// with one line naming the key and the value when it does not parse.
@@ -49,10 +72,24 @@ class OptionMap {
 
     bool has(const std::string &key) const;
     std::string get(const std::string &key, const std::string &dflt) const;
-    std::int64_t getInt(const std::string &key, std::int64_t dflt) const;
+    /// A whole number that fits `T`, the type of the default, so the
+    /// caller stores it without a cast (`chips=4294967297` fails instead
+    /// of wrapping to 1).
+    template <std::integral T>
+    T getInt(const std::string &key, T dflt) const
+    {
+        return getParsed(key, dflt, parseIntTok<T>,
+                         "a whole number in [" +
+                             std::to_string(std::numeric_limits<T>::min()) +
+                             ", " +
+                             std::to_string(std::numeric_limits<T>::max()) +
+                             "]");
+    }
     /// A cycle count: a whole number >= 0.
     Cycle getCycles(const std::string &key, Cycle dflt) const;
     double getDouble(const std::string &key, double dflt) const;
+    /// A load or share (`rate=`, `remote=`): a number >= 0.
+    double getNonNegative(const std::string &key, double dflt) const;
     bool getBool(const std::string &key, bool dflt) const;
 
     /// Exit(1) with "unknown option '<key>'; valid: ..." on the first key
@@ -62,6 +99,24 @@ class OptionMap {
     const std::map<std::string, std::string> &raw() const { return kv_; }
 
   private:
+    /// The typed getters' shared shape: absent -> `dflt`, otherwise
+    /// `parse` or exit with the key, the value and what was wanted.
+    template <typename T, typename Parse>
+    T getParsed(const std::string &key, T dflt, Parse parse,
+                const std::string &want) const
+    {
+        const auto it = kv_.find(key);
+        if (it == kv_.end())
+            return dflt;
+        T v{};
+        if (!parse(it->second, v))
+            badValue(*it, want);
+        return v;
+    }
+    [[noreturn]] static void
+    badValue(const std::pair<const std::string, std::string> &kv,
+             const std::string &want);
+
     std::map<std::string, std::string> kv_;
 };
 

@@ -1,13 +1,14 @@
 #include "core/experiments.h"
 
-#include "common/assert.h"
-#include "common/strings.h"
+#include "chip/churn.h"
 #include "chip/os.h"
+#include "common/assert.h"
 #include "noc/metrics.h"
 #include "power/tech.h"
 #include "sim/fabric_sim.h"
 #include "sim/trace_record.h"
 #include "topo/geometry.h"
+#include "traffic/workloads.h"
 #include "verify/checker.h"
 
 #include <optional>
@@ -278,62 +279,24 @@ runFig7Energy()
 
 // ------------------------------------- consolidated server (Secs. 1, 2)
 
-SweepSpec
-chipConsolidationSpec(TopologyKind kind, double ratePerNode,
-                      const RunPhases &phases)
-{
-    SweepSpec spec =
-        figureSpec(Scenario::ChipConsolidation, "chip_consolidation");
-    spec.topologies = {kind};
-    spec.rates = {ratePerNode};
-    spec.placements = {0}; // the paper's three-VM consolidated-server mix
-    spec.phases = phases;
-    return spec;
-}
-
-ChipConsolidationResult
-chipConsolidationFromCell(const CellResult &cell)
-{
-    TAQOS_ASSERT(cell.spec.scenario == Scenario::ChipConsolidation,
-                 "cell is not a consolidation run");
-    ChipConsolidationResult res;
-    const double drain = cell.get("drain_cycle");
-    res.drainCycle = drain < 0.0 ? kNoCycle : static_cast<Cycle>(drain);
-    res.deliveredPackets =
-        static_cast<std::uint64_t>(cell.get("delivered_packets"));
-    res.handoffs = static_cast<std::uint64_t>(cell.get("handoffs"));
-    res.preemptions = static_cast<std::uint64_t>(cell.get("preemptions"));
-    res.avgLatency = cell.get("avg_latency");
-
-    const auto &placement =
-        vmPlacements()[static_cast<std::size_t>(cell.spec.placement)];
-    for (const auto &s : placement.servers) {
-        const std::string p = strFormat("vm%d_", s.id);
-        ChipVmShare share;
-        share.vmId = s.id;
-        share.weight = s.weight;
-        share.domainNodes =
-            static_cast<std::size_t>(cell.get(p + "nodes"));
-        share.flits = static_cast<std::uint64_t>(cell.get(p + "flits"));
-        share.flitsPerNode = cell.get(p + "flits_per_node");
-        res.vms.push_back(share);
-    }
-    return res;
-}
-
-ChipConsolidationResult
-runChipConsolidation(TopologyKind kind, double ratePerNode,
-                     const RunPhases &phases)
-{
-    const SweepResult result =
-        SweepRunner().run(chipConsolidationSpec(kind, ratePerNode, phases));
-    TAQOS_ASSERT(result.cells.size() == 1, "consolidation spec is one cell");
-    return chipConsolidationFromCell(result.cells[0]);
-}
-
 FabricConsolidationResult
 runFabricConsolidation(const FabricConsolidationConfig &cfg)
 {
+    TAQOS_ASSERT(cfg.ratePerNode >= 0.0 && cfg.remoteShare >= 0.0,
+                 "negative load: rate %g, remote share %g", cfg.ratePerNode,
+                 cfg.remoteShare);
+    const auto &placements = vmPlacements();
+    TAQOS_ASSERT(cfg.placement >= 0 &&
+                     static_cast<std::size_t>(cfg.placement) <
+                         placements.size(),
+                 "placement %d out of range", cfg.placement);
+    const bool churning = cfg.workload.kind == WorkloadKind::Churn;
+    TAQOS_ASSERT(!churning || (cfg.chips == 1 &&
+                               cfg.chip.sharedColumns.size() == 1),
+                 "tenant churn needs one chip with one shared column");
+    TAQOS_ASSERT(!churning || !cfg.audit,
+                 "the audit freezes the flow registers churn reprograms");
+
     FabricSpec spec;
     spec.chips = cfg.chips;
     spec.chip = cfg.chip;
@@ -353,8 +316,8 @@ runFabricConsolidation(const FabricConsolidationConfig &cfg)
     const int fpb = H * slots;
     const int totalFlows = cfg.chips * B * fpb;
 
-    // One hypervisor per chip, each admitting the paper's three-VM mix.
-    const VmPlacement &pl = vmPlacements()[0];
+    // One hypervisor per chip, each admitting the placement's VM mix.
+    const VmPlacement &pl = placements[static_cast<std::size_t>(cfg.placement)];
     std::vector<OsScheduler> os;
     os.reserve(static_cast<std::size_t>(cfg.chips));
     for (int c = 0; c < cfg.chips; ++c) {
@@ -367,18 +330,29 @@ runFabricConsolidation(const FabricConsolidationConfig &cfg)
         TAQOS_ASSERT(os.back().coScheduleInvariant(),
                      "chip %d: co-scheduling violated", c);
     }
+    // Under churn a driver starts from the same mix in its own
+    // hypervisor and changes it at every epoch.
+    std::optional<ChurnDriver> churn;
+    if (churning) {
+        ChipNetConfig chipCfg{spec.chip, spec.column};
+        chipCfg.column.numNodes = H;
+        chipCfg.column.injectorsPerNode = slots;
+        churn.emplace(chipCfg, pl.servers, cfg.workload, cfg.seed);
+    }
 
     // Program every column's flow registers from the placements: each
     // owned compute node streams at the cell rate into its local block,
     // and at remoteShare of it into each remote chip's matching block;
-    // terminal flows (the columns' own resources) stay quiet.
+    // terminal flows (the columns' own resources) stay quiet. A negative
+    // rate entry means the cell rate, so a catchment flow churn enables
+    // mid-run gets it too.
     TrafficConfig traffic;
     traffic.pattern = TrafficPattern::UniformRandom;
     traffic.injectionRate = cfg.ratePerNode;
     traffic.seed = cfg.seed;
     traffic.genUntil = cfg.phases.measureEnd();
     traffic.activeFlows.assign(static_cast<std::size_t>(totalFlows), false);
-    traffic.flowRates.assign(static_cast<std::size_t>(totalFlows), 0.0);
+    traffic.flowRates.assign(static_cast<std::size_t>(totalFlows), -1.0);
     std::vector<std::uint32_t> weights(
         static_cast<std::size_t>(totalFlows), 1);
     std::vector<int> ownerChip(static_cast<std::size_t>(totalFlows), -1);
@@ -405,7 +379,7 @@ runFabricConsolidation(const FabricConsolidationConfig &cfg)
                 for (std::size_t i = 0; i < cat.size(); ++i) {
                     programFlow(g * fpb + y * slots + 1 +
                                     static_cast<int>(i),
-                                c, cat[i], y, cfg.ratePerNode);
+                                c, cat[i], y, -1.0);
                 }
                 // A column without a catchment has no node to
                 // originate remote traffic (FabricNetwork::slotUsable).
@@ -415,6 +389,17 @@ runFabricConsolidation(const FabricConsolidationConfig &cfg)
                                 cfg.remoteShare * cfg.ratePerNode);
                 }
             }
+        }
+    }
+    if (churning && cfg.workload.churnAttack) {
+        // The column's terminal flows attack at the fig. 5 rates; the
+        // driver never touches them, so they survive every epoch.
+        const auto &rates = workload1Rates();
+        for (int y = 0; y < H; ++y) {
+            const auto fi = static_cast<std::size_t>(y * slots);
+            traffic.activeFlows[fi] = true;
+            traffic.flowRates[fi] =
+                rates[static_cast<std::size_t>(y) % rates.size()];
         }
     }
     spec.column.pvc.weights = weights;
@@ -429,8 +414,20 @@ runFabricConsolidation(const FabricConsolidationConfig &cfg)
         sim.attachTraceSink(&*rec);
     }
 
-    const Cycle drain =
-        sim.runUntilDrained(cfg.phases.total() * 4, traffic.genUntil);
+    const Cycle genEnd = traffic.genUntil;
+    if (churn) {
+        // Run to each frame-aligned epoch boundary inside the generation
+        // horizon and apply that epoch's tenant change there.
+        const Cycle epoch = churn->epochLen();
+        for (int e = 1; static_cast<Cycle>(e) * epoch < genEnd; ++e) {
+            sim.run(static_cast<Cycle>(e) * epoch - sim.now());
+            churn->advanceTo(e);
+            churn->applyTo(sim);
+        }
+    }
+    const Cycle budget = cfg.phases.total() * 4;
+    const Cycle drain = sim.runUntilDrained(
+        budget > sim.now() ? budget - sim.now() : 0, genEnd);
     sim.checkInvariants();
 
     const SimMetrics &m = sim.metrics();
@@ -451,6 +448,13 @@ runFabricConsolidation(const FabricConsolidationConfig &cfg)
     res.preemptions = m.preemptionEvents;
     res.avgLatency = m.latency.mean();
     res.digest = metricsDigest(m);
+    if (churn) {
+        res.churnEpochs = churn->currentEpoch();
+        res.churnArrivals = churn->arrivals();
+        res.churnDepartures = churn->departures();
+        res.churnLiveVms = churn->liveVms();
+        return res;
+    }
 
     for (int c = 0; c < cfg.chips; ++c) {
         for (const auto &s : pl.servers) {

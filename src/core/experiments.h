@@ -3,12 +3,15 @@
 /// Each returns a structured result; the bench binaries format them into
 /// the same rows/series the paper reports.
 ///
-/// Every simulation-backed runner is a thin wrapper around the parallel
-/// sweep engine (exp/sweep.h): a `*Spec()` builder names the grid, a
+/// Every figure runner is a thin wrapper around the parallel sweep
+/// engine (exp/sweep.h): a `*Spec()` builder names the grid, a
 /// `*FromSweep()` mapper turns the engine's generic cell records back
 /// into the figure's row type, and `run*()` composes the two through a
 /// SweepRunner. Drivers that want the JSON result pipeline (or a custom
-/// thread count) call the spec builder and the runner themselves.
+/// thread count) call the spec builder and the runner themselves. The
+/// consolidated server (Secs. 1-2) runs the other way round: one runner,
+/// runFabricConsolidation, whose one-chip call is the sweep's
+/// ChipConsolidation cell.
 #pragma once
 
 #include <string>
@@ -156,43 +159,7 @@ std::vector<EnergyRow> runFig7Energy();
 
 // ------------------------------------- consolidated server (Secs. 1, 2)
 
-struct ChipVmShare {
-    int vmId = -1;
-    std::uint32_t weight = 1;
-    std::size_t domainNodes = 0;
-    std::uint64_t flits = 0;       ///< delivered in the measure window
-    double flitsPerNode = 0.0;     ///< service normalized by domain size
-};
-
-struct ChipConsolidationResult {
-    Cycle drainCycle = kNoCycle;   ///< kNoCycle when the budget ran out
-    std::uint64_t deliveredPackets = 0;
-    std::uint64_t handoffs = 0;    ///< row-to-column boundary crossings
-    std::uint64_t preemptions = 0;
-    double avgLatency = 0.0;       ///< end-to-end, row segment included
-    std::vector<ChipVmShare> vms;
-};
-
-/// The paper's consolidated-server scenario cycle-accurate end to end on
-/// the full 8x8 chip: the hypervisor admits three VMs with different SLA
-/// weights, programs the shared column's flow registers from the
-/// placements, and every VM's memory traffic rides its row mesh into the
-/// PVC-protected column. Runs to drain and verifies the chip invariants.
-ChipConsolidationResult
-runChipConsolidation(TopologyKind kind = TopologyKind::Dps,
-                     double ratePerNode = 0.05,
-                     const RunPhases &phases = {});
-
-SweepSpec chipConsolidationSpec(TopologyKind kind = TopologyKind::Dps,
-                                double ratePerNode = 0.05,
-                                const RunPhases &phases = {});
-/// Maps the first cell of a ChipConsolidation sweep back into the
-/// structured result (one cell == one scenario run).
-ChipConsolidationResult chipConsolidationFromCell(const CellResult &cell);
-
-// ------------------------------------- fabric-scale consolidation (PR 8)
-
-/// The consolidated-server scenario scaled to a multi-chip fabric.
+/// The consolidated server on one chip or a multi-chip fabric.
 struct FabricConsolidationConfig {
     int chips = 4;
     ChipConfig chip;
@@ -205,9 +172,12 @@ struct FabricConsolidationConfig {
     double remoteShare = 0.25;
     std::uint64_t seed = 1;
     RunPhases phases;
-    /// Dynamic-workload shape (steady/bursty/ramp; trace and churn have
-    /// no fabric embedding). Bursty/ramp modulate every block generator
-    /// with per-block decorrelated modulator streams.
+    /// Every chip's VM mix: an index into vmPlacements().
+    int placement = 0;
+    /// Dynamic-workload shape (trace replay has no embedding). Bursty/ramp
+    /// modulate every block generator with per-block decorrelated
+    /// modulator streams; churn (one chip, one shared column) changes the
+    /// VM mix at frame-aligned epochs through a ChurnDriver.
     WorkloadSpec workload;
     /// Record the flit trace and run the independent checker's audit on
     /// it (result.auditOk / auditEvents / auditDiagnostic).
@@ -233,20 +203,26 @@ struct FabricConsolidationResult {
     std::uint64_t preemptions = 0;
     double avgLatency = 0.0;       ///< end-to-end, rows and links included
     std::uint64_t digest = 0;      ///< metricsDigest (run identity)
-    std::vector<FabricVmShare> vms;
+    std::vector<FabricVmShare> vms; ///< chip-major; empty under churn
+    /// Churn only: epochs applied, arrivals, departures, VMs at the end.
+    int churnEpochs = 0;
+    int churnArrivals = 0;
+    int churnDepartures = 0;
+    int churnLiveVms = 0;
     /// Checker audit of the recorded trace (cfg.audit only).
     bool auditOk = true;
     std::uint64_t auditEvents = 0;
     std::string auditDiagnostic;
 };
 
-/// The consolidated-server scenario at fabric scale: every chip runs its
-/// own hypervisor admitting the paper's three-VM mix, every shared column
-/// of every chip is an active QOS block with flow registers programmed
-/// from the VM placements, and each VM's memory traffic targets its local
-/// protected columns plus (at `remoteShare` of its rate) the remote
-/// chips' columns across the inter-chip links. Runs to drain and checks
-/// the fabric invariants.
+/// The paper's consolidated-server scenario, from one chip to a fabric:
+/// every chip runs its own hypervisor admitting the placement's VM mix,
+/// every shared column of every chip is an active QOS block with flow
+/// registers programmed from the VM placements, and each VM's memory
+/// traffic targets its local protected columns plus (at `remoteShare` of
+/// its rate) the remote chips' columns across the inter-chip links. Runs
+/// to drain and checks the fabric invariants. Rates must be >= 0, and a
+/// churn run takes no audit (the trace freezes the flow registers).
 FabricConsolidationResult
 runFabricConsolidation(const FabricConsolidationConfig &cfg = {});
 

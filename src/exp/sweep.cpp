@@ -7,8 +7,6 @@
 #include <optional>
 #include <thread>
 
-#include "chip/churn.h"
-#include "chip/os.h"
 #include "common/assert.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -16,7 +14,6 @@
 #include "core/maxmin.h"
 #include "exp/cell_cache.h"
 #include "exp/json_writer.h"
-#include "sim/chip_sim.h"
 #include "sim/column_sim.h"
 #include "traffic/workloads.h"
 
@@ -52,29 +49,10 @@ cellSeed(const SweepSpec &spec, const CellSpec &cell)
     return h;
 }
 
-ColumnConfig
-cellColumn(const CellSpec &cell)
-{
-    return paperColumn(cell.topology, cell.mode);
-}
-
-void
-putCommonColumnMetrics(CellResult &res, const ColumnSim &sim)
-{
-    const SimMetrics &m = sim.metrics();
-    res.put("avg_latency", m.latency.mean());
-    res.put("p95_latency", m.latencyHist.percentile(0.95));
-    res.put("preemption_packet_rate", m.preemptionPacketRate());
-    res.put("preemption_hop_rate", m.preemptionHopRate());
-    res.put("window_flits", static_cast<double>(m.windowFlits()));
-    res.put("offered_packets", static_cast<double>(m.measuredGenerated));
-    res.put("delivered_packets", static_cast<double>(m.latency.count()));
-}
-
 CellResult
 runColumnCell(const CellSpec &cell)
 {
-    const ColumnConfig col = cellColumn(cell);
+    const ColumnConfig col = paperColumn(cell.topology, cell.mode);
     TrafficConfig traffic;
     if (cell.scenario == Scenario::Hotspot) {
         traffic = makeHotspotAll(col, cell.rate);
@@ -90,7 +68,13 @@ runColumnCell(const CellSpec &cell)
     const SimMetrics &m = sim.metrics();
     CellResult res;
     res.spec = cell;
-    putCommonColumnMetrics(res, sim);
+    res.put("avg_latency", m.latency.mean());
+    res.put("p95_latency", m.latencyHist.percentile(0.95));
+    res.put("preemption_packet_rate", m.preemptionPacketRate());
+    res.put("preemption_hop_rate", m.preemptionHopRate());
+    res.put("window_flits", static_cast<double>(m.windowFlits()));
+    res.put("offered_packets", static_cast<double>(m.measuredGenerated));
+    res.put("delivered_packets", static_cast<double>(m.latency.count()));
     if (cell.scenario == Scenario::Hotspot) {
         RunningStat rs;
         for (auto flits : m.flowFlits)
@@ -124,7 +108,7 @@ runAdversarialCell(const CellSpec &cell)
     const Cycle gen = cell.genCycles;
     const Cycle budget = gen * 10;
 
-    const ColumnConfig col = cellColumn(cell);
+    const ColumnConfig col = paperColumn(cell.topology, cell.mode);
     const TrafficConfig traffic =
         cell.workload == 1 ? makeWorkload1(col) : makeWorkload2(col);
     TrafficConfig finite = traffic;
@@ -189,141 +173,46 @@ runAdversarialCell(const CellSpec &cell)
     return res;
 }
 
-/// Whole-chip consolidation cell: the placement preset's VMs are admitted
-/// by the hypervisor, which programs the column's flow registers, and
-/// every VM-owned compute node streams memory requests at the cell rate
-/// to uniformly spread memory-controller rows; terminal flows (the
-/// column's own resources) stay quiet.
-///
-/// Under a churn workload a ChurnDriver owns the hypervisor and arrives
-/// or departs one VM per epoch (churnFrames QOS frames), reprogramming
-/// the live sim's flow registers and compute-flow activity at each
-/// frame-aligned epoch boundary. Under churnAttack the column's own
-/// terminal flows run the fig. 5 adversarial rates throughout, so
-/// preemption is exercised against a shifting tenant mix.
+/// Whole-chip consolidation cell: the one-chip runFabricConsolidation
+/// with the cell's placement preset, rate, seed and workload (tenant
+/// churn included), recorded as drain/delivery/latency metrics plus the
+/// churn counters or, for a fixed tenant mix, each VM's service.
 CellResult
 runChipConsolidationCell(const CellSpec &cell)
 {
-    TAQOS_ASSERT(cell.workloadSpec.kind != WorkloadKind::Trace,
-                 "trace replay is a column workload; the chip "
-                 "consolidation scenario has no embedding for it");
-    const auto &placements = vmPlacements();
-    TAQOS_ASSERT(cell.placement >= 0 &&
-                     static_cast<std::size_t>(cell.placement) <
-                         placements.size(),
-                 "placement index out of range");
-    const VmPlacement &pl = placements[static_cast<std::size_t>(cell.placement)];
+    FabricConsolidationConfig cfg;
+    cfg.chips = 1;
+    cfg.topology = cell.topology;
+    cfg.mode = cell.mode;
+    cfg.ratePerNode = cell.rate;
+    cfg.seed = cell.seed;
+    cfg.phases = cell.phases;
+    cfg.placement = cell.placement;
+    cfg.workload = cell.workloadSpec;
+    const FabricConsolidationResult run = runFabricConsolidation(cfg);
 
-    ChipNetConfig cfg;
-    cfg.column.topology = cell.topology;
-    cfg.column.mode = cell.mode;
-    cfg.column.numNodes = cfg.chip.nodesY();
-
-    std::optional<ChurnDriver> churn;
-    std::optional<OsScheduler> fixedOs;
-    if (cell.workloadSpec.kind == WorkloadKind::Churn) {
-        std::vector<ChurnTenant> initial;
-        for (const auto &s : pl.servers)
-            initial.push_back({s.id, s.threads, s.weight});
-        churn.emplace(cfg, initial, cell.workloadSpec, cell.seed);
-    } else {
-        fixedOs.emplace(cfg.chip);
-        for (const auto &s : pl.servers) {
-            const auto vm = fixedOs->createVm(s.id, s.threads, s.weight);
-            TAQOS_ASSERT(vm.has_value(), "VM %d admission failed", s.id);
-        }
-        TAQOS_ASSERT(fixedOs->coScheduleInvariant(),
-                     "co-scheduling violated");
-    }
-    const OsScheduler &os = churn ? churn->os() : *fixedOs;
-    cfg.column.pvc = os.columnFlowRegisters(cfg.columnX(), cfg.column);
-
-    TrafficConfig traffic;
-    traffic.pattern = TrafficPattern::UniformRandom;
-    traffic.injectionRate = cell.rate;
-    traffic.genUntil = cell.phases.measureEnd();
-    traffic.seed = cell.seed;
-    traffic.activeFlows.assign(
-        static_cast<std::size_t>(cfg.column.numFlows()), false);
-    for (int row = 0; row < cfg.chip.nodesY(); ++row) {
-        for (int k = 1; k < cfg.column.injectorsPerNode; ++k) {
-            if (os.ownerOf(NodeCoord{cfg.computeXOf(k), row}) >= 0) {
-                traffic.activeFlows[static_cast<std::size_t>(
-                    cfg.column.flowOf(row, k))] = true;
-            }
-        }
-    }
-    if (churn && cell.workloadSpec.churnAttack) {
-        // The driver never touches terminal flows, so the attacker's
-        // activity and rates survive every reprogramming epoch.
-        const auto &rates = workload1Rates();
-        traffic.flowRates.assign(
-            static_cast<std::size_t>(cfg.column.numFlows()), -1.0);
-        for (int row = 0; row < cfg.chip.nodesY(); ++row) {
-            const FlowId f = cfg.column.flowOf(row, 0);
-            traffic.activeFlows[static_cast<std::size_t>(f)] = true;
-            traffic.flowRates[static_cast<std::size_t>(f)] =
-                rates[static_cast<std::size_t>(row) % rates.size()];
-        }
-    }
-
-    ChipSim sim(cfg, traffic, cell.workloadSpec);
-    sim.setMeasureWindow(cell.phases.warmup, cell.phases.measureEnd());
-
-    // Churn segment loop: run to each frame-aligned epoch boundary inside
-    // the generation horizon, apply that epoch's tenant change, continue.
-    // A fixed tenant mix is one epoch spanning the whole horizon.
-    const Cycle genEnd = traffic.genUntil;
-    const Cycle epochLen = churn ? churn->epochLen() : genEnd;
-    Cycle now = 0;
-    for (int e = 1; static_cast<Cycle>(e) * epochLen < genEnd; ++e) {
-        const Cycle boundary = static_cast<Cycle>(e) * epochLen;
-        sim.run(boundary - now);
-        now = boundary;
-        churn->advanceTo(e);
-        churn->applyTo(sim);
-    }
-    const Cycle budget = cell.phases.total() * 4;
-    const Cycle drain = sim.runUntilDrained(
-        budget > now ? budget - now : 0, genEnd);
-    sim.checkInvariants();
-
-    const SimMetrics &m = sim.metrics();
     CellResult res;
     res.spec = cell;
-    res.put("drain_cycle",
-            drain == kNoCycle ? -1.0 : static_cast<double>(drain));
-    res.put("delivered_packets", static_cast<double>(m.deliveredPackets));
-    res.put("handoffs", static_cast<double>(sim.handoffs()));
-    res.put("preemptions", static_cast<double>(m.preemptionEvents));
-    res.put("avg_latency", m.latency.mean());
-    if (churn) {
-        res.put("churn_epochs", static_cast<double>(churn->currentEpoch()));
-        res.put("churn_arrivals", static_cast<double>(churn->arrivals()));
-        res.put("churn_departures",
-                static_cast<double>(churn->departures()));
-        res.put("churn_live_vms", static_cast<double>(churn->liveVms()));
+    res.put("drain_cycle", run.drainCycle == kNoCycle
+                               ? -1.0
+                               : static_cast<double>(run.drainCycle));
+    res.put("delivered_packets", static_cast<double>(run.deliveredPackets));
+    res.put("handoffs", static_cast<double>(run.handoffs));
+    res.put("preemptions", static_cast<double>(run.preemptions));
+    res.put("avg_latency", run.avgLatency);
+    if (cell.workloadSpec.kind == WorkloadKind::Churn) {
+        res.put("churn_epochs", run.churnEpochs);
+        res.put("churn_arrivals", run.churnArrivals);
+        res.put("churn_departures", run.churnDepartures);
+        res.put("churn_live_vms", run.churnLiveVms);
         return res;
     }
-
-    for (const auto &s : pl.servers) {
-        const VmInfo *vm = os.vm(s.id);
-        std::uint64_t flits = 0;
-        for (int row = 0; row < cfg.chip.nodesY(); ++row) {
-            for (int k = 1; k < cfg.column.injectorsPerNode; ++k) {
-                if (os.ownerOf(NodeCoord{cfg.computeXOf(k), row}) != s.id)
-                    continue;
-                flits += m.flowFlits[static_cast<std::size_t>(
-                    cfg.column.flowOf(row, k))];
-            }
-        }
-        const std::string p = strFormat("vm%d_", s.id);
-        res.put(p + "weight", static_cast<double>(s.weight));
-        res.put(p + "nodes", static_cast<double>(vm->domain.size()));
-        res.put(p + "flits", static_cast<double>(flits));
-        res.put(p + "flits_per_node",
-                static_cast<double>(flits) /
-                    static_cast<double>(vm->domain.size()));
+    for (const auto &vm : run.vms) {
+        const std::string p = strFormat("vm%d_", vm.vmId);
+        res.put(p + "weight", vm.weight);
+        res.put(p + "nodes", static_cast<double>(vm.domainNodes));
+        res.put(p + "flits", static_cast<double>(vm.flits));
+        res.put(p + "flits_per_node", vm.flitsPerNode);
     }
     return res;
 }
@@ -373,7 +262,7 @@ const std::vector<VmPlacement> &
 vmPlacements()
 {
     // Preset 0 must stay the paper's consolidated-server mix —
-    // runChipConsolidation() and its tests are anchored to it.
+    // runFabricConsolidation's default and its tests are anchored to it.
     static const std::vector<VmPlacement> kPlacements = {
         {"paper_3vm", {{1, 64, 4}, {2, 48, 2}, {3, 32, 1}}},
         {"equal_3vm", {{1, 48, 1}, {2, 48, 1}, {3, 48, 1}}},

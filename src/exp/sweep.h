@@ -3,8 +3,9 @@
 /// figure and ablation.
 ///
 /// A SweepSpec names a scenario (latency/load curve, hotspot fairness,
-/// adversarial preemption, whole-chip consolidation) and the axes of a
-/// grid over it: topology x traffic pattern x QOS mode x injection load x
+/// adversarial preemption, whole-chip consolidation — the one-chip
+/// runFabricConsolidation of core/experiments.h) and the axes of a grid
+/// over it: topology x traffic pattern x QOS mode x injection load x
 /// VM placement x replicate seed. SweepSpec::expand() flattens the grid
 /// into fully-determined CellSpecs; SweepRunner executes the cells on a
 /// std::thread pool and collects per-cell metric records plus per-grid-
@@ -22,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "chip/os.h"
 #include "common/stats.h"
 #include "qos/pvc.h"
 #include "sim/sim_config.h"
@@ -44,16 +46,9 @@ enum class Scenario {
 const char *scenarioName(Scenario s);
 std::optional<Scenario> parseScenario(const std::string &name);
 
-/// One VM the consolidation scenario admits.
-struct VmSpec {
-    int id = 0;
-    int threads = 0;
-    std::uint32_t weight = 1;
-};
-
-/// Named VM placement presets for the ChipConsolidation scenario (the
-/// spec's `placements` axis indexes this table). Preset 0 is the paper's
-/// consolidated-server mix.
+/// Named VM placement presets for the consolidated server (the spec's
+/// `placements` axis and FabricConsolidationConfig::placement index this
+/// table). Preset 0 is the paper's consolidated-server mix.
 struct VmPlacement {
     const char *name;
     std::vector<VmSpec> servers;

@@ -177,10 +177,6 @@ class InputPort {
     /// available.
     int findFreeVc(Cycle now, bool rateCompliant);
 
-    /// Any VC allocatable for this compliance class? (used before paying
-    /// the preemption cost)
-    bool anyFreeVc(Cycle now, bool rateCompliant);
-
     int occupiedVcs() const;
 
     // --- incremental activity state -----------------------------------

@@ -222,7 +222,6 @@ class Router {
 
     int occupiedVcCount() const { return hot_->occupiedVcs; }
     int queuedPacketCount() const { return hot_->queuedPkts; }
-    int activeXferCount() const { return hot_->activeXfers; }
 
   private:
     struct Candidate {

@@ -7,6 +7,7 @@
 #include "topo/fabric.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "common/assert.h"
@@ -74,6 +75,53 @@ fabricCatchments(const ChipConfig &chip)
         }
     }
     return cats;
+}
+
+std::string
+fabricSpecError(const FabricSpec &spec)
+{
+    const ChipConfig &chip = spec.chip;
+    if (spec.chips < 1)
+        return strFormat("fabric needs at least one chip, got %d",
+                         spec.chips);
+    const int side = static_cast<int>(
+        std::lround(std::sqrt(std::max(chip.concentration, 1))));
+    if (side * side != chip.concentration || chip.tilesX % side != 0 ||
+        chip.tilesY % side != 0) {
+        return strFormat("tile grid %dx%d does not divide into nodes of %d "
+                         "tiles",
+                         chip.tilesX, chip.tilesY, chip.concentration);
+    }
+    if (chip.nodesY() < 2)
+        return strFormat("columns need at least two nodes, got %d rows",
+                         chip.nodesY());
+    if (chip.sharedColumns.empty())
+        return "fabric needs at least one shared column";
+    std::vector<int> cols = chip.sharedColumns;
+    std::sort(cols.begin(), cols.end());
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+        if (cols[i] < 0 || cols[i] >= chip.nodesX()) {
+            return strFormat("shared column %d outside the grid "
+                             "(columns 0..%d)",
+                             cols[i], chip.nodesX() - 1);
+        }
+        if (i > 0 && cols[i] == cols[i - 1])
+            return strFormat("duplicate shared column %d", cols[i]);
+    }
+    if (chip.nodesX() == static_cast<int>(cols.size())) {
+        if (spec.chips != 1 || chip.nodesX() != 1)
+            return "a fabric without compute columns must be one chip's "
+                   "one shared column";
+        // The block keeps the column's own injectors and east/west split.
+        if (spec.column.eastRowInjectors < 0 ||
+            spec.column.eastRowInjectors >= spec.column.injectorsPerNode) {
+            return strFormat("%d east row injectors, but the column has %d "
+                             "row injectors",
+                             spec.column.eastRowInjectors,
+                             spec.column.injectorsPerNode - 1);
+        }
+    }
+    return {};
 }
 
 namespace {
@@ -207,34 +255,10 @@ FabricNetwork::sourceQueue(FlowId f)
 std::unique_ptr<FabricNetwork>
 FabricNetwork::build(FabricSpec spec)
 {
-    TAQOS_ASSERT(spec.chips >= 1, "fabric needs at least one chip");
-    TAQOS_ASSERT(!spec.chip.sharedColumns.empty(),
-                 "fabric needs at least one shared column");
+    const std::string err = fabricSpecError(spec);
+    TAQOS_ASSERT(err.empty(), "%s", err.c_str());
     std::sort(spec.chip.sharedColumns.begin(),
               spec.chip.sharedColumns.end());
-    for (std::size_t i = 0; i < spec.chip.sharedColumns.size(); ++i) {
-        const int col = spec.chip.sharedColumns[i];
-        TAQOS_ASSERT(col >= 0 && col < spec.chip.nodesX(),
-                     "shared column %d outside the grid", col);
-        TAQOS_ASSERT(i == 0 || col > spec.chip.sharedColumns[i - 1],
-                     "duplicate shared column %d", col);
-    }
-    if (spec.chip.nodesX() ==
-        static_cast<int>(spec.chip.sharedColumns.size())) {
-        TAQOS_ASSERT(spec.chips == 1 && spec.chip.nodesX() == 1,
-                     "a fabric without compute columns must be one "
-                     "chip's one shared column");
-        // The block keeps the column's own injectors and east/west split.
-        TAQOS_ASSERT(spec.column.eastRowInjectors >= 0 &&
-                         spec.column.eastRowInjectors <
-                             spec.column.injectorsPerNode,
-                     "%d east row injectors, but the column has %d row "
-                     "injectors",
-                     spec.column.eastRowInjectors,
-                     spec.column.injectorsPerNode - 1);
-    }
-    TAQOS_ASSERT(spec.chip.nodesY() >= 2,
-                 "columns need at least two nodes");
     spec.column.numNodes = spec.chip.nodesY();
 
     std::unique_ptr<FabricNetwork> net(new FabricNetwork(std::move(spec)));

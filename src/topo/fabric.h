@@ -101,6 +101,15 @@ struct FabricSpec {
     int blocks() const { return chips * blocksPerChip(); }
 };
 
+/// The first rule `spec` breaks, as one line, or "" when it builds: at
+/// least one chip; a tile grid that divides into square nodes of
+/// `concentration` tiles; at least two node rows; at least one shared
+/// column, each inside the grid and none twice; and a grid without
+/// compute columns must be one chip's one column with its east row
+/// injectors inside its row injectors. FabricNetwork::build asserts on
+/// it, and CLIs call it before any work starts.
+std::string fabricSpecError(const FabricSpec &spec);
+
 /// The whole-chip scenario (Sec. 2.1): one chip, its first shared column
 /// simulated, every other grid column a compute column feeding it over
 /// the unprotected rows. It is the one-chip, one-block fabric
@@ -124,14 +133,9 @@ struct ChipNetConfig {
         return chip.sharedColumns.front();
     }
 
-    /// Column row-injector index (1..injectorsPerNode-1) fed by the
-    /// compute node at grid column `x` (os.cpp flow-register mapping:
-    /// injectors 1.. map to the row's compute nodes ordered by x).
-    int injectorIndexOf(int x) const
-    {
-        return x < columnX() ? x + 1 : x;
-    }
-    /// Inverse: grid x of the compute node feeding row-injector `k`.
+    /// Grid x of the compute node feeding row-injector `k`
+    /// (1..injectorsPerNode-1; os.cpp flow-register mapping: injectors
+    /// 1.. map to the row's compute nodes ordered by x).
     int computeXOf(int k) const { return k <= columnX() ? k - 1 : k; }
 
     /// The equivalent fabric: one chip whose only block is columnX().

@@ -34,32 +34,14 @@ TrafficGenerator::TrafficGenerator(const ColumnConfig &col,
 TrafficGenerator::~TrafficGenerator() = default;
 
 void
-TrafficGenerator::recomputeProb(FlowId flow)
-{
-    const double rate = traffic_.flowActive(flow) ? traffic_.rateOf(flow)
-                                                  : 0.0;
-    genProb_[static_cast<std::size_t>(flow)] =
-        rate / traffic_.meanPacketFlits();
-}
-
-void
 TrafficGenerator::setFlowActive(FlowId flow, bool active)
 {
     if (traffic_.activeFlows.empty())
         traffic_.activeFlows.assign(rng_.size(), true);
     traffic_.activeFlows[static_cast<std::size_t>(flow)] = active;
-    recomputeProb(flow);
-}
-
-void
-TrafficGenerator::setFlowRate(FlowId flow, double rate)
-{
-    if (traffic_.flowRates.empty()) {
-        traffic_.flowRates.assign(
-            rng_.size(), -1.0); // negative = fall back to injectionRate
-    }
-    traffic_.flowRates[static_cast<std::size_t>(flow)] = rate;
-    recomputeProb(flow);
+    const double rate = active ? traffic_.rateOf(flow) : 0.0;
+    genProb_[static_cast<std::size_t>(flow)] =
+        rate / traffic_.meanPacketFlits();
 }
 
 NodeId

@@ -44,12 +44,12 @@ class TrafficGenerator : public TrafficSource {
     /// Destination for one packet of `flow` (exposed for tests).
     NodeId pickDest(FlowId flow);
 
-    /// Reprogram one flow mid-run (the tenant-churn driver's hook; apply
-    /// at frame boundaries). An inactive flow's stream freezes — it
-    /// consumes no draws — so the change is exactly reproducible under
-    /// either engine and across checkpoint restore.
+    /// Switch one flow on or off mid-run (the tenant-churn driver's hook;
+    /// apply at frame boundaries); a flow switched on runs at its
+    /// configured rate (TrafficConfig::rateOf). An inactive flow's stream
+    /// freezes — it consumes no draws — so the change is exactly
+    /// reproducible under either engine and across checkpoint restore.
     void setFlowActive(FlowId flow, bool active);
-    void setFlowRate(FlowId flow, double rate);
 
     /// The installed modulator (null for steady workloads).
     const RateModulator *modulator() const { return mod_.get(); }
@@ -61,8 +61,6 @@ class TrafficGenerator : public TrafficSource {
     void unpackState(const std::vector<std::uint64_t> &words) override;
 
   private:
-    void recomputeProb(FlowId flow);
-
     ColumnConfig col_;
     TrafficConfig traffic_;
     std::vector<Rng> rng_;        ///< one stream per flow

@@ -27,8 +27,9 @@ struct TrafficConfig {
     /// flow unless `flowRates` overrides it.
     double injectionRate = 0.05;
 
-    /// Per-flow injection-rate overrides (flits/cycle); NaN/absent entries
-    /// fall back to `injectionRate`. Sized numFlows when used.
+    /// Per-flow injection-rate overrides (flits/cycle); negative, NaN and
+    /// absent entries fall back to `injectionRate`. Sized numFlows when
+    /// used.
     std::vector<double> flowRates;
 
     /// Flows allowed to inject; empty = all flows active.

@@ -400,19 +400,4 @@ workloadAxisFromOpts(const OptionMap &opts)
     return out;
 }
 
-const char *
-workloadOptionsHelp()
-{
-    return "  workload=SPEC[;SPEC]  workload specs "
-           "(steady | bursty:on=,off=,gain= | ramp:low=,high=,period= |\n"
-           "                        trace:path=,... | "
-           "churn:frames=,maxvms=,attack=)\n"
-           "  trace=FILE            replay a recorded trace "
-           "(inflate=F window=b:e loop=1 refine it)\n"
-           "  burst=on,off,gain     ON/OFF Markov bursty shorthand "
-           "(burst=1 for defaults)\n"
-           "  churn=frames[,vms[,a]] tenant-churn shorthand "
-           "(churn=1 for defaults)\n";
-}
-
 } // namespace taqos

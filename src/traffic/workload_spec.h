@@ -117,7 +117,4 @@ operator==(const WorkloadSpec &a, const WorkloadSpec &b)
 /// the canonical option-error message on malformed input.
 std::vector<WorkloadSpec> workloadAxisFromOpts(const OptionMap &opts);
 
-/// The `workload=`-family usage lines shared by the CLIs' help text.
-const char *workloadOptionsHelp();
-
 } // namespace taqos

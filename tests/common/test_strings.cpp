@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/options.h"
 #include "common/strings.h"
 
 namespace taqos {
@@ -108,19 +109,34 @@ TEST(Strings, NumberTokensParseWholeOrNotAtAll)
 TEST(OptionMap, MalformedValuesExitNamingTheKeyAndValue)
 {
     const char *argv[] = {"prog", "measure=2k", "warmup=-5", "mix=maybe",
-                          "rate=0.05x", "chipz=2"};
-    OptionMap opts(6, const_cast<char **>(argv));
+                          "rate=0.05x", "chipz=2", "chips=4294967297",
+                          "seed=-1", "columns=4,4294967300"};
+    OptionMap opts(9, const_cast<char **>(argv));
     EXPECT_EXIT(opts.getInt("measure", 0), ::testing::ExitedWithCode(1),
                 "bad option 'measure=2k': want a whole number");
+    // Integers are range-checked against the type the caller stores:
+    // 4294967297 would wrap to an int 1, -1 to a 2^64-1 seed.
+    EXPECT_EXIT(opts.getInt("chips", 4), ::testing::ExitedWithCode(1),
+                "bad option 'chips=4294967297': want a whole number in "
+                "\\[-2147483648, 2147483647\\]");
+    EXPECT_EXIT(opts.getInt("seed", std::uint64_t{1}),
+                ::testing::ExitedWithCode(1),
+                "bad option 'seed=-1': want a whole number in "
+                "\\[0, 18446744073709551615\\]");
+    EXPECT_EXIT(parseIntList(opts.get("columns", "")),
+                ::testing::ExitedWithCode(1),
+                "bad integer list '4,4294967300'");
     EXPECT_EXIT(opts.getCycles("warmup", 0), ::testing::ExitedWithCode(1),
                 "bad option 'warmup=-5': want a cycle count");
     EXPECT_EXIT(opts.getBool("mix", true), ::testing::ExitedWithCode(1),
                 "bad option 'mix=maybe'");
     EXPECT_EXIT(opts.getDouble("rate", 0.0), ::testing::ExitedWithCode(1),
                 "bad option 'rate=0.05x': want a number");
-    EXPECT_EXIT(opts.rejectUnknown({"measure", "warmup", "mix", "rate"}),
+    EXPECT_EXIT(opts.rejectUnknown({"measure", "warmup", "mix", "rate",
+                                    "chips", "seed", "columns"}),
                 ::testing::ExitedWithCode(1), "unknown option 'chipz'");
-    opts.rejectUnknown({"measure", "warmup", "mix", "rate", "chipz"});
+    opts.rejectUnknown({"measure", "warmup", "mix", "rate", "chips", "seed",
+                        "columns", "chipz"});
 }
 
 } // namespace

@@ -195,8 +195,10 @@ TEST(ChipSimLatency, RowSegmentAddsEndToEndLatency)
 
 TEST(ChipConsolidation, ConsolidatedServerRunsToDrainWithQosColumn)
 {
-    const ChipConsolidationResult res =
-        runChipConsolidation(TopologyKind::Dps, 0.05, testPhases());
+    FabricConsolidationConfig cfg;
+    cfg.chips = 1;
+    cfg.phases = testPhases();
+    const FabricConsolidationResult res = runFabricConsolidation(cfg);
     ASSERT_NE(res.drainCycle, kNoCycle);
     EXPECT_GT(res.deliveredPackets, 0u);
     EXPECT_GT(res.handoffs, 0u);

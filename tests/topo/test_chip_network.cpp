@@ -78,7 +78,6 @@ TEST(ChipNetwork, InjectorIndexMatchesOsFlowRegisterMapping)
     for (int x = 0; x < chip.nodesX(); ++x) {
         if (x == c)
             continue;
-        EXPECT_EQ(cc.injectorIndexOf(x), expected);
         EXPECT_EQ(cc.computeXOf(expected), x);
         for (int y = 0; y < chip.nodesY(); ++y) {
             const FlowId f = cc.column.flowOf(y, expected);
