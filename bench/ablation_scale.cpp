@@ -12,6 +12,9 @@
 ///
 /// Writes `BENCH_scale.json` (same schema as BENCH_hotpath.json) with
 /// rows scale_<nodes>; CI lists it in the compare_bench.py snapshot.
+/// Each row also carries the engine's cost per hop: wall ns per started
+/// transfer (`nsPerHop`) and activity-engine output scans per transfer
+/// (`scansPerHop`, exact; NetSim::engineStats).
 ///
 /// Options: fast=1 (short runs), reps=N (default 3, fast 1),
 ///          json=<path> (default BENCH_scale.json)
@@ -45,10 +48,22 @@ struct ScaleRow {
     int nodes = 0;
     Cycle cycles = 0;
     double sec = 0.0;
+    EngineStats stats;
 
     double rate() const
     {
         return sec > 0.0 ? static_cast<double>(cycles) / sec : 0.0;
+    }
+    double nsPerHop() const
+    {
+        return stats.hops > 0 ? sec * 1e9 / static_cast<double>(stats.hops)
+                              : 0.0;
+    }
+    double scansPerHop() const
+    {
+        return stats.hops > 0 ? static_cast<double>(stats.outputScans) /
+                                    static_cast<double>(stats.hops)
+                              : 0.0;
     }
 };
 
@@ -82,6 +97,7 @@ timedFabricRun(const ScaleConfig &cfg, Cycle cycles, int reps)
                                .count();
         row.sec = r == 0 ? sec : std::min(row.sec, sec);
         row.nodes = sim.net().numNodes();
+        row.stats = sim.engineStats();
     }
     row.name = strFormat("scale_%d", row.nodes);
     return row;
@@ -113,12 +129,15 @@ main(int argc, char **argv)
 
     std::vector<ScaleRow> rows;
     TextTable t;
-    t.setHeader({"config", "nodes", "cyc/s", "node-cyc/s"});
+    t.setHeader({"config", "nodes", "cyc/s", "node-cyc/s", "ns/hop",
+                 "scans/hop"});
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const ScaleRow row = timedFabricRun(configs[i], budgets[i], reps);
         t.addRow({configs[i].label, strFormat("%d", row.nodes),
                   benchutil::num(row.rate(), 0),
-                  benchutil::num(row.rate() * row.nodes, 0)});
+                  benchutil::num(row.rate() * row.nodes, 0),
+                  benchutil::num(row.nsPerHop(), 0),
+                  benchutil::num(row.scansPerHop(), 3)});
         rows.push_back(row);
     }
     std::printf("%s\n", t.render().c_str());
@@ -137,6 +156,8 @@ main(int argc, char **argv)
         w.field("simCycles", row.cycles);
         w.field("wallMs", row.sec * 1e3);
         w.field("simCyclesPerSec", row.rate());
+        w.field("nsPerHop", row.nsPerHop());
+        w.field("scansPerHop", row.scansPerHop());
         w.endObject();
     }
     w.endArray();

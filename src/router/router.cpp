@@ -566,6 +566,7 @@ Router::tryGrant(Candidate &cand, TickContext &ctx)
     const VcRef srcVc = fromInjection ? VcRef{nullptr, -1}
                                       : VcRef{cand.port, cand.vc};
     out->startTransfer(pkt, cand.dropIdx, vcIdx, srcVc, ctx.now);
+    ++ctx.stats.hops;
     if (trace_ != nullptr)
         trace_->hop(ctx.now, node_, *down, vcIdx, *pkt);
 
@@ -787,6 +788,7 @@ Router::tickCompletions(Cycle now)
 void
 Router::tickArbitrate(TickContext &ctx)
 {
+    ++ctx.stats.routerTicks;
     if (ctx.forceScan) {
         collectCandidates(ctx);
         for (std::size_t o = 0; o < outputs_.size(); ++o) {
@@ -810,6 +812,7 @@ Router::tickArbitrate(TickContext &ctx)
         for (std::size_t o = 0; o < outputs_.size(); ++o) {
             if (outDirty_[o] != 0 || ctx.now >= outWake_[o]) {
                 collectOutput(static_cast<int>(o), ctx);
+                ++ctx.stats.outputScans;
                 outDirty_[o] = 0;
             }
             if (outWake_[o] < minWake)

@@ -49,6 +49,26 @@ struct RouteEntry {
     int dropIdx = 0;      ///< drop on the chosen output (MECS express span)
 };
 
+/// Exact counts of the engine's arbitration work (NetSim::engineStats).
+/// Deterministic for a given run and engine. They describe how the
+/// engine did the work, not what the network did, so they stay out of
+/// SimMetrics, metricsDigest, cell-cache fragments and checkpoints.
+struct EngineStats {
+    std::uint64_t routerTicks = 0; ///< Router::tickArbitrate calls
+    /// Per-output candidate scans of the activity engine (the always-tick
+    /// engine's full scans are not counted).
+    std::uint64_t outputScans = 0;
+    std::uint64_t hops = 0; ///< transfers started (OutputPort::startTransfer)
+
+    EngineStats &operator+=(const EngineStats &o)
+    {
+        routerTicks += o.routerTicks;
+        outputScans += o.outputScans;
+        hops += o.hops;
+        return *this;
+    }
+};
+
 /// Shared services handed to routers each cycle.
 struct TickContext {
     Cycle now = 0;
@@ -62,6 +82,8 @@ struct TickContext {
     /// no activity shortcuts (the bit-identity reference the activity-
     /// driven engine is checked against).
     bool forceScan = false;
+    /// This cycle's work counts; the engine folds them into its totals.
+    EngineStats stats;
 };
 
 /// The per-router counters and schedule bounds the engine consults every

@@ -239,6 +239,8 @@ NetSim::step()
             net_->router(n)->tickArbitrate(ctx);
     }
 
+    stats_ += ctx.stats;
+
     tickTerminals();
     if (engineCfg_.activityDriven)
         sweepWorklist();

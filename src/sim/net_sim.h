@@ -99,6 +99,9 @@ class NetSim {
     Network &net() { return *net_; }
     const Network &net() const { return *net_; }
     PacketPool &pool() { return pool_; }
+    /// Exact arbitration-work counts of every step this object ran (a
+    /// restored run counts from the restore; see EngineStats).
+    const EngineStats &engineStats() const { return stats_; }
 
     /// Serialize the complete live state at the current cycle boundary
     /// (see sim/checkpoint.h for the format and the engine-neutrality
@@ -156,6 +159,7 @@ class NetSim {
     void sweepWorklist();
 
     std::vector<NodeId> active_; ///< sorted ids of routers with work
+    EngineStats stats_;
 };
 
 } // namespace taqos
