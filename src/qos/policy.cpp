@@ -11,192 +11,7 @@ namespace taqos {
 QosPolicy::~QosPolicy() = default;
 SourceGate::~SourceGate() = default;
 
-std::uint64_t
-QosPolicy::priority(const NetPacket &pkt, bool carried,
-                    const FlowTable &table, int tableIdx) const
-{
-    // Virtual-clock default (PVC and the per-flow queueing reference):
-    // a flow's consumed bandwidth scaled by its provisioned rate; ports
-    // without local flow state reuse the source-computed value.
-    if (carried || !table.enabled())
-        return pkt.carriedPrio;
-    return table.priorityOf(tableIdx, pkt.flow);
-}
-
-bool
-QosPolicy::betterThan(const ArbKey &a, const ArbKey &b, int outPort) const
-{
-    (void)outPort;
-    if (a.prio != b.prio)
-        return a.prio < b.prio;
-    if (a.age != b.age)
-        return a.age < b.age;
-    if (a.flow != b.flow)
-        return a.flow < b.flow;
-    return a.rrKey < b.rrKey;
-}
-
 namespace {
-
-/// Preemptive Virtual Clock — the paper's scheme. Priority and comparator
-/// are the virtual-clock defaults; what makes PVC preemptive is the
-/// onAllocFail decision (inversion detection thresholds), and what makes
-/// it safe is the source quota + reserved escape VC the structural
-/// properties enable.
-class PvcPolicy final : public QosPolicy {
-  public:
-    using QosPolicy::QosPolicy;
-    QosMode mode() const override { return QosMode::Pvc; }
-    bool usesFlowTable() const override { return true; }
-    bool usesReservedVc() const override
-    {
-        return params_->reservedVcEnabled;
-    }
-    bool usesSourceQuota() const override { return true; }
-    Cycle frameLen() const override { return params_->frameLen; }
-
-    bool onAllocFail(Cycle waited, bool xferBlocked) const override
-    {
-        // Transient buffer-full is not an inversion; the requester must
-        // have been stuck past the wait threshold before PVC pays the
-        // preemption cost. Ongoing transfers are interrupted on a
-        // separate (shorter) threshold.
-        const int wait = xferBlocked ? params_->preemptXferWaitCycles
-                                     : params_->preemptWaitCycles;
-        return waited >= static_cast<Cycle>(wait);
-    }
-};
-
-/// Per-flow queueing (Fig. 6 reference): same virtual-clock schedule as
-/// PVC but with unbounded per-flow buffers, so allocation never fails and
-/// preemption never triggers.
-class PerFlowQueuePolicy final : public QosPolicy {
-  public:
-    using QosPolicy::QosPolicy;
-    QosMode mode() const override { return QosMode::PerFlowQueue; }
-    bool usesFlowTable() const override { return true; }
-    bool unboundedVcs() const override { return true; }
-};
-
-/// Locally-fair rotating arbitration, no flow state (the starvation
-/// baseline of Sec. 5.3).
-class NoQosPolicy final : public QosPolicy {
-  public:
-    using QosPolicy::QosPolicy;
-    QosMode mode() const override { return QosMode::NoQos; }
-
-    void init(int numOutputs) override
-    {
-        rrPtr_.assign(static_cast<std::size_t>(numOutputs), 0);
-    }
-
-    std::uint64_t priority(const NetPacket &, bool, const FlowTable &,
-                           int) const override
-    {
-        return 0;
-    }
-
-    bool betterThan(const ArbKey &a, const ArbKey &b,
-                    int outPort) const override
-    {
-        const std::uint32_t ptr = rrPtr_[static_cast<std::size_t>(outPort)];
-        return cyclicRank(a.rrKey, ptr) < cyclicRank(b.rrKey, ptr);
-    }
-
-    void onGrant(int outPort, const ArbKey &winner) override
-    {
-        rrPtr_[static_cast<std::size_t>(outPort)] = winner.rrKey + 1;
-    }
-
-    std::vector<std::uint64_t> packState() const override
-    {
-        return {rrPtr_.begin(), rrPtr_.end()};
-    }
-
-    void unpackState(const std::vector<std::uint64_t> &words) override
-    {
-        TAQOS_ASSERT(words.size() == rrPtr_.size(),
-                     "rotating-arbiter restore geometry mismatch");
-        for (std::size_t i = 0; i < words.size(); ++i)
-            rrPtr_[i] = static_cast<std::uint32_t>(words[i]);
-    }
-
-  private:
-    /// Modulus for the rotating arbiter's cyclic ranking.
-    static constexpr std::uint32_t kRrModulus = 4096;
-
-    static std::uint32_t cyclicRank(std::uint32_t key, std::uint32_t ptr)
-    {
-        return (key + kRrModulus - (ptr % kRrModulus)) % kRrModulus;
-    }
-
-    /// Rotating-arbiter pointers, one per output.
-    std::vector<std::uint32_t> rrPtr_;
-};
-
-/// Globally Synchronized Frames (Lee et al., ISCA 2008), the frame-based
-/// reservation scheme the paper compares against. Packets are stamped
-/// with a frame number at the source (see GsfGate); routers give strict
-/// priority to earlier frames and break ties oldest-first, so a frame's
-/// traffic cannot be delayed by later frames — per-flow bandwidth is
-/// guaranteed at frame granularity without preemption or per-router flow
-/// state.
-class GsfPolicy final : public QosPolicy {
-  public:
-    using QosPolicy::QosPolicy;
-    QosMode mode() const override { return QosMode::Gsf; }
-
-    std::uint64_t priority(const NetPacket &pkt, bool, const FlowTable &,
-                           int) const override
-    {
-        return pkt.frameTag;
-    }
-
-    /// The gate's head-frame advance (drain-driven or timed) resets the
-    /// per-flow injection budgets: stalled sources become admittable.
-    bool invalidatesOnFrameBoundary() const override { return true; }
-};
-
-/// Age-based arbitration: oldest packet first, network-wide. No flow
-/// state at all, yet starvation-free — the locally-fair baseline's
-/// pathological hotspot tree (Table 2) cannot starve a distant node
-/// because a waiting packet's rank only improves with time.
-class AgePolicy final : public QosPolicy {
-  public:
-    using QosPolicy::QosPolicy;
-    QosMode mode() const override { return QosMode::AgeArb; }
-
-    std::uint64_t priority(const NetPacket &pkt, bool, const FlowTable &,
-                           int) const override
-    {
-        return pkt.genCycle;
-    }
-};
-
-/// Weighted round-robin over flows at each output port. Reuses the
-/// per-output flow table as the service meter but ranks by *completed
-/// rounds* (served flits / weight, integer division), so a flow bursts up
-/// to `weight` flits per round — classic WRR, as opposed to the
-/// flit-interleaved virtual clock.
-class WrrPolicy final : public QosPolicy {
-  public:
-    using QosPolicy::QosPolicy;
-    QosMode mode() const override { return QosMode::Wrr; }
-    bool usesFlowTable() const override { return true; }
-
-    std::uint64_t priority(const NetPacket &pkt, bool carried,
-                           const FlowTable &table,
-                           int tableIdx) const override
-    {
-        if (carried || !table.enabled())
-            return pkt.carriedPrio;
-        // A zero provisioned weight (deprovisioned VM slot) rounds up to
-        // 1 rather than dividing by zero — best-effort, never starved.
-        const std::uint64_t weight =
-            std::max<std::uint64_t>(1, params_->weightOf(pkt.flow));
-        return table.countOf(tableIdx, pkt.flow) / weight;
-    }
-};
 
 /// GSF source gate: the frame-windowed injection budgets plus the global
 /// frame window. Each flow may inject up to its provisioned share of a

@@ -24,19 +24,28 @@
 /// Policies are per-router instances (arbitration state such as the
 /// round-robin pointers is router-local); makeQosPolicy is the factory
 /// the Router constructor uses.
+///
+/// Each policy's rank and comparator are written once, as the inline
+/// rank()/better() members of its `final` class (see RankedPolicy). The
+/// virtual priority()/betterThan() forward to them, and the router's
+/// activity scan calls them directly through its per-policy
+/// instantiation, so a scan makes one policy dispatch, not two virtual
+/// calls per candidate. A new policy derives from RankedPolicy and joins
+/// the router's dispatch (Router::finalize).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/types.h"
+#include "noc/packet.h"
 #include "qos/flow_table.h"
 #include "qos/pvc.h"
 
 namespace taqos {
-
-struct NetPacket;
 
 /// The policy-relevant identity of one arbitration candidate.
 struct ArbKey {
@@ -106,16 +115,16 @@ class QosPolicy {
 
     /// Arbitration rank of `pkt` at an output (lower = higher priority).
     /// `carried` is true at pass-through inputs that reuse the priority
-    /// computed at the packet's source (DPS repeaters).
+    /// computed at the packet's source (DPS repeaters). Forwards to the
+    /// policy's inline rank() (RankedPolicy).
     virtual std::uint64_t priority(const NetPacket &pkt, bool carried,
                                    const FlowTable &table,
-                                   int tableIdx) const;
+                                   int tableIdx) const = 0;
 
-    /// Does candidate `a` beat candidate `b` for output `outPort`? The
-    /// default is the virtual-clock order: priority, then age, then flow,
-    /// then enumeration position.
+    /// Does candidate `a` beat candidate `b` for output `outPort`?
+    /// Forwards to the policy's inline better() (RankedPolicy).
     virtual bool betterThan(const ArbKey &a, const ArbKey &b,
-                            int outPort) const;
+                            int outPort) const = 0;
 
     /// A candidate won output `outPort` and started streaming.
     virtual void onGrant(int outPort, const ArbKey &winner)
@@ -137,6 +146,223 @@ class QosPolicy {
 
   protected:
     const PvcParams *params_;
+};
+
+/// The one definition of a policy's ranking. A concrete policy `P`
+/// derives from RankedPolicy<P> and may hide the two inline members
+/// below with its own:
+///
+///   std::uint64_t rank(const NetPacket &, bool carried,
+///                      const FlowTable &, int tableIdx) const;
+///   bool better(const ArbKey &a, const ArbKey &b, int outPort) const;
+///
+/// The virtual priority()/betterThan() forward to P's members (the
+/// always-tick reference scan, the preemption search, unit tests), and
+/// Router::scanOutput<P> calls them without virtual dispatch. The
+/// defaults are the virtual clock.
+template <class P>
+class RankedPolicy : public QosPolicy {
+  public:
+    using QosPolicy::QosPolicy;
+
+    std::uint64_t priority(const NetPacket &pkt, bool carried,
+                           const FlowTable &table,
+                           int tableIdx) const final
+    {
+        return self().rank(pkt, carried, table, tableIdx);
+    }
+
+    bool betterThan(const ArbKey &a, const ArbKey &b,
+                    int outPort) const final
+    {
+        return self().better(a, b, outPort);
+    }
+
+    /// Virtual-clock rank (PVC, per-flow queueing): a flow's consumed
+    /// bandwidth scaled by its provisioned rate; ports without local
+    /// flow state reuse the source-computed value.
+    std::uint64_t rank(const NetPacket &pkt, bool carried,
+                       const FlowTable &table, int tableIdx) const
+    {
+        if (carried || !table.enabled())
+            return pkt.carriedPrio;
+        return table.priorityOf(tableIdx, pkt.flow);
+    }
+
+    /// Virtual-clock order: priority, then age, then flow, then
+    /// enumeration position.
+    bool better(const ArbKey &a, const ArbKey &b, int /*outPort*/) const
+    {
+        if (a.prio != b.prio)
+            return a.prio < b.prio;
+        if (a.age != b.age)
+            return a.age < b.age;
+        if (a.flow != b.flow)
+            return a.flow < b.flow;
+        return a.rrKey < b.rrKey;
+    }
+
+  private:
+    const P &self() const { return static_cast<const P &>(*this); }
+};
+
+/// Preemptive Virtual Clock — the paper's scheme. Priority and comparator
+/// are the virtual-clock defaults; what makes PVC preemptive is the
+/// onAllocFail decision (inversion detection thresholds), and what makes
+/// it safe is the source quota + reserved escape VC the structural
+/// properties enable.
+class PvcPolicy final : public RankedPolicy<PvcPolicy> {
+  public:
+    using RankedPolicy::RankedPolicy;
+    QosMode mode() const override { return QosMode::Pvc; }
+    bool usesFlowTable() const override { return true; }
+    bool usesReservedVc() const override
+    {
+        return params_->reservedVcEnabled;
+    }
+    bool usesSourceQuota() const override { return true; }
+    Cycle frameLen() const override { return params_->frameLen; }
+
+    bool onAllocFail(Cycle waited, bool xferBlocked) const override
+    {
+        // Transient buffer-full is not an inversion; the requester must
+        // have been stuck past the wait threshold before PVC pays the
+        // preemption cost. Ongoing transfers are interrupted on a
+        // separate (shorter) threshold.
+        const int wait = xferBlocked ? params_->preemptXferWaitCycles
+                                     : params_->preemptWaitCycles;
+        return waited >= static_cast<Cycle>(wait);
+    }
+};
+
+/// Per-flow queueing (Fig. 6 reference): same virtual-clock schedule as
+/// PVC but with unbounded per-flow buffers, so allocation never fails and
+/// preemption never triggers.
+class PerFlowQueuePolicy final : public RankedPolicy<PerFlowQueuePolicy> {
+  public:
+    using RankedPolicy::RankedPolicy;
+    QosMode mode() const override { return QosMode::PerFlowQueue; }
+    bool usesFlowTable() const override { return true; }
+    bool unboundedVcs() const override { return true; }
+};
+
+/// Locally-fair rotating arbitration, no flow state (the starvation
+/// baseline of Sec. 5.3).
+class NoQosPolicy final : public RankedPolicy<NoQosPolicy> {
+  public:
+    using RankedPolicy::RankedPolicy;
+    QosMode mode() const override { return QosMode::NoQos; }
+
+    void init(int numOutputs) override
+    {
+        rrPtr_.assign(static_cast<std::size_t>(numOutputs), 0);
+    }
+
+    std::uint64_t rank(const NetPacket &, bool, const FlowTable &,
+                       int) const
+    {
+        return 0;
+    }
+
+    /// Rotating order from the output's own pointer.
+    bool better(const ArbKey &a, const ArbKey &b, int outPort) const
+    {
+        const std::uint32_t ptr = rrPtr_[static_cast<std::size_t>(outPort)];
+        return cyclicRank(a.rrKey, ptr) < cyclicRank(b.rrKey, ptr);
+    }
+
+    void onGrant(int outPort, const ArbKey &winner) override
+    {
+        rrPtr_[static_cast<std::size_t>(outPort)] = winner.rrKey + 1;
+    }
+
+    std::vector<std::uint64_t> packState() const override
+    {
+        return {rrPtr_.begin(), rrPtr_.end()};
+    }
+
+    void unpackState(const std::vector<std::uint64_t> &words) override
+    {
+        TAQOS_ASSERT(words.size() == rrPtr_.size(),
+                     "rotating-arbiter restore geometry mismatch");
+        for (std::size_t i = 0; i < words.size(); ++i)
+            rrPtr_[i] = static_cast<std::uint32_t>(words[i]);
+    }
+
+  private:
+    /// Modulus for the rotating arbiter's cyclic ranking.
+    static constexpr std::uint32_t kRrModulus = 4096;
+
+    static std::uint32_t cyclicRank(std::uint32_t key, std::uint32_t ptr)
+    {
+        return (key + kRrModulus - (ptr % kRrModulus)) % kRrModulus;
+    }
+
+    /// Rotating-arbiter pointers, one per output.
+    std::vector<std::uint32_t> rrPtr_;
+};
+
+/// Globally Synchronized Frames (Lee et al., ISCA 2008), the frame-based
+/// reservation scheme the paper compares against. Packets are stamped
+/// with a frame number at the source (see the GSF SourceGate); routers
+/// give strict priority to earlier frames and break ties oldest-first,
+/// so a frame's traffic cannot be delayed by later frames — per-flow
+/// bandwidth is guaranteed at frame granularity without preemption or
+/// per-router flow state.
+class GsfPolicy final : public RankedPolicy<GsfPolicy> {
+  public:
+    using RankedPolicy::RankedPolicy;
+    QosMode mode() const override { return QosMode::Gsf; }
+
+    std::uint64_t rank(const NetPacket &pkt, bool, const FlowTable &,
+                       int) const
+    {
+        return pkt.frameTag;
+    }
+
+    /// The gate's head-frame advance (drain-driven or timed) resets the
+    /// per-flow injection budgets: stalled sources become admittable.
+    bool invalidatesOnFrameBoundary() const override { return true; }
+};
+
+/// Age-based arbitration: oldest packet first, network-wide. No flow
+/// state at all, yet starvation-free — the locally-fair baseline's
+/// pathological hotspot tree (Table 2) cannot starve a distant node
+/// because a waiting packet's rank only improves with time.
+class AgePolicy final : public RankedPolicy<AgePolicy> {
+  public:
+    using RankedPolicy::RankedPolicy;
+    QosMode mode() const override { return QosMode::AgeArb; }
+
+    std::uint64_t rank(const NetPacket &pkt, bool, const FlowTable &,
+                       int) const
+    {
+        return pkt.genCycle;
+    }
+};
+
+/// Weighted round-robin over flows at each output port. Reuses the
+/// per-output flow table as the service meter but ranks by *completed
+/// rounds* (served flits / weight, integer division), so a flow bursts up
+/// to `weight` flits per round — classic WRR, as opposed to the
+/// flit-interleaved virtual clock.
+class WrrPolicy final : public RankedPolicy<WrrPolicy> {
+  public:
+    using RankedPolicy::RankedPolicy;
+    QosMode mode() const override { return QosMode::Wrr; }
+    bool usesFlowTable() const override { return true; }
+
+    std::uint64_t rank(const NetPacket &pkt, bool carried,
+                       const FlowTable &table, int tableIdx) const
+    {
+        if (carried || !table.enabled())
+            return pkt.carriedPrio;
+        // A zero provisioned weight (deprovisioned VM slot) rounds up to
+        // 1 rather than dividing by zero — best-effort, never starved.
+        const std::uint64_t weight =
+            std::max<std::uint64_t>(1, params_->weightOf(pkt.flow));
+        return table.countOf(tableIdx, pkt.flow) / weight;
+    }
 };
 
 /// Factory: the policy implementation for `mode`, configured by `params`

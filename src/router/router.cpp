@@ -1,5 +1,6 @@
 #include "router/router.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/log.h"
@@ -60,14 +61,23 @@ Router::markArbDirty()
 void
 Router::insertSlot(int outPort, const ArbSlot &slot)
 {
-    auto &list = slots_[static_cast<std::size_t>(outPort)];
+    const auto o = static_cast<std::size_t>(outPort);
+    auto &list = slots_[o];
     // Keep enumeration order so a per-output scan compares candidates in
     // exactly the sequence the legacy input-major scan would.
     auto it = list.begin();
     while (it != list.end() && it->key < slot.key)
         ++it;
     list.insert(it, slot);
-    dirtyOutput(outPort);
+    // The new candidate cannot change the winner before it is eligible by
+    // time, so the scan at that cycle is the first that could see it:
+    // schedule that scan instead of dirtying the output. The preemption
+    // victim search sees the new rival at once, so its memo is spoiled.
+    if (slot.eligible < outWake_[o])
+        outWake_[o] = slot.eligible;
+    if (slot.eligible < minWake_)
+        minWake_ = slot.eligible;
+    ++mutEpoch_;
 }
 
 void
@@ -100,6 +110,22 @@ Router::removeInjectorSlot(int outPort, const InjectorQueue *inj)
                  node_, outPort);
 }
 
+Router::ArbSlot
+Router::slotFor(InputPort *in, NetPacket *pkt, Cycle readyFrom,
+                std::uint32_t key, int dropIdx) const
+{
+    ArbSlot slot;
+    slot.pkt = pkt;
+    slot.port = in;
+    slot.eligible = readyFrom + static_cast<Cycle>(in->pipelineDelay - 1);
+    slot.genCycle = pkt->genCycle;
+    slot.key = key;
+    slot.dropIdx = dropIdx;
+    slot.flow = pkt->flow;
+    slot.carried = in->usesCarriedPrio;
+    return slot;
+}
+
 void
 Router::addVcSlot(InputPort *in, int vcIdx)
 {
@@ -107,11 +133,11 @@ Router::addVcSlot(InputPort *in, int vcIdx)
     TAQOS_ASSERT(vc.arbOutput() < 0, "VC %s/%d already has a slot",
                  in->name.c_str(), vcIdx);
     const RouteEntry route = routeFor(*vc.packet());
-    ArbSlot slot;
-    slot.port = in;
+    ArbSlot slot =
+        slotFor(in, vc.packet(), vc.headArrival(),
+                in->enumBase + static_cast<std::uint32_t>(vcIdx) + 1,
+                route.dropIdx);
     slot.vc = vcIdx;
-    slot.key = in->enumBase + static_cast<std::uint32_t>(vcIdx) + 1;
-    slot.dropIdx = route.dropIdx;
     insertSlot(route.outPort, slot);
     vc.setArbOutput(route.outPort);
 }
@@ -125,13 +151,13 @@ Router::updateInjectorSlot(InjectorQueue &inj)
     }
     if (inj.queue().empty())
         return;
-    const RouteEntry route = routeFor(*inj.queue().front());
-    ArbSlot slot;
-    slot.port = inj.port;
+    NetPacket *pkt = inj.queue().front();
+    const RouteEntry route = routeFor(*pkt);
+    ArbSlot slot = slotFor(
+        inj.port, pkt, pkt->queuedCycle,
+        inj.port->enumBase + static_cast<std::uint32_t>(inj.slotIdx) + 1,
+        route.dropIdx);
     slot.inj = &inj;
-    slot.key =
-        inj.port->enumBase + static_cast<std::uint32_t>(inj.slotIdx) + 1;
-    slot.dropIdx = route.dropIdx;
     insertSlot(route.outPort, slot);
     inj.headOut = route.outPort;
 }
@@ -262,6 +288,16 @@ Router::finalize()
     }
     best_.resize(outputs_.size());
     policy_->init(static_cast<int>(outputs_.size()));
+    switch (policy_->mode()) {
+      case QosMode::Pvc: scan_ = &Router::scanOutput<PvcPolicy>; break;
+      case QosMode::PerFlowQueue:
+        scan_ = &Router::scanOutput<PerFlowQueuePolicy>;
+        break;
+      case QosMode::NoQos: scan_ = &Router::scanOutput<NoQosPolicy>; break;
+      case QosMode::Gsf: scan_ = &Router::scanOutput<GsfPolicy>; break;
+      case QosMode::AgeArb: scan_ = &Router::scanOutput<AgePolicy>; break;
+      case QosMode::Wrr: scan_ = &Router::scanOutput<WrrPolicy>; break;
+    }
 
     // Activity-tracking structure. Enumeration bases reproduce the
     // legacy input-major candidate numbering (the round-robin keys);
@@ -398,64 +434,157 @@ Router::collectCandidates(TickContext &ctx)
     }
 }
 
+template <class P>
 void
-Router::collectOutput(int outPort, TickContext &ctx)
+Router::scanOutput(int outPort, TickContext &ctx)
 {
-    Candidate &best = best_[static_cast<std::size_t>(outPort)];
-    best.pkt = nullptr;
+    const auto o = static_cast<std::size_t>(outPort);
+    const P &policy = static_cast<const P &>(*policy_);
+    const int tableIdx = outputs_[o]->tableIdx;
+    const ArbSlot *win = nullptr;
+    ArbKey winKey;
 
     // Earliest purely time-driven change to this output's candidate set.
     // Event-driven changes (frees, enqueues, table charges, window/gate
     // state) dirty the output through the hooks instead.
     Cycle wake = kNoCycle;
 
-    for (const ArbSlot &slot : slots_[static_cast<std::size_t>(outPort)]) {
-        const Cycle ready =
-            static_cast<Cycle>(slot.port->pipelineDelay - 1);
-        NetPacket *pkt = nullptr;
+    for (const ArbSlot &slot : slots_[o]) {
         if (slot.inj != nullptr) {
-            pkt = slot.inj->queue().front();
-            if (!pkt->inWindow && !slot.inj->windowOpen())
+            // Window, time, gate: the gate may stamp a GSF frame on
+            // admission, so it is asked only of a packet that is
+            // otherwise ready, on the same cycles the full scan asks.
+            if (!slot.pkt->inWindow && !slot.inj->windowOpen())
                 continue;
-            if (ctx.now < pkt->queuedCycle + ready) {
-                const Cycle at = pkt->queuedCycle + ready;
-                if (at < wake)
-                    wake = at;
-                continue;
-            }
-            if (ctx.gate != nullptr && !ctx.gate->admit(*pkt, ctx.now))
-                continue;
-        } else {
-            const VirtualChannel &vc =
-                slot.port->vcs[static_cast<std::size_t>(slot.vc)];
-            TAQOS_ASSERT(vc.state() == VirtualChannel::State::Reserved,
-                         "stale arbitration slot on %s/%d",
-                         slot.port->name.c_str(), slot.vc);
-            if (!vc.arrived(ctx.now) ||
-                ctx.now < vc.headArrival() + ready) {
-                const Cycle at = vc.headArrival() + ready;
-                if (at < wake)
-                    wake = at;
+            if (ctx.now < slot.eligible) {
+                wake = std::min(wake, slot.eligible);
                 continue;
             }
-            pkt = vc.packet();
+            if (ctx.gate != nullptr && !ctx.gate->admit(*slot.pkt, ctx.now))
+                continue;
+        } else if (ctx.now < slot.eligible) {
+            wake = std::min(wake, slot.eligible);
+            continue;
         }
+        const ArbKey key{
+            policy.rank(*slot.pkt, slot.carried, flowTable_, tableIdx),
+            slot.genCycle, slot.flow, slot.key};
+        if (win == nullptr || policy.better(key, winKey, outPort)) {
+            win = &slot;
+            winKey = key;
+        }
+    }
+    outWake_[o] = wake;
 
-        Candidate cand;
-        cand.pkt = pkt;
-        cand.port = slot.port;
-        cand.vc = slot.vc;
-        cand.inj = slot.inj;
-        cand.age = pkt->genCycle;
-        cand.rrKey = slot.key;
-        cand.outPort = outPort;
-        cand.dropIdx = slot.dropIdx;
-        cand.prio = priorityFor(*pkt, *slot.port, outPort);
-        if (best.pkt == nullptr || betterThan(cand, best, outPort))
-            best = cand;
+    Candidate &best = best_[o];
+    if (win == nullptr) {
+        best.pkt = nullptr;
+        return;
+    }
+    best.pkt = win->pkt;
+    best.port = win->port;
+    best.vc = win->vc;
+    best.inj = win->inj;
+    best.prio = winKey.prio;
+    best.age = winKey.age;
+    best.rrKey = winKey.rrKey;
+    best.outPort = outPort;
+    best.dropIdx = win->dropIdx;
+}
+
+void
+Router::checkSlots(Cycle now, bool wakes) const
+{
+    std::size_t expected = 0;
+    for (const auto &in : inputs_) {
+        for (std::size_t v = 0; v < in->vcs.size(); ++v) {
+            const VirtualChannel &vc = in->vcs[v];
+            const bool reserved =
+                vc.state() == VirtualChannel::State::Reserved;
+            TAQOS_ASSERT(reserved == (vc.arbOutput() >= 0),
+                         "VC %s/%zu in state %d has slot output %d",
+                         in->name.c_str(), v,
+                         static_cast<int>(vc.state()), vc.arbOutput());
+            expected += reserved ? 1 : 0;
+        }
+        for (const InjectorQueue *inj : in->injectors) {
+            TAQOS_ASSERT(inj->queue().empty() == (inj->headOut < 0),
+                         "injector of flow %d: %zu queued, head slot on "
+                         "output %d",
+                         inj->flow, inj->queue().size(), inj->headOut);
+            expected += inj->queue().empty() ? 0 : 1;
+        }
     }
 
-    outWake_[static_cast<std::size_t>(outPort)] = wake;
+    std::size_t held = 0;
+    for (std::size_t o = 0; o < slots_.size(); ++o) {
+        const int out = static_cast<int>(o);
+        std::uint32_t prevKey = 0;
+        for (const ArbSlot &slot : slots_[o]) {
+            ++held;
+            TAQOS_ASSERT(slot.key >= prevKey,
+                         "router %d output %d: slots out of enumeration "
+                         "order",
+                         node_, out);
+            prevKey = slot.key;
+            NetPacket *pkt = nullptr;
+            Cycle readyFrom = 0;
+            if (slot.inj != nullptr) {
+                TAQOS_ASSERT(slot.vc < 0 && slot.inj->port == slot.port &&
+                                 slot.inj->headOut == out &&
+                                 !slot.inj->queue().empty(),
+                             "router %d output %d: stale injector slot of "
+                             "flow %d",
+                             node_, out, slot.inj->flow);
+                pkt = slot.inj->queue().front();
+                readyFrom = pkt->queuedCycle;
+            } else {
+                const VirtualChannel &vc =
+                    slot.port->vcs[static_cast<std::size_t>(slot.vc)];
+                TAQOS_ASSERT(vc.state() == VirtualChannel::State::Reserved &&
+                                 vc.arbOutput() == out,
+                             "stale arbitration slot on %s/%d",
+                             slot.port->name.c_str(), slot.vc);
+                pkt = vc.packet();
+                readyFrom = vc.headArrival();
+            }
+            const RouteEntry route = routeFor(*pkt);
+            const ArbSlot live =
+                slotFor(slot.port, pkt, readyFrom, slot.key, route.dropIdx);
+            TAQOS_ASSERT(slot.pkt == live.pkt &&
+                             slot.eligible == live.eligible &&
+                             slot.genCycle == live.genCycle &&
+                             slot.flow == live.flow &&
+                             slot.carried == live.carried &&
+                             slot.dropIdx == live.dropIdx &&
+                             route.outPort == out,
+                         "router %d output %d: slot %s/%d caches stale "
+                         "candidate state",
+                         node_, out, slot.port->name.c_str(), slot.vc);
+            // A slot no scan has yet seen eligible must have its scan
+            // scheduled (a window-stalled injector head is rescanned when
+            // an ACK reopens the window).
+            const bool windowStalled = slot.inj != nullptr &&
+                                       !pkt->inWindow &&
+                                       !slot.inj->windowOpen();
+            TAQOS_ASSERT(!wakes || slot.eligible < now || windowStalled ||
+                             outDirty_[o] != 0 ||
+                             outWake_[o] <= slot.eligible,
+                         "router %d output %d: slot %s/%d eligible at "
+                         "%llu but the output wakes at %llu",
+                         node_, out, slot.port->name.c_str(), slot.vc,
+                         static_cast<unsigned long long>(slot.eligible),
+                         static_cast<unsigned long long>(outWake_[o]));
+        }
+        TAQOS_ASSERT(!wakes || anyOutDirty_ ||
+                         (outDirty_[o] == 0 && minWake_ <= outWake_[o]),
+                     "router %d: summary misses output %d's dirty flag or "
+                     "wake",
+                     node_, out);
+    }
+    TAQOS_ASSERT(held == expected,
+                 "router %d holds %zu arbitration slots for %zu candidates",
+                 node_, held, expected);
 }
 
 bool
@@ -690,8 +819,7 @@ Router::tryPreempt(const Candidate &cand, InputPort *down, TickContext &ctx)
              slots_[static_cast<std::size_t>(cand.outPort)]) {
             if (slot.inj != nullptr)
                 continue; // source-queued packets hold no buffer here
-            consider(slot.port->vcs[static_cast<std::size_t>(slot.vc)]
-                         .packet());
+            consider(slot.pkt);
         }
     }
 
@@ -811,7 +939,7 @@ Router::tickArbitrate(TickContext &ctx)
         int winners = 0;
         for (std::size_t o = 0; o < outputs_.size(); ++o) {
             if (outDirty_[o] != 0 || ctx.now >= outWake_[o]) {
-                collectOutput(static_cast<int>(o), ctx);
+                (this->*scan_)(static_cast<int>(o), ctx);
                 ++ctx.stats.outputScans;
                 outDirty_[o] = 0;
             }

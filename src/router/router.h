@@ -181,8 +181,11 @@ class Router {
     // scheduled eligibility (head arrival + pipeline, injection
     // readiness) has come due; everything else re-attempts the cached
     // winner, which is exactly what the always-tick engine would
-    // recompute. All scans of a cycle run before any grant, mirroring the
-    // legacy collect-then-grant phases. See README "Performance".
+    // recompute. A new slot schedules a wake at its eligibility instead
+    // of dirtying: it cannot win before then. Each slot carries what the
+    // scan reads, so a scan touches no port or VC. All scans of a cycle
+    // run before any grant, mirroring the legacy collect-then-grant
+    // phases. See README "Performance".
 
     /// Register with the engine worklist (arms the router immediately).
     void setWorklist(ActivityWorklist *wl);
@@ -245,6 +248,14 @@ class Router {
     int occupiedVcCount() const { return hot_->occupiedVcs; }
     int queuedPacketCount() const { return hot_->queuedPkts; }
 
+    /// Assert that every arbitration slot matches the live state it
+    /// caches (packet, eligibility cycle, age, flow, carried flag, route)
+    /// and that every Reserved VC and non-empty injector queue holds one.
+    /// `now` is the next cycle to run; with `wakes`, also assert that
+    /// every slot not yet eligible at `now` has its output dirty or woken
+    /// by then (activity engine only). NetSim::checkInvariants calls it.
+    void checkSlots(Cycle now, bool wakes) const;
+
   private:
     struct Candidate {
         NetPacket *pkt = nullptr;
@@ -260,21 +271,40 @@ class Router {
 
     /// One cached arbitration slot: a Reserved VC (vc >= 0) or an
     /// injector queue's head packet (inj != nullptr), routed to the
-    /// output whose list holds it.
+    /// output whose list holds it. It carries everything the scan reads
+    /// of its candidate. Those values are fixed for the slot's life:
+    /// every event that changes one (reserve, drain, free, head enqueue
+    /// or dequeue, NACK requeue) removes or re-inserts the slot.
     struct ArbSlot {
+        NetPacket *pkt = nullptr;
         InputPort *port = nullptr;
-        int vc = -1;
         InjectorQueue *inj = nullptr;
+        /// First cycle the candidate is eligible by time: head arrival
+        /// (VC) or queue entry (injector head) plus the port's pipeline.
+        Cycle eligible = 0;
+        Cycle genCycle = 0; ///< age key
+        int vc = -1;
         std::uint32_t key = 0; ///< static enumeration position (rrKey)
         int dropIdx = 0;
+        FlowId flow = kInvalidFlow;
+        bool carried = false; ///< port reuses the carried priority
     };
 
     /// Legacy full scan: every input, every VC, every injector, all
     /// outputs at once (the always-tick reference path).
     void collectCandidates(TickContext &ctx);
-    /// Activity path: re-derive one output's winner from its slot list.
-    void collectOutput(int outPort, TickContext &ctx);
+    /// Activity path: re-derive one output's winner from its slot list,
+    /// ranking with policy `P`'s inline members (one instantiation per
+    /// policy class, picked at finalize()).
+    template <class P>
+    void scanOutput(int outPort, TickContext &ctx);
+    using ScanFn = void (Router::*)(int, TickContext &);
+    ScanFn scan_ = nullptr;
 
+    /// The slot of `pkt` entering at `in`, eligible from `readyFrom`
+    /// plus the port's pipeline (vc and inj left for the caller).
+    ArbSlot slotFor(InputPort *in, NetPacket *pkt, Cycle readyFrom,
+                    std::uint32_t key, int dropIdx) const;
     void addVcSlot(InputPort *in, int vcIdx);
     void updateInjectorSlot(InjectorQueue &inj);
     void insertSlot(int outPort, const ArbSlot &slot);

@@ -334,6 +334,7 @@ NetSim::checkInvariants() const
                      r->queuedPacketCount(), queued);
         TAQOS_ASSERT(!engineCfg_.activityDriven || !r->hasWork() || r->inWorklist(),
                      "router %d has work but is not armed", n);
+        r->checkSlots(now_, engineCfg_.activityDriven);
     }
     for (NodeId n = 0; n < net->numNodes(); ++n) {
         const InputPort *term = net->termPort(n);

@@ -119,8 +119,10 @@ class NetSim {
     bool restoreCheckpoint(std::istream &is, std::string *err = nullptr);
 
     /// Structural self-check: every occupied VC's packet holds a matching
-    /// location record, occupancy chains are acyclic, and window counters
-    /// are within bounds. Used by tests after every scenario.
+    /// location record, occupancy chains are acyclic, window counters
+    /// are within bounds, and every router's arbitration slots match the
+    /// live VC and injector state they cache (Router::checkSlots). Used
+    /// by tests after every scenario.
     virtual void checkInvariants() const;
 
   protected:

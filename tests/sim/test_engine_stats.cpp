@@ -26,11 +26,15 @@ constexpr const char *kCells[3] = {"dps_pvc_uniform_0.12",
                                    "mecs_pvc_hotspot_0.10",
                                    "fabric2_dps_pvc_0.05"};
 
-/// Activity-engine counts per cell, in kCells order.
+/// Activity-engine counts per cell, in kCells order. Scheduling a new
+/// slot's scan at its eligibility, instead of dirtying its output,
+/// lowered outputScans from 86914, 5980 and 137479 (scans per hop 2.31,
+/// 1.96 and 2.59 to 1.80, 1.76 and 1.90); routerTicks and hops did not
+/// move.
 constexpr StatsPin kPins[3] = {
-    {26004, 86914, 37584},
-    {31919, 5980, 3051},
-    {131375, 137479, 53000},
+    {26004, 67555, 37584},
+    {31919, 5359, 3051},
+    {131375, 100480, 53000},
 };
 
 EngineStats
