@@ -120,7 +120,7 @@ ChurnDriver::applyTo(FabricSim &sim) const
 {
     TAQOS_ASSERT(sim.network().blocks() == 1,
                  "churn drives one chip with one shared column");
-    sim.network().reprogramFlowWeights(flowRegisters().weights);
+    sim.network().reprogramFlowWeights(flowRegisters().weights());
     TrafficGenerator &gen = sim.traffic().generator(0);
     const auto active = activeComputeFlows();
     for (int row = 0; row < cfg_.chip.nodesY(); ++row) {

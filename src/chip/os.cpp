@@ -97,7 +97,8 @@ OsScheduler::columnFlowRegisters(int column, const ColumnConfig &col) const
 
     PvcParams params = col.pvc;
     params.numFlows = col.numFlows();
-    params.weights.assign(static_cast<std::size_t>(col.numFlows()), 1);
+    std::vector<std::uint32_t> weights(
+        static_cast<std::size_t>(col.numFlows()), 1);
 
     for (int row = 0; row < chip_.nodesY(); ++row) {
         // Row injectors 1.. map to the row's compute nodes ordered by x.
@@ -110,12 +111,13 @@ OsScheduler::columnFlowRegisters(int column, const ColumnConfig &col) const
             const int owner = ownerOf(NodeCoord{x, row});
             if (owner >= 0) {
                 const VmInfo *v = vm(owner);
-                params.weights[static_cast<std::size_t>(
+                weights[static_cast<std::size_t>(
                     col.flowOf(row, injector))] = v->weight;
             }
             ++injector;
         }
     }
+    params.setWeights(std::move(weights));
     return params;
 }
 

@@ -402,7 +402,7 @@ runFabricConsolidation(const FabricConsolidationConfig &cfg)
                 rates[static_cast<std::size_t>(y) % rates.size()];
         }
     }
-    spec.column.pvc.weights = weights;
+    spec.column.pvc.setWeights(weights);
 
     FabricSim sim(spec, traffic, cfg.workload);
     sim.setMeasureWindow(cfg.phases.warmup, cfg.phases.measureEnd());

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
@@ -53,7 +54,16 @@ struct PvcParams {
 
     /// Per-flow provisioned service weights. Empty = all equal. The OS
     /// programs these through the chip's flow registers.
-    std::vector<std::uint32_t> weights;
+    const std::vector<std::uint32_t> &weights() const { return weights_; }
+    /// The one writer of the weights: also stores their sum, which every
+    /// ranked candidate, injection and GSF budget reads.
+    void setWeights(std::vector<std::uint32_t> weights)
+    {
+        weights_ = std::move(weights);
+        weightSum_ = 0;
+        for (auto w : weights_)
+            weightSum_ += w;
+    }
 
     /// Per-source outstanding-packet retransmission window.
     int windowLimit = 16;
@@ -99,26 +109,26 @@ struct PvcParams {
     /// scan reads these, so they sit on the arbitration hot path.
     std::uint32_t weightOf(FlowId flow) const
     {
-        if (weights.empty())
+        if (weights_.empty())
             return 1;
         TAQOS_ASSERT(flow >= 0 &&
-                         flow < static_cast<FlowId>(weights.size()),
+                         flow < static_cast<FlowId>(weights_.size()),
                      "flow %d out of range", flow);
-        return weights[static_cast<std::size_t>(flow)];
+        return weights_[static_cast<std::size_t>(flow)];
     }
 
     std::uint64_t sumWeights() const
     {
-        if (weights.empty())
-            return static_cast<std::uint64_t>(numFlows);
-        std::uint64_t sum = 0;
-        for (auto w : weights)
-            sum += w;
-        return sum;
+        return weights_.empty() ? static_cast<std::uint64_t>(numFlows)
+                                : weightSum_;
     }
 
     /// Reserved (non-preemptable) flits per frame for `flow`.
     std::uint64_t quotaFlits(FlowId flow) const;
+
+  private:
+    std::vector<std::uint32_t> weights_;
+    std::uint64_t weightSum_ = 0; ///< sum of weights_, kept by setWeights
 };
 
 /// Source-side per-frame injection accounting, used to mark packets

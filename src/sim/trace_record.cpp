@@ -23,7 +23,7 @@ describeColumn(const ColumnConfig &col)
     m.windowLimit = col.pvc.windowLimit;
     m.gsfFrameLen = col.pvc.gsfFrameLen;
     m.gsfFrames = col.pvc.gsfFrames;
-    m.weights = col.pvc.weights;
+    m.weights = col.pvc.weights();
     const QosAuditBounds bounds = defaultAuditBounds(col.mode);
     m.maxAge = bounds.maxPacketAge;
     m.wrrTol = bounds.wrrTolerance;
@@ -50,7 +50,7 @@ describeFabric(const FabricNetwork &net)
     m.windowLimit = pvc.windowLimit;
     m.gsfFrameLen = pvc.gsfFrameLen;
     m.gsfFrames = pvc.gsfFrames;
-    m.weights = pvc.weights;
+    m.weights = pvc.weights();
     m.maxAge = 0; // row + link transit is policy-independent latency
     m.wrrTol = defaultAuditBounds(net.mode()).wrrTolerance;
     return m;

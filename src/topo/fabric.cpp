@@ -262,8 +262,8 @@ FabricNetwork::build(FabricSpec spec)
     spec.column.numNodes = spec.chip.nodesY();
 
     std::unique_ptr<FabricNetwork> net(new FabricNetwork(std::move(spec)));
-    TAQOS_ASSERT(net->pvcParams().weights.empty() ||
-                     static_cast<int>(net->pvcParams().weights.size()) ==
+    TAQOS_ASSERT(net->pvcParams().weights().empty() ||
+                     static_cast<int>(net->pvcParams().weights().size()) ==
                          net->totalFlows(),
                  "fabric weights must cover all %d flows",
                  net->totalFlows());

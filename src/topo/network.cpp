@@ -171,7 +171,7 @@ Network::reprogramFlowWeights(std::vector<std::uint32_t> weights)
                      static_cast<int>(weights.size()) == pvc_.numFlows,
                  "flow-register reprogram wants %d weights, got %zu",
                  pvc_.numFlows, weights.size());
-    pvc_.weights = std::move(weights);
+    pvc_.setWeights(std::move(weights));
     // Flow tables compute priorities from counts x weights on the fly,
     // so the rewrite is visible immediately; only the routers' cached
     // candidate orderings need rescanning.

@@ -74,10 +74,10 @@ TEST(Os, FlowRegistersCarryVmWeights)
     ColumnConfig col;
     col.numNodes = chip.nodesY();
     const PvcParams params = os.columnFlowRegisters(4, col);
-    ASSERT_EQ(static_cast<int>(params.weights.size()), col.numFlows());
+    ASSERT_EQ(static_cast<int>(params.weights().size()), col.numFlows());
 
     int heavy = 0, unity = 0;
-    for (auto w : params.weights) {
+    for (auto w : params.weights()) {
         if (w == 4)
             ++heavy;
         else if (w == 1)
@@ -90,7 +90,7 @@ TEST(Os, FlowRegistersCarryVmWeights)
 
     // The terminal injector of every column node keeps weight 1.
     for (int row = 0; row < chip.nodesY(); ++row)
-        EXPECT_EQ(params.weights[static_cast<std::size_t>(
+        EXPECT_EQ(params.weights()[static_cast<std::size_t>(
                       col.flowOf(row, 0))],
                   1u);
 }
@@ -107,10 +107,10 @@ TEST(Os, WeightsFeedQuota)
     // A weight-3 flow's reserved quota is 3x a weight-1 flow's.
     FlowId heavyFlow = -1, lightFlow = -1;
     for (FlowId f = 0; f < col.numFlows(); ++f) {
-        if (params.weights[static_cast<std::size_t>(f)] == 3 &&
+        if (params.weights()[static_cast<std::size_t>(f)] == 3 &&
             heavyFlow < 0)
             heavyFlow = f;
-        if (params.weights[static_cast<std::size_t>(f)] == 1 &&
+        if (params.weights()[static_cast<std::size_t>(f)] == 1 &&
             lightFlow < 0)
             lightFlow = f;
     }

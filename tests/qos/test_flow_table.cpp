@@ -27,7 +27,7 @@ TEST(FlowTable, PriorityScalesInverselyWithWeight)
 {
     PvcParams p;
     p.numFlows = 2;
-    p.weights = {1, 4}; // flow 1 provisioned 4x the service
+    p.setWeights({1, 4}); // flow 1 provisioned 4x the service
     FlowTable t(p, 1);
     t.charge(0, 0, 8);
     t.charge(0, 1, 8);
@@ -67,8 +67,9 @@ TEST(FlowTable, WindowTakesGlobalFlowIds)
     // addressed and weighted by global flow id.
     PvcParams p;
     p.numFlows = 12;
-    p.weights.assign(12, 1);
-    p.weights[9] = 4;
+    std::vector<std::uint32_t> weights(12, 1);
+    weights[9] = 4;
+    p.setWeights(std::move(weights));
     FlowTable t(p, 2, 8, 3);
     EXPECT_EQ(t.counts().size(), 2u * 3u);
     t.charge(0, 8, 8);

@@ -28,10 +28,26 @@ TEST(PvcParams, WeightedQuota)
     PvcParams p;
     p.numFlows = 4;
     p.frameLen = 1000;
-    p.weights = {1, 1, 2, 4};
+    p.setWeights({1, 1, 2, 4});
     EXPECT_EQ(p.sumWeights(), 8u);
     EXPECT_EQ(p.quotaFlits(0), 125u);
     EXPECT_EQ(p.quotaFlits(3), 500u);
+}
+
+TEST(PvcParams, SumFollowsEveryWeightWrite)
+{
+    PvcParams p;
+    p.numFlows = 4;
+    p.setWeights({1, 1, 2, 4});
+    PvcParams copy = p;
+    EXPECT_EQ(copy.sumWeights(), 8u);
+    p.setWeights({3, 3, 3, 3});
+    EXPECT_EQ(p.sumWeights(), 12u);
+    EXPECT_EQ(p.quotaFlits(0), p.frameLen / 4);
+    EXPECT_EQ(copy.sumWeights(), 8u);
+    // Back to empty: every flow weighs 1 again.
+    p.setWeights({});
+    EXPECT_EQ(p.sumWeights(), 4u);
 }
 
 TEST(PvcParams, QuotaDisabled)

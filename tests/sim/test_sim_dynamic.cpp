@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "chip/churn.h"
+#include "core/experiments.h"
 #include "exp/cell_cache.h"
 #include "exp/json_writer.h"
 #include "exp/sweep.h"
@@ -202,20 +203,42 @@ TEST(ChurnDriver, ScheduleIsAPureFunctionOfSeedAndEpoch)
     EXPECT_EQ(a.arrivals(), b.arrivals());
     EXPECT_EQ(a.departures(), b.departures());
     EXPECT_EQ(a.liveVms(), b.liveVms());
-    EXPECT_EQ(a.flowRegisters().weights, b.flowRegisters().weights);
+    EXPECT_EQ(a.flowRegisters().weights(), b.flowRegisters().weights());
     EXPECT_EQ(a.activeComputeFlows(), b.activeComputeFlows());
 
     // Replaying in one jump equals replaying step by step.
     ChurnDriver c(cfg, initialTenants(), churnSpec(), 1234);
     for (int e = 1; e <= 12; ++e)
         c.advanceTo(e);
-    EXPECT_EQ(a.flowRegisters().weights, c.flowRegisters().weights);
+    EXPECT_EQ(a.flowRegisters().weights(), c.flowRegisters().weights());
 
     // A different seed produces a different mix somewhere in 12 epochs.
     ChurnDriver d(cfg, initialTenants(), churnSpec(), 99);
     d.advanceTo(12);
     EXPECT_TRUE(a.arrivals() != d.arrivals() ||
-                a.flowRegisters().weights != d.flowRegisters().weights);
+                a.flowRegisters().weights() != d.flowRegisters().weights());
+}
+
+TEST(ChurnDriver, ReprogrammedWeightsKeepTheirSum)
+{
+    // Flow-register reprogramming mid-run must leave no stale weight sum
+    // behind: every ranked candidate and quota reads it.
+    ColumnConfig col = paperColumn(TopologyKind::Dps, QosMode::Pvc);
+    TrafficConfig traffic;
+    traffic.injectionRate = 0.02;
+    ColumnSim sim(col, traffic);
+    const int flows = sim.net().numFlows();
+    EXPECT_EQ(sim.net().pvcParams().sumWeights(),
+              static_cast<std::uint64_t>(flows));
+    std::vector<std::uint32_t> weights(static_cast<std::size_t>(flows), 2);
+    weights[3] = 7;
+    sim.network().reprogramFlowWeights(weights);
+    EXPECT_EQ(sim.net().pvcParams().sumWeights(),
+              2u * static_cast<std::uint64_t>(flows - 1) + 7u);
+    sim.run(200);
+    sim.network().reprogramFlowWeights({});
+    EXPECT_EQ(sim.net().pvcParams().sumWeights(),
+              static_cast<std::uint64_t>(flows));
 }
 
 TEST(ChurnDriver, ChurnsWithinBoundsAndKeepsCoSchedule)

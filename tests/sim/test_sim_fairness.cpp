@@ -61,9 +61,11 @@ TEST(SimFairnessWeights, WeightedFlowsGetProportionalService)
     ColumnConfig col;
     col.topology = TopologyKind::Mecs;
     col.canonicalize();
-    col.pvc.weights.assign(static_cast<std::size_t>(col.numFlows()), 1);
+    std::vector<std::uint32_t> weights(
+        static_cast<std::size_t>(col.numFlows()), 1);
     for (int k = 0; k < col.injectorsPerNode; ++k)
-        col.pvc.weights[static_cast<std::size_t>(col.flowOf(1, k))] = 3;
+        weights[static_cast<std::size_t>(col.flowOf(1, k))] = 3;
+    col.pvc.setWeights(std::move(weights));
 
     const TrafficConfig t = makeHotspotAll(col, 0.08);
     ColumnSim sim(col, t);

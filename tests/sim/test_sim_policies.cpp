@@ -222,9 +222,11 @@ TEST(WrrPolicy, TracksProvisionedWeightsAtSaturation)
     // Weighted flows on a saturated hotspot: delivered service must track
     // the provisioned weights within 10% per flow (the acceptance bound).
     ColumnConfig col = paperColumn(TopologyKind::MeshX1, QosMode::Wrr);
-    col.pvc.weights.assign(static_cast<std::size_t>(col.numFlows()), 1);
+    std::vector<std::uint32_t> weights(
+        static_cast<std::size_t>(col.numFlows()), 1);
     for (std::size_t f = 0; f < 8; ++f)
-        col.pvc.weights[f] = 4; // node-0 flows get 4x provisioning
+        weights[f] = 4; // node-0 flows get 4x provisioning
+    col.pvc.setWeights(std::move(weights));
     const TrafficConfig traffic = makeHotspotAll(col, 0.05);
 
     const Cycle warmup = 5000;

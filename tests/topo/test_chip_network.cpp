@@ -95,7 +95,7 @@ TEST(ChipNetwork, InjectorIndexMatchesOsFlowRegisterMapping)
     for (int y = 0; y < chip.nodesY(); ++y) {
         for (int k = 1; k < cc.column.injectorsPerNode; ++k) {
             const int owner = os.ownerOf(NodeCoord{cc.computeXOf(k), y});
-            EXPECT_EQ(regs.weights[static_cast<std::size_t>(
+            EXPECT_EQ(regs.weights()[static_cast<std::size_t>(
                           cc.column.flowOf(y, k))],
                       owner == 0 ? 3u : 1u);
         }
