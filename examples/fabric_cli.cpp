@@ -24,9 +24,9 @@
 ///   fast=1               short phases for smokes
 ///
 /// Any other key, a value that does not parse as its option's type (an
-/// integer out of its range, a negative rate or share included), or a
-/// fabric FabricNetwork::build would refuse fails with one line before
-/// work starts.
+/// integer out of its range, a negative rate or share included), a
+/// fabric FabricNetwork::build would refuse, or a chip too small for the
+/// VM mix fails with one line before work starts.
 ///
 /// Examples:
 ///   fabric_cli fast=1
@@ -92,6 +92,9 @@ main(int argc, char **argv)
     const std::string err = fabricSpecError(spec);
     if (!err.empty())
         optionError("bad fabric: " + err);
+    const std::string mixErr = vmMixError(cfg);
+    if (!mixErr.empty())
+        optionError("bad fabric: " + mixErr);
 
     std::printf("=== fabric: %d chip(s) x %dx%d tiles, %zu shared "
                 "column(s), %s links, %s/%s ===\n",

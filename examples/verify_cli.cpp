@@ -27,9 +27,10 @@
 ///     chips=N tiles=N columns=a,b links=p2p|ring
 ///                 (tiles sets a square chip; columns the shared xs)
 ///
-/// A bad option (a negative rate, an integer out of range) or a fabric
-/// FabricNetwork::build would refuse fails with one line and exit 2
-/// before any work starts.
+/// A bad option (a negative rate, an integer out of range), a trace file
+/// that cannot be loaded, a fabric-shape key without fabric=1, or a
+/// fabric FabricNetwork::build would refuse fails with one line and exit
+/// 2 before any work starts.
 ///
 /// Examples:
 ///   verify_cli audit topo=dps mode=pvc rate=0.05
@@ -46,6 +47,7 @@
 #include "core/experiments.h"
 #include "sim/fabric_sim.h"
 #include "sim/trace_record.h"
+#include "traffic/dynamic.h"
 #include "verify/checker.h"
 
 using namespace taqos;
@@ -95,6 +97,7 @@ parseRunOptions(const std::vector<std::string> &args)
     TopologyKind topo = TopologyKind::Dps;
     QosMode mode = QosMode::Pvc;
     run.traffic.injectionRate = 0.05;
+    std::string fabricKey; // the first fabric-shape key given
     for (const auto &arg : args) {
         const auto eq = arg.find('=');
         if (eq == std::string::npos)
@@ -107,6 +110,10 @@ parseRunOptions(const std::vector<std::string> &args)
             if (!parseTok(val, out))
                 badOption(arg);
         };
+        if (fabricKey.empty() && (key == "chips" || key == "tiles" ||
+                                  key == "columns" || key == "links")) {
+            fabricKey = key;
+        }
         if (key == "topo") {
             const auto t = parseTopology(val);
             if (!t.has_value())
@@ -134,6 +141,12 @@ parseRunOptions(const std::vector<std::string> &args)
             if (w->kind == WorkloadKind::Churn) {
                 fail("tenant churn needs the chip_consolidation scenario; "
                      "the audited column has no embedding for it");
+            }
+            // Load the trace now, so a missing or malformed file fails
+            // here instead of aborting the simulator's constructor.
+            if (w->kind == WorkloadKind::Trace &&
+                loadTraceFile(w->tracePath, &err) == nullptr) {
+                fail(err);
             }
             run.workload = *w;
         } else if (key == "seed") {
@@ -168,6 +181,10 @@ parseRunOptions(const std::vector<std::string> &args)
     }
     run.col = paperColumn(topo, mode);
     if (!run.fabric) {
+        // Without fabric=1 the fabric shape would be ignored and the
+        // default column audited instead of the run that was named.
+        if (!fabricKey.empty())
+            fail("option '" + fabricKey + "' needs fabric=1");
         run.spec = columnFabricSpec(run.col);
         return run;
     }

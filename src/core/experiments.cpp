@@ -3,6 +3,7 @@
 #include "chip/churn.h"
 #include "chip/os.h"
 #include "common/assert.h"
+#include "common/strings.h"
 #include "noc/metrics.h"
 #include "power/tech.h"
 #include "sim/fabric_sim.h"
@@ -279,6 +280,25 @@ runFig7Energy()
 
 // ------------------------------------- consolidated server (Secs. 1, 2)
 
+std::string
+vmMixError(const FabricConsolidationConfig &cfg)
+{
+    const VmPlacement &pl =
+        vmPlacements()[static_cast<std::size_t>(cfg.placement)];
+    OsScheduler os(cfg.chip);
+    for (const auto &s : pl.servers) {
+        if (!os.createVm(s.id, s.threads, s.weight).has_value()) {
+            return strFormat("VM %d of placement %d (%d threads) does not "
+                             "fit a %dx%d-tile chip with %zu shared "
+                             "column(s)",
+                             s.id, cfg.placement, s.threads,
+                             cfg.chip.tilesX, cfg.chip.tilesY,
+                             cfg.chip.sharedColumns.size());
+        }
+    }
+    return "";
+}
+
 FabricConsolidationResult
 runFabricConsolidation(const FabricConsolidationConfig &cfg)
 {
@@ -317,6 +337,8 @@ runFabricConsolidation(const FabricConsolidationConfig &cfg)
     const int totalFlows = cfg.chips * B * fpb;
 
     // One hypervisor per chip, each admitting the placement's VM mix.
+    const std::string mixErr = vmMixError(cfg);
+    TAQOS_ASSERT(mixErr.empty(), "%s", mixErr.c_str());
     const VmPlacement &pl = placements[static_cast<std::size_t>(cfg.placement)];
     std::vector<OsScheduler> os;
     os.reserve(static_cast<std::size_t>(cfg.chips));

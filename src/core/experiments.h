@@ -215,6 +215,12 @@ struct FabricConsolidationResult {
     std::string auditDiagnostic;
 };
 
+/// The first VM of `cfg`'s placement that a chip of `cfg.chip` cannot
+/// admit, as one line ("" when the whole mix fits). Every chip admits
+/// the same mix, so one trial admission answers for all of them.
+/// runFabricConsolidation asserts on it; CLIs call it before any work.
+std::string vmMixError(const FabricConsolidationConfig &cfg);
+
 /// The paper's consolidated-server scenario, from one chip to a fabric:
 /// every chip runs its own hypervisor admitting the placement's VM mix,
 /// every shared column of every chip is an active QOS block with flow

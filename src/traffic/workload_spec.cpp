@@ -3,6 +3,8 @@
 #include <bit>
 
 #include "common/options.h"
+#include "traffic/dynamic.h"
+#include "traffic/trace.h"
 
 namespace taqos {
 namespace {
@@ -397,6 +399,15 @@ workloadAxisFromOpts(const OptionMap &opts)
         out.push_back(validatedOrDie(c));
     }
 
+    // Load every trace now, so a missing or malformed file fails with one
+    // line before any work instead of aborting inside a cell.
+    for (const WorkloadSpec &spec : out) {
+        std::string err;
+        if (spec.kind == WorkloadKind::Trace &&
+            loadTraceFile(spec.tracePath, &err) == nullptr) {
+            optionError(err);
+        }
+    }
     return out;
 }
 

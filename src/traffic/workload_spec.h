@@ -114,7 +114,8 @@ operator==(const WorkloadSpec &a, const WorkloadSpec &b)
 /// defaults) and `churn=frames[,maxvms[,attack]]` (or `churn=1`) into the
 /// list of workload specs a CLI should sweep. Empty when none of the
 /// options are present (callers keep their steady default). Exits with
-/// the canonical option-error message on malformed input.
+/// the canonical option-error message on malformed input, including a
+/// trace file that cannot be loaded.
 std::vector<WorkloadSpec> workloadAxisFromOpts(const OptionMap &opts);
 
 } // namespace taqos
