@@ -157,9 +157,9 @@ class QosPolicy {
 ///   bool better(const ArbKey &a, const ArbKey &b, int outPort) const;
 ///
 /// The virtual priority()/betterThan() forward to P's members (the
-/// always-tick reference scan, the preemption search, unit tests), and
-/// Router::scanOutput<P> calls them without virtual dispatch. The
-/// defaults are the virtual clock.
+/// always-tick reference scan, unit tests), and Router::scanOutput<P>
+/// calls them without virtual dispatch. The defaults are the virtual
+/// clock.
 template <class P>
 class RankedPolicy : public QosPolicy {
   public:

@@ -298,8 +298,6 @@ class Router {
     /// policy class, picked at finalize()).
     template <class P>
     void scanOutput(int outPort, TickContext &ctx);
-    using ScanFn = void (Router::*)(int, TickContext &);
-    ScanFn scan_ = nullptr;
 
     /// The slot of `pkt` entering at `in`, eligible from `readyFrom`
     /// plus the port's pipeline (vc and inj left for the caller).
@@ -338,6 +336,8 @@ class Router {
     /// Every priority / preemption / quota decision (owns the per-router
     /// arbitration state, e.g. the NoQos rotating pointers).
     std::unique_ptr<QosPolicy> policy_;
+    /// scanOutput instantiated for policy_'s class (set by finalize()).
+    void (Router::*scan_)(int, TickContext &) = nullptr;
 
     std::vector<std::unique_ptr<InputPort>> inputs_;
     std::vector<std::unique_ptr<OutputPort>> outputs_;

@@ -17,8 +17,8 @@ class ColumnSim : public FabricSim {
   public:
     /// Drive the column under a declarative workload: steady (the
     /// default), bursty or ramp generation, or trace replay (the spec's
-    /// tracePath is loaded here; a load failure asserts — CLIs validate
-    /// paths up front via makeTrafficSource).
+    /// tracePath is loaded here; a load failure asserts — CLIs load the
+    /// trace up front with loadTraceFile and fail with one line).
     ColumnSim(const ColumnConfig &col, const TrafficConfig &traffic,
               const WorkloadSpec &workload = {})
         : FabricSim(columnFabricSpec(col), traffic, workload)
