@@ -337,8 +337,6 @@ runFabricConsolidation(const FabricConsolidationConfig &cfg)
     const int totalFlows = cfg.chips * B * fpb;
 
     // One hypervisor per chip, each admitting the placement's VM mix.
-    const std::string mixErr = vmMixError(cfg);
-    TAQOS_ASSERT(mixErr.empty(), "%s", mixErr.c_str());
     const VmPlacement &pl = placements[static_cast<std::size_t>(cfg.placement)];
     std::vector<OsScheduler> os;
     os.reserve(static_cast<std::size_t>(cfg.chips));

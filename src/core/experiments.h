@@ -217,8 +217,9 @@ struct FabricConsolidationResult {
 
 /// The first VM of `cfg`'s placement that a chip of `cfg.chip` cannot
 /// admit, as one line ("" when the whole mix fits). Every chip admits
-/// the same mix, so one trial admission answers for all of them.
-/// runFabricConsolidation asserts on it; CLIs call it before any work.
+/// the same mix, so one trial admission answers for all of them. CLIs
+/// call it before any work; runFabricConsolidation asserts on the same
+/// admissions.
 std::string vmMixError(const FabricConsolidationConfig &cfg);
 
 /// The paper's consolidated-server scenario, from one chip to a fabric:
