@@ -219,7 +219,7 @@ TEST(ChurnDriver, ScheduleIsAPureFunctionOfSeedAndEpoch)
                 a.flowRegisters().weights() != d.flowRegisters().weights());
 }
 
-TEST(ChurnDriver, ReprogrammedWeightsKeepTheirSum)
+TEST(FlowRegisters, ReprogrammedWeightsKeepTheirSum)
 {
     // Flow-register reprogramming mid-run must leave no stale weight sum
     // behind: every ranked candidate and quota reads it.
