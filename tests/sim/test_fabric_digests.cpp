@@ -1,9 +1,10 @@
 /// Pinned multi-chip behaviour: the metric digest, boundary handoffs and
 /// inter-chip link hops of one run on each multi-block fabric shape —
-/// two chips over point-to-point links, a three-chip ring, mixed
-/// per-column policies (PVC, WRR and per-flow blocks, all of which keep
-/// flow tables), the 4-chip, 1024-router fabric and a weighted two-chip
-/// consolidation. Any drift means the fabric's cycle behaviour moved.
+/// two chips over point-to-point links, a three-chip ring, three shared
+/// columns per chip, mixed per-column policies (PVC, WRR and per-flow
+/// blocks, all of which keep flow tables), the 4-chip, 1024-router
+/// fabric and a weighted two-chip consolidation. Any drift means the
+/// fabric's cycle behaviour moved.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -67,6 +68,15 @@ TEST(FabricDigests, ThreeChipRing)
     spec.links = LinkTopology::Ring;
     expectPinned(spec, uniform(0.02, 3000),
                  {17452348482140952390ull, 5147, 1694});
+}
+
+TEST(FabricDigests, ThreeColumnPvc)
+{
+    FabricSpec spec = dpsPvc(2);
+    spec.chip.tilesX = 32;
+    spec.chip.sharedColumns = {3, 8, 12};
+    expectPinned(spec, uniform(0.03, 3000),
+                 {17181959394339549568ull, 9100, 1731});
 }
 
 TEST(FabricDigests, MixedColumnModes)
