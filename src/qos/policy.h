@@ -5,8 +5,8 @@
 /// makes; the Router keeps the mechanism (VC allocation, cut-through
 /// transfers, preemption teardown) and delegates the policy questions:
 ///
-///   - priority(...)    what is this packet's arbitration rank?
-///   - betterThan(...)  which of two candidates wins an output?
+///   - rank(...)        what is this packet's arbitration rank?
+///   - better(...)      which of two candidates wins an output?
 ///   - onAllocFail(...) a blocked candidate: pay the preemption cost?
 ///   - onGrant(...)     a candidate won its output (rotate state)
 ///   - rollover()       frame boundary: flush per-router policy state
@@ -25,13 +25,13 @@
 /// round-robin pointers is router-local); makeQosPolicy is the factory
 /// the Router constructor uses.
 ///
-/// Each policy's rank and comparator are written once, as the inline
-/// rank()/better() members of its `final` class (see RankedPolicy). The
-/// virtual priority()/betterThan() forward to them, and the router's
-/// activity scan calls them directly through its per-policy
-/// instantiation, so a scan makes one policy dispatch, not two virtual
-/// calls per candidate. A new policy derives from RankedPolicy and joins
-/// the router's dispatch (Router::finalize).
+/// Each policy's rank and comparator are written once, as the inline,
+/// non-virtual rank()/better() members of its `final` class (see
+/// RankDefaults). The router's arbitration is instantiated once per
+/// policy class (Router::arbitrate<P>, picked at Router::finalize), so
+/// both engines rank through one dispatch per router tick and no virtual
+/// call per candidate. A new policy derives from RankDefaults and joins
+/// the router's dispatch.
 #pragma once
 
 #include <algorithm>
@@ -111,20 +111,7 @@ class QosPolicy {
         (void)words;
     }
 
-    // --- arbitration ---
-
-    /// Arbitration rank of `pkt` at an output (lower = higher priority).
-    /// `carried` is true at pass-through inputs that reuse the priority
-    /// computed at the packet's source (DPS repeaters). Forwards to the
-    /// policy's inline rank() (RankedPolicy).
-    virtual std::uint64_t priority(const NetPacket &pkt, bool carried,
-                                   const FlowTable &table,
-                                   int tableIdx) const = 0;
-
-    /// Does candidate `a` beat candidate `b` for output `outPort`?
-    /// Forwards to the policy's inline better() (RankedPolicy).
-    virtual bool betterThan(const ArbKey &a, const ArbKey &b,
-                            int outPort) const = 0;
+    // --- arbitration (rank and comparator: see RankDefaults) ---
 
     /// A candidate won output `outPort` and started streaming.
     virtual void onGrant(int outPort, const ArbKey &winner)
@@ -148,39 +135,28 @@ class QosPolicy {
     const PvcParams *params_;
 };
 
-/// The one definition of a policy's ranking. A concrete policy `P`
-/// derives from RankedPolicy<P> and may hide the two inline members
-/// below with its own:
+/// The concrete policies' base: QosPolicy plus the default ranking, the
+/// virtual clock. A concrete policy `P` derives from RankDefaults and may
+/// hide either inline member with its own:
 ///
 ///   std::uint64_t rank(const NetPacket &, bool carried,
 ///                      const FlowTable &, int tableIdx) const;
 ///   bool better(const ArbKey &a, const ArbKey &b, int outPort) const;
 ///
-/// The virtual priority()/betterThan() forward to P's members (the
-/// always-tick reference scan, unit tests), and Router::scanOutput<P>
-/// calls them without virtual dispatch. The defaults are the virtual
-/// clock.
-template <class P>
-class RankedPolicy : public QosPolicy {
+/// Router::arbitrate<P> calls P's members, so they are the one definition
+/// of P's ranking. They are not virtual and QosPolicy does not declare
+/// them: a QosPolicy pointer cannot reach the defaults, so a policy that
+/// hides them is never ranked by the virtual clock by mistake.
+class RankDefaults : public QosPolicy {
   public:
     using QosPolicy::QosPolicy;
 
-    std::uint64_t priority(const NetPacket &pkt, bool carried,
-                           const FlowTable &table,
-                           int tableIdx) const final
-    {
-        return self().rank(pkt, carried, table, tableIdx);
-    }
-
-    bool betterThan(const ArbKey &a, const ArbKey &b,
-                    int outPort) const final
-    {
-        return self().better(a, b, outPort);
-    }
-
-    /// Virtual-clock rank (PVC, per-flow queueing): a flow's consumed
-    /// bandwidth scaled by its provisioned rate; ports without local
-    /// flow state reuse the source-computed value.
+    /// Arbitration rank of `pkt` at an output (lower = higher priority).
+    /// `carried` is true at pass-through inputs that reuse the priority
+    /// computed at the packet's source (DPS repeaters). Virtual clock
+    /// (PVC, per-flow queueing): a flow's consumed bandwidth scaled by
+    /// its provisioned rate; ports without local flow state reuse the
+    /// source-computed value.
     std::uint64_t rank(const NetPacket &pkt, bool carried,
                        const FlowTable &table, int tableIdx) const
     {
@@ -189,6 +165,7 @@ class RankedPolicy : public QosPolicy {
         return table.priorityOf(tableIdx, pkt.flow);
     }
 
+    /// Does candidate `a` beat candidate `b` for output `outPort`?
     /// Virtual-clock order: priority, then age, then flow, then
     /// enumeration position.
     bool better(const ArbKey &a, const ArbKey &b, int /*outPort*/) const
@@ -201,9 +178,6 @@ class RankedPolicy : public QosPolicy {
             return a.flow < b.flow;
         return a.rrKey < b.rrKey;
     }
-
-  private:
-    const P &self() const { return static_cast<const P &>(*this); }
 };
 
 /// Preemptive Virtual Clock — the paper's scheme. Priority and comparator
@@ -211,9 +185,9 @@ class RankedPolicy : public QosPolicy {
 /// onAllocFail decision (inversion detection thresholds), and what makes
 /// it safe is the source quota + reserved escape VC the structural
 /// properties enable.
-class PvcPolicy final : public RankedPolicy<PvcPolicy> {
+class PvcPolicy final : public RankDefaults {
   public:
-    using RankedPolicy::RankedPolicy;
+    using RankDefaults::RankDefaults;
     QosMode mode() const override { return QosMode::Pvc; }
     bool usesFlowTable() const override { return true; }
     bool usesReservedVc() const override
@@ -238,9 +212,9 @@ class PvcPolicy final : public RankedPolicy<PvcPolicy> {
 /// Per-flow queueing (Fig. 6 reference): same virtual-clock schedule as
 /// PVC but with unbounded per-flow buffers, so allocation never fails and
 /// preemption never triggers.
-class PerFlowQueuePolicy final : public RankedPolicy<PerFlowQueuePolicy> {
+class PerFlowQueuePolicy final : public RankDefaults {
   public:
-    using RankedPolicy::RankedPolicy;
+    using RankDefaults::RankDefaults;
     QosMode mode() const override { return QosMode::PerFlowQueue; }
     bool usesFlowTable() const override { return true; }
     bool unboundedVcs() const override { return true; }
@@ -248,9 +222,9 @@ class PerFlowQueuePolicy final : public RankedPolicy<PerFlowQueuePolicy> {
 
 /// Locally-fair rotating arbitration, no flow state (the starvation
 /// baseline of Sec. 5.3).
-class NoQosPolicy final : public RankedPolicy<NoQosPolicy> {
+class NoQosPolicy final : public RankDefaults {
   public:
-    using RankedPolicy::RankedPolicy;
+    using RankDefaults::RankDefaults;
     QosMode mode() const override { return QosMode::NoQos; }
 
     void init(int numOutputs) override
@@ -309,9 +283,9 @@ class NoQosPolicy final : public RankedPolicy<NoQosPolicy> {
 /// so a frame's traffic cannot be delayed by later frames — per-flow
 /// bandwidth is guaranteed at frame granularity without preemption or
 /// per-router flow state.
-class GsfPolicy final : public RankedPolicy<GsfPolicy> {
+class GsfPolicy final : public RankDefaults {
   public:
-    using RankedPolicy::RankedPolicy;
+    using RankDefaults::RankDefaults;
     QosMode mode() const override { return QosMode::Gsf; }
 
     std::uint64_t rank(const NetPacket &pkt, bool, const FlowTable &,
@@ -329,9 +303,9 @@ class GsfPolicy final : public RankedPolicy<GsfPolicy> {
 /// state at all, yet starvation-free — the locally-fair baseline's
 /// pathological hotspot tree (Table 2) cannot starve a distant node
 /// because a waiting packet's rank only improves with time.
-class AgePolicy final : public RankedPolicy<AgePolicy> {
+class AgePolicy final : public RankDefaults {
   public:
-    using RankedPolicy::RankedPolicy;
+    using RankDefaults::RankDefaults;
     QosMode mode() const override { return QosMode::AgeArb; }
 
     std::uint64_t rank(const NetPacket &pkt, bool, const FlowTable &,
@@ -346,9 +320,9 @@ class AgePolicy final : public RankedPolicy<AgePolicy> {
 /// rounds* (served flits / weight, integer division), so a flow bursts up
 /// to `weight` flits per round — classic WRR, as opposed to the
 /// flit-interleaved virtual clock.
-class WrrPolicy final : public RankedPolicy<WrrPolicy> {
+class WrrPolicy final : public RankDefaults {
   public:
-    using RankedPolicy::RankedPolicy;
+    using RankDefaults::RankDefaults;
     QosMode mode() const override { return QosMode::Wrr; }
     bool usesFlowTable() const override { return true; }
 

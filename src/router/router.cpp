@@ -289,14 +289,18 @@ Router::finalize()
     best_.resize(outputs_.size());
     policy_->init(static_cast<int>(outputs_.size()));
     switch (policy_->mode()) {
-      case QosMode::Pvc: scan_ = &Router::scanOutput<PvcPolicy>; break;
+      case QosMode::Pvc: arbitrate_ = &Router::arbitrate<PvcPolicy>; break;
       case QosMode::PerFlowQueue:
-        scan_ = &Router::scanOutput<PerFlowQueuePolicy>;
+        arbitrate_ = &Router::arbitrate<PerFlowQueuePolicy>;
         break;
-      case QosMode::NoQos: scan_ = &Router::scanOutput<NoQosPolicy>; break;
-      case QosMode::Gsf: scan_ = &Router::scanOutput<GsfPolicy>; break;
-      case QosMode::AgeArb: scan_ = &Router::scanOutput<AgePolicy>; break;
-      case QosMode::Wrr: scan_ = &Router::scanOutput<WrrPolicy>; break;
+      case QosMode::NoQos:
+        arbitrate_ = &Router::arbitrate<NoQosPolicy>;
+        break;
+      case QosMode::Gsf: arbitrate_ = &Router::arbitrate<GsfPolicy>; break;
+      case QosMode::AgeArb:
+        arbitrate_ = &Router::arbitrate<AgePolicy>;
+        break;
+      case QosMode::Wrr: arbitrate_ = &Router::arbitrate<WrrPolicy>; break;
     }
 
     // Activity-tracking structure. Enumeration bases reproduce the
@@ -345,26 +349,17 @@ Router::routeFor(const NetPacket &pkt) const
     return entry;
 }
 
-std::uint64_t
-Router::priorityFor(const NetPacket &pkt, const InputPort &in,
-                    int outPort) const
-{
-    return policy_->priority(
-        pkt, in.usesCarriedPrio, flowTable_,
-        outputs_[static_cast<std::size_t>(outPort)]->tableIdx);
-}
-
-bool
-Router::betterThan(const Candidate &a, const Candidate &b, int outPort) const
-{
-    return policy_->betterThan(ArbKey{a.prio, a.age, a.pkt->flow, a.rrKey},
-                               ArbKey{b.prio, b.age, b.pkt->flow, b.rrKey},
-                               outPort);
-}
-
+template <class P>
 void
 Router::collectCandidates(TickContext &ctx)
 {
+    const P &policy = static_cast<const P &>(*policy_);
+    const auto rank = [&](const NetPacket &pkt, const InputPort &in,
+                          int outPort) {
+        return policy.rank(
+            pkt, in.usesCarriedPrio, flowTable_,
+            outputs_[static_cast<std::size_t>(outPort)]->tableIdx);
+    };
     for (auto &b : best_)
         b.pkt = nullptr;
 
@@ -399,10 +394,10 @@ Router::collectCandidates(TickContext &ctx)
                 const RouteEntry route = routeFor(*pkt);
                 cand.outPort = route.outPort;
                 cand.dropIdx = route.dropIdx;
-                cand.prio = priorityFor(*pkt, *in, cand.outPort);
+                cand.prio = rank(*pkt, *in, cand.outPort);
                 auto &best = best_[static_cast<std::size_t>(cand.outPort)];
                 if (best.pkt == nullptr ||
-                    betterThan(cand, best, cand.outPort)) {
+                    policy.better(arbKey(cand), arbKey(best), cand.outPort)) {
                     best = cand;
                 }
             }
@@ -426,10 +421,12 @@ Router::collectCandidates(TickContext &ctx)
             const RouteEntry route = routeFor(*pkt);
             cand.outPort = route.outPort;
             cand.dropIdx = route.dropIdx;
-            cand.prio = priorityFor(*pkt, *in, cand.outPort);
+            cand.prio = rank(*pkt, *in, cand.outPort);
             auto &best = best_[static_cast<std::size_t>(cand.outPort)];
-            if (best.pkt == nullptr || betterThan(cand, best, cand.outPort))
+            if (best.pkt == nullptr ||
+                policy.better(arbKey(cand), arbKey(best), cand.outPort)) {
                 best = cand;
+            }
         }
     }
 }
@@ -702,8 +699,7 @@ Router::tryGrant(Candidate &cand, TickContext &ctx)
     if (cand.port->group != nullptr)
         cand.port->group->occupy(ctx.now, pkt->sizeFlits);
 
-    policy_->onGrant(cand.outPort,
-                     ArbKey{cand.prio, cand.age, pkt->flow, cand.rrKey});
+    policy_->onGrant(cand.outPort, arbKey(cand));
     // The grant rotated policy state and consumed a candidate: rescan
     // this output next cycle. (The slot hooks above already imply it;
     // kept explicit because onGrant state is invisible to them.)
@@ -917,8 +913,15 @@ void
 Router::tickArbitrate(TickContext &ctx)
 {
     ++ctx.stats.routerTicks;
+    (this->*arbitrate_)(ctx);
+}
+
+template <class P>
+void
+Router::arbitrate(TickContext &ctx)
+{
     if (ctx.forceScan) {
-        collectCandidates(ctx);
+        collectCandidates<P>(ctx);
         for (std::size_t o = 0; o < outputs_.size(); ++o) {
             if (best_[o].pkt != nullptr)
                 tryGrant(best_[o], ctx);
@@ -939,7 +942,7 @@ Router::tickArbitrate(TickContext &ctx)
         int winners = 0;
         for (std::size_t o = 0; o < outputs_.size(); ++o) {
             if (outDirty_[o] != 0 || ctx.now >= outWake_[o]) {
-                (this->*scan_)(static_cast<int>(o), ctx);
+                scanOutput<P>(static_cast<int>(o), ctx);
                 ++ctx.stats.outputScans;
                 outDirty_[o] = 0;
             }

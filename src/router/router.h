@@ -290,12 +290,17 @@ class Router {
         bool carried = false; ///< port reuses the carried priority
     };
 
+    /// One arbitration phase ranked by policy `P`'s inline rank() and
+    /// better(), instantiated once per policy class and picked at
+    /// finalize(): the always-tick engine's collect-then-grant, or the
+    /// activity engine's cached scans and grants.
+    template <class P>
+    void arbitrate(TickContext &ctx);
     /// Legacy full scan: every input, every VC, every injector, all
     /// outputs at once (the always-tick reference path).
+    template <class P>
     void collectCandidates(TickContext &ctx);
-    /// Activity path: re-derive one output's winner from its slot list,
-    /// ranking with policy `P`'s inline members (one instantiation per
-    /// policy class, picked at finalize()).
+    /// Activity path: re-derive one output's winner from its slot list.
     template <class P>
     void scanOutput(int outPort, TickContext &ctx);
 
@@ -315,14 +320,15 @@ class Router {
         ++mutEpoch_;
     }
 
-    bool betterThan(const Candidate &a, const Candidate &b, int outPort) const;
+    static ArbKey arbKey(const Candidate &c)
+    {
+        return ArbKey{c.prio, c.age, c.pkt->flow, c.rrKey};
+    }
     void tryGrant(Candidate &cand, TickContext &ctx);
     bool tryPreempt(const Candidate &cand, InputPort *down, TickContext &ctx);
     /// Is `pkt` shielded from preemption by the reserved per-frame quota?
     bool quotaProtected(const NetPacket &pkt, bool localState,
                         int tableIdx) const;
-    std::uint64_t priorityFor(const NetPacket &pkt, const InputPort &in,
-                              int outPort) const;
     bool validate(const Candidate &cand) const;
 
     NodeId node_;
@@ -336,8 +342,8 @@ class Router {
     /// Every priority / preemption / quota decision (owns the per-router
     /// arbitration state, e.g. the NoQos rotating pointers).
     std::unique_ptr<QosPolicy> policy_;
-    /// scanOutput instantiated for policy_'s class (set by finalize()).
-    void (Router::*scan_)(int, TickContext &) = nullptr;
+    /// arbitrate instantiated for policy_'s class (set by finalize()).
+    void (Router::*arbitrate_)(TickContext &) = nullptr;
 
     std::vector<std::unique_ptr<InputPort>> inputs_;
     std::vector<std::unique_ptr<OutputPort>> outputs_;

@@ -3,10 +3,29 @@
 #include "common/assert.h"
 #include "noc/packet.h"
 #include "noc/ports.h"
-#include "qos/audit.h"
 #include "topo/fabric.h"
 
 namespace taqos {
+
+namespace {
+
+/// The age bound audited under oldest-first arbitration; other policies
+/// make no age promise, so their traces carry 0 and skip the age audit.
+/// Oldest-first arbitration is starvation-free, so a packet older than
+/// this has been bypassed pathologically. The bound is far above the
+/// drain horizon of every finite workload in the suite, so a clean
+/// drained run cannot false-positive, while a starved packet, which
+/// holds its VC forever, is still caught.
+constexpr Cycle kAgeArbMaxPacketAge = 2000000;
+
+/// WRR weight tracking: a continuously backlogged flow's delivered share
+/// below `weightShare * (1 - kWrrShareTolerance)` is a violation. Shares
+/// are audited only across flows backlogged for the whole measurement
+/// window with a statistically meaningful delivery count, so the
+/// tolerance absorbs discretization, not starvation.
+constexpr double kWrrShareTolerance = 0.5;
+
+} // namespace
 
 TraceMeta
 describeColumn(const ColumnConfig &col)
@@ -24,9 +43,8 @@ describeColumn(const ColumnConfig &col)
     m.gsfFrameLen = col.pvc.gsfFrameLen;
     m.gsfFrames = col.pvc.gsfFrames;
     m.weights = col.pvc.weights();
-    const QosAuditBounds bounds = defaultAuditBounds(col.mode);
-    m.maxAge = bounds.maxPacketAge;
-    m.wrrTol = bounds.wrrTolerance;
+    m.maxAge = col.mode == QosMode::AgeArb ? kAgeArbMaxPacketAge : 0;
+    m.wrrTol = kWrrShareTolerance;
     return m;
 }
 
@@ -36,10 +54,7 @@ describeFabric(const FabricNetwork &net)
     TraceMeta m;
     m.topology = std::string("fabric-") +
                  topologyName(net.spec().column.topology);
-    bool mixed = false;
-    for (int g = 0; g < net.blocks(); ++g)
-        mixed = mixed || net.blockMode(g) != net.mode();
-    m.mode = mixed ? "mixed" : qosModeName(net.mode());
+    m.mode = qosModeName(net.mode());
     m.nodes = net.numNodes();
     m.injectorsPerNode = net.slotsPerNode();
     m.flows = net.totalFlows();
@@ -52,7 +67,7 @@ describeFabric(const FabricNetwork &net)
     m.gsfFrames = pvc.gsfFrames;
     m.weights = pvc.weights();
     m.maxAge = 0; // row + link transit is policy-independent latency
-    m.wrrTol = defaultAuditBounds(net.mode()).wrrTolerance;
+    m.wrrTol = kWrrShareTolerance;
     return m;
 }
 

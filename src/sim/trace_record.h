@@ -25,14 +25,14 @@ namespace taqos {
 class FabricNetwork;
 
 /// TraceMeta for a run over one QOS-protected column: topology, policy
-/// and QoS parameters plus the per-policy audit bounds (qos/audit.h).
+/// and QoS parameters plus the audit bounds: the age bound (age policy
+/// only) and the WRR share tolerance.
 TraceMeta describeColumn(const ColumnConfig &col);
 
 /// TraceMeta for a multi-chip fabric run (topo/fabric.h). The topology
 /// string is "fabric-<column topology>" (no route-adjacency family) and
-/// the mode is "mixed" when the per-block policies differ, which turns
-/// the per-policy audits off; the age audit is skipped because row and
-/// inter-chip transit add policy-independent latency.
+/// the mode is the fabric's one policy; the age audit is skipped because
+/// row and inter-chip transit add policy-independent latency.
 TraceMeta describeFabric(const FabricNetwork &net);
 
 class TraceRecorder final : public TraceSink {

@@ -27,7 +27,7 @@ buildMeshColumn(const ColumnWiring &w)
                  "%s column of %d rows under %s: a route charges one "
                  "flow-table entry per row and the packet charge log holds "
                  "%d",
-                 topologyName(cfg.topology), n, qosModeName(w.mode),
+                 topologyName(cfg.topology), n, qosModeName(w.net.mode()),
                  NetPacket::kMaxCharges);
 
     // inNorth[i][k]: input at node i fed by node i-1 on channel k.

@@ -7,9 +7,9 @@
 /// The wiring is expressed against a ColumnWiring context, so the same
 /// topology builders serve every block of a FabricNetwork
 /// (topo/fabric.h): one block per shared column, with offset node/flow
-/// id bases and per-block QoS modes. The standalone column is the
-/// row-less one-chip fabric (columnFabricSpec), whose only block is
-/// wired at base 0 with no port-name prefix.
+/// id bases, all under the network's one QoS policy. The standalone
+/// column is the row-less one-chip fabric (columnFabricSpec), whose only
+/// block is wired at base 0 with no port-name prefix.
 #pragma once
 
 #include <string>
@@ -25,16 +25,14 @@ namespace taqos {
 /// Local node ids 0..cfg.numNodes-1 and local flow ids map into the
 /// network's global id spaces through `base`/`flowBase`; port names get
 /// `prefix` so multi-block traces stay readable. A block at base 0 with
-/// an empty prefix is the standalone column.
+/// an empty prefix is the standalone column. Routers and ports take the
+/// network's policy (Network::mode, reservedIdx, unbounded).
 struct ColumnWiring {
     Network &net;
     const ColumnConfig &cfg;
     NodeId base = 0;     ///< global id of this block's local node 0
     FlowId flowBase = 0; ///< global id of this block's local flow 0
     std::string prefix;  ///< port-name prefix ("" for a lone block)
-    QosMode mode = QosMode::NoQos; ///< router mode of this block
-    int reservedVc = -1;           ///< reserved-VC index for net inputs
-    bool unboundedVcs = false;     ///< per-flow-queueing VC growth
 
     NodeId node(int i) const { return base + i; }
     FlowId flow(int i, int slot) const
@@ -49,26 +47,20 @@ struct ColumnWiring {
     /// other flow reaches them.
     Router *addRouter(int i) const
     {
-        return net.addRouter(node(i), mode, flowBase, cfg.numFlows());
+        return net.addRouter(node(i), net.mode(), flowBase, cfg.numFlows());
     }
 
     InputPort *addTermPort(int i, int vcs) const
     {
-        InputPort *term = net.addTermPort(node(i), vcs);
-        term->unboundedVcs = unboundedVcs;
-        return term;
+        return net.addTermPort(node(i), vcs);
     }
 
     InputPort *makeNetInput(Router *r, const std::string &portName, int i,
                             int vcs, int creditDelay, int pipeDelay,
                             bool passThrough, XbarGroup *group) const
     {
-        InputPort *port =
-            net.makeNetInput(r, name(portName), node(i), vcs, creditDelay,
-                             pipeDelay, passThrough, group);
-        port->reservedVc = reservedVc;
-        port->unboundedVcs = unboundedVcs;
-        return port;
+        return net.makeNetInput(r, name(portName), node(i), vcs,
+                                creditDelay, pipeDelay, passThrough, group);
     }
 
     void addTerminalOutput(int i) const { net.addTerminalOutput(node(i)); }

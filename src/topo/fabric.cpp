@@ -12,7 +12,6 @@
 
 #include "common/assert.h"
 #include "common/strings.h"
-#include "qos/policy.h"
 
 namespace taqos {
 
@@ -188,15 +187,14 @@ FabricNetwork::FabricNetwork(FabricSpec spec)
     slotsPerNode_ = fabricSlots(spec_);
 
     // Per-block column configurations: the spec's template with the
-    // block's own QoS mode and the crossbar grouping implied by its
-    // catchment split (slots west of the column share one port). A
-    // row-less fabric's block keeps the template's injectors and split.
+    // crossbar grouping implied by the block's catchment split (slots
+    // west of the column share one port). A row-less fabric's block
+    // keeps the template's injectors and split.
     blockCfgs_.reserve(static_cast<std::size_t>(blocks()));
     for (int g = 0; g < blocks(); ++g) {
         const int j = g % B;
         ColumnConfig cfg = spec_.column;
         cfg.numNodes = gridHeight();
-        cfg.mode = blockMode(g);
         cfg.pvc = pvcParams();
         if (!rowless()) {
             int east = 0;
@@ -209,15 +207,6 @@ FabricNetwork::FabricNetwork(FabricSpec spec)
         }
         blockCfgs_.push_back(std::move(cfg));
     }
-}
-
-QosMode
-FabricNetwork::blockMode(int g) const
-{
-    if (spec_.columnModes.empty())
-        return spec_.column.mode;
-    return spec_.columnModes[static_cast<std::size_t>(g) %
-                             spec_.columnModes.size()];
 }
 
 int
@@ -267,15 +256,6 @@ FabricNetwork::build(FabricSpec spec)
                          net->totalFlows(),
                  "fabric weights must cover all %d flows",
                  net->totalFlows());
-    for (int g = 0; g < net->blocks(); ++g) {
-        const QosMode m = net->blockMode(g);
-        TAQOS_ASSERT(m == net->mode() ||
-                         (m != QosMode::Pvc && m != QosMode::Gsf),
-                     "block %d: Pvc/Gsf need the engine-global "
-                     "quota/gate machinery and must match the fabric "
-                     "mode",
-                     g);
-    }
     buildFabric(*net);
     net->finalizeRouters();
     return net;
@@ -312,19 +292,8 @@ buildFabric(FabricNetwork &net)
 
     const auto wiring = [&](int c, int j) {
         const int g = c * B + j;
-        const QosMode m = net.blockMode(g);
-        // Router/port QoS flags follow the *block's* policy, not the
-        // fabric's (a per-flow block grows VCs on demand even inside a
-        // PVC fabric).
-        const auto proto = makeQosPolicy(m, net.pvcParams());
-        return ColumnWiring{net,
-                            net.blockCfg(g),
-                            net.blockBase(g),
-                            g * fpb,
-                            chipTag(c) + blockTag(j),
-                            m,
-                            proto->usesReservedVc() ? 0 : -1,
-                            proto->unboundedVcs()};
+        return ColumnWiring{net, net.blockCfg(g), net.blockBase(g), g * fpb,
+                            chipTag(c) + blockTag(j)};
     };
 
     for (int c = 0; c < spec.chips; ++c) {

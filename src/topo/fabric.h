@@ -71,8 +71,9 @@ std::optional<LinkTopology> parseLinkTopology(const std::string &name);
 std::vector<std::vector<int>> fabricCatchments(const ChipConfig &chip);
 
 /// Declarative description of a multi-chip fabric: chips x geometry x
-/// inter-chip links x per-column QoS policy. Finalized by
-/// FabricNetwork::build into a ready-to-simulate Network.
+/// inter-chip links, with one QoS policy (`column.mode`) in every shared
+/// column. Finalized by FabricNetwork::build into a ready-to-simulate
+/// Network.
 struct FabricSpec {
     int chips = 1;
     ChipConfig chip;
@@ -84,13 +85,6 @@ struct FabricSpec {
     /// non-empty it must be sized to the TOTAL flow count
     /// (FabricNetwork::totalFlows).
     ColumnConfig column;
-
-    /// Per-column QoS policy override, cycled over the global block
-    /// index; empty = every block runs `column.mode`. Entries must be
-    /// `column.mode` itself or a router-local policy (no-qos, per-flow,
-    /// age, wrr) — Pvc/Gsf blocks need the engine-global quota/gate
-    /// machinery and so must match the global mode.
-    std::vector<QosMode> columnModes;
 
     LinkTopology links = LinkTopology::PointToPoint;
 
@@ -186,10 +180,8 @@ class FabricNetwork : public Network {
         return blockOfX_[static_cast<std::size_t>(rankOf(x))];
     }
 
-    /// QoS mode of global block `g` (columnModes cycled).
-    QosMode blockMode(int g) const;
     /// The per-block column configuration global block `g` was wired
-    /// with (mode and crossbar grouping differ per block).
+    /// with (the crossbar grouping differs per block).
     const ColumnConfig &blockCfg(int g) const
     {
         return blockCfgs_[static_cast<std::size_t>(g)];

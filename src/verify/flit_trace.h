@@ -134,7 +134,8 @@ struct TraceMeta {
     /// Per-flow provisioned weights; empty = all equal.
     std::vector<std::uint32_t> weights;
 
-    // Audit bounds (qos/audit.h defaults, frozen into the trace).
+    // Audit bounds (describeColumn/describeFabric in
+    // sim/trace_record.cpp set them; frozen into the trace).
     Cycle maxAge = 0;     ///< 0 = skip the age audit
     double wrrTol = 0.5;  ///< WRR share tolerance (fraction of expected)
 

@@ -79,16 +79,16 @@ TEST(QosPolicy, StructuralProperties)
 TEST(QosPolicy, DefaultComparatorOrder)
 {
     PvcParams params;
-    const auto policy = makeQosPolicy(QosMode::Pvc, params);
+    const PvcPolicy policy(params);
     const ArbKey base{10, 100, 3, 7};
 
-    EXPECT_TRUE(policy->betterThan(ArbKey{9, 200, 5, 9}, base, 0));
-    EXPECT_FALSE(policy->betterThan(ArbKey{11, 0, 0, 0}, base, 0));
+    EXPECT_TRUE(policy.better(ArbKey{9, 200, 5, 9}, base, 0));
+    EXPECT_FALSE(policy.better(ArbKey{11, 0, 0, 0}, base, 0));
     // Equal priority: older wins; then lower flow; then position.
-    EXPECT_TRUE(policy->betterThan(ArbKey{10, 99, 5, 9}, base, 0));
-    EXPECT_TRUE(policy->betterThan(ArbKey{10, 100, 2, 9}, base, 0));
-    EXPECT_TRUE(policy->betterThan(ArbKey{10, 100, 3, 6}, base, 0));
-    EXPECT_FALSE(policy->betterThan(base, base, 0));
+    EXPECT_TRUE(policy.better(ArbKey{10, 99, 5, 9}, base, 0));
+    EXPECT_TRUE(policy.better(ArbKey{10, 100, 2, 9}, base, 0));
+    EXPECT_TRUE(policy.better(ArbKey{10, 100, 3, 6}, base, 0));
+    EXPECT_FALSE(policy.better(base, base, 0));
 }
 
 TEST(QosPolicy, OnlyPvcPreempts)

@@ -1,10 +1,9 @@
 /// Pinned multi-chip behaviour: the metric digest, boundary handoffs and
 /// inter-chip link hops of one run on each multi-block fabric shape —
 /// two chips over point-to-point links, a three-chip ring, three shared
-/// columns per chip, mixed per-column policies (PVC, WRR and per-flow
-/// blocks, all of which keep flow tables), the 4-chip, 1024-router
-/// fabric and a weighted two-chip consolidation. Any drift means the
-/// fabric's cycle behaviour moved.
+/// columns per chip, the 4-chip, 1024-router fabric and a weighted
+/// two-chip consolidation. Any drift means the fabric's cycle behaviour
+/// moved.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -75,16 +74,6 @@ TEST(FabricDigests, ThreeColumnPvc)
     FabricSpec spec = dpsPvc(2);
     spec.chip.tilesX = 32;
     spec.chip.sharedColumns = {3, 8, 12};
-    expectPinned(spec, uniform(0.03, 3000),
-                 {17181959394339549568ull, 9100, 1731});
-}
-
-TEST(FabricDigests, MixedColumnModes)
-{
-    FabricSpec spec = dpsPvc(2);
-    spec.chip.tilesX = 32;
-    spec.chip.sharedColumns = {3, 8, 12};
-    spec.columnModes = {QosMode::Pvc, QosMode::Wrr, QosMode::PerFlowQueue};
     expectPinned(spec, uniform(0.03, 3000),
                  {17181959394339549568ull, 9100, 1731});
 }

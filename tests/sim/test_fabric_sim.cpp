@@ -121,26 +121,6 @@ TEST(FabricSimTest, RingTransitsForwardToTheRightChip)
     sim.checkInvariants();
 }
 
-TEST(FabricSimTest, MixedBlockPoliciesRunToDrain)
-{
-    FabricSpec spec;
-    spec.chip.tilesX = 32;
-    spec.chip.sharedColumns = {4, 12};
-    spec.column = paperColumn(TopologyKind::Dps, QosMode::Pvc);
-    spec.columnModes = {QosMode::Pvc, QosMode::PerFlowQueue};
-    TrafficConfig t;
-    t.pattern = TrafficPattern::UniformRandom;
-    t.injectionRate = 0.02;
-    t.genUntil = 3000;
-
-    FabricSim sim(spec, t);
-    const Cycle done = sim.runUntilDrained(120000, 3000);
-    ASSERT_NE(done, kNoCycle);
-    EXPECT_EQ(sim.metrics().deliveredPackets,
-              sim.metrics().generatedPackets);
-    sim.checkInvariants();
-}
-
 TEST(FabricSimTest, TwelveRowMeshColumnsRunToDrain)
 {
     // 24 tiles, 4-way concentrated: 12 rows, the tallest mesh column

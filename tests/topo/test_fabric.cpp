@@ -151,19 +151,6 @@ TEST(FabricBuild, StructuralCountsMatchTheSpec)
     }
 }
 
-TEST(FabricBuild, PerBlockModesCycleAndKeepRouterLocalPolicies)
-{
-    FabricSpec spec = wideSpec(2);
-    spec.column.mode = QosMode::Pvc;
-    spec.columnModes = {QosMode::Pvc, QosMode::PerFlowQueue};
-    auto net = FabricNetwork::build(spec);
-    for (int g = 0; g < net->blocks(); ++g) {
-        EXPECT_EQ(net->blockMode(g),
-                  g % 2 == 0 ? QosMode::Pvc : QosMode::PerFlowQueue);
-        EXPECT_EQ(net->blockCfg(g).mode, net->blockMode(g));
-    }
-}
-
 TEST(FabricBuild, FrameLenScalesWithTheBlockCount)
 {
     FabricSpec spec = wideSpec(2); // 4 blocks
