@@ -34,8 +34,11 @@
 /// Any other key fails with "unknown option '<key>'", a value that does
 /// not parse as its option's type (an integer out of its range, a
 /// negative rate included) with "bad option '<key>=<value>'" or the list
-/// forms' messages, and a workload or placement outside its table with
-/// "unknown workload/placement", before work starts.
+/// forms' messages, a workload or placement outside its table with
+/// "unknown workload/placement", and a workload spec the scenario cannot
+/// run (churn outside scenario=chip, trace replay outside latency_load)
+/// with "workload '<spec>' cannot run in the <scenario> scenario: ...",
+/// all with exit status 1 before work starts.
 ///
 /// Examples:
 ///   sweep_cli rates=0.01:0.12:0.01 patterns=uniform,tornado out=fig4.json
@@ -177,6 +180,10 @@ main(int argc, char **argv)
         spec.phases.drain = opts.getCycles("drain", 30000);
     if (preset.empty() || opts.has("gencycles"))
         spec.genCycles = opts.getCycles("gencycles", 100000);
+
+    const std::string err = sweepSpecError(spec);
+    if (!err.empty())
+        optionError(err);
 
     const SweepRunner runner(opts.getInt("threads", 0));
 

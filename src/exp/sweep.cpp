@@ -338,30 +338,39 @@ SweepSpec::canonical() const
 
     if (c.workloadSpecs.empty())
         c.workloadSpecs = {WorkloadSpec{}};
-    for (const auto &w : c.workloadSpecs) {
-        switch (c.scenario) {
+    const std::string err = sweepSpecError(c);
+    TAQOS_ASSERT(err.empty(), "%s", err.c_str());
+    return c;
+}
+
+std::string
+sweepSpecError(const SweepSpec &spec)
+{
+    for (const auto &w : spec.workloadSpecs) {
+        std::string why;
+        switch (spec.scenario) {
           case Scenario::LatencyLoad:
-            TAQOS_ASSERT(w.kind != WorkloadKind::Churn,
-                         "tenant churn needs the chip_consolidation "
-                         "scenario, not %s",
-                         scenarioName(c.scenario));
+            if (w.kind == WorkloadKind::Churn)
+                why = "tenant churn needs the chip_consolidation scenario";
             break;
           case Scenario::Hotspot:
           case Scenario::Adversarial:
-            TAQOS_ASSERT(w.isSteady() || w.modulated(),
-                         "%s cells take steady/bursty/ramp workloads, "
-                         "got %s",
-                         scenarioName(c.scenario),
-                         workloadKindName(w.kind));
+            if (!w.isSteady() && !w.modulated())
+                why = "it takes steady, bursty and ramp workloads only";
             break;
           case Scenario::ChipConsolidation:
-            TAQOS_ASSERT(w.kind != WorkloadKind::Trace,
-                         "trace replay is a column workload; the chip "
-                         "consolidation scenario has no embedding for it");
+            if (w.kind == WorkloadKind::Trace)
+                why = "trace replay is a column workload";
             break;
         }
+        if (!why.empty()) {
+            return strFormat("workload '%s' cannot run in the %s "
+                             "scenario: %s",
+                             w.name().c_str(), scenarioName(spec.scenario),
+                             why.c_str());
+        }
     }
-    return c;
+    return {};
 }
 
 std::vector<CellSpec>

@@ -104,9 +104,9 @@ struct SweepSpec {
     std::vector<int> workloads;           ///< Adversarial; default: {1, 2}
     std::vector<int> placements;          ///< Chip; default: {0}
     /// Dynamic-workload axis; default: {steady}. Per-scenario legality
-    /// (asserted by canonical()): trace replay only drives the column
-    /// scenarios (LatencyLoad), churn only ChipConsolidation;
-    /// bursty/ramp compose with every scenario.
+    /// (sweepSpecError; asserted by canonical()): trace replay only
+    /// drives the column scenarios (LatencyLoad), churn only
+    /// ChipConsolidation; bursty/ramp compose with every scenario.
     std::vector<WorkloadSpec> workloadSpecs;
 
     /// Replicate seeds per grid point (mean/stddev across them).
@@ -129,6 +129,11 @@ struct SweepSpec {
     /// workload spec, replicate.
     std::vector<CellSpec> expand() const;
 };
+
+/// The first workload spec of `spec`'s axis that its scenario cannot
+/// run, named in one line, or "" when there is none. canonical() asserts
+/// on it, and CLIs call it before any cell runs.
+std::string sweepSpecError(const SweepSpec &spec);
 
 /// Mean/stddev/min/max of every metric of one grid point across its
 /// replicate seeds.
