@@ -42,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "common/options.h"
 #include "common/strings.h"
 #include "core/experiments.h"
 #include "sim/fabric_sim.h"
@@ -169,7 +168,13 @@ parseRunOptions(const std::vector<std::string> &args)
             parse(parseIntTok<int>, run.spec.chip.tilesX);
             run.spec.chip.tilesY = run.spec.chip.tilesX;
         } else if (key == "columns") {
-            run.spec.chip.sharedColumns = parseIntList(val);
+            run.spec.chip.sharedColumns.clear();
+            for (const auto &tok : strSplit(val, ',')) {
+                int x = 0;
+                if (!parseIntTok(strTrim(tok), x))
+                    badOption(arg);
+                run.spec.chip.sharedColumns.push_back(x);
+            }
         } else if (key == "links") {
             const auto l = parseLinkTopology(val);
             if (!l.has_value())
