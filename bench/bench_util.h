@@ -7,20 +7,8 @@
 
 #include "common/options.h"
 #include "common/strings.h"
-#include "qos/pvc.h"
 
 namespace taqos::benchutil {
-
-/// Parse a QOS-mode option (`key=<mode>`) through the canonical
-/// parseQosMode round-trip; exits with the list of valid names on an
-/// unknown value. Forwarding shim — new drivers should call
-/// enumOption (common/options.h) directly.
-inline QosMode
-qosModeFromOpts(const OptionMap &opts, const char *key, QosMode dflt)
-{
-    return enumOption(opts, key, dflt, parseQosMode, "mode",
-                      joinNames(kAllQosModes, qosModeName));
-}
 
 inline void
 header(const std::string &title, const std::string &paperRef)
