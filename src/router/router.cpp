@@ -293,13 +293,9 @@ Router::finalize()
       case QosMode::PerFlowQueue:
         arbitrate_ = &Router::arbitrate<PerFlowQueuePolicy>;
         break;
-      case QosMode::NoQos:
-        arbitrate_ = &Router::arbitrate<NoQosPolicy>;
-        break;
+      case QosMode::NoQos: arbitrate_ = &Router::arbitrate<NoQosPolicy>; break;
       case QosMode::Gsf: arbitrate_ = &Router::arbitrate<GsfPolicy>; break;
-      case QosMode::AgeArb:
-        arbitrate_ = &Router::arbitrate<AgePolicy>;
-        break;
+      case QosMode::AgeArb: arbitrate_ = &Router::arbitrate<AgePolicy>; break;
       case QosMode::Wrr: arbitrate_ = &Router::arbitrate<WrrPolicy>; break;
     }
 

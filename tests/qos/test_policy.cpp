@@ -76,6 +76,18 @@ TEST(QosPolicy, StructuralProperties)
     }
 }
 
+/// Ranking is reachable only on a concrete policy class: were rank() or
+/// better() callable through a QosPolicy, the virtual-clock defaults
+/// would rank GSF, age, no-qos and WRR routers without an error.
+template <class T>
+concept Ranks = requires(const T &p, const NetPacket &pkt,
+                         const FlowTable &table, const ArbKey &key) {
+    p.rank(pkt, false, table, 0);
+    p.better(key, key, 0);
+};
+static_assert(!Ranks<QosPolicy>);
+static_assert(Ranks<PvcPolicy> && Ranks<GsfPolicy> && Ranks<WrrPolicy>);
+
 TEST(QosPolicy, DefaultComparatorOrder)
 {
     PvcParams params;

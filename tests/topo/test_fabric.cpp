@@ -1,6 +1,6 @@
 /// FabricSpec finalization: catchment partitioning, the chip-major
-/// node/flow id spaces, remote-slot mapping, per-block policy cycling
-/// and the structural counts of the built multi-chip network.
+/// node/flow id spaces, remote-slot mapping and the structural counts of
+/// the built multi-chip network.
 #include <gtest/gtest.h>
 
 #include "topo/fabric.h"
