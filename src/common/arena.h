@@ -10,8 +10,8 @@
 /// engine walks its active routers. Behaviour is
 /// bit-identical to leaving them in place: relocation copies state
 /// verbatim and every cross-reference into these arrays is index-based
-/// (VcRef, slot keys). The packed layout measured 1.26x the unpacked
-/// object graph on the serial engine.
+/// (VcRef, slot keys). What the packed layout buys depends on the
+/// workload: README "Hot-state access rule" has the measurements.
 #pragma once
 
 #include <cstddef>
