@@ -76,7 +76,8 @@ main()
     cfg.chip = chip;
     cfg.column.topology = TopologyKind::Dps;
     cfg.column.numNodes = chip.nodesY();
-    cfg.column.pvc = os.columnFlowRegisters(cfg.columnX(), cfg.column);
+    cfg.column.pvc =
+        os.flowRegisters(FabricLayout(cfg.fabricSpec()), cfg.column.pvc);
 
     std::printf("=== full-chip run: rows -> shared DPS column (PVC) ===\n");
     TrafficConfig traffic = makeHotspotAll(cfg.column, 0.05);
@@ -98,17 +99,16 @@ main()
         std::printf("  drained at cycle %llu, invariants clean\n\n",
                     static_cast<unsigned long long>(done));
 
-    // Attribute delivered bandwidth back to VMs through node ownership.
+    // Attribute delivered bandwidth back to VMs through the compute node
+    // that originates each flow.
     double vmFlits[4] = {};
     const SimMetrics &m = sim.metrics();
-    for (int row = 0; row < chip.nodesY(); ++row) {
-        for (int k = 1; k < cfg.column.injectorsPerNode; ++k) {
-            const int owner = os.ownerOf(NodeCoord{cfg.computeXOf(k), row});
-            if (owner >= 1 && owner <= 3) {
-                vmFlits[owner] += static_cast<double>(
-                    m.flowFlits[static_cast<std::size_t>(
-                        cfg.column.flowOf(row, k))]);
-            }
+    for (FlowId f = 0; f < sim.network().totalFlows(); ++f) {
+        const std::optional<FlowOrigin> origin = sim.network().originOf(f);
+        const int owner = origin.has_value() ? os.ownerOf(origin->node) : -1;
+        if (owner >= 1 && owner <= 3) {
+            vmFlits[owner] += static_cast<double>(
+                m.flowFlits[static_cast<std::size_t>(f)]);
         }
     }
     for (const auto &s : servers) {

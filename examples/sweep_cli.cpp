@@ -11,7 +11,7 @@
 ///   topos=all | comma list (mesh_x1,mesh_x2,mesh_x4,mecs,dps,fbfly)
 ///   patterns=uniform,tornado,hotspot                 (latency_load only)
 ///   modes=pvc,per-flow,no-qos,gsf,age,wrr
-///   rates=0.02,0.05 | lo:hi:step                     (flits/cycle/injector)
+///   rates=0.02,0.05 | lo:hi:step   (flits/cycle/injector; not adversarial)
 ///   workloads=1,2                                    (adversarial only)
 ///   placements=0,1,2                                 (chip only)
 ///   workload=SPEC[;SPEC]  dynamic-workload axis (steady | bursty:... |
@@ -35,10 +35,14 @@
 /// not parse as its option's type (an integer out of its range, a
 /// negative rate included) with "bad option '<key>=<value>'" or the list
 /// forms' messages, a workload or placement outside its table with
-/// "unknown workload/placement", and a workload spec the scenario cannot
-/// run (churn outside scenario=chip, trace replay outside latency_load)
-/// with "workload '<spec>' cannot run in the <scenario> scenario: ...",
-/// all with exit status 1 before work starts.
+/// "unknown workload/placement", an axis the scenario does not sweep
+/// (patterns= outside latency_load, rates= under adversarial, workloads=
+/// outside adversarial, placements= outside chip) with "the <scenario>
+/// scenario does not sweep the <axis> axis", unless it holds the one
+/// value the scenario runs anyway, and a workload spec the scenario
+/// cannot run (churn outside scenario=chip, trace replay outside
+/// latency_load) with "workload '<spec>' cannot run in the <scenario>
+/// scenario: ...", all with exit status 1 before work starts.
 ///
 /// Examples:
 ///   sweep_cli rates=0.01:0.12:0.01 patterns=uniform,tornado out=fig4.json

@@ -21,7 +21,7 @@ constexpr std::uint32_t kArrivalWeights[3] = {1, 2, 4};
 ChurnDriver::ChurnDriver(const ChipNetConfig &cfg,
                          const std::vector<ChurnTenant> &initial,
                          const WorkloadSpec &spec, std::uint64_t seed)
-    : cfg_(cfg), spec_(spec), seed_(seed), os_(cfg.chip)
+    : layout_(cfg.fabricSpec()), spec_(spec), seed_(seed), os_(cfg.chip)
 {
     TAQOS_ASSERT(spec_.kind == WorkloadKind::Churn,
                  "churn driver needs a churn workload, got %s",
@@ -39,7 +39,8 @@ ChurnDriver::ChurnDriver(const ChipNetConfig &cfg,
 Cycle
 ChurnDriver::epochLen() const
 {
-    return static_cast<Cycle>(spec_.churnFrames) * cfg_.column.pvc.frameLen;
+    return static_cast<Cycle>(spec_.churnFrames) *
+           layout_.spec().column.pvc.frameLen;
 }
 
 void
@@ -96,21 +97,18 @@ ChurnDriver::advanceTo(int epoch)
 PvcParams
 ChurnDriver::flowRegisters() const
 {
-    return os_.columnFlowRegisters(cfg_.columnX(), cfg_.column);
+    return os_.flowRegisters(layout_, layout_.spec().column.pvc);
 }
 
 std::vector<bool>
 ChurnDriver::activeComputeFlows() const
 {
     std::vector<bool> active(
-        static_cast<std::size_t>(cfg_.column.numFlows()), false);
-    for (int row = 0; row < cfg_.chip.nodesY(); ++row) {
-        for (int k = 1; k < cfg_.column.injectorsPerNode; ++k) {
-            if (os_.ownerOf(NodeCoord{cfg_.computeXOf(k), row}) >= 0) {
-                active[static_cast<std::size_t>(
-                    cfg_.column.flowOf(row, k))] = true;
-            }
-        }
+        static_cast<std::size_t>(layout_.totalFlows()), false);
+    for (FlowId f = 0; f < layout_.totalFlows(); ++f) {
+        const std::optional<FlowOrigin> origin = layout_.originOf(f);
+        active[static_cast<std::size_t>(f)] =
+            origin.has_value() && os_.ownerOf(origin->node) >= 0;
     }
     return active;
 }
@@ -123,11 +121,9 @@ ChurnDriver::applyTo(FabricSim &sim) const
     sim.network().reprogramFlowWeights(flowRegisters().weights());
     TrafficGenerator &gen = sim.traffic().generator(0);
     const auto active = activeComputeFlows();
-    for (int row = 0; row < cfg_.chip.nodesY(); ++row) {
-        for (int k = 1; k < cfg_.column.injectorsPerNode; ++k) {
-            const FlowId f = cfg_.column.flowOf(row, k);
+    for (FlowId f = 0; f < layout_.totalFlows(); ++f) {
+        if (layout_.originOf(f).has_value())
             gen.setFlowActive(f, active[static_cast<std::size_t>(f)]);
-        }
     }
 }
 

@@ -53,9 +53,10 @@ class ChurnDriver {
     PvcParams flowRegisters() const;
 
     /// Per-flow activity of the current mix for the chip's compute flows
-    /// (injector slots k >= 1). Terminal flows (k == 0) are reported
-    /// false and never touched by applyTo — the runner owns them (they
-    /// carry the adversarial rates under churnAttack).
+    /// (the flows FabricLayout::originOf names a compute node for).
+    /// Terminal flows are reported false and never touched by applyTo —
+    /// the runner owns them (they carry the adversarial rates under
+    /// churnAttack).
     std::vector<bool> activeComputeFlows() const;
 
     /// Push the current epoch's state into a live sim: rewrite the flow
@@ -72,7 +73,7 @@ class ChurnDriver {
   private:
     void step(); ///< apply epoch_ + 1's event
 
-    ChipNetConfig cfg_;
+    FabricLayout layout_; ///< of cfg.fabricSpec(), column QoS included
     WorkloadSpec spec_;
     std::uint64_t seed_;
     OsScheduler os_;

@@ -54,7 +54,8 @@ ChipConfig::nearestSharedColumn(int x) const
     TAQOS_ASSERT(!sharedColumns.empty(), "chip has no shared column");
     int best = sharedColumns.front();
     for (int col : sharedColumns) {
-        if (std::abs(col - x) < std::abs(best - x))
+        const int d = std::abs(col - x);
+        if (d < std::abs(best - x) || (d == std::abs(best - x) && col < best))
             best = col;
     }
     return best;

@@ -1,6 +1,7 @@
 #include "chip/os.h"
 
 #include "common/assert.h"
+#include "topo/fabric.h"
 
 namespace taqos {
 
@@ -87,38 +88,22 @@ OsScheduler::ownerOf(NodeCoord c) const
 }
 
 PvcParams
-OsScheduler::columnFlowRegisters(int column, const ColumnConfig &col) const
+OsScheduler::flowRegisters(const FabricLayout &layout, PvcParams pvc) const
 {
-    TAQOS_ASSERT(chip_.isSharedColumn(column), "column %d is not shared",
-                 column);
-    TAQOS_ASSERT(col.numNodes == chip_.nodesY(),
-                 "column height mismatch: %d vs %d", col.numNodes,
-                 chip_.nodesY());
-
-    PvcParams params = col.pvc;
-    params.numFlows = col.numFlows();
+    TAQOS_ASSERT(layout.chips() == 1 &&
+                     layout.spec().chip.numNodes() == chip_.numNodes(),
+                 "one hypervisor programs its own chip's columns");
+    pvc.numFlows = layout.totalFlows();
     std::vector<std::uint32_t> weights(
-        static_cast<std::size_t>(col.numFlows()), 1);
-
-    for (int row = 0; row < chip_.nodesY(); ++row) {
-        // Row injectors 1.. map to the row's compute nodes ordered by x.
-        int injector = 1;
-        for (int x = 0; x < chip_.nodesX(); ++x) {
-            if (x == column)
-                continue;
-            if (injector >= col.injectorsPerNode)
-                break;
-            const int owner = ownerOf(NodeCoord{x, row});
-            if (owner >= 0) {
-                const VmInfo *v = vm(owner);
-                weights[static_cast<std::size_t>(
-                    col.flowOf(row, injector))] = v->weight;
-            }
-            ++injector;
-        }
+        static_cast<std::size_t>(layout.totalFlows()), 1);
+    for (FlowId f = 0; f < layout.totalFlows(); ++f) {
+        const std::optional<FlowOrigin> origin = layout.originOf(f);
+        const int owner = origin.has_value() ? ownerOf(origin->node) : -1;
+        if (owner >= 0)
+            weights[static_cast<std::size_t>(f)] = vm(owner)->weight;
     }
-    params.setWeights(std::move(weights));
-    return params;
+    pvc.setWeights(std::move(weights));
+    return pvc;
 }
 
 } // namespace taqos

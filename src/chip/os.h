@@ -14,9 +14,10 @@
 #include "chip/allocator.h"
 #include "chip/geometry.h"
 #include "qos/pvc.h"
-#include "topo/topology.h"
 
 namespace taqos {
+
+class FabricLayout;
 
 struct ThreadPlacement {
     int vmId = -1;
@@ -65,13 +66,11 @@ class OsScheduler {
     /// Which VM owns a node (-1 if unallocated / shared).
     int ownerOf(NodeCoord c) const;
 
-    /// Program the flow registers of one shared column: produces the PVC
-    /// weight vector for the column's 64 flows (8 nodes x [terminal + 7
-    /// row inputs]) from the owning VMs' weights. Row injector k of
-    /// column-node row r corresponds to the k-th compute node of row r
-    /// (by x); unallocated nodes get weight 1.
-    PvcParams columnFlowRegisters(int column,
-                                  const ColumnConfig &col) const;
+    /// Program the flow registers of this chip's shared columns, laid out
+    /// as `layout` (a one-chip fabric on this chip's grid): `pvc` with one
+    /// weight per flow, the owning VM's on each flow a compute node
+    /// originates (layout.originOf) and 1 on every other flow.
+    PvcParams flowRegisters(const FabricLayout &layout, PvcParams pvc) const;
 
   private:
     ChipConfig chip_;

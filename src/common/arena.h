@@ -77,7 +77,9 @@ class BumpArena {
     {
         const std::size_t cap = atLeast > kChunkBytes ? atLeast : kChunkBytes;
         Chunk c;
-        c.mem = std::make_unique<std::byte[]>(cap);
+        // Not zero-filled: bindHot and ArenaVec write every byte before
+        // it is read, so only the pages a network packs become resident.
+        c.mem = std::make_unique_for_overwrite<std::byte[]>(cap);
         c.cap = cap;
         chunks_.push_back(std::move(c));
     }

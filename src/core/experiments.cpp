@@ -323,18 +323,10 @@ runFabricConsolidation(const FabricConsolidationConfig &cfg)
     spec.column = paperColumn(cfg.topology, cfg.mode);
     spec.links = cfg.links;
 
-    // Flow-register programming needs the flow-id geometry before the
-    // network exists; fabricCatchments gives the same partition build()
-    // will compute.
-    const auto cats = fabricCatchments(spec.chip);
-    const int B = static_cast<int>(cats.size());
-    const int H = spec.chip.nodesY();
-    int maxCat = 0;
-    for (const auto &cat : cats)
-        maxCat = std::max(maxCat, static_cast<int>(cat.size()));
-    const int slots = 1 + maxCat + (cfg.chips > 1 ? cfg.chips - 1 : 0);
-    const int fpb = H * slots;
-    const int totalFlows = cfg.chips * B * fpb;
+    // Flow registers are programmed before the network exists, from the
+    // layout it will be wired with.
+    const FabricLayout layout(spec);
+    const int totalFlows = layout.totalFlows();
 
     // One hypervisor per chip, each admitting the placement's VM mix.
     const VmPlacement &pl = placements[static_cast<std::size_t>(cfg.placement)];
@@ -355,8 +347,7 @@ runFabricConsolidation(const FabricConsolidationConfig &cfg)
     std::optional<ChurnDriver> churn;
     if (churning) {
         ChipNetConfig chipCfg{spec.chip, spec.column};
-        chipCfg.column.numNodes = H;
-        chipCfg.column.injectorsPerNode = slots;
+        chipCfg.column.injectorsPerNode = layout.slotsPerNode();
         churn.emplace(chipCfg, pl.servers, cfg.workload, cfg.seed);
     }
 
@@ -377,46 +368,28 @@ runFabricConsolidation(const FabricConsolidationConfig &cfg)
         static_cast<std::size_t>(totalFlows), 1);
     std::vector<int> ownerChip(static_cast<std::size_t>(totalFlows), -1);
     std::vector<int> ownerVm(static_cast<std::size_t>(totalFlows), -1);
-    const auto programFlow = [&](int f, int srcChip, int x, int y,
-                                 double rate) {
-        const int owner = os[static_cast<std::size_t>(srcChip)].ownerOf(
-            NodeCoord{x, y});
+    for (FlowId f = 0; f < totalFlows; ++f) {
+        const std::optional<FlowOrigin> origin = layout.originOf(f);
+        if (!origin.has_value())
+            continue;
+        const OsScheduler &host = os[static_cast<std::size_t>(origin->chip)];
+        const int owner = host.ownerOf(origin->node);
         if (owner < 0)
-            return;
+            continue;
         const auto fi = static_cast<std::size_t>(f);
         traffic.activeFlows[fi] = true;
-        traffic.flowRates[fi] = rate;
-        weights[fi] =
-            os[static_cast<std::size_t>(srcChip)].vm(owner)->weight;
-        ownerChip[fi] = srcChip;
+        traffic.flowRates[fi] =
+            origin->remote ? cfg.remoteShare * cfg.ratePerNode : -1.0;
+        weights[fi] = host.vm(owner)->weight;
+        ownerChip[fi] = origin->chip;
         ownerVm[fi] = owner;
-    };
-    for (int c = 0; c < cfg.chips; ++c) {
-        for (int j = 0; j < B; ++j) {
-            const auto &cat = cats[static_cast<std::size_t>(j)];
-            const int g = c * B + j;
-            for (int y = 0; y < H; ++y) {
-                for (std::size_t i = 0; i < cat.size(); ++i) {
-                    programFlow(g * fpb + y * slots + 1 +
-                                    static_cast<int>(i),
-                                c, cat[i], y, -1.0);
-                }
-                // A column without a catchment has no node to
-                // originate remote traffic (FabricNetwork::slotUsable).
-                for (int r = 0; r + 1 < cfg.chips && !cat.empty(); ++r) {
-                    programFlow(g * fpb + y * slots + 1 + maxCat + r,
-                                (c + 1 + r) % cfg.chips, cat.front(), y,
-                                cfg.remoteShare * cfg.ratePerNode);
-                }
-            }
-        }
     }
     if (churning && cfg.workload.churnAttack) {
         // The column's terminal flows attack at the fig. 5 rates; the
         // driver never touches them, so they survive every epoch.
         const auto &rates = workload1Rates();
-        for (int y = 0; y < H; ++y) {
-            const auto fi = static_cast<std::size_t>(y * slots);
+        for (int y = 0; y < layout.gridHeight(); ++y) {
+            const auto fi = static_cast<std::size_t>(layout.flowOf(0, y, 0));
             traffic.activeFlows[fi] = true;
             traffic.flowRates[fi] =
                 rates[static_cast<std::size_t>(y) % rates.size()];

@@ -229,6 +229,53 @@ emitCellKey(JsonWriter &w, const CellSpec &c)
     w.field("workload_spec", c.workloadSpec.name());
 }
 
+/// canonical() without its check: defaults filled in, and each axis the
+/// scenario does not consume collapsed to the one value it runs.
+SweepSpec
+collapsed(SweepSpec c)
+{
+    if (c.topologies.empty())
+        c.topologies.assign(std::begin(kAllTopologies),
+                            std::end(kAllTopologies));
+    if (c.modes.empty())
+        c.modes = {QosMode::Pvc};
+    if (c.rates.empty())
+        c.rates = {0.05};
+    if (c.replicates < 1)
+        c.replicates = 1;
+
+    switch (c.scenario) {
+      case Scenario::LatencyLoad:
+        if (c.patterns.empty())
+            c.patterns = {TrafficPattern::UniformRandom};
+        c.workloads = {0};
+        c.placements = {0};
+        break;
+      case Scenario::Hotspot:
+        c.patterns = {TrafficPattern::Hotspot};
+        c.workloads = {0};
+        c.placements = {0};
+        break;
+      case Scenario::Adversarial:
+        c.patterns = {TrafficPattern::Hotspot};
+        c.rates = {0.0}; // rates come from the workload definition
+        if (c.workloads.empty())
+            c.workloads = {1, 2};
+        c.placements = {0};
+        break;
+      case Scenario::ChipConsolidation:
+        c.patterns = {TrafficPattern::UniformRandom};
+        c.workloads = {0};
+        if (c.placements.empty())
+            c.placements = {0};
+        break;
+    }
+
+    if (c.workloadSpecs.empty())
+        c.workloadSpecs = {WorkloadSpec{}};
+    return c;
+}
+
 } // namespace
 
 const char *
@@ -296,48 +343,7 @@ CellResult::has(const std::string &name) const
 SweepSpec
 SweepSpec::canonical() const
 {
-    SweepSpec c = *this;
-    if (c.topologies.empty())
-        c.topologies.assign(std::begin(kAllTopologies),
-                            std::end(kAllTopologies));
-    if (c.modes.empty())
-        c.modes = {QosMode::Pvc};
-    if (c.rates.empty())
-        c.rates = {0.05};
-    if (c.replicates < 1)
-        c.replicates = 1;
-
-    // Axes a scenario does not consume are collapsed to a single
-    // canonical value so they never multiply the grid.
-    switch (c.scenario) {
-      case Scenario::LatencyLoad:
-        if (c.patterns.empty())
-            c.patterns = {TrafficPattern::UniformRandom};
-        c.workloads = {0};
-        c.placements = {0};
-        break;
-      case Scenario::Hotspot:
-        c.patterns = {TrafficPattern::Hotspot};
-        c.workloads = {0};
-        c.placements = {0};
-        break;
-      case Scenario::Adversarial:
-        c.patterns = {TrafficPattern::Hotspot};
-        c.rates = {0.0}; // rates come from the workload definition
-        if (c.workloads.empty())
-            c.workloads = {1, 2};
-        c.placements = {0};
-        break;
-      case Scenario::ChipConsolidation:
-        c.patterns = {TrafficPattern::UniformRandom};
-        c.workloads = {0};
-        if (c.placements.empty())
-            c.placements = {0};
-        break;
-    }
-
-    if (c.workloadSpecs.empty())
-        c.workloadSpecs = {WorkloadSpec{}};
+    SweepSpec c = collapsed(*this);
     const std::string err = sweepSpecError(c);
     TAQOS_ASSERT(err.empty(), "%s", err.c_str());
     return c;
@@ -346,6 +352,21 @@ SweepSpec::canonical() const
 std::string
 sweepSpecError(const SweepSpec &spec)
 {
+    // collapsed() overwrites only the axes the scenario does not sweep; a
+    // value it would overwrite names an experiment the sweep never runs.
+    const SweepSpec run = collapsed(spec);
+    const auto overwritten = [](const auto &given, const auto &runs) {
+        return !given.empty() && given != runs;
+    };
+    const char *axis = overwritten(spec.patterns, run.patterns) ? "patterns"
+        : overwritten(spec.rates, run.rates)                   ? "rates"
+        : overwritten(spec.workloads, run.workloads)           ? "workloads"
+        : overwritten(spec.placements, run.placements)         ? "placements"
+                                                               : nullptr;
+    if (axis != nullptr) {
+        return strFormat("the %s scenario does not sweep the %s axis",
+                         scenarioName(spec.scenario), axis);
+    }
     for (const auto &w : spec.workloadSpecs) {
         std::string why;
         switch (spec.scenario) {

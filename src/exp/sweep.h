@@ -92,7 +92,8 @@ struct CellResult {
 
 /// The grid. Empty axis vectors select the scenario defaults; axes a
 /// scenario does not consume are collapsed to one element so they never
-/// multiply the grid silently.
+/// multiply the grid silently (sweepSpecError names one that holds
+/// anything else).
 struct SweepSpec {
     std::string name = "sweep";
     Scenario scenario = Scenario::LatencyLoad;
@@ -130,9 +131,11 @@ struct SweepSpec {
     std::vector<CellSpec> expand() const;
 };
 
-/// The first workload spec of `spec`'s axis that its scenario cannot
-/// run, named in one line, or "" when there is none. canonical() asserts
-/// on it, and CLIs call it before any cell runs.
+/// What `spec` asks for that its scenario cannot run, in one line, or ""
+/// when there is none: an axis the scenario does not sweep holding other
+/// than the one value canonical() collapses it to, or a workload spec the
+/// scenario cannot run. canonical() asserts on it after collapsing, and
+/// CLIs call it before any cell runs.
 std::string sweepSpecError(const SweepSpec &spec);
 
 /// Mean/stddev/min/max of every metric of one grid point across its

@@ -93,8 +93,8 @@ class FabricSim : public NetSim {
   public:
     /// Drive the fabric under a declarative workload. A row-less fabric
     /// takes every column workload, trace replay included (the spec's
-    /// tracePath is loaded here; a load failure asserts — CLIs validate
-    /// paths up front via makeTrafficSource).
+    /// tracePath is loaded here; a load failure asserts — CLIs load the
+    /// trace up front with loadTraceFile and fail with one line).
     FabricSim(const FabricSpec &spec, const TrafficConfig &traffic,
               const WorkloadSpec &workload = {});
     /// Drive a row-less fabric from a pre-recorded trace (bit-identical

@@ -61,21 +61,6 @@ columnFabricSpec(const ColumnConfig &col)
     return spec;
 }
 
-std::vector<std::vector<int>>
-fabricCatchments(const ChipConfig &chip)
-{
-    std::vector<std::vector<int>> cats(chip.sharedColumns.size());
-    for (int x = 0; x < chip.nodesX(); ++x) {
-        if (chip.isSharedColumn(x))
-            continue;
-        for (std::size_t j = 0; j < chip.sharedColumns.size(); ++j) {
-            if (chip.nearestSharedColumn(x) == chip.sharedColumns[j])
-                cats[j].push_back(x);
-        }
-    }
-    return cats;
-}
-
 std::string
 fabricSpecError(const FabricSpec &spec)
 {
@@ -123,51 +108,86 @@ fabricSpecError(const FabricSpec &spec)
     return {};
 }
 
+FabricLayout::FabricLayout(FabricSpec spec) : spec_(std::move(spec))
+{
+    const std::string err = fabricSpecError(spec_);
+    TAQOS_ASSERT(err.empty(), "%s", err.c_str());
+    ChipConfig &chip = spec_.chip;
+    std::sort(chip.sharedColumns.begin(), chip.sharedColumns.end());
+    spec_.column.numNodes = chip.nodesY();
+
+    catchments_.resize(chip.sharedColumns.size());
+    blockOfX_.assign(static_cast<std::size_t>(chip.nodesX()), -1);
+    for (int x = 0; x < chip.nodesX(); ++x) {
+        if (chip.isSharedColumn(x))
+            continue;
+        const auto j = static_cast<std::size_t>(
+            std::find(chip.sharedColumns.begin(), chip.sharedColumns.end(),
+                      chip.nearestSharedColumn(x)) -
+            chip.sharedColumns.begin());
+        catchments_[j].push_back(x);
+        blockOfX_[static_cast<std::size_t>(x)] = static_cast<int>(j);
+        maxCatchment_ =
+            std::max(maxCatchment_, static_cast<int>(catchments_[j].size()));
+    }
+    slotsPerNode_ = rowless() ? spec_.column.injectorsPerNode
+                              : 1 + maxCatchment_ + remoteSlots();
+}
+
+bool
+FabricLayout::slotUsable(int j, int k) const
+{
+    if (k == 0)
+        return true;
+    if (k <= maxCatchment_)
+        return k - 1 < static_cast<int>(catchment(j).size());
+    // Remote traffic starts at the westernmost catchment node: a block
+    // with no catchment has no node to originate it.
+    return k < slotsPerNode_ && !catchment(j).empty();
+}
+
+std::optional<FlowOrigin>
+FabricLayout::originOf(FlowId f) const
+{
+    const int g = blockOfFlow(f);
+    const int j = g % blocksPerChip();
+    const int k = slotOfFlow(f);
+    if (k == 0 || !slotUsable(j, k))
+        return std::nullopt;
+    const int c = g / blocksPerChip();
+    const bool remote = k > maxCatchment_;
+    const int x = catchment(j)[static_cast<std::size_t>(remote ? 0 : k - 1)];
+    return FlowOrigin{remote ? remoteSourceChip(c, k) : c,
+                      NodeCoord{x, rowOfFlow(f)}, remote};
+}
+
 namespace {
 
 /// VC buffers per row-mesh input and per handoff buffer.
 constexpr int kRowVcs = 4;
 
-/// Slot count per block node for `spec` (terminal + largest catchment +
-/// one remote slot per other chip; a row-less fabric keeps the column's
-/// own injector count), computed before the network exists so the
-/// Network base class can be constructed first.
-int
-fabricSlots(const FabricSpec &spec)
-{
-    const int columns = static_cast<int>(spec.chip.sharedColumns.size());
-    if (spec.chip.nodesX() == columns)
-        return spec.column.injectorsPerNode;
-    int maxCatchment = 0;
-    for (const auto &cat : fabricCatchments(spec.chip))
-        maxCatchment = std::max(maxCatchment, static_cast<int>(cat.size()));
-    return 1 + maxCatchment + (spec.chips > 1 ? spec.chips - 1 : 0);
-}
-
 /// The fabric-global QoS parameters: total flow count, and the frame
 /// scaled to the block count so per-flow quotas keep the single-column
 /// magnitude.
 PvcParams
-fabricPvc(const FabricSpec &spec)
+fabricPvc(const FabricLayout &layout)
 {
-    PvcParams pvc = spec.column.pvc;
-    pvc.numFlows =
-        spec.blocks() * spec.chip.nodesY() * fabricSlots(spec);
-    if (spec.blocks() > 1) {
-        pvc.frameLen *= static_cast<Cycle>(spec.blocks());
-        pvc.gsfFrameLen *= static_cast<Cycle>(spec.blocks());
+    PvcParams pvc = layout.spec().column.pvc;
+    pvc.numFlows = layout.totalFlows();
+    if (layout.blocks() > 1) {
+        pvc.frameLen *= static_cast<Cycle>(layout.blocks());
+        pvc.gsfFrameLen *= static_cast<Cycle>(layout.blocks());
     }
     return pvc;
 }
 
 } // namespace
 
-FabricNetwork::FabricNetwork(FabricSpec spec)
-    : Network(spec.column.mode, fabricPvc(spec)), spec_(std::move(spec))
+FabricNetwork::FabricNetwork(FabricSpec fabric)
+    : FabricLayout(std::move(fabric)),
+      Network(spec().column.mode, fabricPvc(*this))
 {
-    const ChipConfig &chip = spec_.chip;
-    const int B = blocksPerChip();
-
+    const ChipConfig &chip = spec().chip;
     rankOfX_.assign(static_cast<std::size_t>(chip.nodesX()), -1);
     for (int x = 0; x < chip.nodesX(); ++x) {
         if (chip.isSharedColumn(x))
@@ -176,15 +196,6 @@ FabricNetwork::FabricNetwork(FabricSpec spec)
             static_cast<int>(computeXs_.size());
         computeXs_.push_back(x);
     }
-    catchments_ = fabricCatchments(chip);
-    blockOfX_.resize(computeXs_.size());
-    for (int j = 0; j < B; ++j) {
-        for (int x : catchment(j))
-            blockOfX_[static_cast<std::size_t>(rankOf(x))] = j;
-        maxCatchment_ =
-            std::max(maxCatchment_, static_cast<int>(catchment(j).size()));
-    }
-    slotsPerNode_ = fabricSlots(spec_);
 
     // Per-block column configurations: the spec's template with the
     // crossbar grouping implied by the block's catchment split (slots
@@ -192,9 +203,8 @@ FabricNetwork::FabricNetwork(FabricSpec spec)
     // keeps the template's injectors and split.
     blockCfgs_.reserve(static_cast<std::size_t>(blocks()));
     for (int g = 0; g < blocks(); ++g) {
-        const int j = g % B;
-        ColumnConfig cfg = spec_.column;
-        cfg.numNodes = gridHeight();
+        const int j = g % blocksPerChip();
+        ColumnConfig cfg = spec().column;
         cfg.pvc = pvcParams();
         if (!rowless()) {
             int east = 0;
@@ -202,7 +212,7 @@ FabricNetwork::FabricNetwork(FabricSpec spec)
                 if (x < chip.sharedColumns[static_cast<std::size_t>(j)])
                     ++east;
             }
-            cfg.injectorsPerNode = slotsPerNode_;
+            cfg.injectorsPerNode = slotsPerNode();
             cfg.eastRowInjectors = east;
         }
         blockCfgs_.push_back(std::move(cfg));
@@ -215,20 +225,6 @@ FabricNetwork::blockOfNode(NodeId n) const
     TAQOS_ASSERT(isBlockNode(n), "node %d is not a block node", n);
     return chipOfNode(n) * blocksPerChip() +
            n % nodesPerChip() / gridHeight();
-}
-
-bool
-FabricNetwork::slotUsable(int j, int k) const
-{
-    if (k == 0)
-        return true;
-    if (k <= maxCatchment_) {
-        return k - 1 <
-               static_cast<int>(catchment(j).size());
-    }
-    // Remote traffic starts at the westernmost catchment node: a block
-    // with no catchment has no node to originate it.
-    return k < slotsPerNode_ && !catchment(j).empty();
 }
 
 InjectorQueue &
@@ -244,12 +240,6 @@ FabricNetwork::sourceQueue(FlowId f)
 std::unique_ptr<FabricNetwork>
 FabricNetwork::build(FabricSpec spec)
 {
-    const std::string err = fabricSpecError(spec);
-    TAQOS_ASSERT(err.empty(), "%s", err.c_str());
-    std::sort(spec.chip.sharedColumns.begin(),
-              spec.chip.sharedColumns.end());
-    spec.column.numNodes = spec.chip.nodesY();
-
     std::unique_ptr<FabricNetwork> net(new FabricNetwork(std::move(spec)));
     TAQOS_ASSERT(net->pvcParams().weights().empty() ||
                      static_cast<int>(net->pvcParams().weights().size()) ==
@@ -268,8 +258,6 @@ buildFabric(FabricNetwork &net)
     const ChipConfig &chip = spec.chip;
     const int B = net.blocksPerChip();
     const int H = net.gridHeight();
-    const int slots = net.slotsPerNode();
-    const int fpb = net.flowsPerBlock();
     const int vcs = kRowVcs;
     /// Row routers are 2-stage (VA, XT) like the mesh/DPS column routers.
     const int depth = 2;
@@ -292,8 +280,8 @@ buildFabric(FabricNetwork &net)
 
     const auto wiring = [&](int c, int j) {
         const int g = c * B + j;
-        return ColumnWiring{net, net.blockCfg(g), net.blockBase(g), g * fpb,
-                            chipTag(c) + blockTag(j)};
+        return ColumnWiring{net, net.blockCfg(g), net.blockBase(g),
+                            net.flowOf(g, 0, 0), chipTag(c) + blockTag(j)};
     };
 
     for (int c = 0; c < spec.chips; ++c) {
@@ -335,18 +323,15 @@ buildFabric(FabricNetwork &net)
                 const auto &cat = net.catchment(j);
                 const int idx = static_cast<int>(
                     std::find(cat.begin(), cat.end(), x) - cat.begin());
-                addOrigin((c * B + j) * fpb + y * slots + 1 + idx);
+                addOrigin(net.flowOf(c * B + j, y, 1 + idx));
 
                 // The westernmost catchment node also originates this
                 // (block, row)'s traffic toward every remote chip.
                 if (idx == 0) {
                     for (int cd = 0; cd < spec.chips; ++cd) {
-                        if (cd == c)
-                            continue;
-                        const int k = 1 + net.maxCatchment_ +
-                                      (c - cd - 1 + spec.chips) %
-                                          spec.chips;
-                        addOrigin((cd * B + j) * fpb + y * slots + k);
+                        if (cd != c)
+                            addOrigin(net.flowOf(cd * B + j, y,
+                                                 net.remoteSlot(c, cd)));
                     }
                 }
                 router->addInputPort(std::move(port));

@@ -29,8 +29,9 @@
 /// A one-chip, one-column fabric therefore numbers its column nodes
 /// 0..H-1 exactly like the standalone column.
 ///
-/// Flow-id space (chip-major, block-major): block g's flows are
-/// [g*flowsPerBlock, (g+1)*flowsPerBlock), laid out per column row as
+/// Flow-id space (FabricLayout; chip-major, then block-major, the shared
+/// columns taken ascending whatever order the spec lists them in): block
+/// g's flows are [g*flowsPerBlock, (g+1)*flowsPerBlock), per row laid out as
 ///   slot 0                       the block's own terminal flow,
 ///   slots 1..catchment           one per catchment compute node
 ///                                (ascending grid x; trailing slots of
@@ -64,12 +65,6 @@ enum class LinkTopology {
 const char *linkTopologyName(LinkTopology kind);
 std::optional<LinkTopology> parseLinkTopology(const std::string &name);
 
-/// Catchments of one chip's local blocks: for each shared column, the
-/// ascending grid xs of the compute nodes whose nearest shared column it
-/// is. Pure geometry — usable before a FabricNetwork exists (e.g. to
-/// program flow registers for a spec under construction).
-std::vector<std::vector<int>> fabricCatchments(const ChipConfig &chip);
-
 /// Declarative description of a multi-chip fabric: chips x geometry x
 /// inter-chip links, with one QoS policy (`column.mode`) in every shared
 /// column. Finalized by FabricNetwork::build into a ready-to-simulate
@@ -83,16 +78,10 @@ struct FabricSpec {
     /// the fabric is row-less, `injectorsPerNode` and `eastRowInjectors`
     /// to the fabric's slots and catchment split; when `pvc.weights` is
     /// non-empty it must be sized to the TOTAL flow count
-    /// (FabricNetwork::totalFlows).
+    /// (FabricLayout::totalFlows).
     ColumnConfig column;
 
     LinkTopology links = LinkTopology::PointToPoint;
-
-    int blocksPerChip() const
-    {
-        return static_cast<int>(chip.sharedColumns.size());
-    }
-    int blocks() const { return chips * blocksPerChip(); }
 };
 
 /// The first rule `spec` breaks, as one line, or "" when it builds: at
@@ -100,8 +89,8 @@ struct FabricSpec {
 /// `concentration` tiles; at least two node rows; at least one shared
 /// column, each inside the grid and none twice; and a grid without
 /// compute columns must be one chip's one column with its east row
-/// injectors inside its row injectors. FabricNetwork::build asserts on
-/// it, and CLIs call it before any work starts.
+/// injectors inside its row injectors. FabricLayout asserts on it, and
+/// CLIs call it before any work starts.
 std::string fabricSpecError(const FabricSpec &spec);
 
 /// The whole-chip scenario (Sec. 2.1): one chip, its first shared column
@@ -127,11 +116,6 @@ struct ChipNetConfig {
         return chip.sharedColumns.front();
     }
 
-    /// Grid x of the compute node feeding row-injector `k`
-    /// (1..injectorsPerNode-1; os.cpp flow-register mapping: injectors
-    /// 1.. map to the row's compute nodes ordered by x).
-    int computeXOf(int k) const { return k <= columnX() ? k - 1 : k; }
-
     /// The equivalent fabric: one chip whose only block is columnX().
     FabricSpec fabricSpec() const;
 };
@@ -142,26 +126,41 @@ struct ChipNetConfig {
 /// ids node * injectorsPerNode + injector, unprefixed port names.
 FabricSpec columnFabricSpec(const ColumnConfig &col);
 
-class FabricNetwork : public Network {
-  public:
-    static std::unique_ptr<FabricNetwork> build(FabricSpec spec);
+/// The compute node a flow starts at, and whether the flow crosses chips.
+struct FlowOrigin {
+    int chip = 0;
+    NodeCoord node;
+    bool remote = false;
+};
 
+/// A fabric's flow-id layout, computed from its FabricSpec alone: the
+/// catchments, the slots per block node and the compute node behind each
+/// flow. FabricNetwork is wired from it and the hypervisor programs flow
+/// registers from it, so the two agree on which node feeds which flow.
+class FabricLayout {
+  public:
+    /// Asserts that `spec` builds (fabricSpecError).
+    explicit FabricLayout(FabricSpec spec);
+
+    /// The spec as built: shared columns ascending, the column template
+    /// as tall as the node grid.
     const FabricSpec &spec() const { return spec_; }
 
-    // --- geometry ---
     int chips() const { return spec_.chips; }
-    int blocksPerChip() const { return spec_.blocksPerChip(); }
-    int blocks() const { return spec_.blocks(); }
+    int blocksPerChip() const
+    {
+        return static_cast<int>(spec_.chip.sharedColumns.size());
+    }
+    int blocks() const { return chips() * blocksPerChip(); }
     int gridHeight() const { return spec_.chip.nodesY(); }
-    int nodesPerChip() const { return spec_.chip.numNodes(); }
     int computePerRow() const
     {
         return spec_.chip.nodesX() - blocksPerChip();
     }
     /// True for the standalone column: no compute nodes, so no rows.
     bool rowless() const { return computePerRow() == 0; }
-    /// Injector slots per block node: terminal + catchment + remote, or
-    /// the column's own injector count when the fabric is row-less.
+    /// Injector slots per block node: terminal + largest catchment +
+    /// remote, or the column's own injector count when row-less.
     int slotsPerNode() const { return slotsPerNode_; }
     int remoteSlots() const { return spec_.chips > 1 ? spec_.chips - 1 : 0; }
     int flowsPerBlock() const { return gridHeight() * slotsPerNode_; }
@@ -177,8 +176,63 @@ class FabricNetwork : public Network {
     /// Local block index whose catchment contains compute column `x`.
     int blockOfX(int x) const
     {
-        return blockOfX_[static_cast<std::size_t>(rankOf(x))];
+        TAQOS_ASSERT(x >= 0 && x < spec_.chip.nodesX() &&
+                         blockOfX_[static_cast<std::size_t>(x)] >= 0,
+                     "grid column %d is not a compute column", x);
+        return blockOfX_[static_cast<std::size_t>(x)];
     }
+
+    /// Flow of slot `k` at row `y` of global block `g`.
+    FlowId flowOf(int g, int y, int k) const
+    {
+        return g * flowsPerBlock() + y * slotsPerNode_ + k;
+    }
+    int blockOfFlow(FlowId f) const { return f / flowsPerBlock(); }
+    /// (row, slot) of flow `f` within its block.
+    int rowOfFlow(FlowId f) const
+    {
+        return f % flowsPerBlock() / slotsPerNode_;
+    }
+    int slotOfFlow(FlowId f) const { return f % slotsPerNode_; }
+    /// Slot that carries chip `srcChip`'s traffic into a block on chip
+    /// `dstChip` (the two differ).
+    int remoteSlot(int srcChip, int dstChip) const
+    {
+        return 1 + maxCatchment_ + (srcChip - dstChip - 1 + chips()) % chips();
+    }
+    /// Source chip of remote slot `k` (> catchment slots) at a block on
+    /// chip `c`; the inverse of remoteSlot.
+    int remoteSourceChip(int c, int k) const
+    {
+        return (c + 1 + (k - 1 - maxCatchment_)) % chips();
+    }
+    /// True when slot `k` of local block `j` carries traffic (terminal,
+    /// a real catchment entry, or a remote slot of a block that has a
+    /// catchment).
+    bool slotUsable(int j, int k) const;
+
+    /// The compute node that originates flow `f`, or nothing for a
+    /// terminal flow, an unusable slot or a row-less fabric's injectors.
+    /// A block's remote flows start at its westernmost catchment node on
+    /// the source chip.
+    std::optional<FlowOrigin> originOf(FlowId f) const;
+
+  private:
+    FabricSpec spec_;
+    int slotsPerNode_ = 0;
+    int maxCatchment_ = 0;
+    std::vector<std::vector<int>> catchments_; ///< per local block
+    std::vector<int> blockOfX_; ///< local block per grid x; -1 = shared
+};
+
+/// A fabric's network, wired from its layout (the first base, built
+/// before the Network, whose QoS parameters need the flow count).
+class FabricNetwork : public FabricLayout, public Network {
+  public:
+    static std::unique_ptr<FabricNetwork> build(FabricSpec spec);
+
+    // --- geometry ---
+    int nodesPerChip() const { return spec().chip.numNodes(); }
 
     /// The per-block column configuration global block `g` was wired
     /// with (the crossbar grouping differs per block).
@@ -213,24 +267,6 @@ class FabricNetwork : public Network {
     /// row-major compute layout).
     int xOfRank(int r) const { return computeXs_[static_cast<std::size_t>(r)]; }
 
-    int blockOfFlow(FlowId f) const { return f / flowsPerBlock(); }
-    /// (row, slot) of flow `f` within its block.
-    int rowOfFlow(FlowId f) const
-    {
-        return f % flowsPerBlock() / slotsPerNode_;
-    }
-    int slotOfFlow(FlowId f) const { return f % slotsPerNode_; }
-    /// Source chip of remote slot `k` (> catchment slots) at a block on
-    /// chip `c`.
-    int remoteSourceChip(int c, int k) const
-    {
-        return (c + 1 + (k - 1 - maxCatchment_)) % spec_.chips;
-    }
-    /// True when slot `k` of local block `j` carries traffic (terminal,
-    /// a real catchment entry, or a remote slot of a block that has a
-    /// catchment).
-    bool slotUsable(int j, int k) const;
-
     /// Origin queue of flow `f`: the owning compute node's aggregate
     /// source queue for catchment/remote flows, the block entrance queue
     /// itself for terminal flows.
@@ -246,7 +282,7 @@ class FabricNetwork : public Network {
     /// Row rank of compute column `x` (asserts `x` is one).
     int rankOf(int x) const
     {
-        const int r = x >= 0 && x < spec_.chip.nodesX()
+        const int r = x >= 0 && x < spec().chip.nodesX()
             ? rankOfX_[static_cast<std::size_t>(x)]
             : -1;
         TAQOS_ASSERT(r >= 0, "grid column %d is not a compute column", x);
@@ -255,13 +291,8 @@ class FabricNetwork : public Network {
 
     friend void buildFabric(FabricNetwork &net);
 
-    FabricSpec spec_;
-    int slotsPerNode_ = 0;
-    int maxCatchment_ = 0;
-    std::vector<std::vector<int>> catchments_; ///< per local block
     std::vector<int> computeXs_;               ///< non-shared xs, ascending
     std::vector<int> rankOfX_;                 ///< per grid x; -1 = shared
-    std::vector<int> blockOfX_;                ///< local block per rank
     std::vector<ColumnConfig> blockCfgs_;      ///< per global block
     std::vector<InjectorQueue> rowQueues_;     ///< indexed by global flow
     /// Handoff buffers at every block boundary (also registered as the

@@ -46,6 +46,8 @@ TEST(ChipGeometry, NearestSharedColumn)
     EXPECT_EQ(chip.nearestSharedColumn(5), 6);
     EXPECT_EQ(chip.nearestSharedColumn(4), 2); // tie toward lower x
     EXPECT_EQ(chip.computeNodes(), 48);
+    chip.sharedColumns = {6, 2}; // whatever order they are listed in
+    EXPECT_EQ(chip.nearestSharedColumn(4), 2);
 }
 
 TEST(ChipGeometry, SixteenWayConcentration)

@@ -1,9 +1,19 @@
 #include <gtest/gtest.h>
 
 #include "chip/os.h"
+#include "topo/fabric.h"
 
 namespace taqos {
 namespace {
+
+/// The hypervisor's flow registers for `col`, the chip's one shared
+/// column.
+PvcParams
+columnRegisters(const OsScheduler &os, const ColumnConfig &col)
+{
+    const FabricLayout layout(ChipNetConfig{os.chip(), col}.fabricSpec());
+    return os.flowRegisters(layout, col.pvc);
+}
 
 TEST(Os, CreateVmPlacesAllThreads)
 {
@@ -73,7 +83,7 @@ TEST(Os, FlowRegistersCarryVmWeights)
 
     ColumnConfig col;
     col.numNodes = chip.nodesY();
-    const PvcParams params = os.columnFlowRegisters(4, col);
+    const PvcParams params = columnRegisters(os, col);
     ASSERT_EQ(static_cast<int>(params.weights().size()), col.numFlows());
 
     int heavy = 0, unity = 0;
@@ -102,7 +112,7 @@ TEST(Os, WeightsFeedQuota)
     ASSERT_TRUE(os.createVm(1, 128, 3).has_value());
     ColumnConfig col;
     col.numNodes = chip.nodesY();
-    PvcParams params = os.columnFlowRegisters(4, col);
+    PvcParams params = columnRegisters(os, col);
     params.frameLen = 50000;
     // A weight-3 flow's reserved quota is 3x a weight-1 flow's.
     FlowId heavyFlow = -1, lightFlow = -1;

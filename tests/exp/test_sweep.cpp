@@ -58,6 +58,34 @@ TEST(SweepSpec, IrrelevantAxesNeverMultiplyTheGrid)
     EXPECT_EQ(spec.expand().size(), 1u);
 }
 
+TEST(SweepSpec, ErrorNamesAnAxisTheScenarioDoesNotSweep)
+{
+    SweepSpec spec;
+    spec.scenario = Scenario::Hotspot;
+    EXPECT_EQ(sweepSpecError(spec), "");
+    spec.patterns = {TrafficPattern::Hotspot}; // what it runs anyway
+    EXPECT_EQ(sweepSpecError(spec), "");
+    spec.patterns = {TrafficPattern::Tornado};
+    EXPECT_EQ(sweepSpecError(spec),
+              "the hotspot scenario does not sweep the patterns axis");
+
+    spec.scenario = Scenario::Adversarial;
+    spec.patterns.clear();
+    spec.rates = {0.01, 0.02};
+    EXPECT_EQ(sweepSpecError(spec),
+              "the adversarial scenario does not sweep the rates axis");
+    // canonical() collapses it instead, and its result passes the check.
+    EXPECT_EQ(sweepSpecError(spec.canonical()), "");
+
+    spec.scenario = Scenario::ChipConsolidation;
+    spec.rates.clear();
+    spec.placements = {0, 2};
+    EXPECT_EQ(sweepSpecError(spec), "");
+    spec.workloads = {2};
+    EXPECT_EQ(sweepSpecError(spec), "the chip_consolidation scenario does "
+                                    "not sweep the workloads axis");
+}
+
 TEST(SweepSpec, MixedSeedsAreDistinctAndStable)
 {
     const auto cells = tinySpec(2).expand();

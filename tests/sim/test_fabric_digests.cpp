@@ -6,6 +6,7 @@
 /// moved.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 
 #include "core/experiments.h"
@@ -103,6 +104,55 @@ TEST(FabricDigests, WeightedTwoChipConsolidation)
     EXPECT_EQ(res.digest, 11777116479683620195ull);
     EXPECT_EQ(res.handoffs, 3721u);
     EXPECT_EQ(res.linkHops, 188u);
+}
+
+/// Run the consolidated server with its shared columns listed as given,
+/// then reversed: the order must not change the run.
+FabricConsolidationResult
+expectColumnOrderFree(FabricConsolidationConfig cfg)
+{
+    const FabricConsolidationResult listed = runFabricConsolidation(cfg);
+    std::reverse(cfg.chip.sharedColumns.begin(),
+                 cfg.chip.sharedColumns.end());
+    const FabricConsolidationResult reversed = runFabricConsolidation(cfg);
+    EXPECT_NE(listed.drainCycle, kNoCycle);
+    EXPECT_NE(reversed.drainCycle, kNoCycle);
+    EXPECT_EQ(reversed.digest, listed.digest);
+    EXPECT_EQ(reversed.handoffs, listed.handoffs);
+    EXPECT_EQ(reversed.linkHops, listed.linkHops);
+    EXPECT_EQ(reversed.vms.size(), listed.vms.size());
+    for (std::size_t i = 0;
+         i < std::min(reversed.vms.size(), listed.vms.size()); ++i) {
+        EXPECT_EQ(reversed.vms[i].chip, listed.vms[i].chip);
+        EXPECT_EQ(reversed.vms[i].vmId, listed.vms[i].vmId);
+        EXPECT_EQ(reversed.vms[i].domainNodes, listed.vms[i].domainNodes);
+        EXPECT_EQ(reversed.vms[i].flits, listed.vms[i].flits) << "vm " << i;
+    }
+    return listed;
+}
+
+TEST(FabricDigests, ColumnOrderDoesNotChangeTheRun)
+{
+    // fabric_cli fast=1 chips=2 tiles=16 columns=1,6.
+    FabricConsolidationConfig cfg;
+    cfg.chips = 2;
+    cfg.chip.tilesX = cfg.chip.tilesY = 16;
+    cfg.chip.sharedColumns = {1, 6};
+    cfg.phases = RunPhases{500, 2000, 1000};
+    const FabricConsolidationResult res = expectColumnOrderFree(cfg);
+    EXPECT_EQ(res.digest, 0x8fdc8dca9bb167a8ull);
+}
+
+TEST(FabricDigests, WideChipRunsWithItsColumnsListedDescending)
+{
+    // One 32x32-tile chip of the kilo-node fabric: with {12, 4} the
+    // catchment tie at x = 8 must still go to column 4.
+    FabricConsolidationConfig cfg;
+    cfg.chips = 1;
+    cfg.chip.tilesX = cfg.chip.tilesY = 32;
+    cfg.chip.sharedColumns = {4, 12};
+    cfg.phases = RunPhases{500, 2000, 1000};
+    expectColumnOrderFree(cfg);
 }
 
 } // namespace

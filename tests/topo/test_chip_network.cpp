@@ -68,38 +68,52 @@ TEST(ChipNetwork, InjectorIndexMatchesOsFlowRegisterMapping)
     const ChipNetConfig cc = defaultChip();
     auto net = buildChip(cc);
     const ChipConfig &chip = cc.chip;
-    const int c = cc.columnX();
-
-    // os.cpp walks x in order, skipping the column, assigning 1,2,3,...
-    // and the fabric's catchment slots follow the same order, so the
-    // flow register of injector k is the flow whose origin queue sits on
-    // the k-th compute node of the row.
-    int expected = 1;
-    for (int x = 0; x < chip.nodesX(); ++x) {
-        if (x == c)
-            continue;
-        EXPECT_EQ(cc.computeXOf(expected), x);
-        for (int y = 0; y < chip.nodesY(); ++y) {
-            const FlowId f = cc.column.flowOf(y, expected);
-            EXPECT_EQ(net->sourceQueue(f).node, net->computeNodeId(0, x, y))
-                << x << "," << y;
-        }
-        ++expected;
-    }
     EXPECT_EQ(net->slotsPerNode(), cc.column.injectorsPerNode);
+
+    // Slot k of every row is the row's k-th compute node by x, and the
+    // wiring gave that node the flow's origin queue.
+    for (int y = 0; y < chip.nodesY(); ++y) {
+        int k = 1;
+        for (int x = 0; x < chip.nodesX(); ++x) {
+            if (x == cc.columnX())
+                continue;
+            const auto origin = net->originOf(net->flowOf(0, y, k++));
+            ASSERT_TRUE(origin.has_value()) << x << "," << y;
+            EXPECT_EQ(origin->node.x, x);
+            EXPECT_EQ(origin->node.y, y);
+        }
+    }
+    int compute = 0;
+    for (FlowId f = 0; f < net->totalFlows(); ++f) {
+        const auto origin = net->originOf(f);
+        if (!origin.has_value()) {
+            EXPECT_EQ(net->slotOfFlow(f), 0) << "flow " << f;
+            continue;
+        }
+        ++compute;
+        EXPECT_EQ(origin->chip, 0);
+        EXPECT_FALSE(origin->remote);
+        EXPECT_EQ(net->sourceQueue(f).node,
+                  net->computeNodeId(0, origin->node.x, origin->node.y))
+            << "flow " << f;
+    }
+    EXPECT_EQ(compute, chip.nodesY() * net->computePerRow());
 
     // A VM's weight lands on the flow its compute nodes originate.
     OsScheduler os(chip);
     ASSERT_TRUE(os.createVm(0, 16, 3).has_value());
-    const PvcParams regs = os.columnFlowRegisters(c, cc.column);
-    for (int y = 0; y < chip.nodesY(); ++y) {
-        for (int k = 1; k < cc.column.injectorsPerNode; ++k) {
-            const int owner = os.ownerOf(NodeCoord{cc.computeXOf(k), y});
-            EXPECT_EQ(regs.weights()[static_cast<std::size_t>(
-                          cc.column.flowOf(y, k))],
-                      owner == 0 ? 3u : 1u);
-        }
+    const PvcParams regs = os.flowRegisters(*net, cc.column.pvc);
+    ASSERT_EQ(static_cast<int>(regs.weights().size()), net->totalFlows());
+    int heavy = 0;
+    for (FlowId f = 0; f < net->totalFlows(); ++f) {
+        const auto origin = net->originOf(f);
+        const int owner = origin.has_value() ? os.ownerOf(origin->node) : -1;
+        EXPECT_EQ(regs.weights()[static_cast<std::size_t>(f)],
+                  owner == 0 ? 3u : 1u)
+            << "flow " << f;
+        heavy += owner == 0 ? 1 : 0;
     }
+    EXPECT_EQ(heavy, 4); // 16 threads on 4-terminal nodes
 }
 
 TEST(ChipNetwork, EveryRowHandsOffIntoTheColumn)

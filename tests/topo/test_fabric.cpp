@@ -98,6 +98,7 @@ TEST(FabricGeometry, FlowSlotsRoundTrip)
         const int y = net->rowOfFlow(f);
         const int k = net->slotOfFlow(f);
         EXPECT_EQ(f, g * fpb + y * slots + k) << "f=" << f;
+        EXPECT_EQ(net->flowOf(g, y, k), f) << "f=" << f;
     }
 }
 
@@ -121,8 +122,58 @@ TEST(FabricGeometry, RemoteSlotMapsEveryOrderedChipPairOnce)
             if (cd == c)
                 continue;
             const int k = first + (c - cd - 1 + 4) % 4;
+            EXPECT_EQ(net->remoteSlot(c, cd), k);
             EXPECT_EQ(net->remoteSourceChip(cd, k), c)
                 << "c=" << c << " cd=" << cd;
+        }
+    }
+}
+
+TEST(FabricLayout, OriginIsTheNodeTheWiringQueuesTheFlowAt)
+{
+    auto net = FabricNetwork::build(wideSpec(2));
+    int local = 0, remote = 0;
+    for (FlowId f = 0; f < net->totalFlows(); ++f) {
+        const int j = net->blockOfFlow(f) % net->blocksPerChip();
+        const int k = net->slotOfFlow(f);
+        const auto origin = net->originOf(f);
+        ASSERT_EQ(origin.has_value(), k != 0 && net->slotUsable(j, k))
+            << "flow " << f;
+        if (!origin.has_value())
+            continue;
+        (origin->remote ? remote : local) += 1;
+        const NodeCoord at = origin->node;
+        EXPECT_EQ(at.y, net->rowOfFlow(f));
+        EXPECT_EQ(net->blockOfX(at.x), j);
+        EXPECT_EQ(net->sourceQueue(f).node,
+                  net->computeNodeId(origin->chip, at.x, at.y))
+            << "flow " << f;
+    }
+    // Every compute node originates one local flow; each (block, row)
+    // sends one flow to the other chip.
+    EXPECT_EQ(local, 2 * 16 * net->computePerRow());
+    EXPECT_EQ(remote, 2 * 2 * 16);
+}
+
+TEST(FabricLayout, ColumnOrderDoesNotChangeTheLayout)
+{
+    FabricSpec spec = wideSpec(4);
+    spec.chip.sharedColumns = {12, 4};
+    const FabricLayout reversed(spec);
+    const FabricLayout ascending(wideSpec(4));
+    EXPECT_EQ(reversed.spec().chip.sharedColumns, std::vector<int>({4, 12}));
+    EXPECT_EQ(reversed.slotsPerNode(), ascending.slotsPerNode());
+    ASSERT_EQ(reversed.totalFlows(), ascending.totalFlows());
+    for (int j = 0; j < 2; ++j)
+        EXPECT_EQ(reversed.catchment(j), ascending.catchment(j));
+    for (FlowId f = 0; f < ascending.totalFlows(); ++f) {
+        const auto a = ascending.originOf(f);
+        const auto r = reversed.originOf(f);
+        ASSERT_EQ(a.has_value(), r.has_value()) << "flow " << f;
+        if (a.has_value()) {
+            EXPECT_EQ(r->chip, a->chip);
+            EXPECT_EQ(r->node, a->node);
+            EXPECT_EQ(r->remote, a->remote);
         }
     }
 }
