@@ -6,7 +6,7 @@
 /// the parallel SweepRunner; json=<path> writes the combined
 /// taqos-sweep/v1 record.
 ///
-/// Options: fast=1, gencycles=<generation horizon>, threads=N,
+/// Options: fast=1, gencycles=<generation horizon, at least 1>, threads=N,
 ///          json=<path>
 #include <cstdio>
 
@@ -21,18 +21,22 @@ int
 main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
-    benchutil::header(
-        "Preemption impact: slowdown and deviation from max-min fairness",
-        "Figure 6(a) Workload 1, Figure 6(b) Workload 2 (Sec. 5.3)");
-
     Cycle gen = opts.getCycles("gencycles", 100000);
     if (opts.getBool("fast", false))
         gen = 30000;
 
     // One 10-cell sweep (5 topologies x 2 workloads) so the runner's
     // pool stays fully busy across both workloads.
+    const SweepSpec spec = adversarialSpec(0, gen);
+    const std::string err = sweepSpecError(spec); // rejects gencycles=0
+    if (!err.empty())
+        optionError(err);
+
+    benchutil::header(
+        "Preemption impact: slowdown and deviation from max-min fairness",
+        "Figure 6(a) Workload 1, Figure 6(b) Workload 2 (Sec. 5.3)");
     const SweepResult result =
-        SweepRunner(opts.getInt("threads", 0)).run(adversarialSpec(0, gen));
+        SweepRunner(opts.getInt("threads", 0)).run(spec);
     const std::string json = opts.get("json", "");
     if (!json.empty() && result.writeJson(json))
         std::printf("wrote %s\n", json.c_str());

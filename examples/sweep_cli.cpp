@@ -20,8 +20,8 @@
 ///   trace=FILE inflate=F window=b:e loop=1   trace-replay shorthand
 ///   burst=on,off,gain | burst=1              ON/OFF bursty shorthand
 ///   churn=frames[,maxvms[,attack]] | churn=1 tenant-churn shorthand
-///   reps=N seed=S mix=0|1
-///   warmup=C measure=C drain=C gencycles=C
+///   reps=N (N >= 1) seed=S mix=0|1
+///   warmup=C measure=C drain=C gencycles=C (adversarial: C >= 1)
 ///   threads=N            cell workers (0 = hardware concurrency; each
 ///                        cell runs serially, one core per worker)
 ///   out=path.json        (write the taqos-sweep/v1 record)
@@ -39,10 +39,13 @@
 /// (patterns= outside latency_load, rates= under adversarial, workloads=
 /// outside adversarial, placements= outside chip) with "the <scenario>
 /// scenario does not sweep the <axis> axis", unless it holds the one
-/// value the scenario runs anyway, and a workload spec the scenario
-/// cannot run (churn outside scenario=chip, trace replay outside
-/// latency_load) with "workload '<spec>' cannot run in the <scenario>
-/// scenario: ...", all with exit status 1 before work starts.
+/// value the scenario runs anyway, a workload spec the scenario cannot
+/// run (churn outside scenario=chip, trace replay outside latency_load)
+/// with "workload '<spec>' cannot run in the <scenario> scenario: ...",
+/// reps= below 1 with "a sweep needs at least 1 replicate, got <n>", and
+/// gencycles=0 under scenario=adversarial with "the adversarial scenario
+/// needs a generation horizon of at least 1 cycle, got 0", all with exit
+/// status 1 before work starts.
 ///
 /// Examples:
 ///   sweep_cli rates=0.01:0.12:0.01 patterns=uniform,tornado out=fig4.json

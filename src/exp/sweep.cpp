@@ -241,8 +241,6 @@ collapsed(SweepSpec c)
         c.modes = {QosMode::Pvc};
     if (c.rates.empty())
         c.rates = {0.05};
-    if (c.replicates < 1)
-        c.replicates = 1;
 
     switch (c.scenario) {
       case Scenario::LatencyLoad:
@@ -352,6 +350,14 @@ SweepSpec::canonical() const
 std::string
 sweepSpecError(const SweepSpec &spec)
 {
+    if (spec.replicates < 1)
+        return strFormat("a sweep needs at least 1 replicate, got %d",
+                         spec.replicates);
+    // Both runs of an adversarial cell would drain at cycle 0, and its
+    // slowdown would divide 0 by 0.
+    if (spec.scenario == Scenario::Adversarial && spec.genCycles == 0)
+        return "the adversarial scenario needs a generation horizon of at "
+               "least 1 cycle, got 0";
     // collapsed() overwrites only the axes the scenario does not sweep; a
     // value it would overwrite names an experiment the sweep never runs.
     const SweepSpec run = collapsed(spec);

@@ -110,7 +110,7 @@ struct SweepSpec {
     /// ChipConsolidation; bursty/ramp compose with every scenario.
     std::vector<WorkloadSpec> workloadSpecs;
 
-    /// Replicate seeds per grid point (mean/stddev across them).
+    /// Replicate seeds per grid point (mean/stddev across them); at least 1.
     int replicates = 1;
     std::uint64_t baseSeed = 0x7a05c0de;
     /// When true (default) every cell gets an independent seed mixed from
@@ -120,7 +120,7 @@ struct SweepSpec {
     bool mixSeeds = true;
 
     RunPhases phases;
-    Cycle genCycles = 100000;
+    Cycle genCycles = 100000; ///< Adversarial generation horizon; above 0
 
     /// Copy with defaults filled in and unused axes collapsed.
     SweepSpec canonical() const;
@@ -132,10 +132,11 @@ struct SweepSpec {
 };
 
 /// What `spec` asks for that its scenario cannot run, in one line, or ""
-/// when there is none: an axis the scenario does not sweep holding other
-/// than the one value canonical() collapses it to, or a workload spec the
-/// scenario cannot run. canonical() asserts on it after collapsing, and
-/// CLIs call it before any cell runs.
+/// when there is none: a replicate count below 1, a zero generation
+/// horizon in the adversarial scenario, an axis the scenario does not
+/// sweep holding other than the one value canonical() collapses it to, or
+/// a workload spec the scenario cannot run. canonical() asserts on it
+/// after collapsing, and CLIs call it before any cell runs.
 std::string sweepSpecError(const SweepSpec &spec);
 
 /// Mean/stddev/min/max of every metric of one grid point across its

@@ -58,16 +58,16 @@ InputPort::recountHot()
     int queued = 0;
     for (const InjectorQueue *inj : injectors)
         queued += static_cast<int>(inj->queue().size());
-    hot_->occupied = occupied;
-    hot_->queuedPkts = queued;
-    hot_->mutEpoch = 0;
+    occupied_ = occupied;
+    queuedPkts_ = queued;
+    mutEpoch_ = 0;
 }
 
 void
 InputPort::onVcReserved(VirtualChannel &vc)
 {
-    ++hot_->occupied;
-    ++hot_->mutEpoch;
+    ++occupied_;
+    ++mutEpoch_;
     if (trace != nullptr) {
         trace->vcReserved(*this, vcIndex(vc), *vc.packet(),
                           vc.headArrival(), vc.tailArrival());
@@ -79,9 +79,9 @@ InputPort::onVcReserved(VirtualChannel &vc)
 void
 InputPort::onVcFreed(VirtualChannel &vc, NetPacket *freed)
 {
-    --hot_->occupied;
-    ++hot_->mutEpoch;
-    TAQOS_ASSERT(hot_->occupied >= 0, "occupancy underflow on %s",
+    --occupied_;
+    ++mutEpoch_;
+    TAQOS_ASSERT(occupied_ >= 0, "occupancy underflow on %s",
                  name.c_str());
     if (trace != nullptr && freed != nullptr)
         trace->vcFreed(*this, vcIndex(vc), *freed);
@@ -92,7 +92,7 @@ InputPort::onVcFreed(VirtualChannel &vc, NetPacket *freed)
 void
 InputPort::onVcDrained(VirtualChannel &vc)
 {
-    ++hot_->mutEpoch;
+    ++mutEpoch_;
     if (trace != nullptr)
         trace->vcDrained(*this, vcIndex(vc), *vc.packet());
     // Still occupied (the packet stays resident until its tail departs),
@@ -104,7 +104,7 @@ InputPort::onVcDrained(VirtualChannel &vc)
 void
 InputPort::onInjectorEnqueue(InjectorQueue &inj, bool headChanged)
 {
-    ++hot_->queuedPkts;
+    ++queuedPkts_;
     if (owner != nullptr)
         owner->noteInjectorEnqueue(inj, headChanged);
 }
@@ -112,8 +112,8 @@ InputPort::onInjectorEnqueue(InjectorQueue &inj, bool headChanged)
 void
 InputPort::onInjectorDequeue(InjectorQueue &inj)
 {
-    --hot_->queuedPkts;
-    TAQOS_ASSERT(hot_->queuedPkts >= 0, "queued-packet underflow on %s",
+    --queuedPkts_;
+    TAQOS_ASSERT(queuedPkts_ >= 0, "queued-packet underflow on %s",
                  name.c_str());
     if (owner != nullptr)
         owner->noteInjectorDequeue(inj);

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/types.h"
 #include "noc/packet.h"
 #include "noc/vc.h"
@@ -36,16 +35,6 @@ namespace taqos {
 class InputPort;
 class Router;
 class TraceSink;
-
-/// The per-input-port counters the tick loop reads every cycle. Each port
-/// carries one inline (standalone fixtures), and Network::packHotState
-/// re-binds all ports of a fabric onto one contiguous node-ordered array.
-struct PortHot {
-    int occupied = 0;   ///< VCs currently not Free
-    int queuedPkts = 0; ///< packets across the port's injector queues
-    /// Bumped on every VC state transition (preemption-memo key).
-    std::uint64_t mutEpoch = 0;
-};
 
 /// One traffic source (terminal or row input). The queue head is the only
 /// injectable packet; `outstanding` enforces the PVC retransmission window.
@@ -163,10 +152,9 @@ class InputPort {
     /// not recording; wired by Network::setTraceSink).
     TraceSink *trace = nullptr;
 
-    /// VC storage. Arena-backed once the network packs its hot state
-    /// (growth under unbounded VCs then also draws from the arena); all
-    /// cross-references into it are index-based, so relocation is safe.
-    ArenaVec<VirtualChannel> vcs;
+    /// VC storage; unbounded VCs grow it. Cross-references into it are
+    /// indices (VcRef, slot keys), never pointers, so growth keeps them.
+    std::vector<VirtualChannel> vcs;
 
     /// Only for Kind::Injection: the sources multiplexed onto this port.
     std::vector<InjectorQueue *> injectors;
@@ -184,23 +172,20 @@ class InputPort {
     /// VCs currently not Free — maintained by the VirtualChannel hooks
     /// once attachVcs() has run, so the engine and the candidate scan can
     /// skip empty ports without touching the VC array.
-    int occupied() const { return hot_->occupied; }
+    int occupied() const { return occupied_; }
 
     /// Packets queued across this injection port's injector queues.
-    int queuedPackets() const { return hot_->queuedPkts; }
-
-    /// Re-home the hot counters onto `hot` (the network's contiguous
-    /// per-port array), carrying the current values over.
-    void bindHot(PortHot *hot) { hot_ = new (hot) PortHot(*hot_); }
+    int queuedPackets() const { return queuedPkts_; }
 
     /// Point every VC of this port back at it (idempotent; called from
     /// Network::finalizeRouters; unbounded-VC growth self-attaches).
     void attachVcs();
 
-    /// Recompute the hot counters from the VC and injector state
-    /// (checkpoint restore rebuilds them after the raw overwrites that
-    /// bypass the incremental hooks). mutEpoch restarts at zero: it only
-    /// keys pure preemption-search memos, which restore also clears.
+    /// Recompute occupied(), queuedPackets() and mutEpoch() from the VC
+    /// and injector state (checkpoint restore rebuilds them after the raw
+    /// overwrites that bypass the incremental hooks). mutEpoch restarts at
+    /// zero: it only keys pure preemption-search memos, which restore also
+    /// clears.
     void recountHot();
 
     /// Global enumeration base of this port's slots within its router's
@@ -228,11 +213,12 @@ class InputPort {
     /// Bumped on every VC state transition. The preemption victim search
     /// keys its "no victim here last time" memo on it (ports without an
     /// owning router — terminals, handoffs — included).
-    std::uint64_t mutEpoch() const { return hot_->mutEpoch; }
+    std::uint64_t mutEpoch() const { return mutEpoch_; }
 
   private:
-    PortHot localHot_;
-    PortHot *hot_ = &localHot_;
+    int occupied_ = 0;
+    int queuedPkts_ = 0;
+    std::uint64_t mutEpoch_ = 0;
 };
 
 class OutputPort {

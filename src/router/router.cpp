@@ -165,7 +165,7 @@ Router::updateInjectorSlot(InjectorQueue &inj)
 void
 Router::noteVcReserved(InputPort *in, int vcIdx)
 {
-    ++hot_->occupiedVcs;
+    ++occupiedVcs_;
     addVcSlot(in, vcIdx);
     arm();
 }
@@ -173,8 +173,8 @@ Router::noteVcReserved(InputPort *in, int vcIdx)
 void
 Router::noteVcFreed(InputPort *in, VirtualChannel &vc)
 {
-    --hot_->occupiedVcs;
-    TAQOS_ASSERT(hot_->occupiedVcs >= 0, "router %d VC-occupancy underflow",
+    --occupiedVcs_;
+    TAQOS_ASSERT(occupiedVcs_ >= 0, "router %d VC-occupancy underflow",
                  node_);
     // A Draining VC already surrendered its slot; a Reserved one (kill,
     // terminal ejection at a router-owned port) still holds it.
@@ -195,7 +195,7 @@ Router::noteVcDrained(InputPort *in, VirtualChannel &vc)
 void
 Router::noteInjectorEnqueue(InjectorQueue &inj, bool headChanged)
 {
-    ++hot_->queuedPkts;
+    ++queuedPkts_;
     if (headChanged)
         updateInjectorSlot(inj);
     arm();
@@ -204,8 +204,8 @@ Router::noteInjectorEnqueue(InjectorQueue &inj, bool headChanged)
 void
 Router::noteInjectorDequeue(InjectorQueue &inj)
 {
-    --hot_->queuedPkts;
-    TAQOS_ASSERT(hot_->queuedPkts >= 0, "router %d queued-packet underflow",
+    --queuedPkts_;
+    TAQOS_ASSERT(queuedPkts_ >= 0, "router %d queued-packet underflow",
                  node_);
     updateInjectorSlot(inj);
 }
@@ -221,17 +221,17 @@ Router::noteInjectorWindowChange(InjectorQueue &inj)
 void
 Router::noteXferStarted(Cycle tailDepart)
 {
-    ++hot_->activeXfers;
-    if (tailDepart < hot_->nextCompletion)
-        hot_->nextCompletion = tailDepart;
+    ++activeXfers_;
+    if (tailDepart < nextCompletion_)
+        nextCompletion_ = tailDepart;
     arm();
 }
 
 void
 Router::noteXferEnded()
 {
-    --hot_->activeXfers;
-    TAQOS_ASSERT(hot_->activeXfers >= 0, "router %d transfer-count underflow",
+    --activeXfers_;
+    TAQOS_ASSERT(activeXfers_ >= 0, "router %d transfer-count underflow",
                  node_);
 }
 
@@ -893,7 +893,7 @@ Router::tickCompletions(Cycle now)
     // nextCompletion is a lower bound on the earliest active transfer's
     // tail departure (a cancellation can only raise the true minimum), so
     // ticks before it are exact no-ops for every output.
-    if (hot_->activeXfers == 0 || now < hot_->nextCompletion)
+    if (activeXfers_ == 0 || now < nextCompletion_)
         return;
     Cycle next = kNoCycle;
     for (const auto &out : outputs_) {
@@ -902,7 +902,7 @@ Router::tickCompletions(Cycle now)
         if (xfer.active && xfer.tailDepart < next)
             next = xfer.tailDepart;
     }
-    hot_->nextCompletion = next;
+    nextCompletion_ = next;
 }
 
 void
@@ -971,20 +971,20 @@ Router::rebuildFromRestore()
 {
     for (const auto &in : inputs_)
         in->recountHot();
-    hot_->occupiedVcs = 0;
-    hot_->queuedPkts = 0;
-    hot_->activeXfers = 0;
-    hot_->nextCompletion = kNoCycle;
+    occupiedVcs_ = 0;
+    queuedPkts_ = 0;
+    activeXfers_ = 0;
+    nextCompletion_ = kNoCycle;
     for (const auto &in : inputs_) {
-        hot_->occupiedVcs += in->occupied();
-        hot_->queuedPkts += in->queuedPackets();
+        occupiedVcs_ += in->occupied();
+        queuedPkts_ += in->queuedPackets();
     }
     for (const auto &out : outputs_) {
         const OutputPort::Transfer &xfer = out->transfer();
         if (xfer.active) {
-            ++hot_->activeXfers;
-            if (xfer.tailDepart < hot_->nextCompletion)
-                hot_->nextCompletion = xfer.tailDepart;
+            ++activeXfers_;
+            if (xfer.tailDepart < nextCompletion_)
+                nextCompletion_ = xfer.tailDepart;
         }
     }
 

@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/types.h"
 #include "noc/activity.h"
 #include "noc/metrics.h"
@@ -84,20 +83,6 @@ struct TickContext {
     bool forceScan = false;
     /// This cycle's work counts; the engine folds them into its totals.
     EngineStats stats;
-};
-
-/// The per-router counters and schedule bounds the engine consults every
-/// cycle before deciding whether the router can be skipped. One inline
-/// copy per router (standalone fixtures); Network::packHotState re-binds
-/// a fabric's routers onto one contiguous node-ordered array so the
-/// engine's sweep/merge walk stays on a few cache lines.
-struct alignas(64) RouterHot {
-    int occupiedVcs = 0;
-    int queuedPkts = 0;
-    int activeXfers = 0;
-    /// Lower bound on the earliest in-flight transfer completion
-    /// (kNoCycle when none): completion ticks before it are exact no-ops.
-    Cycle nextCompletion = kNoCycle;
 };
 
 class Router {
@@ -198,18 +183,7 @@ class Router {
     /// A router with none is a provable no-op and is skipped entirely.
     bool hasWork() const
     {
-        return hot_->occupiedVcs + hot_->queuedPkts + hot_->activeXfers > 0;
-    }
-
-    /// Re-home the hot counters onto `hot` (the network's contiguous
-    /// per-router array), carrying the current values over.
-    void bindHot(RouterHot *hot) { hot_ = new (hot) RouterHot(*hot_); }
-    /// Allocate all future arbitration-slot storage from `arena` and move
-    /// the current lists there.
-    void bindSlotArena(BumpArena *arena)
-    {
-        for (auto &list : slots_)
-            list.rebind(arena);
+        return occupiedVcs_ + queuedPkts_ + activeXfers_ > 0;
     }
 
     /// Policy state changed behind every output's back (frame flush, GSF
@@ -219,7 +193,7 @@ class Router {
     /// Checkpoint restore: the raw overwrites (VC states, injector
     /// queues, transfers) bypassed every incremental hook, so recompute
     /// all derived activity state from the restored structural state —
-    /// hot counters, arbitration slot lists, cached winners, dirty
+    /// work counters, arbitration slot lists, cached winners, dirty
     /// flags, wakes, preemption memos. Leaves every output dirty with
     /// wake 0 and the router off the worklist (the engine re-arms it);
     /// the first tick then does the same full rescan a frame-boundary
@@ -245,8 +219,8 @@ class Router {
     /// dirty several outputs.
     void noteTableMutated(int tableIdx);
 
-    int occupiedVcCount() const { return hot_->occupiedVcs; }
-    int queuedPacketCount() const { return hot_->queuedPkts; }
+    int occupiedVcCount() const { return occupiedVcs_; }
+    int queuedPacketCount() const { return queuedPkts_; }
 
     /// Assert that every arbitration slot matches the live state it
     /// caches (packet, eligibility cycle, age, flow, carried flag, route)
@@ -362,7 +336,7 @@ class Router {
     /// the legacy input-major scan would. `outWake_[o]` is the earliest
     /// cycle a currently-ineligible slot matures by time alone (kNoCycle
     /// = none pending); it starts at 0 so the first tick scans.
-    std::vector<ArenaVec<ArbSlot>> slots_;
+    std::vector<std::vector<ArbSlot>> slots_;
     std::vector<std::uint8_t> outDirty_;
     std::vector<Cycle> outWake_;
     /// tableIdx -> outputs charging it (replicated channels share).
@@ -395,8 +369,15 @@ class Router {
 
     ActivityWorklist *worklist_ = nullptr;
     bool inWorklist_ = false;
-    RouterHot localHot_;
-    RouterHot *hot_ = &localHot_;
+
+    /// The counts hasWork() sums, kept by the port hooks: VCs not Free,
+    /// packets in injector queues, transfers in progress.
+    int occupiedVcs_ = 0;
+    int queuedPkts_ = 0;
+    int activeXfers_ = 0;
+    /// Lower bound on the earliest in-flight transfer completion
+    /// (kNoCycle when none): completion ticks before it are exact no-ops.
+    Cycle nextCompletion_ = kNoCycle;
 
     void arm();
 };

@@ -121,40 +121,6 @@ Network::finalizeRouters()
         term->attachVcs();
     for (InputPort *port : auxPorts_)
         port->attachVcs();
-
-    packHotState();
-}
-
-void
-Network::packHotState()
-{
-    if (hotPacked_)
-        return;
-    hotPacked_ = true;
-
-    // Router records first: node id indexes straight into the array.
-    auto *rhot = arena_.allocate<RouterHot>(routers_.size());
-    for (std::size_t i = 0; i < routers_.size(); ++i)
-        routers_[i]->bindHot(&rhot[i]);
-
-    // Buffers in the engine's traversal order: router inputs in node
-    // order, then terminals, then aux handoff buffers.
-    std::vector<InputPort *> ports;
-    for (auto &r : routers_)
-        for (const auto &in : r->inputs())
-            ports.push_back(in.get());
-    for (auto &term : termPorts_)
-        ports.push_back(term.get());
-    for (InputPort *port : auxPorts_)
-        ports.push_back(port);
-
-    auto *phot = arena_.allocate<PortHot>(ports.size());
-    for (std::size_t i = 0; i < ports.size(); ++i)
-        ports[i]->bindHot(&phot[i]);
-    for (InputPort *port : ports)
-        port->vcs.rebind(&arena_);
-    for (auto &r : routers_)
-        r->bindSlotArena(&arena_);
 }
 
 void

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "noc/activity.h"
 #include "noc/ports.h"
 #include "qos/policy.h"
@@ -145,13 +144,13 @@ class Network {
     /// tracking: VC-to-port back-pointers (incremental occupancy),
     /// injector-to-port back-pointers (enqueue arming), and the shared
     /// worklist every router initially arms onto. Builders must call this
-    /// once, after the full port structure exists. It then packs the
-    /// per-router hot state (see packHotState).
+    /// once, after the full port structure exists.
     void finalizeRouters();
 
-    /// Bytes of hot state packed into the network-owned arena (0 before
-    /// finalizeRouters).
-    std::size_t hotArenaBytes() const { return arena_.bytesAllocated(); }
+    /// Always 0: routers and ports keep their own state, and no arena
+    /// holds it. Kept only because the benchmark's `topo.hot_arena_kb`
+    /// reads it; the next benchmark change drops both (ROADMAP item 4).
+    std::size_t hotArenaBytes() const { return 0; }
 
     /// Next unused flow-table id on `r` (builders group replicated
     /// channels under one id; everything else gets its own).
@@ -171,20 +170,6 @@ class Network {
     std::vector<int> termOutIdx_;
     std::vector<InputPort *> auxPorts_;
     ActivityWorklist worklist_;
-
-  private:
-    /// Move the cycle-hot state out of the object graph into contiguous
-    /// network-owned storage, in node order: one RouterHot cache line per
-    /// router, then one PortHot record per buffer (router inputs, then
-    /// terminals, then aux), then every port's VC array and every
-    /// router's cached candidate-slot lists. Indices are preserved —
-    /// only storage moves — so VcRef/slot bookkeeping is untouched.
-    void packHotState();
-
-    /// Backing store for the packed hot state; owned here so its lifetime
-    /// matches the routers that point into it.
-    BumpArena arena_;
-    bool hotPacked_ = false;
 };
 
 } // namespace taqos

@@ -86,6 +86,25 @@ TEST(SweepSpec, ErrorNamesAnAxisTheScenarioDoesNotSweep)
                                     "not sweep the workloads axis");
 }
 
+TEST(SweepSpec, ErrorNamesNoReplicatesOrNoHorizon)
+{
+    SweepSpec spec;
+    spec.replicates = 0;
+    EXPECT_EQ(sweepSpecError(spec),
+              "a sweep needs at least 1 replicate, got 0");
+    spec.replicates = -3;
+    EXPECT_EQ(sweepSpecError(spec),
+              "a sweep needs at least 1 replicate, got -3");
+
+    spec.replicates = 1;
+    spec.genCycles = 0; // only the adversarial scenario reads it
+    EXPECT_EQ(sweepSpecError(spec), "");
+    spec.scenario = Scenario::Adversarial;
+    EXPECT_EQ(sweepSpecError(spec),
+              "the adversarial scenario needs a generation horizon of at "
+              "least 1 cycle, got 0");
+}
+
 TEST(SweepSpec, MixedSeedsAreDistinctAndStable)
 {
     const auto cells = tinySpec(2).expand();

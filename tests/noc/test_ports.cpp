@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "noc/ports.h"
 
 namespace taqos {
@@ -49,6 +51,37 @@ TEST(InputPort, UnboundedVcsGrow)
     const int v = p.findFreeVc(0, false);
     EXPECT_EQ(v, 1);
     EXPECT_EQ(p.vcs.size(), 2u);
+
+    // Grow an attached port through several reallocations: every VC
+    // reserved before a move keeps its packet, arrival cycles and port
+    // back-pointer, and the occupancy count stays exact.
+    InputPort q = makePort(1, -1);
+    q.unboundedVcs = true;
+    q.attachVcs();
+    std::vector<NetPacket> pkts(40);
+    int moves = 0;
+    for (int i = 0; i < static_cast<int>(pkts.size()); ++i) {
+        const VirtualChannel *before = q.vcs.data();
+        const int idx = q.findFreeVc(0, false);
+        ASSERT_EQ(idx, i);
+        moves += q.vcs.data() != before;
+        const Cycle head = 10 + static_cast<Cycle>(i);
+        q.vcs[static_cast<std::size_t>(idx)].reserve(
+            &pkts[static_cast<std::size_t>(i)], head, head + 3);
+        ASSERT_EQ(q.occupied(), i + 1);
+    }
+    EXPECT_GE(moves, 3);
+    ASSERT_EQ(q.vcs.size(), pkts.size());
+    for (std::size_t i = 0; i < pkts.size(); ++i) {
+        const VirtualChannel &vc = q.vcs[i];
+        EXPECT_EQ(vc.state(), VirtualChannel::State::Reserved);
+        EXPECT_EQ(vc.packet(), &pkts[i]);
+        EXPECT_EQ(vc.headArrival(), 10 + static_cast<Cycle>(i));
+        EXPECT_EQ(vc.tailArrival(), 13 + static_cast<Cycle>(i));
+        EXPECT_EQ(vc.port(), &q);
+    }
+    EXPECT_EQ(q.occupied(), static_cast<int>(pkts.size()));
+    EXPECT_EQ(q.occupiedVcs(), q.occupied());
 }
 
 TEST(InputPort, OccupiedCount)
