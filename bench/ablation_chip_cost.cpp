@@ -12,8 +12,10 @@
 using namespace taqos;
 
 int
-main()
+main(int argc, char **argv)
 {
+    // Reads no options: any key fails instead of being ignored.
+    OptionMap(argc, argv).rejectUnknown({});
     benchutil::header(
         "Chip-wide router cost: QOS everywhere vs topology-aware",
         "Secs. 1-2 claim (ablation, not a paper figure)");

@@ -72,6 +72,7 @@ int
 main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
+    opts.rejectUnknown({"fast", "reps", "cachedir", "json"});
     benchutil::header(
         "Checkpoint/restore ablation: warm-start reps and the sweep "
         "cell cache vs cold re-runs",

@@ -95,6 +95,7 @@ int
 main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
+    opts.rejectUnknown({"fast"});
     benchutil::header(
         "Flattened butterfly as a shared-region alternative",
         "Sec. 2.2 remark (ablation, not a paper figure)");

@@ -76,6 +76,7 @@ int
 main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
+    opts.rejectUnknown({"fast", "reps", "json"});
     benchutil::header(
         "Activity-driven core ablation: cycles/sec vs the always-tick "
         "engine",

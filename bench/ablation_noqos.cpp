@@ -44,6 +44,7 @@ int
 main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
+    opts.rejectUnknown({"fast"});
     benchutil::header(
         "Hotspot throughput per node: no-QOS starvation vs PVC",
         "Sec. 5.3 premise (after Lee et al. [15] and Grot et al. [9])");

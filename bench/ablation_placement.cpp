@@ -37,8 +37,10 @@ avgMemoryLatency(const ChipConfig &chip, int packetFlits)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    // Reads no options: any key fails instead of being ignored.
+    OptionMap(argc, argv).rejectUnknown({});
     benchutil::header("Shared-column placement and count",
                       "Sec. 2.2 design choice (ablation, not a paper "
                       "figure)");

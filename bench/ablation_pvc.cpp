@@ -63,6 +63,7 @@ int
 main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
+    opts.rejectUnknown({"fast"});
     benchutil::header("PVC mechanism ablation (DPS column, Workload 1)",
                       "Sec. 3.1 mechanisms (ablation, not a paper figure)");
 

@@ -71,28 +71,24 @@ int
 main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
+    opts.rejectUnknown({"fast", "maxrate", "step", "threads", "json"});
+    RunPhases phases{5000, 15000, 10000};
+    if (opts.getBool("fast", false))
+        phases = RunPhases{1000, 4000, 2000};
+    const std::vector<double> rates = benchutil::rateGrid(opts, 0.1, 0.02);
+    const int threads = opts.getInt("threads", 0);
+
     benchutil::header(
         "Arbitration-policy ablation: latency vs load, all six policies",
         "Fig. 4 grid; Sec. 2 related schemes (GSF after Lee et al. [15])");
 
     writePolicyPerfJson("BENCH_qos_policy.json");
 
-    RunPhases phases{5000, 15000, 10000};
-    if (opts.getBool("fast", false))
-        phases = RunPhases{1000, 4000, 2000};
-
-    const double maxRate = opts.getDouble("maxrate", 0.1);
-    const double step = opts.getDouble("step", 0.02);
-    std::vector<double> rates;
-    for (double r = step; r <= maxRate + 1e-9; r += step)
-        rates.push_back(r);
-
     SweepSpec spec = fig4Spec(TrafficPattern::UniformRandom, rates, phases);
     spec.name = "ablation_qos_policy";
     spec.modes.assign(std::begin(kAllQosModes), std::end(kAllQosModes));
 
-    const SweepResult result =
-        SweepRunner(opts.getInt("threads", 0)).run(spec);
+    const SweepResult result = SweepRunner(threads).run(spec);
     const std::string json = opts.get("json", "");
     if (!json.empty() && result.writeJson(json))
         std::printf("wrote %s\n", json.c_str());

@@ -109,6 +109,7 @@ int
 main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
+    opts.rejectUnknown({"fast", "reps", "json"});
     benchutil::header(
         "Scaling ablation: cycles/sec vs fabric size (serial engine)",
         "infrastructure (ROADMAP item 1: 1000+ router fabrics)");

@@ -81,6 +81,7 @@ int
 main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
+    opts.rejectUnknown({"fast", "reps", "json"});
     benchutil::header(
         "Dynamic-workload ablation: steady vs bursty vs ramp cells and "
         "the tenant-churn consolidation cell",

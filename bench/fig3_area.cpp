@@ -10,8 +10,10 @@
 using namespace taqos;
 
 int
-main()
+main(int argc, char **argv)
 {
+    // Reads no options: any key fails instead of being ignored.
+    OptionMap(argc, argv).rejectUnknown({});
     benchutil::header("Router area overhead (mm^2, 32 nm)",
                       "Figure 3 (Sec. 5.1)");
 

@@ -83,28 +83,17 @@ int
 main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
-    benchutil::header(
-        "Latency vs injection rate (cycles; 'sat' = beyond saturation)",
-        "Figure 4(a) uniform random, Figure 4(b) tornado (Sec. 5.2)");
+    opts.rejectUnknown({"fast", "pattern", "mode", "rates", "maxrate",
+                        "step", "threads", "json", "workload", "trace",
+                        "inflate", "window", "loop", "burst", "churn"});
 
     RunPhases phases;
     if (opts.getBool("fast", false))
         phases = RunPhases{5000, 15000, 10000};
 
-    std::vector<double> rates;
-    if (opts.has("rates")) {
-        rates = parseRateList(opts.get("rates", ""));
-    } else {
-        const double maxRate = opts.getDouble("maxrate", 0.15);
-        const double step = opts.getDouble("step", 0.01);
-        if (step <= 0.0 || maxRate <= 0.0) {
-            optionError(strFormat("bad rates '%g:%g': want a,b,c or "
-                                  "lo:hi:step (step > 0)",
-                                  maxRate, step));
-        }
-        for (double r = step; r <= maxRate + 1e-9; r += step)
-            rates.push_back(r);
-    }
+    const std::vector<double> rates =
+        opts.has("rates") ? parseRateList(opts.get("rates", ""))
+                          : benchutil::rateGrid(opts, 0.15, 0.01);
 
     const int threads = opts.getInt("threads", 0);
     const std::string json = opts.get("json", "");
@@ -126,6 +115,10 @@ main(int argc, char **argv)
     const std::string which = opts.get("pattern", "both");
     if (which != "both" && which != "uniform" && which != "tornado")
         unknownValue("pattern", which, "both uniform tornado");
+
+    benchutil::header(
+        "Latency vs injection rate (cycles; 'sat' = beyond saturation)",
+        "Figure 4(a) uniform random, Figure 4(b) tornado (Sec. 5.2)");
     if (which == "both" || which == "uniform")
         runPattern(TrafficPattern::UniformRandom, rates, phases, threads,
                    json, mode, workload);

@@ -21,9 +21,10 @@ int
 main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
-    Cycle gen = opts.getCycles("gencycles", 100000);
-    if (opts.getBool("fast", false))
-        gen = 30000;
+    opts.rejectUnknown({"fast", "gencycles", "threads", "json"});
+    // An explicit gencycles= wins over fast=1's horizon.
+    const Cycle gen = opts.getCycles(
+        "gencycles", opts.getBool("fast", false) ? 30000 : 100000);
 
     // One 10-cell sweep (5 topologies x 2 workloads) so the runner's
     // pool stays fully busy across both workloads.

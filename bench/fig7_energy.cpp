@@ -28,8 +28,10 @@ addRows(TextTable &t, const EnergyRow &row)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    // Reads no options: any key fails instead of being ignored.
+    OptionMap(argc, argv).rejectUnknown({});
     benchutil::header("Router energy per flit (pJ, 32 nm, 0.9 V)",
                       "Figure 7 (Sec. 5.4)");
 

@@ -18,6 +18,7 @@ int
 main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
+    opts.rejectUnknown({"fast", "rate"});
     benchutil::header("Preemption (replay) rates in saturation",
                       "Sec. 5.2, text (preemption discussion)");
 

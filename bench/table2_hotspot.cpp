@@ -23,19 +23,19 @@ int
 main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
-    benchutil::header(
-        "Relative throughput of flows on the hotspot workload (flits)",
-        "Table 2 (Sec. 5.3)");
-
-    Cycle measure = opts.getCycles("cycles", 280000);
-    if (opts.getBool("fast", false))
-        measure = 60000;
+    opts.rejectUnknown({"fast", "cycles", "mode", "threads", "json"});
+    // An explicit cycles= wins over fast=1's window.
+    const Cycle measure =
+        opts.getCycles("cycles", opts.getBool("fast", false) ? 60000 : 280000);
     if (measure == 0)
         optionError("bad cycles '0': want a positive measure window");
-
     const QosMode mode = enumOption(opts, "mode", QosMode::Pvc,
                                     parseQosMode, "mode",
                                     joinNames(kAllQosModes, qosModeName));
+
+    benchutil::header(
+        "Relative throughput of flows on the hotspot workload (flits)",
+        "Table 2 (Sec. 5.3)");
     const SweepResult result =
         SweepRunner(opts.getInt("threads", 0))
             .run(table2Spec(measure, 20000, mode));

@@ -7,6 +7,7 @@
 ///   $ ./cloud_isolation [topology=dps]
 #include <cstdio>
 
+#include "common/options.h"
 #include "core/taqos.h"
 
 using namespace taqos;
@@ -66,8 +67,10 @@ int
 main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
-    const auto kind =
-        parseTopology(opts.get("topology", "dps")).value_or(TopologyKind::Dps);
+    opts.rejectUnknown({"topology"});
+    const TopologyKind kind =
+        enumOption(opts, "topology", TopologyKind::Dps, parseTopology,
+                   "topology", joinNames(kAllTopologies, topologyName));
 
     // The victim asks for 8 x 1.5% = 12% of the memory controller — well
     // under its aggregate fair share (8/32 of the link).

@@ -13,6 +13,8 @@ int
 main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
+    opts.rejectUnknown({"topology", "pattern", "mode", "rate", "seed",
+                        "cycles", "frame", "window"});
 
     const auto kind = parseTopology(opts.get("topology", "dps"));
     const auto pattern = parsePattern(opts.get("pattern", "uniform"));

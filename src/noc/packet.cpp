@@ -62,9 +62,8 @@ NetPacket::logCharge(void *table, int tableIdx)
 }
 
 void
-NetPacket::beginAttempt(Cycle now)
+NetPacket::beginAttempt()
 {
-    injectCycle = now;
     state = PacketState::InFlight;
     hopsThisAttempt = 0.0;
     blockedSince = kNoCycle;

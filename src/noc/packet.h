@@ -57,7 +57,6 @@ struct NetPacket {
 
     Cycle genCycle = kNoCycle;     ///< first generation time
     Cycle queuedCycle = kNoCycle;  ///< entered a source queue (gen or NACK)
-    Cycle injectCycle = kNoCycle;  ///< start of the current attempt
     Cycle deliverCycle = kNoCycle; ///< tail ejection time
 
     PacketState state = PacketState::Queued;
@@ -81,8 +80,6 @@ struct NetPacket {
     /// Mesh-equivalent hop traversals completed in the current attempt;
     /// wasted (and re-counted) if the packet is preempted.
     double hopsThisAttempt = 0.0;
-
-    int preemptions = 0; ///< total preemption events over all attempts
 
     /// VC occupancy chain (source VC + up to two downstream reservations).
     std::array<VcRef, 4> locs{};
@@ -120,7 +117,7 @@ struct NetPacket {
     void logCharge(void *table, int tableIdx);
 
     /// Reset per-attempt state before (re)injection.
-    void beginAttempt(Cycle now);
+    void beginAttempt();
 };
 
 /// Recycling allocator for packets. Terminal-state packets are returned to

@@ -50,24 +50,13 @@ InputPort::attachVcs()
 void
 InputPort::recountHot()
 {
-    int occupied = 0;
-    for (const auto &vc : vcs) {
-        if (vc.state() != VirtualChannel::State::Free)
-            ++occupied;
-    }
-    int queued = 0;
-    for (const InjectorQueue *inj : injectors)
-        queued += static_cast<int>(inj->queue().size());
-    occupied_ = occupied;
-    queuedPkts_ = queued;
-    mutEpoch_ = 0;
+    occupied_ = occupiedVcs();
 }
 
 void
 InputPort::onVcReserved(VirtualChannel &vc)
 {
     ++occupied_;
-    ++mutEpoch_;
     if (trace != nullptr) {
         trace->vcReserved(*this, vcIndex(vc), *vc.packet(),
                           vc.headArrival(), vc.tailArrival());
@@ -80,7 +69,6 @@ void
 InputPort::onVcFreed(VirtualChannel &vc, NetPacket *freed)
 {
     --occupied_;
-    ++mutEpoch_;
     TAQOS_ASSERT(occupied_ >= 0, "occupancy underflow on %s",
                  name.c_str());
     if (trace != nullptr && freed != nullptr)
@@ -92,7 +80,6 @@ InputPort::onVcFreed(VirtualChannel &vc, NetPacket *freed)
 void
 InputPort::onVcDrained(VirtualChannel &vc)
 {
-    ++mutEpoch_;
     if (trace != nullptr)
         trace->vcDrained(*this, vcIndex(vc), *vc.packet());
     // Still occupied (the packet stays resident until its tail departs),
@@ -104,7 +91,6 @@ InputPort::onVcDrained(VirtualChannel &vc)
 void
 InputPort::onInjectorEnqueue(InjectorQueue &inj, bool headChanged)
 {
-    ++queuedPkts_;
     if (owner != nullptr)
         owner->noteInjectorEnqueue(inj, headChanged);
 }
@@ -112,9 +98,6 @@ InputPort::onInjectorEnqueue(InjectorQueue &inj, bool headChanged)
 void
 InputPort::onInjectorDequeue(InjectorQueue &inj)
 {
-    --queuedPkts_;
-    TAQOS_ASSERT(queuedPkts_ >= 0, "queued-packet underflow on %s",
-                 name.c_str());
     if (owner != nullptr)
         owner->noteInjectorDequeue(inj);
 }
@@ -172,8 +155,7 @@ OutputPort::Transfer::flitsDeparted(Cycle now, int sizeFlits) const
 }
 
 void
-OutputPort::startTransfer(NetPacket *pkt, int dropIdx, int dstVc, VcRef srcVc,
-                          Cycle now)
+OutputPort::startTransfer(NetPacket *pkt, int dropIdx, VcRef srcVc, Cycle now)
 {
     TAQOS_ASSERT(!xfer_.active, "output %s already streaming", name.c_str());
     TAQOS_ASSERT(linkFree(now), "output %s link busy", name.c_str());
@@ -183,7 +165,6 @@ OutputPort::startTransfer(NetPacket *pkt, int dropIdx, int dstVc, VcRef srcVc,
     xfer_.active = true;
     xfer_.pkt = pkt;
     xfer_.dropIdx = dropIdx;
-    xfer_.dstVc = dstVc;
     xfer_.firstFlit = now + 1;
     xfer_.tailDepart = now + static_cast<Cycle>(pkt->sizeFlits);
     xfer_.srcVc = srcVc;

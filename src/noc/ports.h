@@ -76,7 +76,7 @@ struct InjectorQueue {
     void noteWindowChange();
 
     /// Restore: overwrite the queue contents without firing the port
-    /// hooks (the restoring router recomputes queued-packet counts and
+    /// hooks (the restoring router recounts its queued packets and
     /// re-adds the head slot afterwards). headOut stays -1.
     void restoreRaw(std::deque<NetPacket *> q, int outstandingCount)
     {
@@ -170,22 +170,16 @@ class InputPort {
     // --- incremental activity state -----------------------------------
 
     /// VCs currently not Free — maintained by the VirtualChannel hooks
-    /// once attachVcs() has run, so the engine and the candidate scan can
-    /// skip empty ports without touching the VC array.
+    /// once attachVcs() has run, so the engine can skip empty terminal
+    /// and handoff ports without touching the VC array.
     int occupied() const { return occupied_; }
-
-    /// Packets queued across this injection port's injector queues.
-    int queuedPackets() const { return queuedPkts_; }
 
     /// Point every VC of this port back at it (idempotent; called from
     /// Network::finalizeRouters; unbounded-VC growth self-attaches).
     void attachVcs();
 
-    /// Recompute occupied(), queuedPackets() and mutEpoch() from the VC
-    /// and injector state (checkpoint restore rebuilds them after the raw
-    /// overwrites that bypass the incremental hooks). mutEpoch restarts at
-    /// zero: it only keys pure preemption-search memos, which restore also
-    /// clears.
+    /// Recompute occupied() from the VC states (checkpoint restore
+    /// rebuilds it after the raw overwrites that bypass the hooks).
     void recountHot();
 
     /// Global enumeration base of this port's slots within its router's
@@ -210,15 +204,8 @@ class InputPort {
         return static_cast<int>(&vc - vcs.data());
     }
 
-    /// Bumped on every VC state transition. The preemption victim search
-    /// keys its "no victim here last time" memo on it (ports without an
-    /// owning router — terminals, handoffs — included).
-    std::uint64_t mutEpoch() const { return mutEpoch_; }
-
   private:
     int occupied_ = 0;
-    int queuedPkts_ = 0;
-    std::uint64_t mutEpoch_ = 0;
 };
 
 class OutputPort {
@@ -237,7 +224,6 @@ class OutputPort {
         bool active = false;
         NetPacket *pkt = nullptr;
         int dropIdx = -1;
-        int dstVc = -1;
         Cycle firstFlit = 0;  ///< cycle the head flit is on the wire
         Cycle tailDepart = 0; ///< cycle the tail flit is on the wire
         /// VC being drained at the sending router (port == nullptr when
@@ -264,11 +250,10 @@ class OutputPort {
     bool linkFree(Cycle now) const { return now >= nextStart_; }
     const Transfer &transfer() const { return xfer_; }
 
-    /// Begin streaming `pkt` towards drop `dropIdx`, into VC `dstVc`.
-    /// `srcVc` identifies the draining VC ({nullptr,-1} for injection).
-    /// Caller has already reserved the downstream VC.
-    void startTransfer(NetPacket *pkt, int dropIdx, int dstVc, VcRef srcVc,
-                       Cycle now);
+    /// Begin streaming `pkt` towards drop `dropIdx`. `srcVc` identifies
+    /// the draining VC ({nullptr,-1} for injection). Caller has already
+    /// reserved the downstream VC.
+    void startTransfer(NetPacket *pkt, int dropIdx, VcRef srcVc, Cycle now);
 
     /// Complete the transfer if its tail has departed: frees the source VC
     /// (credit visible after the source port's credit delay) and credits

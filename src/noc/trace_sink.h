@@ -35,7 +35,7 @@ class TraceSink {
     virtual void noteCycle(Cycle now) = 0;
 
     /// A source-queued packet won injection arbitration at `node`
-    /// (attempt state — injectCycle, rateCompliant, frameTag — is final).
+    /// (attempt state — attempt, rateCompliant, frameTag — is final).
     virtual void inject(Cycle now, NodeId node, const NetPacket &pkt) = 0;
 
     /// VC `vc` of `port` was reserved for `pkt` (head/tail arrival known).

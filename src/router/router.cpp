@@ -53,9 +53,6 @@ Router::markArbDirty()
     for (auto &d : outDirty_)
         d = 1;
     anyOutDirty_ = true;
-    // Frame flushes rewrite state the preemption victim search reads
-    // (flow tables, carried priorities): spoil its memo too.
-    ++mutEpoch_;
 }
 
 void
@@ -71,13 +68,11 @@ Router::insertSlot(int outPort, const ArbSlot &slot)
     list.insert(it, slot);
     // The new candidate cannot change the winner before it is eligible by
     // time, so the scan at that cycle is the first that could see it:
-    // schedule that scan instead of dirtying the output. The preemption
-    // victim search sees the new rival at once, so its memo is spoiled.
+    // schedule that scan instead of dirtying the output.
     if (slot.eligible < outWake_[o])
         outWake_[o] = slot.eligible;
     if (slot.eligible < minWake_)
         minWake_ = slot.eligible;
-    ++mutEpoch_;
 }
 
 void
@@ -318,7 +313,6 @@ Router::finalize()
     slots_.assign(outputs_.size(), {});
     outDirty_.assign(outputs_.size(), 1);
     outWake_.assign(outputs_.size(), 0);
-    preemptMemo_.assign(outputs_.size(), {});
     tableOuts_.assign(static_cast<std::size_t>(numTables), {});
     for (std::size_t o = 0; o < outputs_.size(); ++o) {
         tableOuts_[static_cast<std::size_t>(outputs_[o]->tableIdx)]
@@ -350,14 +344,19 @@ void
 Router::collectCandidates(TickContext &ctx)
 {
     const P &policy = static_cast<const P &>(*policy_);
-    const auto rank = [&](const NetPacket &pkt, const InputPort &in,
-                          int outPort) {
-        return policy.rank(
-            pkt, in.usesCarriedPrio, flowTable_,
-            outputs_[static_cast<std::size_t>(outPort)]->tableIdx);
-    };
     for (auto &b : best_)
-        b.pkt = nullptr;
+        b.slot.pkt = nullptr;
+    const auto offer = [&](const ArbSlot &slot, int outPort) {
+        const std::uint64_t prio = policy.rank(
+            *slot.pkt, slot.carried, flowTable_,
+            outputs_[static_cast<std::size_t>(outPort)]->tableIdx);
+        Winner &best = best_[static_cast<std::size_t>(outPort)];
+        if (best.slot.pkt == nullptr ||
+            policy.better(arbKey(slot, prio), arbKey(best.slot, best.prio),
+                          outPort)) {
+            best = Winner{slot, prio};
+        }
+    };
 
     std::uint32_t enumIdx = 0;
     for (const auto &inPtr : inputs_) {
@@ -380,22 +379,11 @@ Router::collectCandidates(TickContext &ctx)
                 // unadmitted packet stalls its queue.
                 if (ctx.gate != nullptr && !ctx.gate->admit(*pkt, ctx.now))
                     continue;
-                Candidate cand;
-                cand.pkt = pkt;
-                cand.port = in;
-                cand.vc = -1;
-                cand.inj = inj;
-                cand.age = pkt->genCycle;
-                cand.rrKey = enumIdx;
                 const RouteEntry route = routeFor(*pkt);
-                cand.outPort = route.outPort;
-                cand.dropIdx = route.dropIdx;
-                cand.prio = rank(*pkt, *in, cand.outPort);
-                auto &best = best_[static_cast<std::size_t>(cand.outPort)];
-                if (best.pkt == nullptr ||
-                    policy.better(arbKey(cand), arbKey(best), cand.outPort)) {
-                    best = cand;
-                }
+                ArbSlot slot = slotFor(in, pkt, pkt->queuedCycle, enumIdx,
+                                       route.dropIdx);
+                slot.inj = inj;
+                offer(slot, route.outPort);
             }
             continue;
         }
@@ -408,21 +396,11 @@ Router::collectCandidates(TickContext &ctx)
             if (!vc.arrived(ctx.now) || ctx.now < vc.headArrival() + ready)
                 continue;
             NetPacket *pkt = vc.packet();
-            Candidate cand;
-            cand.pkt = pkt;
-            cand.port = in;
-            cand.vc = v;
-            cand.age = pkt->genCycle;
-            cand.rrKey = enumIdx;
             const RouteEntry route = routeFor(*pkt);
-            cand.outPort = route.outPort;
-            cand.dropIdx = route.dropIdx;
-            cand.prio = rank(*pkt, *in, cand.outPort);
-            auto &best = best_[static_cast<std::size_t>(cand.outPort)];
-            if (best.pkt == nullptr ||
-                policy.better(arbKey(cand), arbKey(best), cand.outPort)) {
-                best = cand;
-            }
+            ArbSlot slot = slotFor(in, pkt, vc.headArrival(), enumIdx,
+                                   route.dropIdx);
+            slot.vc = v;
+            offer(slot, route.outPort);
         }
     }
 }
@@ -468,21 +446,10 @@ Router::scanOutput(int outPort, TickContext &ctx)
         }
     }
     outWake_[o] = wake;
-
-    Candidate &best = best_[o];
-    if (win == nullptr) {
-        best.pkt = nullptr;
-        return;
-    }
-    best.pkt = win->pkt;
-    best.port = win->port;
-    best.vc = win->vc;
-    best.inj = win->inj;
-    best.prio = winKey.prio;
-    best.age = winKey.age;
-    best.rrKey = winKey.rrKey;
-    best.outPort = outPort;
-    best.dropIdx = win->dropIdx;
+    if (win == nullptr)
+        best_[o].slot.pkt = nullptr;
+    else
+        best_[o] = Winner{*win, winKey.prio};
 }
 
 void
@@ -581,26 +548,28 @@ Router::checkSlots(Cycle now, bool wakes) const
 }
 
 bool
-Router::validate(const Candidate &cand) const
+Router::validate(const ArbSlot &slot) const
 {
-    if (cand.vc >= 0) {
+    if (slot.vc >= 0) {
         const VirtualChannel &vc =
-            cand.port->vcs[static_cast<std::size_t>(cand.vc)];
+            slot.port->vcs[static_cast<std::size_t>(slot.vc)];
         return vc.state() == VirtualChannel::State::Reserved &&
-               vc.packet() == cand.pkt &&
-               cand.pkt->state == PacketState::InFlight;
+               vc.packet() == slot.pkt &&
+               slot.pkt->state == PacketState::InFlight;
     }
-    return !cand.inj->queue().empty() &&
-           cand.inj->queue().front() == cand.pkt &&
-           cand.pkt->state == PacketState::Queued;
+    return !slot.inj->queue().empty() &&
+           slot.inj->queue().front() == slot.pkt &&
+           slot.pkt->state == PacketState::Queued;
 }
 
 void
-Router::tryGrant(Candidate &cand, TickContext &ctx)
+Router::tryGrant(int outPort, TickContext &ctx)
 {
+    const Winner &win = best_[static_cast<std::size_t>(outPort)];
+    const ArbSlot &cand = win.slot;
     if (!validate(cand))
         return;
-    OutputPort *out = outputs_[static_cast<std::size_t>(cand.outPort)].get();
+    OutputPort *out = outputs_[static_cast<std::size_t>(outPort)].get();
     NetPacket *pkt = cand.pkt;
 
     if (!out->linkFree(ctx.now) || out->transfer().active) {
@@ -614,7 +583,7 @@ Router::tryGrant(Candidate &cand, TickContext &ctx)
         if (out->transfer().active &&
             policy_->onAllocFail(ctx.now - pkt->blockedSince,
                                  /*xferBlocked=*/true)) {
-            tryPreempt(cand,
+            tryPreempt(outPort,
                        out->drops[static_cast<std::size_t>(cand.dropIdx)]
                            .down,
                        ctx);
@@ -639,7 +608,7 @@ Router::tryGrant(Candidate &cand, TickContext &ctx)
             pkt->blockedSince = ctx.now;
         if (policy_->onAllocFail(ctx.now - pkt->blockedSince,
                                  /*xferBlocked=*/false)) {
-            tryPreempt(cand, down, ctx);
+            tryPreempt(outPort, down, ctx);
         }
         return;
     }
@@ -647,7 +616,7 @@ Router::tryGrant(Candidate &cand, TickContext &ctx)
 
     if (fromInjection) {
         cand.inj->dequeue();
-        pkt->beginAttempt(ctx.now);
+        pkt->beginAttempt();
         // The compliance mark protects this packet at hops that reuse the
         // source-computed priority (DPS pass-through). Stamp it from the
         // source router's per-output counter — the same basis those hops'
@@ -672,8 +641,8 @@ Router::tryGrant(Candidate &cand, TickContext &ctx)
 
     // Priority reuse: the next hop (a DPS repeater, or any router without
     // local state for this flow) arbitrates with the value computed here.
-    pkt->carriedPrio = cand.prio;
-    if (flowTable_.enabled() && !cand.port->usesCarriedPrio) {
+    pkt->carriedPrio = win.prio;
+    if (flowTable_.enabled() && !cand.carried) {
         flowTable_.charge(out->tableIdx, pkt->flow, pkt->sizeFlits);
         pkt->logCharge(&flowTable_, out->tableIdx);
     }
@@ -687,7 +656,7 @@ Router::tryGrant(Candidate &cand, TickContext &ctx)
 
     const VcRef srcVc = fromInjection ? VcRef{nullptr, -1}
                                       : VcRef{cand.port, cand.vc};
-    out->startTransfer(pkt, cand.dropIdx, vcIdx, srcVc, ctx.now);
+    out->startTransfer(pkt, cand.dropIdx, srcVc, ctx.now);
     ++ctx.stats.hops;
     if (trace_ != nullptr)
         trace_->hop(ctx.now, node_, *down, vcIdx, *pkt);
@@ -695,11 +664,11 @@ Router::tryGrant(Candidate &cand, TickContext &ctx)
     if (cand.port->group != nullptr)
         cand.port->group->occupy(ctx.now, pkt->sizeFlits);
 
-    policy_->onGrant(cand.outPort, arbKey(cand));
+    policy_->onGrant(outPort, arbKey(cand, win.prio));
     // The grant rotated policy state and consumed a candidate: rescan
     // this output next cycle. (The slot hooks above already imply it;
     // kept explicit because onGrant state is invisible to them.)
-    dirtyOutput(cand.outPort);
+    dirtyOutput(outPort);
 }
 
 bool
@@ -721,8 +690,8 @@ Router::quotaProtected(const NetPacket &pkt, bool localState,
     return pkt.rateCompliant;
 }
 
-bool
-Router::tryPreempt(const Candidate &cand, InputPort *down, TickContext &ctx)
+void
+Router::tryPreempt(int outPort, InputPort *down, TickContext &ctx)
 {
     // Priority inversion: the requester is blocked on its output by
     // buffered lower-priority packets (no downstream VC, or the channel is
@@ -739,37 +708,24 @@ Router::tryPreempt(const Candidate &cand, InputPort *down, TickContext &ctx)
     // this router's inputs. On equal priority a victim that is not
     // mid-transfer is preferred — discarding work already on a wire costs
     // throughput (Sec. 5.3 notes most victims fall at or near the source).
-    const bool localState =
-        flowTable_.enabled() && !cand.port->usesCarriedPrio;
-    const int tbl =
-        outputs_[static_cast<std::size_t>(cand.outPort)]->tableIdx;
-
-    // A victimless search is pure, and its outcome depends only on the
-    // requester, its priority, and the buffered-packet/table state on
-    // both sides of the contested channel — all tracked by the mutation
-    // epochs. A blocked requester retries every cycle past the wait
-    // threshold; without the memo those retries rescan identical state.
-    PreemptMemo &memo =
-        preemptMemo_[static_cast<std::size_t>(cand.outPort)];
-    if (!ctx.forceScan && memo.pkt == cand.pkt && memo.prio == cand.prio &&
-        memo.down == down && memo.selfEpoch == mutEpoch_ &&
-        memo.downEpoch == down->mutEpoch()) {
-        return false;
-    }
+    const Winner &win = best_[static_cast<std::size_t>(outPort)];
+    const NetPacket *requester = win.slot.pkt;
+    const bool localState = flowTable_.enabled() && !win.slot.carried;
+    const int tbl = outputs_[static_cast<std::size_t>(outPort)]->tableIdx;
 
     NetPacket *victim = nullptr;
     std::uint64_t victimPrio = 0;
 
     auto consider = [&](NetPacket *pkt) {
-        if (pkt == nullptr || pkt == cand.pkt || pkt == victim)
+        if (pkt == nullptr || pkt == requester || pkt == victim)
             return;
         if (quotaProtected(*pkt, localState, tbl))
             return;
         const std::uint64_t prio = localState
             ? flowTable_.priorityOf(tbl, pkt->flow)
             : pkt->carriedPrio;
-        if (prio <= cand.prio ||
-            prio - cand.prio <= params_->preemptGapScaled()) {
+        if (prio <= win.prio ||
+            prio - win.prio <= params_->preemptGapScaled()) {
             return;
         }
         if (victim == nullptr || prio > victimPrio ||
@@ -799,32 +755,22 @@ Router::tryPreempt(const Candidate &cand, InputPort *down, TickContext &ctx)
                 if (vc.state() != VirtualChannel::State::Reserved)
                     continue;
                 NetPacket *pkt = vc.packet();
-                if (pkt == nullptr ||
-                    routeFor(*pkt).outPort != cand.outPort) {
+                if (pkt == nullptr || routeFor(*pkt).outPort != outPort)
                     continue;
-                }
                 consider(pkt);
             }
         }
     } else {
         for (const ArbSlot &slot :
-             slots_[static_cast<std::size_t>(cand.outPort)]) {
+             slots_[static_cast<std::size_t>(outPort)]) {
             if (slot.inj != nullptr)
                 continue; // source-queued packets hold no buffer here
             consider(slot.pkt);
         }
     }
 
-    if (victim == nullptr) {
-        memo.pkt = cand.pkt;
-        memo.prio = cand.prio;
-        memo.down = down;
-        memo.selfEpoch = mutEpoch_;
-        memo.downEpoch = down->mutEpoch();
-        return false;
-    }
-    killPacket(victim, ctx);
-    return true;
+    if (victim != nullptr)
+        killPacket(victim, ctx);
 }
 
 void
@@ -850,7 +796,6 @@ Router::killPacket(NetPacket *victim, TickContext &ctx)
     }
     victim->clearLocs();
     victim->state = PacketState::Dropped;
-    ++victim->preemptions;
 
     // Refund the attempt's bandwidth charges: the discarded service must
     // not count against the victim's virtual clock.
@@ -919,8 +864,8 @@ Router::arbitrate(TickContext &ctx)
     if (ctx.forceScan) {
         collectCandidates<P>(ctx);
         for (std::size_t o = 0; o < outputs_.size(); ++o) {
-            if (best_[o].pkt != nullptr)
-                tryGrant(best_[o], ctx);
+            if (best_[o].slot.pkt != nullptr)
+                tryGrant(static_cast<int>(o), ctx);
         }
         return;
     }
@@ -944,7 +889,7 @@ Router::arbitrate(TickContext &ctx)
             }
             if (outWake_[o] < minWake)
                 minWake = outWake_[o];
-            if (best_[o].pkt != nullptr)
+            if (best_[o].slot.pkt != nullptr)
                 ++winners;
         }
         anyOutDirty_ = false;
@@ -954,8 +899,8 @@ Router::arbitrate(TickContext &ctx)
     if (winners_ == 0)
         return;
     for (std::size_t o = 0; o < outputs_.size(); ++o) {
-        if (best_[o].pkt != nullptr)
-            tryGrant(best_[o], ctx);
+        if (best_[o].slot.pkt != nullptr)
+            tryGrant(static_cast<int>(o), ctx);
     }
 }
 
@@ -969,15 +914,15 @@ Router::tick(TickContext &ctx)
 void
 Router::rebuildFromRestore()
 {
-    for (const auto &in : inputs_)
-        in->recountHot();
     occupiedVcs_ = 0;
     queuedPkts_ = 0;
     activeXfers_ = 0;
     nextCompletion_ = kNoCycle;
     for (const auto &in : inputs_) {
+        in->recountHot();
         occupiedVcs_ += in->occupied();
-        queuedPkts_ += in->queuedPackets();
+        for (const InjectorQueue *inj : in->injectors)
+            queuedPkts_ += static_cast<int>(inj->queue().size());
     }
     for (const auto &out : outputs_) {
         const OutputPort::Transfer &xfer = out->transfer();
@@ -1012,14 +957,12 @@ Router::rebuildFromRestore()
     // outputs — the same full invalidation a frame flush performs, which
     // the always-tick cross-check proves bit-identical.
     for (auto &b : best_)
-        b = Candidate{};
+        b = Winner{};
     std::fill(outDirty_.begin(), outDirty_.end(), 1);
     std::fill(outWake_.begin(), outWake_.end(), 0);
-    preemptMemo_.assign(outputs_.size(), {});
     anyOutDirty_ = true;
     minWake_ = 0;
     winners_ = 0;
-    mutEpoch_ = 0;
     inWorklist_ = false; // the engine repopulates its pending list
 }
 

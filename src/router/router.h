@@ -194,10 +194,10 @@ class Router {
     /// queues, transfers) bypassed every incremental hook, so recompute
     /// all derived activity state from the restored structural state —
     /// work counters, arbitration slot lists, cached winners, dirty
-    /// flags, wakes, preemption memos. Leaves every output dirty with
-    /// wake 0 and the router off the worklist (the engine re-arms it);
-    /// the first tick then does the same full rescan a frame-boundary
-    /// invalidation would, which is proven bit-identical.
+    /// flags, wakes. Leaves every output dirty with wake 0 and the router
+    /// off the worklist (the engine re-arms it); the first tick then does
+    /// the same full rescan a frame-boundary invalidation would, which is
+    /// proven bit-identical.
     void rebuildFromRestore();
 
     // Hooks from the port layer (see ports.h). Work-creating events arm
@@ -231,18 +231,6 @@ class Router {
     void checkSlots(Cycle now, bool wakes) const;
 
   private:
-    struct Candidate {
-        NetPacket *pkt = nullptr;
-        InputPort *port = nullptr;
-        int vc = -1;               ///< -1 when from an injector queue
-        InjectorQueue *inj = nullptr;
-        std::uint64_t prio = 0;
-        Cycle age = 0;
-        std::uint32_t rrKey = 0; ///< round-robin position for NoQos
-        int outPort = -1;
-        int dropIdx = 0;
-    };
-
     /// One cached arbitration slot: a Reserved VC (vc >= 0) or an
     /// injector queue's head packet (inj != nullptr), routed to the
     /// output whose list holds it. It carries everything the scan reads
@@ -264,6 +252,14 @@ class Router {
         bool carried = false; ///< port reuses the carried priority
     };
 
+    /// An output's winner: a copy of its slot (the list may change
+    /// before the grant) and the rank it won with. No winner: slot.pkt
+    /// is null.
+    struct Winner {
+        ArbSlot slot;
+        std::uint64_t prio = 0;
+    };
+
     /// One arbitration phase ranked by policy `P`'s inline rank() and
     /// better(), instantiated once per policy class and picked at
     /// finalize(): the always-tick engine's collect-then-grant, or the
@@ -271,7 +267,9 @@ class Router {
     template <class P>
     void arbitrate(TickContext &ctx);
     /// Legacy full scan: every input, every VC, every injector, all
-    /// outputs at once (the always-tick reference path).
+    /// outputs at once (the always-tick reference path). It judges
+    /// eligibility and numbers candidates from the live VC and queue
+    /// state, and offers each in a slot's shape.
     template <class P>
     void collectCandidates(TickContext &ctx);
     /// Activity path: re-derive one output's winner from its slot list.
@@ -291,19 +289,19 @@ class Router {
     {
         outDirty_[static_cast<std::size_t>(outPort)] = 1;
         anyOutDirty_ = true;
-        ++mutEpoch_;
     }
 
-    static ArbKey arbKey(const Candidate &c)
+    static ArbKey arbKey(const ArbSlot &slot, std::uint64_t prio)
     {
-        return ArbKey{c.prio, c.age, c.pkt->flow, c.rrKey};
+        return ArbKey{prio, slot.genCycle, slot.flow, slot.key};
     }
-    void tryGrant(Candidate &cand, TickContext &ctx);
-    bool tryPreempt(const Candidate &cand, InputPort *down, TickContext &ctx);
+    void tryGrant(int outPort, TickContext &ctx);
+    void tryPreempt(int outPort, InputPort *down, TickContext &ctx);
     /// Is `pkt` shielded from preemption by the reserved per-frame quota?
     bool quotaProtected(const NetPacket &pkt, bool localState,
                         int tableIdx) const;
-    bool validate(const Candidate &cand) const;
+    /// Does `slot`'s packet still sit where the slot says?
+    bool validate(const ArbSlot &slot) const;
 
     NodeId node_;
     const PvcParams *params_;
@@ -327,9 +325,9 @@ class Router {
     NodeId routeBase_ = 0;
     FlowTable flowTable_;
 
-    /// Best candidate per output; cached between cycles and re-derived
-    /// only when the output is dirty or its wake has come due.
-    std::vector<Candidate> best_;
+    /// Winner per output; cached between cycles and re-derived only
+    /// when the output is dirty or its wake has come due.
+    std::vector<Winner> best_;
 
     /// Per-output cached candidate state. `slots_[o]` is kept sorted by
     /// enumeration key, so a scan visits candidates in exactly the order
@@ -349,23 +347,6 @@ class Router {
     bool anyOutDirty_ = true;
     Cycle minWake_ = 0;
     int winners_ = 0;
-
-    /// Mutation epoch: bumped by every state change the preemption victim
-    /// search can observe on this router's side (slot changes, table
-    /// charges, frame flushes). A victimless search whose inputs —
-    /// requester, its priority, this epoch, and the contested downstream
-    /// port's epoch — are unchanged must fail again, so it is skipped.
-    std::uint64_t mutEpoch_ = 0;
-
-    /// Last victimless preemption search per output (activity mode).
-    struct PreemptMemo {
-        const NetPacket *pkt = nullptr;
-        std::uint64_t prio = 0;
-        const InputPort *down = nullptr;
-        std::uint64_t selfEpoch = 0;
-        std::uint64_t downEpoch = 0;
-    };
-    std::vector<PreemptMemo> preemptMemo_;
 
     ActivityWorklist *worklist_ = nullptr;
     bool inWorklist_ = false;

@@ -520,7 +520,6 @@ NetSim::saveCheckpoint(std::ostream &os) const
         w.i32(p->sizeFlits);
         w.u64(p->genCycle);
         w.u64(p->queuedCycle);
-        w.u64(p->injectCycle);
         w.u64(p->deliverCycle);
         w.u8(static_cast<std::uint8_t>(p->state));
         w.u8(p->measured ? 1 : 0);
@@ -530,7 +529,6 @@ NetSim::saveCheckpoint(std::ostream &os) const
         w.u64(p->frameTag);
         w.u64(p->blockedSince);
         w.f64(p->hopsThisAttempt);
-        w.i32(p->preemptions);
         w.i32(p->numLocs);
         for (int l = 0; l < p->numLocs; ++l) {
             w.port(p->locs[static_cast<std::size_t>(l)].port);
@@ -570,7 +568,6 @@ NetSim::saveCheckpoint(std::ostream &os) const
             w.u8(x.active ? 1 : 0);
             w.pkt(x.pkt);
             w.i32(x.dropIdx);
-            w.i32(x.dstVc);
             w.u64(x.firstFlit);
             w.u64(x.tailDepart);
             w.port(x.srcVc.port);
@@ -696,7 +693,6 @@ NetSim::restoreCheckpoint(std::istream &is, std::string *err)
             p->sizeFlits = r.i32();
             p->genCycle = r.u64();
             p->queuedCycle = r.u64();
-            p->injectCycle = r.u64();
             p->deliverCycle = r.u64();
             const std::uint8_t state = r.u8();
             if (state > static_cast<std::uint8_t>(PacketState::Dropped))
@@ -709,7 +705,6 @@ NetSim::restoreCheckpoint(std::istream &is, std::string *err)
             p->frameTag = r.u64();
             p->blockedSince = r.u64();
             p->hopsThisAttempt = r.f64();
-            p->preemptions = r.i32();
             p->numLocs = r.i32();
             if (p->numLocs < 0 ||
                 p->numLocs > static_cast<int>(p->locs.size()))
@@ -771,7 +766,6 @@ NetSim::restoreCheckpoint(std::istream &is, std::string *err)
                 x.active = r.u8() != 0;
                 x.pkt = r.pkt();
                 x.dropIdx = r.i32();
-                x.dstVc = r.i32();
                 x.firstFlit = r.u64();
                 x.tailDepart = r.u64();
                 x.srcVc.port = r.port();

@@ -58,7 +58,10 @@ inline constexpr char kCheckpointMagic[8] = {'T', 'A', 'Q', 'O',
 /// only their own block's flows (see FlowTable), not every flow.
 /// Version 5: standalone-column runs save the fabric's "extra" record
 /// (ColumnSim became the row-less FabricSim).
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+/// Version 6: packet records drop the attempt's injection cycle and the
+/// preemption count, and transfer records the destination VC; nothing
+/// read them.
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 /// A checkpoint could not be read: wrong magic/version/salt, topology
 /// mismatch, truncation, or a corrupted record. The message names the

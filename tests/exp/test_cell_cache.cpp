@@ -3,15 +3,19 @@
 /// round-trips, corrupt fragments degrading to misses, cached re-runs
 /// emitting byte-identical JSON with every cell a hit, and replicates
 /// that share their seed (mixSeeds = false) running one identical
-/// simulation each, so the cache alone covers their reuse.
+/// simulation each, so the cache alone covers their reuse, and seeded
+/// mutants of a stored fragment each loading as a hit or a miss.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "exp/cell_cache.h"
 #include "exp/sweep.h"
+#include "mutants.h"
 
 namespace taqos {
 namespace {
@@ -144,6 +148,68 @@ TEST(CellCacheIO, CorruptFragmentIsAMissNotAnError)
         os << "taqos-cell/v999\nnonsense\n";
     }
     EXPECT_FALSE(cache.load(cell, loaded));
+}
+
+TEST(CellCacheIO, MutantFragmentsLoadOrMiss)
+{
+    const std::string dir = cacheDir("cellcache_mutants");
+    const CellCache cache(dir);
+
+    // A fixed result, so the pin depends on the reader alone.
+    const CellSpec cell = tinySpec().expand()[0];
+    CellResult res;
+    res.put("avg_latency", 23.4375);
+    res.put("p95_latency", 41.0);
+    res.put("preemption_packet_rate", 0.0123);
+    res.put("window_flits", 1536.0);
+    res.put("saturated", 0.0);
+    ASSERT_TRUE(cache.store(cell, res));
+    const std::string frag =
+        dir + "/" + CellCache::fragmentName(CellCache::cellKey(cell));
+    std::string base;
+    {
+        std::ifstream is(frag, std::ios::binary);
+        base.assign(std::istreambuf_iterator<char>(is),
+                    std::istreambuf_iterator<char>());
+    }
+    // Schema, key echo, spec echo, count, five metrics, end.
+    const std::vector<std::string> baseLines = mutants::splitLines(base);
+    ASSERT_EQ(baseLines.size(), 10u);
+
+    mutants::Fnv verdicts;
+    Rng rng(0xce11cace);
+    std::size_t hits = 0;
+    std::size_t echoMutants = 0;
+    for (int i = 0; i < 3000; ++i) {
+        const std::string text = mutants::mutate(base, rng);
+        {
+            std::ofstream os(frag, std::ios::binary | std::ios::trunc);
+            os << text;
+        }
+        CellResult loaded;
+        const bool hit = cache.load(cell, loaded);
+        verdicts.u64(hit);
+        if (hit) {
+            ++hits;
+            EXPECT_EQ(loaded.spec.seed, cell.seed);
+            verdicts.u64(loaded.metrics.size());
+            for (const auto &[name, v] : loaded.metrics) {
+                verdicts.str(name);
+                verdicts.f64(v);
+            }
+        }
+        // A fragment whose key or spec echo is not the cell's own is
+        // another cell's result, or none: never served.
+        const std::vector<std::string> lines = mutants::splitLines(text);
+        if (lines.size() < 3 || lines[1] != baseLines[1] ||
+            lines[2] != baseLines[2]) {
+            ++echoMutants;
+            EXPECT_FALSE(hit) << text;
+        }
+    }
+    EXPECT_EQ(echoMutants, 1699u);
+    EXPECT_EQ(hits, 196u);
+    EXPECT_EQ(verdicts.h, 10074141753090629108ull);
 }
 
 TEST(CellCacheSweep, CachedRerunIsAllHitsAndByteIdentical)

@@ -39,8 +39,7 @@ TEST(Packet, BeginAttemptResetsPerAttemptState)
     pkt.addLoc(&a, 0);
     pkt.hopsThisAttempt = 3.0;
     pkt.blockedSince = 55;
-    pkt.beginAttempt(100);
-    EXPECT_EQ(pkt.injectCycle, 100u);
+    pkt.beginAttempt();
     EXPECT_EQ(pkt.state, PacketState::InFlight);
     EXPECT_EQ(pkt.attempt, 1);
     EXPECT_EQ(pkt.numLocs, 0);

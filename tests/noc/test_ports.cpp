@@ -130,7 +130,7 @@ TEST_F(TransferTest, FullLifecycle)
     down_.vcs[1].reserve(&pkt_, 12, 15); // now+1+wire .. +size-1
     pkt_.addLoc(&down_, 1);
 
-    out_.startTransfer(&pkt_, 0, 1, VcRef{&src_, 0}, 10);
+    out_.startTransfer(&pkt_, 0, VcRef{&src_, 0}, 10);
     EXPECT_EQ(pkt_.numXfers, 1);
     EXPECT_EQ(src_.vcs[0].state(), VirtualChannel::State::Draining);
     EXPECT_FALSE(out_.linkFree(13));
@@ -157,7 +157,7 @@ TEST_F(TransferTest, CancelComputesPartialWaste)
 {
     down_.vcs[0].reserve(&pkt_, 12, 15);
     pkt_.addLoc(&down_, 0);
-    out_.startTransfer(&pkt_, 0, 0, VcRef{nullptr, -1}, 10);
+    out_.startTransfer(&pkt_, 0, VcRef{nullptr, -1}, 10);
 
     // At cycle 12, flits on wire were cycles 11 and 12: half the packet.
     const double wasted = out_.cancelTransfer(12);
@@ -172,7 +172,7 @@ TEST_F(TransferTest, CancelBeforeFirstFlitWastesNothing)
 {
     down_.vcs[0].reserve(&pkt_, 12, 15);
     pkt_.addLoc(&down_, 0);
-    out_.startTransfer(&pkt_, 0, 0, VcRef{nullptr, -1}, 10);
+    out_.startTransfer(&pkt_, 0, VcRef{nullptr, -1}, 10);
     EXPECT_DOUBLE_EQ(out_.cancelTransfer(10), 0.0);
 }
 
@@ -187,7 +187,7 @@ TEST_F(TransferTest, MeshHopsWeighting)
     out_.drops[0].meshHops = 3.0;
     down_.vcs[0].reserve(&pkt_, 14, 17);
     pkt_.addLoc(&down_, 0);
-    out_.startTransfer(&pkt_, 0, 0, VcRef{nullptr, -1}, 10);
+    out_.startTransfer(&pkt_, 0, VcRef{nullptr, -1}, 10);
     out_.tickCompletion(14);
     EXPECT_DOUBLE_EQ(pkt_.hopsThisAttempt, 3.0);
 }

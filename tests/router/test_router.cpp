@@ -163,7 +163,6 @@ TEST(Router, KillPacketTearsDownChain)
     EXPECT_EQ(pkt->state, PacketState::Dropped);
     EXPECT_EQ(pkt->numLocs, 0);
     EXPECT_EQ(pkt->numXfers, 0);
-    EXPECT_EQ(pkt->preemptions, 1);
     EXPECT_EQ(metrics.preemptionEvents, 1u);
     EXPECT_EQ(ack.pending(), 1u);
     sim.checkInvariants();

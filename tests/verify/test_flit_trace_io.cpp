@@ -17,6 +17,7 @@
 
 #include "common/rng.h"
 #include "core/experiments.h"
+#include "mutants.h"
 #include "sim/column_sim.h"
 #include "sim/fabric_sim.h"
 #include "sim/trace_record.h"
@@ -26,29 +27,10 @@
 namespace taqos {
 namespace {
 
-/// 64-bit FNV-1a, fed byte by byte or field by field.
-struct Fnv {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-
-    void byte(unsigned char c) { h = (h ^ c) * 0x100000001b3ull; }
-    void bytes(std::string_view s)
-    {
-        for (unsigned char c : s)
-            byte(c);
-    }
-    void u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            byte(static_cast<unsigned char>(v >> (8 * i)));
-    }
-    void i32(std::int32_t v) { u64(static_cast<std::uint32_t>(v)); }
-    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-    void str(std::string_view s)
-    {
-        u64(s.size());
-        bytes(s);
-    }
-};
+using mutants::Fnv;
+using mutants::joinLines;
+using mutants::mutate;
+using mutants::splitLines;
 
 /// Every field of a parsed trace, read from the struct (not through the
 /// writer), so a parser pin does not depend on the writer.
@@ -168,69 +150,6 @@ TEST(FlitTraceText, SerializedBytesArePinned)
 }
 
 // --------------------------------------------------------- mutant corpus
-
-/// `text` split after every '\n'; the last piece may lack one.
-std::vector<std::string>
-splitLines(const std::string &text)
-{
-    std::vector<std::string> lines;
-    std::size_t at = 0;
-    while (at < text.size()) {
-        const std::size_t nl = text.find('\n', at);
-        const std::size_t end =
-            nl == std::string::npos ? text.size() : nl + 1;
-        lines.push_back(text.substr(at, end - at));
-        at = end;
-    }
-    return lines;
-}
-
-std::string
-joinLines(const std::vector<std::string> &lines)
-{
-    std::string text;
-    for (const std::string &l : lines)
-        text += l;
-    return text;
-}
-
-/// One to three seeded mutations of `base`.
-std::string
-mutate(const std::string &base, Rng &rng)
-{
-    // Token and line boundaries, signs, comment starts and NUL: the
-    // bytes the tokenizer and number reader branch on.
-    static constexpr char kBoundary[] = {'0', '9', ' ', '\t', '\n', '\r',
-                                         '-', '+', '#', '\0', 'x', '\v'};
-    std::string s = base;
-    const std::uint64_t ops = 1 + rng.nextBelow(3);
-    for (std::uint64_t k = 0; k < ops && !s.empty(); ++k) {
-        const std::uint64_t op = rng.nextBelow(6);
-        if (op == 0) {
-            s[rng.nextBelow(s.size())] ^=
-                static_cast<char>(1 + rng.nextBelow(255));
-        } else if (op == 1) {
-            s[rng.nextBelow(s.size())] =
-                kBoundary[rng.nextBelow(sizeof kBoundary)];
-        } else if (op == 2) {
-            s.resize(rng.nextBelow(s.size() + 1));
-        } else {
-            std::vector<std::string> lines = splitLines(s);
-            const std::size_t i = rng.nextBelow(lines.size());
-            if (op == 3) {
-                lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(i));
-            } else if (op == 4) {
-                const std::string dup = lines[i];
-                lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(i),
-                             dup);
-            } else {
-                std::swap(lines[i], lines[rng.nextBelow(lines.size())]);
-            }
-            s = joinLines(lines);
-        }
-    }
-    return s;
-}
 
 /// `base` with line `idx` (0-based, without its '\n') replaced by `with`.
 std::string
