@@ -32,24 +32,21 @@ num(double v, int prec = 2)
     return strFormat("%.*f", prec, v);
 }
 
-/// The rates step, 2*step, ... up to maxrate (inclusive up to rounding
-/// slack), from `maxrate=` and `step=`. Exits with one line unless both
-/// are > 0, so a zero step cannot loop forever and a zero maximum cannot
-/// fall back to a sweep's default rate.
+/// The rates step, 2*step, ... up to maxrate (rateRange), from
+/// `maxrate=` and `step=`. Exits with one line unless both are > 0, so a
+/// zero step cannot loop forever and a zero maximum cannot fall back to a
+/// sweep's default rate, and on a grid of more than kMaxGridRates rates.
 inline std::vector<double>
 rateGrid(const OptionMap &opts, double maxRateDflt, double stepDflt)
 {
     const double maxRate = opts.getDouble("maxrate", maxRateDflt);
     const double step = opts.getDouble("step", stepDflt);
+    const std::string text = strFormat("%g:%g", maxRate, step);
     if (step <= 0.0 || maxRate <= 0.0) {
-        optionError(strFormat("bad rates '%g:%g': want a,b,c or "
-                              "lo:hi:step (step > 0)",
-                              maxRate, step));
+        optionError("bad rates '" + text +
+                    "': want a,b,c or lo:hi:step (step > 0)");
     }
-    std::vector<double> rates;
-    for (double r = step; r <= maxRate + 1e-9; r += step)
-        rates.push_back(r);
-    return rates;
+    return rateRange(step, maxRate, step, text);
 }
 
 } // namespace taqos::benchutil

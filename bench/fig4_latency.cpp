@@ -11,8 +11,8 @@
 ///          mode=pvc|per-flow|no-qos|gsf|age|wrr (default pvc),
 ///          rates=a,b,c|lo:hi:step (overrides maxrate/step),
 ///          maxrate=0.15, step=0.01, threads=N, json=<prefix>,
-///          workload=SPEC | trace=FILE... | burst=on,off,gain
-///          (single dynamic-workload spec; churn has no column embedding)
+///          workload=SPEC (single dynamic-workload spec; churn has no
+///          column embedding)
 #include <cstdio>
 
 #include "bench_util.h"
@@ -84,8 +84,7 @@ main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
     opts.rejectUnknown({"fast", "pattern", "mode", "rates", "maxrate",
-                        "step", "threads", "json", "workload", "trace",
-                        "inflate", "window", "loop", "burst", "churn"});
+                        "step", "threads", "json", "workload"});
 
     RunPhases phases;
     if (opts.getBool("fast", false))
@@ -103,14 +102,11 @@ main(int argc, char **argv)
     const std::vector<WorkloadSpec> wspecs = workloadAxisFromOpts(opts);
     if (wspecs.size() > 1)
         optionError("fig4_latency takes a single workload spec");
-    WorkloadSpec workload;
-    if (!wspecs.empty()) {
-        if (wspecs[0].kind == WorkloadKind::Churn) {
-            optionError("tenant churn needs the chip_consolidation "
-                        "scenario, not latency_load");
-        }
-        workload = wspecs[0];
-    }
+    const WorkloadSpec workload = wspecs.empty() ? WorkloadSpec{} : wspecs[0];
+    const std::string werr =
+        workloadScenarioError(workload, Scenario::LatencyLoad);
+    if (!werr.empty())
+        optionError(werr);
 
     const std::string which = opts.get("pattern", "both");
     if (which != "both" && which != "uniform" && which != "tornado")

@@ -15,9 +15,8 @@
 ///   rate=0.05            flits/cycle per owned compute node
 ///   remote=0.25          remote-chip share of each node's rate
 ///   workload=SPEC        dynamic workload (steady | bursty:... |
-///                        ramp:...; burst=on,off,gain shorthand works
-///                        too — trace has no fabric embedding, and churn
-///                        runs only in the sweep's chip scenario)
+///                        ramp:...; trace has no fabric embedding, and
+///                        churn runs only in the sweep's chip scenario)
 ///   verify=1             record the flit trace and run the independent
 ///                        checker's audit on it (exit 1 on violations)
 ///   seed=S warmup=C measure=C drain=C
@@ -46,10 +45,8 @@ main(int argc, char **argv)
 {
     const OptionMap opts(argc, argv);
     opts.rejectUnknown({"chips", "tiles", "columns", "topo", "mode",
-                        "links", "rate", "remote", "workload", "trace",
-                        "inflate", "window", "loop", "burst", "churn",
-                        "verify", "seed", "warmup", "measure", "drain",
-                        "fast"});
+                        "links", "rate", "remote", "workload", "verify",
+                        "seed", "warmup", "measure", "drain", "fast"});
 
     FabricConsolidationConfig cfg;
     cfg.chips = opts.getInt("chips", 4);
@@ -71,11 +68,9 @@ main(int argc, char **argv)
     if (wspecs.size() > 1)
         optionError("fabric_cli takes a single workload spec");
     if (!wspecs.empty()) {
-        if (!wspecs[0].isSteady() && !wspecs[0].modulated()) {
-            optionError(strFormat(
-                "fabric runs take steady/bursty/ramp workloads, got %s",
-                workloadKindName(wspecs[0].kind)));
-        }
+        const std::string werr = fabricWorkloadError(wspecs[0]);
+        if (!werr.empty())
+            optionError(werr);
         cfg.workload = wspecs[0];
     }
     cfg.seed = opts.getInt("seed", cfg.seed);

@@ -17,9 +17,6 @@
 ///   workload=SPEC[;SPEC]  dynamic-workload axis (steady | bursty:... |
 ///                         ramp:... | trace:path=... | churn:...);
 ///                         ';'-separated because specs contain ','
-///   trace=FILE inflate=F window=b:e loop=1   trace-replay shorthand
-///   burst=on,off,gain | burst=1              ON/OFF bursty shorthand
-///   churn=frames[,maxvms[,attack]] | churn=1 tenant-churn shorthand
 ///   reps=N (N >= 1) seed=S mix=0|1
 ///   warmup=C measure=C drain=C gencycles=C (adversarial: C >= 1)
 ///   threads=N            cell workers (0 = hardware concurrency; each
@@ -42,6 +39,7 @@
 /// value the scenario runs anyway, a workload spec the scenario cannot
 /// run (churn outside scenario=chip, trace replay outside latency_load)
 /// with "workload '<spec>' cannot run in the <scenario> scenario: ...",
+/// a lo:hi:step grid of more than 1000 rates with "bad rates '<s>': ...",
 /// reps= below 1 with "a sweep needs at least 1 replicate, got <n>", and
 /// gencycles=0 under scenario=adversarial with "the adversarial scenario
 /// needs a generation horizon of at least 1 cycle, got 0", all with exit
@@ -88,10 +86,8 @@ bool
 applyPreset(const std::string &name, SweepSpec &spec)
 {
     if (name == "fig4") {
-        std::vector<double> rates;
-        for (double r = 0.01; r <= 0.15 + 1e-9; r += 0.01)
-            rates.push_back(r);
-        spec = fig4Spec(TrafficPattern::UniformRandom, rates);
+        spec = fig4Spec(TrafficPattern::UniformRandom,
+                        parseRateList("0.01:0.15:0.01"));
         return true;
     }
     if (name == "fig5" || name == "fig6" || name == "adversarial") {
@@ -117,10 +113,8 @@ main(int argc, char **argv)
     // Every key read below (the usage header's order).
     opts.rejectUnknown({"preset", "scenario", "topos", "patterns", "modes",
                         "rates", "workloads", "placements", "workload",
-                        "trace", "inflate", "window", "loop", "burst",
-                        "churn", "reps", "seed", "mix", "warmup", "measure",
-                        "drain", "gencycles", "threads", "out", "cache",
-                        "name"});
+                        "reps", "seed", "mix", "warmup", "measure", "drain",
+                        "gencycles", "threads", "out", "cache", "name"});
 
     SweepSpec spec;
     const std::string preset = opts.get("preset", "");

@@ -137,10 +137,6 @@ parseRunOptions(const std::vector<std::string> &args)
             const auto w = WorkloadSpec::parse(val, &err);
             if (!w.has_value())
                 fail(err);
-            if (w->kind == WorkloadKind::Churn) {
-                fail("tenant churn needs the chip_consolidation scenario; "
-                     "the audited column has no embedding for it");
-            }
             // Load the trace now, so a missing or malformed file fails
             // here instead of aborting the simulator's constructor.
             if (w->kind == WorkloadKind::Trace &&
@@ -190,6 +186,10 @@ parseRunOptions(const std::vector<std::string> &args)
         // default column audited instead of the run that was named.
         if (!fabricKey.empty())
             fail("option '" + fabricKey + "' needs fabric=1");
+        const std::string werr =
+            workloadScenarioError(run.workload, Scenario::LatencyLoad);
+        if (!werr.empty())
+            fail(werr);
         run.spec = columnFabricSpec(run.col);
         return run;
     }
@@ -197,11 +197,9 @@ parseRunOptions(const std::vector<std::string> &args)
     const std::string err = fabricSpecError(run.spec);
     if (!err.empty())
         fail("bad fabric: " + err);
-    if (!run.workload.isSteady() && !run.workload.modulated()) {
-        fail(strFormat("fabric runs take steady/bursty/ramp workloads, "
-                       "got %s",
-                       workloadKindName(run.workload.kind)));
-    }
+    const std::string werr = fabricWorkloadError(run.workload);
+    if (!werr.empty())
+        fail(werr);
     return run;
 }
 

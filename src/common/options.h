@@ -5,6 +5,7 @@
 /// per error shape:
 ///
 ///   bad rates '<s>': want a,b,c or lo:hi:step (rates >= 0, step > 0)
+///   bad rates '<s>': want a grid of at most 1000 rates
 ///   bad integer list '<s>': want a,b,c of int
 ///   bad option '<key>=<value>': want <what>
 ///   unknown <what> '<token>'[; valid: <names>]
@@ -14,6 +15,7 @@
 /// so a CLI never re-implements name matching.
 #pragma once
 
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -79,8 +81,32 @@ parseRateToken(const std::string &token, const std::string &whole)
 
 } // namespace detail
 
-/// `a,b,c` or `lo:hi:step` -> the list of rates, inclusive of `hi` up to
-/// rounding slack. Exits on malformed, negative or empty input.
+/// Most rates one lo:hi:step grid may hold.
+inline constexpr std::size_t kMaxGridRates = 1000;
+
+/// lo, lo + step, lo + step + step, ... up to hi (inclusive up to
+/// rounding slack): summed step by step, so every grid keeps the doubles
+/// (and with them the cell seeds and cache keys) it always had. `step`
+/// must be > 0. Exits with one `bad rates '<text>'` line at rate
+/// kMaxGridRates + 1, so a tiny step cannot grow the list without bound,
+/// nor loop forever where adding it no longer changes the sum.
+inline std::vector<double>
+rateRange(double lo, double hi, double step, const std::string &text)
+{
+    std::vector<double> rates;
+    for (double r = lo; r <= hi + 1e-9; r += step) {
+        if (rates.size() == kMaxGridRates) {
+            optionError(strFormat("bad rates '%s': want a grid of at most "
+                                  "%zu rates",
+                                  text.c_str(), kMaxGridRates));
+        }
+        rates.push_back(r);
+    }
+    return rates;
+}
+
+/// `a,b,c` or `lo:hi:step` (rateRange) -> the list of rates. Exits on
+/// malformed, negative or empty input and on an oversized grid.
 inline std::vector<double>
 parseRateList(const std::string &s)
 {
@@ -94,8 +120,7 @@ parseRateList(const std::string &s)
         const double step = detail::parseRateToken(strTrim(parts[2]), s);
         if (step <= 0.0)
             detail::badRates(s);
-        for (double r = lo; r <= hi + 1e-9; r += step)
-            rates.push_back(r);
+        rates = rateRange(lo, hi, step, s);
     } else {
         for (const auto &part : strSplit(s, ',')) {
             const std::string token = strTrim(part);

@@ -299,6 +299,15 @@ vmMixError(const FabricConsolidationConfig &cfg)
     return "";
 }
 
+std::string
+fabricWorkloadError(const WorkloadSpec &w)
+{
+    if (w.isSteady() || w.modulated())
+        return "";
+    return strFormat("fabric runs take steady/bursty/ramp workloads, got %s",
+                     workloadKindName(w.kind));
+}
+
 FabricConsolidationResult
 runFabricConsolidation(const FabricConsolidationConfig &cfg)
 {

@@ -222,6 +222,12 @@ struct FabricConsolidationResult {
 /// admissions.
 std::string vmMixError(const FabricConsolidationConfig &cfg);
 
+/// Why a fabric run cannot take workload `w`, as one line, or "" when it
+/// can: fabric_cli and verify_cli fabric=1 run steady, bursty and ramp
+/// workloads (trace replay is a column workload, and tenant churn runs
+/// only in the sweep's one-chip chip_consolidation cells).
+std::string fabricWorkloadError(const WorkloadSpec &w);
+
 /// The paper's consolidated-server scenario, from one chip to a fabric:
 /// every chip runs its own hypervisor admitting the placement's VM mix,
 /// every shared column of every chip is an active QOS block with flow

@@ -100,11 +100,9 @@ runAdversarialCell(const CellSpec &cell)
 {
     TAQOS_ASSERT(cell.workload == 1 || cell.workload == 2,
                  "adversarial workload must be 1 or 2");
-    TAQOS_ASSERT(cell.workloadSpec.isSteady() ||
-                     cell.workloadSpec.modulated(),
-                 "adversarial cells take steady/bursty/ramp workloads, "
-                 "got %s",
-                 workloadKindName(cell.workloadSpec.kind));
+    const std::string werr =
+        workloadScenarioError(cell.workloadSpec, Scenario::Adversarial);
+    TAQOS_ASSERT(werr.empty(), "%s", werr.c_str());
     const Cycle gen = cell.genCycles;
     const Cycle budget = gen * 10;
 
@@ -374,30 +372,36 @@ sweepSpecError(const SweepSpec &spec)
                          scenarioName(spec.scenario), axis);
     }
     for (const auto &w : spec.workloadSpecs) {
-        std::string why;
-        switch (spec.scenario) {
-          case Scenario::LatencyLoad:
-            if (w.kind == WorkloadKind::Churn)
-                why = "tenant churn needs the chip_consolidation scenario";
-            break;
-          case Scenario::Hotspot:
-          case Scenario::Adversarial:
-            if (!w.isSteady() && !w.modulated())
-                why = "it takes steady, bursty and ramp workloads only";
-            break;
-          case Scenario::ChipConsolidation:
-            if (w.kind == WorkloadKind::Trace)
-                why = "trace replay is a column workload";
-            break;
-        }
-        if (!why.empty()) {
-            return strFormat("workload '%s' cannot run in the %s "
-                             "scenario: %s",
-                             w.name().c_str(), scenarioName(spec.scenario),
-                             why.c_str());
-        }
+        std::string err = workloadScenarioError(w, spec.scenario);
+        if (!err.empty())
+            return err;
     }
     return {};
+}
+
+std::string
+workloadScenarioError(const WorkloadSpec &w, Scenario scenario)
+{
+    const char *why = nullptr;
+    switch (scenario) {
+      case Scenario::LatencyLoad:
+        if (w.kind == WorkloadKind::Churn)
+            why = "tenant churn needs the chip_consolidation scenario";
+        break;
+      case Scenario::Hotspot:
+      case Scenario::Adversarial:
+        if (!w.isSteady() && !w.modulated())
+            why = "it takes steady, bursty and ramp workloads only";
+        break;
+      case Scenario::ChipConsolidation:
+        if (w.kind == WorkloadKind::Trace)
+            why = "trace replay is a column workload";
+        break;
+    }
+    if (why == nullptr)
+        return {};
+    return strFormat("workload '%s' cannot run in the %s scenario: %s",
+                     w.name().c_str(), scenarioName(scenario), why);
 }
 
 std::vector<CellSpec>

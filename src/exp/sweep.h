@@ -104,10 +104,9 @@ struct SweepSpec {
     std::vector<double> rates;            ///< default: {0.05}
     std::vector<int> workloads;           ///< Adversarial; default: {1, 2}
     std::vector<int> placements;          ///< Chip; default: {0}
-    /// Dynamic-workload axis; default: {steady}. Per-scenario legality
-    /// (sweepSpecError; asserted by canonical()): trace replay only
-    /// drives the column scenarios (LatencyLoad), churn only
-    /// ChipConsolidation; bursty/ramp compose with every scenario.
+    /// Dynamic-workload axis; default: {steady}. Which kinds each
+    /// scenario runs is workloadScenarioError's rule (asserted by
+    /// canonical()).
     std::vector<WorkloadSpec> workloadSpecs;
 
     /// Replicate seeds per grid point (mean/stddev across them); at least 1.
@@ -138,6 +137,14 @@ struct SweepSpec {
 /// a workload spec the scenario cannot run. canonical() asserts on it
 /// after collapsing, and CLIs call it before any cell runs.
 std::string sweepSpecError(const SweepSpec &spec);
+
+/// Why `scenario` cannot run workload `w`, as one "workload '<spec>'
+/// cannot run in the <scenario> scenario: ..." line, or "" when it can:
+/// trace replay drives only the latency_load column, tenant churn only
+/// chip_consolidation, and bursty/ramp compose with every scenario. The
+/// one rule behind sweepSpecError and the CLIs that run a scenario's
+/// cells outside a sweep (fig4_latency, verify_cli's column audit).
+std::string workloadScenarioError(const WorkloadSpec &w, Scenario scenario);
 
 /// Mean/stddev/min/max of every metric of one grid point across its
 /// replicate seeds.

@@ -9,7 +9,6 @@
 ///   - better(...)      which of two candidates wins an output?
 ///   - onAllocFail(...) a blocked candidate: pay the preemption cost?
 ///   - onGrant(...)     a candidate won its output (rotate state)
-///   - rollover()       frame boundary: flush per-router policy state
 ///
 /// plus structural properties the topology builders and the engine query
 /// (flow-state tables, reserved escape VCs, unbounded per-flow queues,
@@ -96,10 +95,6 @@ class QosPolicy {
 
     /// Called from Router::finalize once the port structure exists.
     virtual void init(int numOutputs) { (void)numOutputs; }
-
-    /// Frame boundary: flush per-router policy state (the Router flushes
-    /// the flow table itself; this hook covers policy-private state).
-    virtual void rollover() {}
 
     /// Checkpointing: the policy's mutable per-router state as an opaque
     /// word vector (empty = stateless). A policy that adds mutable state

@@ -971,7 +971,6 @@ Router::frameFlush()
 {
     if (flowTable_.enabled())
         flowTable_.flush();
-    policy_->rollover();
 }
 
 } // namespace taqos

@@ -1,6 +1,9 @@
 #include "traffic/workload_spec.h"
 
+#include <algorithm>
 #include <bit>
+#include <cctype>
+#include <cstdlib>
 
 #include "common/options.h"
 #include "traffic/dynamic.h"
@@ -9,13 +12,17 @@
 namespace taqos {
 namespace {
 
-/// Canonical double formatting for name(): shortest form that still
-/// round-trips every value the CLIs and specs produce (12 significant
-/// digits; the cache key uses the raw bits, so nothing hinges on this).
+/// Canonical double formatting for name(): 12 significant digits, or 17
+/// where 12 do not give back the same double, so parse(name()) returns
+/// the very spec, raw bits included (the seed mix and the cache key fold
+/// them in).
 std::string
 fmtDouble(double v)
 {
-    return strFormat("%.12g", v);
+    std::string s = strFormat("%.12g", v);
+    if (std::strtod(s.c_str(), nullptr) != v)
+        s = strFormat("%.17g", v);
+    return s;
 }
 
 void
@@ -103,10 +110,20 @@ std::optional<WorkloadSpec>
 WorkloadSpec::parse(const std::string &s, std::string *err)
 {
     const std::string whole = strTrim(s);
+    // A spec is one line of text: diagnoses, the sweep record and the
+    // cell cache's spec echo line all carry it.
+    const auto ctl =
+        std::find_if(whole.begin(), whole.end(),
+                     [](unsigned char c) { return std::iscntrl(c) != 0; });
+    if (ctl != whole.end()) {
+        setErr(err, strFormat("bad workload: control character 0x%02x at "
+                              "byte %zu",
+                              static_cast<unsigned char>(*ctl),
+                              static_cast<std::size_t>(ctl - whole.begin())));
+        return std::nullopt;
+    }
     if (whole.empty()) {
-        setErr(err, strFormat(
-                        "bad workload '%s': want kind or kind:k=v[,k=v...]",
-                        s.c_str()));
+        setErr(err, "bad workload '': want kind or kind:k=v[,k=v...]");
         return std::nullopt;
     }
 
@@ -134,7 +151,7 @@ WorkloadSpec::parse(const std::string &s, std::string *err)
             setErr(err,
                    strFormat("bad workload '%s': want kind or "
                              "kind:k=v[,k=v...]",
-                             s.c_str()));
+                             whole.c_str()));
             return std::nullopt;
         }
         const std::string key = strLower(strTrim(kv.substr(0, eq)));
@@ -176,21 +193,18 @@ WorkloadSpec::parse(const std::string &s, std::string *err)
             else
                 known = false;
             break;
-          case WorkloadKind::Churn: {
-            std::uint64_t v = 0;
-            if (key == "frames") {
-                ok = parseU64Tok(val, v) && v >= 1;
-                spec.churnFrames = static_cast<int>(v);
-            } else if (key == "maxvms") {
-                ok = parseU64Tok(val, v) && v >= 1;
-                spec.churnMaxVms = static_cast<int>(v);
-            } else if (key == "attack") {
+          case WorkloadKind::Churn:
+            if (key == "frames")
+                ok = parseIntTok(val, spec.churnFrames) &&
+                     spec.churnFrames >= 1;
+            else if (key == "maxvms")
+                ok = parseIntTok(val, spec.churnMaxVms) &&
+                     spec.churnMaxVms >= 1;
+            else if (key == "attack")
                 ok = parseBoolTok(val, spec.churnAttack);
-            } else {
+            else
                 known = false;
-            }
             break;
-          }
           case WorkloadKind::Steady:
             known = false;
             break;
@@ -242,7 +256,7 @@ WorkloadSpec::parse(const std::string &s, std::string *err)
         break;
     }
     if (!bad.empty()) {
-        setErr(err, strFormat("bad workload '%s': %s", s.c_str(),
+        setErr(err, strFormat("bad workload '%s': %s", whole.c_str(),
                               bad.c_str()));
         return std::nullopt;
     }
@@ -287,30 +301,11 @@ WorkloadSpec::appendKeyWords(std::vector<std::uint64_t> &words) const
     }
 }
 
-namespace {
-
-/// Shorthand validation shares parse()'s semantic checks: round the spec
-/// through its canonical name and surface any diagnosis as the one
-/// canonical option error.
-WorkloadSpec
-validatedOrDie(const WorkloadSpec &spec)
-{
-    std::string err;
-    const auto parsed = WorkloadSpec::parse(spec.name(), &err);
-    if (!parsed.has_value())
-        optionError(err);
-    return *parsed;
-}
-
-} // namespace
-
 std::vector<WorkloadSpec>
 workloadAxisFromOpts(const OptionMap &opts)
 {
     std::vector<WorkloadSpec> out;
-
-    const std::string w = opts.get("workload", "");
-    for (const auto &part : strSplit(w, ';')) {
+    for (const auto &part : strSplit(opts.get("workload", ""), ';')) {
         const std::string tok = strTrim(part);
         if (tok.empty())
             continue;
@@ -318,95 +313,13 @@ workloadAxisFromOpts(const OptionMap &opts)
         const auto spec = WorkloadSpec::parse(tok, &err);
         if (!spec.has_value())
             optionError(err);
-        out.push_back(*spec);
-    }
-
-    if (opts.has("trace")) {
-        WorkloadSpec t;
-        t.kind = WorkloadKind::Trace;
-        t.tracePath = opts.get("trace", "");
-        if (t.tracePath.empty())
-            optionError("bad trace '': want trace=FILE");
-        const std::string inflate = opts.get("inflate", "");
-        if (!inflate.empty() && !parseDoubleTok(inflate, t.inflate))
-            optionError(strFormat(
-                "bad inflate '%s': want a fraction in (0, 1]",
-                inflate.c_str()));
-        const std::string window = opts.get("window", "");
-        if (!window.empty()) {
-            const auto parts = strSplit(window, ':');
-            std::uint64_t b = 0;
-            std::uint64_t e = 0;
-            if (parts.size() != 2 || !parseU64Tok(strTrim(parts[0]), b) ||
-                !parseU64Tok(strTrim(parts[1]), e)) {
-                optionError(strFormat(
-                    "bad window '%s': want begin:end (cycles)",
-                    window.c_str()));
-            }
-            t.windowBegin = b;
-            t.windowEnd = e;
-        }
-        t.traceLoop = opts.getBool("loop", false);
-        out.push_back(validatedOrDie(t));
-    } else if (opts.has("inflate") || opts.has("window") ||
-               opts.has("loop")) {
-        optionError("inflate=/window=/loop= need trace=FILE");
-    }
-
-    if (opts.has("burst")) {
-        WorkloadSpec b;
-        b.kind = WorkloadKind::Bursty;
-        const std::string v = opts.get("burst", "");
-        if (v != "1") {
-            const auto parts = strSplit(v, ',');
-            if (parts.size() != 3 ||
-                !parseDoubleTok(strTrim(parts[0]), b.burstOn) ||
-                !parseDoubleTok(strTrim(parts[1]), b.burstOff) ||
-                !parseDoubleTok(strTrim(parts[2]), b.burstGain)) {
-                optionError(strFormat(
-                    "bad burst '%s': want on,off,gain or burst=1",
-                    v.c_str()));
-            }
-        }
-        out.push_back(validatedOrDie(b));
-    }
-
-    if (opts.has("churn")) {
-        WorkloadSpec c;
-        c.kind = WorkloadKind::Churn;
-        const std::string v = opts.get("churn", "");
-        if (v != "1") {
-            const auto parts = strSplit(v, ',');
-            std::uint64_t frames = 0;
-            bool ok = !parts.empty() && parts.size() <= 3 &&
-                      parseU64Tok(strTrim(parts[0]), frames) && frames >= 1;
-            if (ok)
-                c.churnFrames = static_cast<int>(frames);
-            if (ok && parts.size() >= 2) {
-                std::uint64_t maxVms = 0;
-                ok = parseU64Tok(strTrim(parts[1]), maxVms) && maxVms >= 1;
-                c.churnMaxVms = static_cast<int>(maxVms);
-            }
-            if (ok && parts.size() == 3)
-                ok = parseBoolTok(strTrim(parts[2]), c.churnAttack);
-            if (!ok) {
-                optionError(strFormat(
-                    "bad churn '%s': want frames[,maxvms[,attack]] or "
-                    "churn=1",
-                    v.c_str()));
-            }
-        }
-        out.push_back(validatedOrDie(c));
-    }
-
-    // Load every trace now, so a missing or malformed file fails with one
-    // line before any work instead of aborting inside a cell.
-    for (const WorkloadSpec &spec : out) {
-        std::string err;
-        if (spec.kind == WorkloadKind::Trace &&
-            loadTraceFile(spec.tracePath, &err) == nullptr) {
+        // Load every trace now, so a missing or malformed file fails with
+        // one line before any work instead of aborting inside a cell.
+        if (spec->kind == WorkloadKind::Trace &&
+            loadTraceFile(spec->tracePath, &err) == nullptr) {
             optionError(err);
         }
+        out.push_back(*spec);
     }
     return out;
 }

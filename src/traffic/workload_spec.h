@@ -92,7 +92,9 @@ struct WorkloadSpec {
     std::string name() const;
 
     /// Parse the canonical grammar. Returns nullopt and sets `*err` (when
-    /// non-null) to a one-line diagnosis on malformed input; never exits.
+    /// non-null) to a one-line diagnosis on malformed input, a control
+    /// character or an integer outside its field's type included; never
+    /// exits.
     static std::optional<WorkloadSpec> parse(const std::string &s,
                                             std::string *err = nullptr);
 
@@ -108,14 +110,11 @@ operator==(const WorkloadSpec &a, const WorkloadSpec &b)
     return a.name() == b.name();
 }
 
-/// Unified CLI workload axis: resolves `workload=` (';'-separated spec
-/// strings) plus the shorthand options `trace=PATH` (with `inflate=`,
-/// `window=begin:end`, `loop=1`), `burst=on,off,gain` (or `burst=1` for
-/// defaults) and `churn=frames[,maxvms[,attack]]` (or `churn=1`) into the
-/// list of workload specs a CLI should sweep. Empty when none of the
-/// options are present (callers keep their steady default). Exits with
-/// the canonical option-error message on malformed input, including a
-/// trace file that cannot be loaded.
+/// The CLI workload axis: the ';'-separated specs of `workload=` (';'
+/// because specs contain ','), in order. Empty when the option is absent
+/// (callers keep their steady default). Exits with the spec's one-line
+/// diagnosis on malformed input, including a trace file that cannot be
+/// loaded.
 std::vector<WorkloadSpec> workloadAxisFromOpts(const OptionMap &opts);
 
 } // namespace taqos

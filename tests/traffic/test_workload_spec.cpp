@@ -7,8 +7,11 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "mutants.h"
 #include "traffic/workload_spec.h"
 
 namespace taqos {
@@ -171,6 +174,25 @@ TEST(WorkloadSpec, SemanticBoundsAreEnforced)
     EXPECT_EQ(err, "bad workload parameter 'frames=0'");
 }
 
+TEST(WorkloadSpec, ChurnCountsPastIntAreRejectedNotWrapped)
+{
+    // 2^31, 2^32 and 2^64 - 1 wrapped to INT_MIN, 0 and -1, recording a
+    // name that does not parse back (frames=0 also froze the epoch loop).
+    for (const std::string key : {"frames", "maxvms"}) {
+        for (const std::string v :
+             {"2147483648", "4294967296", "18446744073709551615"}) {
+            std::string err;
+            EXPECT_FALSE(WorkloadSpec::parse("churn:" + key + "=" + v, &err)
+                             .has_value())
+                << key << "=" << v;
+            EXPECT_EQ(err, "bad workload parameter '" + key + "=" + v + "'");
+        }
+        const auto max = WorkloadSpec::parse("churn:" + key + "=2147483647");
+        ASSERT_TRUE(max.has_value()) << key;
+        EXPECT_EQ(WorkloadSpec::parse(max->name())->name(), max->name());
+    }
+}
+
 TEST(WorkloadSpec, ModulatedPredicateMatchesKinds)
 {
     WorkloadSpec spec;
@@ -214,6 +236,90 @@ TEST(WorkloadSpec, KeyWordsSeparateKindsAndParameters)
     WorkloadSpec ramp;
     ramp.kind = WorkloadKind::Ramp;
     EXPECT_NE(keyWords(a).front(), keyWords(ramp).front());
+}
+
+/// One input's verdict under the reader's contract: parse(s) yields a
+/// spec whose name parses back to the same name and key words, or
+/// nullopt with one non-empty line of diagnosis. Folds the verdict into
+/// `verdicts` and returns whether the input parsed.
+bool
+foldVerdict(const std::string &s, mutants::Fnv &verdicts)
+{
+    std::string err;
+    const auto spec = WorkloadSpec::parse(s, &err);
+    verdicts.u64(spec.has_value());
+    if (!spec.has_value()) {
+        EXPECT_FALSE(err.empty()) << s;
+        EXPECT_EQ(err.find_first_of("\n\r"), std::string::npos) << err;
+        verdicts.str(err);
+        return false;
+    }
+    const std::string name = spec->name();
+    const auto back = WorkloadSpec::parse(name);
+    EXPECT_TRUE(back.has_value()) << s << " -> " << name;
+    if (back.has_value()) {
+        EXPECT_EQ(back->name(), name) << s;
+        EXPECT_EQ(keyWords(*back), keyWords(*spec)) << s;
+    }
+    verdicts.str(name);
+    for (std::uint64_t w : keyWords(*spec))
+        verdicts.u64(w);
+    return true;
+}
+
+TEST(WorkloadSpecParse, MutantSpecsParseOrFailWithOneLine)
+{
+    // The five grammar examples of workload_spec.h, and each kind's keys.
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        bases = {
+            {"steady", {"x"}},
+            {"bursty:on=0.002,off=0.01,gain=4", {"on", "off", "gain"}},
+            {"ramp:low=0.25,high=1.75,period=20000",
+             {"low", "high", "period"}},
+            {"trace:path=w.csv,inflate=0.5,begin=0,end=50000,loop=1",
+             {"path", "inflate", "begin", "end", "loop"}},
+            {"churn:frames=1,maxvms=5,attack=0",
+             {"frames", "maxvms", "attack"}},
+        };
+
+    // Values the writer never emits, as a repeated key after each
+    // example (the last one wins), plus unknown keys, a trailing comma,
+    // empty parts, a lone ':' and control characters (a newline a
+    // diagnosis would echo, a NUL that would end a C string early).
+    std::vector<std::string> inputs = {
+        ":", "", " ", ",", "steady:", "steady:,", ":steady", "bursty::on=1",
+        "bursty:on", "bursty:=1", "BURSTY:ON=1", "churn:frames=1,,maxvms=2",
+        "steady\n", "bursty:\non=0.1", std::string("trace:path=w\0.csv", 17)};
+    for (const auto &[base, keys] : bases) {
+        const std::string sep =
+            base.find(':') == std::string::npos ? ":" : ",";
+        inputs.push_back(base + ",");
+        inputs.push_back(base + sep + "bogus=1");
+        for (const std::string &key : keys) {
+            for (const std::string v :
+                 {"2147483647", "2147483648", "4294967296",
+                  "18446744073709551615", "18446744073709551616", "-1",
+                  "1e309", "-1e309", "nan", "inf", "", "0", "1", "0.5",
+                  "1e-300", "+3", "0x10", " 7 "}) {
+                inputs.push_back(base + sep + key + "=" + v);
+            }
+        }
+    }
+    mutants::Fnv verdicts;
+    std::size_t parsed = 0;
+    for (const std::string &s : inputs)
+        parsed += foldVerdict(s, verdicts);
+    EXPECT_EQ(inputs.size(), 295u);
+    EXPECT_EQ(parsed, 85u);
+
+    Rng rng(0x5bec5bec);
+    std::size_t parsedMutants = 0;
+    for (int i = 0; i < 3000; ++i) {
+        const std::string &base = bases[i % bases.size()].first;
+        parsedMutants += foldVerdict(mutants::mutate(base, rng), verdicts);
+    }
+    EXPECT_EQ(parsedMutants, 319u);
+    EXPECT_EQ(verdicts.h, 3801347346922795563ull);
 }
 
 } // namespace
