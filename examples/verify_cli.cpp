@@ -137,8 +137,9 @@ parseRunOptions(const std::vector<std::string> &args)
             const auto w = WorkloadSpec::parse(val, &err);
             if (!w.has_value())
                 fail(err);
-            // Load the trace now, so a missing or malformed file fails
-            // here instead of aborting the simulator's constructor.
+            // Load the trace now, so a missing or malformed file, or one
+            // naming a flow or node outside the column, fails here
+            // instead of aborting the simulator's constructor or a run.
             if (w->kind == WorkloadKind::Trace &&
                 loadTraceFile(w->tracePath, &err) == nullptr) {
                 fail(err);

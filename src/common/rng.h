@@ -11,6 +11,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -54,9 +55,9 @@ class Rng {
     /// Re-initialize the state from a 64-bit seed.
     void reseed(std::uint64_t seed);
 
-    /// Uniform 64-bit value. Inline: the traffic generators draw once
-    /// per flow per cycle, which makes this the single hottest function
-    /// of a low-rate simulation.
+    /// Uniform 64-bit value. Inline: the traffic generators' look-ahead
+    /// searches (traffic/lookahead.h) step it in a tight loop, one draw
+    /// per cycle a flow's trial is drawn.
     std::uint64_t nextU64()
     {
         const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
@@ -70,12 +71,23 @@ class Rng {
         return result;
     }
 
-    /// The canonical u64-to-[0,1) conversion behind nextDouble. Exposed
-    /// so batched draw passes (the traffic generator) can convert
-    /// pre-fetched raw draws through the exact same expression.
+    /// The canonical u64-to-[0,1) conversion behind nextDouble: the top
+    /// 53 bits, scaled exactly. Also the trace thinning hash's draw.
     static double doubleFromBits(std::uint64_t bits)
     {
         return static_cast<double>(bits >> 11) * 0x1.0p-53;
+    }
+
+    /// The integer form of `doubleFromBits(draw) < p` for 0 < p < 1:
+    /// `draw < threshold(p)` holds for exactly the same draws. Both
+    /// sides of `(draw >> 11) * 2^-53 < p` are exact, so it is
+    /// `(draw >> 11) < p * 2^53`, which for an integer left side is
+    /// `(draw >> 11) < ceil(p * 2^53)`; that ceiling is at most 2^53 - 1,
+    /// so shifting it back by 11 bits cannot overflow.
+    static std::uint64_t threshold(double p)
+    {
+        TAQOS_ASSERT(p > 0.0 && p < 1.0, "threshold(%g) outside (0, 1)", p);
+        return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53)) << 11;
     }
 
     /// Uniform double in [0, 1).

@@ -69,10 +69,17 @@ strLower(const std::string &s)
 bool
 parseI64Tok(const std::string &tok, std::int64_t &out)
 {
+    // An optional '-' and then digits only: strtoll alone would also take
+    // leading blanks and a '+', which parseU64Tok refuses.
+    const std::size_t sign = !tok.empty() && tok[0] == '-' ? 1 : 0;
+    if (tok.size() == sign ||
+        !std::isdigit(static_cast<unsigned char>(tok[sign]))) {
+        return false;
+    }
     char *end = nullptr;
     errno = 0;
     out = std::strtoll(tok.c_str(), &end, 10);
-    return !tok.empty() && *end == '\0' && errno == 0;
+    return *end == '\0' && errno == 0;
 }
 
 bool

@@ -35,7 +35,8 @@ std::string strLower(const std::string &s);
 
 /// Strict parsing of one option value or spec field: the whole of `tok`
 /// must be one value of the type, in range, or the call returns false
-/// ("2k", "0.05x", "" and overflow all fail). Integers are decimal, and
+/// ("2k", "0.05x", "" and overflow all fail). Integers are decimal
+/// digits, after a '-' for parseI64Tok only (no '+', no blanks), so
 /// parseU64Tok fails on a minus sign instead of wrapping; doubles must
 /// be finite; booleans are 0/1/true/false/yes/no/on/off in any case.
 bool parseI64Tok(const std::string &tok, std::int64_t &out);

@@ -72,17 +72,16 @@ FabricTrafficSource::tick(Cycle now, PacketPool &pool,
     const int fpb = net_.flowsPerBlock();
 
     for (int g = 0; g < net_.blocks(); ++g) {
-        gens_[static_cast<std::size_t>(g)]->tick(now, pool, scratch_,
-                                                 metrics);
+        TrafficGenerator &gen = *gens_[static_cast<std::size_t>(g)];
+        gen.tick(now, pool, scratch_, metrics);
         const int c = g / B;
         const int j = g % B;
         const int localSlots = static_cast<int>(net_.catchment(j).size());
         const NodeId base = net_.blockBase(g);
-        for (int f = 0; f < fpb; ++f) {
-            InjectorQueue &staged =
-                scratch_[static_cast<std::size_t>(f)];
-            if (staged.queue().empty())
-                continue;
+        // Only the flows the generator fired hold a staged packet, one
+        // each.
+        for (const FlowId f : gen.fired()) {
+            NetPacket *pkt = scratch_[static_cast<std::size_t>(f)].dequeue();
             const int k = f % slots;
             const int y = f / slots;
             const FlowId F = g * fpb + f;
@@ -91,43 +90,35 @@ FabricTrafficSource::tick(Cycle now, PacketPool &pool,
             // node first; the wiring decides which compute-node port
             // pulls this flow's row queue. `src` stays the column entry
             // so ACK/NACK distances remain column-local.
+            const NodeId localDst = pkt->dst; // generator picks 0..H-1
+            TAQOS_ASSERT(localDst >= 0 && localDst < H,
+                         "generated destination out of the block");
             InjectorQueue *origin = &injectors[static_cast<std::size_t>(F)];
-            NodeId rowEntry = kInvalidNode;
-            if (k != 0) {
+            pkt->src = base + y;
+            if (k == 0) {
+                pkt->dst = base + localDst;
+            } else {
                 origin = &net_.rowQueues()[static_cast<std::size_t>(F)];
                 const int originChip =
                     k > localSlots ? net_.remoteSourceChip(c, k) : c;
-                rowEntry = net_.blockNodeId(originChip, j, y);
+                pkt->finalDst = base + localDst;
+                pkt->dst = net_.blockNodeId(originChip, j, y);
             }
-            while (!staged.queue().empty()) {
-                NetPacket *pkt = staged.dequeue();
-                const NodeId localDst = pkt->dst; // generator picks 0..H-1
-                TAQOS_ASSERT(localDst >= 0 && localDst < H,
-                             "generated destination out of the block");
-                pkt->src = base + y;
-                if (k == 0) {
-                    pkt->dst = base + localDst;
-                } else {
-                    pkt->finalDst = base + localDst;
-                    pkt->dst = rowEntry;
-                }
-                pkt->flow = F;
+            pkt->flow = F;
 
-                if (origin->queue().size() >= traffic_.maxQueueDepth) {
-                    // Bounded memory far past saturation: undo the
-                    // generator's accounting, as its own suppression
-                    // would.
-                    ++suppressed_;
-                    --metrics.generatedPackets;
-                    metrics.generatedFlits -=
-                        static_cast<std::uint64_t>(pkt->sizeFlits);
-                    if (pkt->measured)
-                        --metrics.measuredGenerated;
-                    pool.release(pkt);
-                    continue;
-                }
-                origin->enqueue(pkt);
+            if (origin->queue().size() >= traffic_.maxQueueDepth) {
+                // Bounded memory far past saturation: undo the
+                // generator's accounting, as its own suppression would.
+                ++suppressed_;
+                --metrics.generatedPackets;
+                metrics.generatedFlits -=
+                    static_cast<std::uint64_t>(pkt->sizeFlits);
+                if (pkt->measured)
+                    --metrics.measuredGenerated;
+                pool.release(pkt);
+                continue;
             }
+            origin->enqueue(pkt);
         }
     }
 }

@@ -1,5 +1,6 @@
 #include "traffic/dynamic.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -31,45 +32,70 @@ OnOffModulator::OnOffModulator(const WorkloadSpec &spec, int numFlows,
                  "ON/OFF modulator needs a bursty workload, got %s",
                  workloadKindName(spec_.kind));
     Rng master(splitmix64(seed ^ kModulatorSalt));
-    rng_.reserve(static_cast<std::size_t>(numFlows));
+    chains_.resize(static_cast<std::size_t>(numFlows));
     on_.reserve(static_cast<std::size_t>(numFlows));
-    for (FlowId f = 0; f < numFlows; ++f) {
-        rng_.push_back(master.split());
+    for (LookaheadStream &chain : chains_) {
+        chain.at = master.split();
         // Start each chain in its stationary distribution so the burst
         // phases are decorrelated from cycle 0 (no synchronized onset).
         const double pOn = spec_.burstOn / (spec_.burstOn + spec_.burstOff);
-        on_.push_back(rng_.back().nextDouble() < pOn);
+        on_.push_back(chain.at.nextDouble() < pOn);
     }
 }
 
 void
-OnOffModulator::advance(Cycle now)
+OnOffModulator::rebase(Cycle stand, Cycle from)
 {
-    (void)now;
-    // One transition draw per flow per cycle, always — the chain's draw
-    // count is a pure function of elapsed cycles, which keeps restore
-    // and both engines bit-identical.
-    for (std::size_t f = 0; f < rng_.size(); ++f) {
-        const double flip = on_[f] ? spec_.burstOff : spec_.burstOn;
-        if (rng_[f].bernoulli(flip))
-            on_[f] = !on_[f];
+    for (std::size_t f = 0; f < chains_.size(); ++f) {
+        LookaheadStream &chain = chains_[f];
+        if (stand != kNoCycle) {
+            // The flips before `stand` are all taken (a chain is visited
+            // at every flip), so the replay to it only fails.
+            const Event e =
+                scanTrial(chain.at, flipTrial(f), chain.from, stand);
+            TAQOS_ASSERT(!e.hit, "chain flip skipped before cycle %llu",
+                         static_cast<unsigned long long>(stand));
+        }
+        chain.restartAt(from);
     }
 }
 
-double
-OnOffModulator::scaleOf(FlowId flow) const
+void
+OnOffModulator::advance(FlowId flow, Cycle now)
 {
-    return on_[static_cast<std::size_t>(flow)] ? spec_.burstGain : 0.0;
+    const auto f = static_cast<std::size_t>(flow);
+    LookaheadStream &chain = chains_[f];
+    // Only a chain due at `now` moves: it flips at a success, and at a
+    // stop it searches on from there (and may flip at `now` itself).
+    while (chain.due <= now) {
+        chain.commit();
+        if (chain.hit)
+            on_[f] = !on_[f];
+        chain.search(flipTrial(f), kNoCycle);
+    }
+}
+
+Event
+OnOffModulator::scan(FlowId flow, double genProb, Rng &rng, Cycle from,
+                     Cycle limit) const
+{
+    const Trial t = Trial::packet(std::min(1.0, genProb * scaleOf(flow)));
+    return scanTrial(rng, t, from,
+                     std::min(limit,
+                              chains_[static_cast<std::size_t>(flow)].due));
 }
 
 std::vector<std::uint64_t>
-OnOffModulator::packState() const
+OnOffModulator::packState(Cycle stand) const
 {
     std::vector<std::uint64_t> w;
-    const std::size_t flows = rng_.size();
+    const std::size_t flows = chains_.size();
     const std::size_t stateWords = (flows + 63) / 64;
     w.reserve(flows * 4 + stateWords);
-    for (const Rng &rng : rng_) {
+    for (std::size_t f = 0; f < flows; ++f) {
+        Rng rng = chains_[f].at;
+        if (stand != kNoCycle)
+            scanTrial(rng, flipTrial(f), chains_[f].from, stand);
         const auto s = rng.state();
         w.insert(w.end(), s.begin(), s.end());
     }
@@ -87,21 +113,21 @@ OnOffModulator::packState() const
 void
 OnOffModulator::unpackState(const std::vector<std::uint64_t> &words)
 {
-    const std::size_t flows = rng_.size();
+    const std::size_t flows = chains_.size();
     const std::size_t stateWords = (flows + 63) / 64;
     TAQOS_ASSERT(words.size() == flows * 4 + stateWords,
                  "ON/OFF modulator restore geometry mismatch");
     std::size_t i = 0;
-    for (Rng &rng : rng_) {
-        rng.setState({words[i], words[i + 1], words[i + 2], words[i + 3]});
+    for (LookaheadStream &chain : chains_) {
+        chain.at.setState(
+            {words[i], words[i + 1], words[i + 2], words[i + 3]});
         i += 4;
     }
     for (std::size_t f = 0; f < flows; ++f)
         on_[f] = (words[i + f / 64] >> (f % 64)) & 1;
 }
 
-RampModulator::RampModulator(const WorkloadSpec &spec)
-    : spec_(spec), scale_(spec.rampLow)
+RampModulator::RampModulator(const WorkloadSpec &spec) : spec_(spec)
 {
     TAQOS_ASSERT(spec_.kind == WorkloadKind::Ramp,
                  "ramp modulator needs a ramp workload, got %s",
@@ -109,10 +135,9 @@ RampModulator::RampModulator(const WorkloadSpec &spec)
 }
 
 double
-RampModulator::scaleAt(const WorkloadSpec &spec, Cycle now)
+RampModulator::scaleAtPhase(const WorkloadSpec &spec, Cycle phase)
 {
     const Cycle period = spec.rampPeriod;
-    const Cycle phase = now % period;
     const Cycle half = period / 2;
     const double frac = phase <= half
         ? static_cast<double>(phase) / static_cast<double>(half)
@@ -121,17 +146,37 @@ RampModulator::scaleAt(const WorkloadSpec &spec, Cycle now)
     return spec.rampLow + (spec.rampHigh - spec.rampLow) * frac;
 }
 
-void
-RampModulator::advance(Cycle now)
+double
+RampModulator::scaleAt(const WorkloadSpec &spec, Cycle now)
 {
-    scale_ = scaleAt(spec_, now);
+    return scaleAtPhase(spec, now % spec.rampPeriod);
 }
 
-double
-RampModulator::scaleOf(FlowId flow) const
+Event
+RampModulator::scan(FlowId flow, double genProb, Rng &rng, Cycle from,
+                    Cycle limit) const
 {
     (void)flow;
-    return scale_;
+    if (from >= limit)
+        return {limit, false};
+    // Each cycle's probability comes from the wave, compared as the
+    // generator's trial would: a draw while 0 < p < 1, none otherwise.
+    const Cycle stop = cappedLimit(from, limit);
+    Rng r = rng;
+    Cycle phase = from % spec_.rampPeriod;
+    for (Cycle c = from; c < stop; ++c) {
+        const double p = std::min(1.0, genProb * scaleAtPhase(spec_, phase));
+        if (p > 0.0 && p < 1.0
+                ? Rng::doubleFromBits(r.nextU64()) < p
+                : !(p <= 0.0)) {
+            rng = r;
+            return {c, true};
+        }
+        if (++phase == spec_.rampPeriod)
+            phase = 0;
+    }
+    rng = r;
+    return {stop, false};
 }
 
 std::unique_ptr<RateModulator>
@@ -177,7 +222,8 @@ applyReplayWindow(const TrafficTrace &trace, const WorkloadSpec &spec)
 }
 
 std::unique_ptr<TrafficTrace>
-loadTraceFile(const std::string &path, std::string *err)
+loadTraceFile(const std::string &path, std::string *err,
+              const ColumnConfig &column)
 {
     std::ifstream is(path);
     if (!is) {
@@ -188,7 +234,7 @@ loadTraceFile(const std::string &path, std::string *err)
     std::ostringstream os;
     os << is.rdbuf();
     std::string parseErr;
-    auto trace = TrafficTrace::fromCsv(os.str(), &parseErr);
+    auto trace = TrafficTrace::fromCsv(os.str(), &parseErr, &column);
     if (!trace.has_value()) {
         if (err != nullptr)
             *err = path + ": " + parseErr;
@@ -211,7 +257,7 @@ makeTrafficSource(const WorkloadSpec &spec, const ColumnConfig &col,
       case WorkloadKind::Ramp:
         return std::make_unique<TrafficGenerator>(col, traffic, spec);
       case WorkloadKind::Trace: {
-        auto trace = loadTraceFile(spec.tracePath, err);
+        auto trace = loadTraceFile(spec.tracePath, err, col);
         if (trace == nullptr)
             return nullptr;
         return std::make_unique<TraceReplayer>(col, std::move(*trace),

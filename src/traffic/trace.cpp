@@ -1,5 +1,9 @@
 #include "traffic/trace.h"
 
+#include <algorithm>
+#include <cctype>
+#include <utility>
+
 #include "common/assert.h"
 #include "common/strings.h"
 #include "traffic/dynamic.h"
@@ -83,7 +87,8 @@ TrafficTrace::toCsv() const
 }
 
 std::optional<TrafficTrace>
-TrafficTrace::fromCsv(const std::string &csv, std::string *err)
+TrafficTrace::fromCsv(const std::string &csv, std::string *err,
+                      const ColumnConfig *column)
 {
     const auto fail = [err](std::string msg) -> std::optional<TrafficTrace> {
         if (err != nullptr)
@@ -99,6 +104,18 @@ TrafficTrace::fromCsv(const std::string &csv, std::string *err)
         const std::string trimmed = strTrim(line);
         if (trimmed.empty())
             continue;
+        // A diagnosis echoes the line, so it may hold no control
+        // character (a NUL, a lone CR); a CRLF ending is trimmed above.
+        const auto ctl =
+            std::find_if(trimmed.begin(), trimmed.end(), [](unsigned char c) {
+                return std::iscntrl(c) != 0;
+            });
+        if (ctl != trimmed.end()) {
+            return fail(strFormat(
+                "trace csv line %zu: control character 0x%02x at byte %zu",
+                lineNo, static_cast<unsigned char>(*ctl),
+                static_cast<std::size_t>(ctl - trimmed.begin())));
+        }
         if (first) {
             first = false;
             if (trimmed.rfind("cycle", 0) == 0)
@@ -114,9 +131,11 @@ TrafficTrace::fromCsv(const std::string &csv, std::string *err)
         std::uint64_t v[4];
         for (std::size_t i = 0; i < 4; ++i) {
             const std::string tok = strTrim(fields[i]);
-            // Strict: the CSV carries nothing signed, and an empty or
-            // trailing-garbage field is an error, not a zero.
-            if (!parseU64Tok(tok, v[i])) {
+            // Strict: the CSV carries nothing signed, an empty or
+            // trailing-garbage field is an error, not a zero, and flow,
+            // dst and size must fit the int they are stored in.
+            if (!parseU64Tok(tok, v[i]) ||
+                (i > 0 && !std::in_range<int>(v[i]))) {
                 return fail(strFormat("trace csv line %zu: bad %s '%s'",
                                       lineNo, kFieldNames[i], tok.c_str()));
             }
@@ -129,6 +148,16 @@ TrafficTrace::fromCsv(const std::string &csv, std::string *err)
         if (e.sizeFlits < 1) {
             return fail(strFormat("trace csv line %zu: bad size '%d'",
                                   lineNo, e.sizeFlits));
+        }
+        if (column != nullptr && e.flow >= column->numFlows()) {
+            return fail(strFormat(
+                "trace csv line %zu: flow %d outside the column's %d flows",
+                lineNo, e.flow, column->numFlows()));
+        }
+        if (column != nullptr && e.dst >= column->numNodes) {
+            return fail(strFormat(
+                "trace csv line %zu: dst %d outside the column's %d nodes",
+                lineNo, e.dst, column->numNodes));
         }
         if (!entries.empty() && entries.back().cycle > e.cycle) {
             return fail(strFormat(

@@ -48,11 +48,14 @@ class TrafficTrace {
 
     /// CSV round trip: "cycle,flow,dst,size" per line (with header).
     /// fromCsv diagnoses malformed input — wrong field count, non-numeric
-    /// fields, out-of-order cycles — as nullopt plus a one-line message
-    /// naming the offending line, instead of silently truncating.
+    /// fields, a flow, dst or size past int, a control character,
+    /// out-of-order cycles — as nullopt plus a one-line message naming
+    /// the offending line, instead of silently truncating. With
+    /// `column`, a flow or destination outside it is malformed too.
     std::string toCsv() const;
-    static std::optional<TrafficTrace> fromCsv(const std::string &csv,
-                                               std::string *err = nullptr);
+    static std::optional<TrafficTrace>
+    fromCsv(const std::string &csv, std::string *err = nullptr,
+            const ColumnConfig *column = nullptr);
 
   private:
     std::vector<TraceEntry> entries_;

@@ -313,8 +313,9 @@ workloadAxisFromOpts(const OptionMap &opts)
         const auto spec = WorkloadSpec::parse(tok, &err);
         if (!spec.has_value())
             optionError(err);
-        // Load every trace now, so a missing or malformed file fails with
-        // one line before any work instead of aborting inside a cell.
+        // Load every trace now, so a missing or malformed file, or one
+        // naming a flow or node outside the column, fails with one line
+        // before any work instead of aborting inside a cell.
         if (spec->kind == WorkloadKind::Trace &&
             loadTraceFile(spec->tracePath, &err) == nullptr) {
             optionError(err);

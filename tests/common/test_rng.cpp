@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -105,6 +106,45 @@ TEST(Rng, BernoulliRate)
     for (int i = 0; i < n; ++i)
         hits += rng.bernoulli(0.125);
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.125, 0.01);
+}
+
+TEST(Rng, IntegerThresholdMatchesTheDoubleTrial)
+{
+    // The smallest subnormal, the smallest step of a draw, the largest
+    // double below 1, and k * 2^-53 with its neighbours one ulp away.
+    std::vector<double> ps = {std::ldexp(1.0, -1074), std::ldexp(1.0, -53),
+                              1.0 - std::ldexp(1.0, -53)};
+    for (const std::uint64_t k :
+         {1ull, 2ull, 3ull, 5ull, (1ull << 20) + 1, 1ull << 52,
+          (1ull << 52) + 1, (1ull << 53) - 2, (1ull << 53) - 1}) {
+        const double p = std::ldexp(static_cast<double>(k), -53);
+        for (const double q :
+             {p, std::nextafter(p, 0.0), std::nextafter(p, 1.0)}) {
+            if (q > 0.0 && q < 1.0)
+                ps.push_back(q);
+        }
+    }
+    Rng rng(99);
+    for (const double p : ps) {
+        const std::uint64_t t = Rng::threshold(p);
+        // The draws at the boundary: top 53 bits one below the threshold,
+        // at it and one above, each with its low 11 bits clear and set.
+        const std::uint64_t top = t >> 11;
+        for (const std::uint64_t hi : {top - 1, top, top + 1}) {
+            if (hi >= (1ull << 53))
+                continue;
+            for (const std::uint64_t lo : {0ull, 0x7ffull}) {
+                const std::uint64_t draw = hi << 11 | lo;
+                EXPECT_EQ(draw < t, Rng::doubleFromBits(draw) < p)
+                    << "p = " << p << ", draw = " << draw;
+            }
+        }
+        for (int i = 0; i < 2000; ++i) {
+            const std::uint64_t draw = rng.nextU64();
+            ASSERT_EQ(draw < t, Rng::doubleFromBits(draw) < p)
+                << "p = " << p << ", draw = " << draw;
+        }
+    }
 }
 
 TEST(Rng, SplitProducesIndependentStream)

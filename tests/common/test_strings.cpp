@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/options.h"
 #include "common/strings.h"
 
@@ -87,12 +89,21 @@ TEST(Strings, NumberTokensParseWholeOrNotAtAll)
     EXPECT_FALSE(parseI64Tok("2k", i));
     EXPECT_FALSE(parseI64Tok("", i));
     EXPECT_FALSE(parseI64Tok("99999999999999999999", i));
+    EXPECT_TRUE(parseI64Tok("-9223372036854775808", i));
+    EXPECT_EQ(i, std::numeric_limits<std::int64_t>::min());
+    // One sign rule with parseU64Tok: an optional '-', then digits only.
+    for (const char *bad : {"+1", " 1", "\t1", "1 ", "-", "--1", "- 1", "-+1",
+                            "+-1", "+"}) {
+        EXPECT_FALSE(parseI64Tok(bad, i)) << "'" << bad << "'";
+    }
 
     std::uint64_t u = 0;
     EXPECT_TRUE(parseU64Tok("18446744073709551615", u));
     EXPECT_EQ(u, 18446744073709551615ull);
     EXPECT_FALSE(parseU64Tok("-5", u)); // would wrap under strtoull
     EXPECT_FALSE(parseU64Tok("18446744073709551616", u));
+    EXPECT_FALSE(parseU64Tok("+1", u));
+    EXPECT_FALSE(parseU64Tok(" 1", u));
 
     double d = 0.0;
     EXPECT_TRUE(parseDoubleTok("1e-3", d));

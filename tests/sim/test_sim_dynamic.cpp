@@ -130,6 +130,39 @@ TEST(SimDynamic, BurstyCheckpointRestoresBitIdentically)
     EXPECT_EQ(runDigest(live), runDigest(resumed));
 }
 
+TEST(SimDynamic, RampCheckpointRestoresBitIdentically)
+{
+    // low=0: the wave passes through a zero-scale cycle (no draw) every
+    // period, inside the look-ahead windows the snapshot cuts through.
+    WorkloadSpec ramp = rampSpec(700);
+    ramp.rampLow = 0.0;
+    ramp.rampHigh = 2.0;
+    ColumnConfig col;
+    col.topology = TopologyKind::Dps;
+    col.mode = QosMode::Pvc;
+    TrafficConfig traffic = uniformTraffic(0.05, 41);
+    traffic.genUntil = 4000;
+
+    ColumnSim live(col, traffic, ramp);
+    live.setMeasureWindow(500, 4000);
+    live.run(1750); // mid-period, 50 cycles past a zero-scale cycle
+    std::ostringstream os;
+    live.saveCheckpoint(os);
+    const std::string snapshot = os.str();
+    live.runUntilDrained(30000, 4000);
+
+    ColumnSim resumed(col, traffic, ramp);
+    resumed.setMeasureWindow(500, 4000);
+    std::istringstream is(snapshot);
+    std::string err;
+    ASSERT_TRUE(resumed.restoreCheckpoint(is, &err)) << err;
+    EXPECT_EQ(resumed.now(), 1750u);
+    resumed.runUntilDrained(30000, 4000);
+
+    EXPECT_EQ(runDigest(live), runDigest(resumed));
+    EXPECT_GT(live.metrics().generatedPackets, 0u);
+}
+
 TEST(SimDynamic, TraceInflationCellsAreDeterministicAndThinned)
 {
     // Record a real workload, replay it through the sweep cell runner at

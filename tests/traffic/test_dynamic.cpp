@@ -41,6 +41,17 @@ entrySet(const TrafficTrace &trace)
     return out;
 }
 
+/// Bring every chain of `mod` to cycle `c`, as a generator visiting
+/// every flow at every cycle would (the first call primes the chains).
+void
+advanceAll(OnOffModulator &mod, int flows, Cycle c, Cycle start = 0)
+{
+    if (c == start)
+        mod.rebase(kNoCycle, start);
+    for (FlowId f = 0; f < flows; ++f)
+        mod.advance(f, c);
+}
+
 TEST(OnOffModulator, DutyCycleMatchesStationaryDistribution)
 {
     // on == off -> the chain spends half its time ON in steady state.
@@ -49,7 +60,7 @@ TEST(OnOffModulator, DutyCycleMatchesStationaryDistribution)
     std::uint64_t onCycles = 0;
     const int cycles = 50000;
     for (int c = 0; c < cycles; ++c) {
-        mod.advance(static_cast<Cycle>(c));
+        advanceAll(mod, flows, static_cast<Cycle>(c));
         for (FlowId f = 0; f < flows; ++f)
             onCycles += mod.onState(f) ? 1 : 0;
     }
@@ -63,7 +74,7 @@ TEST(OnOffModulator, ScaleIsGainOnAndZeroOff)
     const WorkloadSpec spec = burstySpec(0.05, 0.05, 6.0);
     OnOffModulator mod(spec, 16, 7);
     for (int c = 0; c < 2000; ++c) {
-        mod.advance(static_cast<Cycle>(c));
+        advanceAll(mod, 16, static_cast<Cycle>(c));
         for (FlowId f = 0; f < 16; ++f) {
             const double s = mod.scaleOf(f);
             EXPECT_DOUBLE_EQ(s, mod.onState(f) ? 6.0 : 0.0);
@@ -79,9 +90,9 @@ TEST(OnOffModulator, IndependentStreamsPerFlowAndSeed)
     OnOffModulator c(burstySpec(), 32, 2);
     bool differs = false;
     for (int cyc = 0; cyc < 5000; ++cyc) {
-        a.advance(static_cast<Cycle>(cyc));
-        b.advance(static_cast<Cycle>(cyc));
-        c.advance(static_cast<Cycle>(cyc));
+        advanceAll(a, 32, static_cast<Cycle>(cyc));
+        advanceAll(b, 32, static_cast<Cycle>(cyc));
+        advanceAll(c, 32, static_cast<Cycle>(cyc));
         for (FlowId f = 0; f < 32; ++f) {
             ASSERT_EQ(a.onState(f), b.onState(f));
             differs = differs || a.onState(f) != c.onState(f);
@@ -94,15 +105,16 @@ TEST(OnOffModulator, PackUnpackResumesBitIdentically)
 {
     OnOffModulator live(burstySpec(0.004, 0.02, 3.0), 48, 99);
     for (int c = 0; c < 1234; ++c)
-        live.advance(static_cast<Cycle>(c));
-    const auto words = live.packState();
+        advanceAll(live, 48, static_cast<Cycle>(c));
+    const auto words = live.packState(1234);
     EXPECT_FALSE(words.empty());
 
     OnOffModulator resumed(burstySpec(0.004, 0.02, 3.0), 48, 99);
     resumed.unpackState(words);
+    EXPECT_EQ(resumed.packState(kNoCycle), words);
     for (int c = 1234; c < 4000; ++c) {
-        live.advance(static_cast<Cycle>(c));
-        resumed.advance(static_cast<Cycle>(c));
+        advanceAll(live, 48, static_cast<Cycle>(c));
+        advanceAll(resumed, 48, static_cast<Cycle>(c), 1234);
         for (FlowId f = 0; f < 48; ++f)
             ASSERT_EQ(live.onState(f), resumed.onState(f))
                 << "cycle " << c << " flow " << f;
@@ -130,14 +142,17 @@ TEST(RampModulator, TriangleWaveIsBoundedAndSymmetric)
     EXPECT_DOUBLE_EQ(RampModulator::scaleAt(spec, 250),
                      RampModulator::scaleAt(spec, 750));
 
+    // The scan takes each cycle's probability from the wave: at the
+    // peak a unit rate reads p = 1, a packet without a draw.
     RampModulator mod(spec);
-    for (Cycle c = 0; c < 2500; c += 7) {
-        mod.advance(c);
-        EXPECT_DOUBLE_EQ(mod.scaleOf(0), RampModulator::scaleAt(spec, c));
-        EXPECT_DOUBLE_EQ(mod.scaleOf(63), mod.scaleOf(0));
-    }
+    Rng drawn(7);
+    const Rng untouched = drawn;
+    const Event peak = mod.scan(0, 1.0, drawn, 500, 600);
+    EXPECT_TRUE(peak.hit);
+    EXPECT_EQ(peak.at, 500u);
+    EXPECT_EQ(drawn.state(), untouched.state());
     // Stateless: nothing to checkpoint.
-    EXPECT_TRUE(mod.packState().empty());
+    EXPECT_TRUE(mod.packState(kNoCycle).empty());
 }
 
 TEST(MakeRateModulator, OnlyModulatedKindsGetOne)

@@ -310,7 +310,8 @@ TEST(WorkloadSpecParse, MutantSpecsParseOrFailWithOneLine)
     for (const std::string &s : inputs)
         parsed += foldVerdict(s, verdicts);
     EXPECT_EQ(inputs.size(), 295u);
-    EXPECT_EQ(parsed, 85u);
+    // 83: churn's frames=+3 and maxvms=+3 fail like every other '+N'.
+    EXPECT_EQ(parsed, 83u);
 
     Rng rng(0x5bec5bec);
     std::size_t parsedMutants = 0;
@@ -319,7 +320,7 @@ TEST(WorkloadSpecParse, MutantSpecsParseOrFailWithOneLine)
         parsedMutants += foldVerdict(mutants::mutate(base, rng), verdicts);
     }
     EXPECT_EQ(parsedMutants, 319u);
-    EXPECT_EQ(verdicts.h, 3801347346922795563ull);
+    EXPECT_EQ(verdicts.h, 16895888998638316073ull);
 }
 
 } // namespace
