@@ -1,13 +1,16 @@
 /// Pinned multi-chip behaviour: the metric digest, boundary handoffs and
 /// inter-chip link hops of one run on each multi-block fabric shape —
 /// two chips over point-to-point links, a three-chip ring, three shared
-/// columns per chip, the 4-chip, 1024-router fabric and a weighted
-/// two-chip consolidation. Any drift means the fabric's cycle behaviour
-/// moved.
+/// columns per chip, the 4-chip, 1024-router fabric, a weighted
+/// two-chip consolidation, and that consolidation on two blocks per chip
+/// under bursty and ramp traffic. Any drift means the fabric's cycle
+/// behaviour moved.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <string>
 
 #include "core/experiments.h"
 #include "sim/fabric_sim.h"
@@ -141,6 +144,42 @@ TEST(FabricDigests, ColumnOrderDoesNotChangeTheRun)
     cfg.phases = RunPhases{500, 2000, 1000};
     const FabricConsolidationResult res = expectColumnOrderFree(cfg);
     EXPECT_EQ(res.digest, 0x8fdc8dca9bb167a8ull);
+}
+
+/// `fabric_cli fast=1 chips=2 tiles=16 columns=2,5 workload=<spec>`:
+/// two chips of two blocks each, every block's rate modulator seeded from
+/// its own block seed.
+FabricConsolidationResult
+runModulatedTwoChip(const std::string &workload)
+{
+    FabricConsolidationConfig cfg;
+    cfg.chips = 2;
+    cfg.chip.tilesX = cfg.chip.tilesY = 16;
+    cfg.chip.sharedColumns = {2, 5};
+    cfg.phases = RunPhases{500, 2000, 1000};
+    const std::optional<WorkloadSpec> spec = WorkloadSpec::parse(workload);
+    EXPECT_TRUE(spec.has_value()) << workload;
+    cfg.workload = spec.value_or(WorkloadSpec{});
+    return runFabricConsolidation(cfg);
+}
+
+TEST(FabricDigests, BurstyTwoChipTwoColumns)
+{
+    const FabricConsolidationResult res = runModulatedTwoChip("bursty");
+    ASSERT_NE(res.drainCycle, kNoCycle);
+    EXPECT_EQ(res.digest, 0x7e271aa1731d5ef3ull);
+    EXPECT_EQ(res.handoffs, 2855u);
+    EXPECT_EQ(res.linkHops, 199u);
+}
+
+TEST(FabricDigests, RampTwoChipTwoColumns)
+{
+    const FabricConsolidationResult res =
+        runModulatedTwoChip("ramp:low=0,high=2,period=1000");
+    ASSERT_NE(res.drainCycle, kNoCycle);
+    EXPECT_EQ(res.digest, 0x9a293ba423ad797full);
+    EXPECT_EQ(res.handoffs, 4029u);
+    EXPECT_EQ(res.linkHops, 366u);
 }
 
 TEST(FabricDigests, WideChipRunsWithItsColumnsListedDescending)
