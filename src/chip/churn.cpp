@@ -119,7 +119,7 @@ ChurnDriver::applyTo(FabricSim &sim) const
     TAQOS_ASSERT(sim.network().blocks() == 1,
                  "churn drives one chip with one shared column");
     sim.network().reprogramFlowWeights(flowRegisters().weights());
-    TrafficGenerator &gen = sim.traffic().generator(0);
+    TrafficGenerator &gen = sim.generator();
     const auto active = activeComputeFlows();
     for (FlowId f = 0; f < layout_.totalFlows(); ++f) {
         if (layout_.originOf(f).has_value())

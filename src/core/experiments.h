@@ -175,9 +175,9 @@ struct FabricConsolidationConfig {
     /// Every chip's VM mix: an index into vmPlacements().
     int placement = 0;
     /// Dynamic-workload shape (trace replay has no embedding). Bursty/ramp
-    /// modulate every block generator with per-block decorrelated
-    /// modulator streams; churn (one chip, one shared column) changes the
-    /// VM mix at frame-aligned epochs through a ChurnDriver.
+    /// modulate the fabric's generator, each block's modulator streams
+    /// split from its own block seed; churn (one chip, one shared column)
+    /// changes the VM mix at frame-aligned epochs through a ChurnDriver.
     WorkloadSpec workload;
     /// Record the flit trace and run the independent checker's audit on
     /// it (result.auditOk / auditEvents / auditDiagnostic).

@@ -48,7 +48,7 @@ struct InjectorQueue {
     int windowLimit = 16; ///< per-source outstanding-packet window
 
     /// Injection port this queue feeds (wired by Network::finalizeRouters;
-    /// null for staging queues outside the fabric — hooks are no-ops).
+    /// null for queues outside a network — hooks are no-ops).
     InputPort *port = nullptr;
 
     /// Position among the port's injectors (static enumeration identity

@@ -61,7 +61,11 @@ inline constexpr char kCheckpointMagic[8] = {'T', 'A', 'Q', 'O',
 /// Version 6: packet records drop the attempt's injection cycle and the
 /// preemption count, and transfer records the destination VC; nothing
 /// read them.
-inline constexpr std::uint32_t kCheckpointVersion = 6;
+/// Version 7: a multi-block fabric's traffic-source record is one
+/// generator's words over every flow (streams, suppression counter, then
+/// the modulator's), not one length-prefixed record per block; a
+/// column's words are unchanged.
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 /// A checkpoint could not be read: wrong magic/version/salt, topology
 /// mismatch, truncation, or a corrupted record. The message names the

@@ -15,169 +15,27 @@ constexpr int kLinkWidthFlits = 4;
 
 } // namespace
 
-FabricTrafficSource::FabricTrafficSource(FabricNetwork &net,
-                                         const TrafficConfig &traffic,
-                                         const WorkloadSpec &workload)
-    : net_(net), traffic_(traffic),
-      scratch_(static_cast<std::size_t>(net.flowsPerBlock()))
-{
-    TAQOS_ASSERT(workload.kind != WorkloadKind::Trace,
-                 "trace replay is a column workload; the fabric has no "
-                 "embedding for it");
-    const int fpb = net_.flowsPerBlock();
-    const int slots = net_.slotsPerNode();
-    gens_.reserve(static_cast<std::size_t>(net_.blocks()));
-    for (int g = 0; g < net_.blocks(); ++g) {
-        const int j = g % net_.blocksPerChip();
-        TrafficConfig bt = traffic_;
-        // Decorrelate the blocks' Bernoulli streams; block 0 keeps the
-        // seed unchanged. A modulated workload derives each block's
-        // modulator streams from the same per-block seed, so burst
-        // phases decorrelate too.
-        bt.seed = traffic_.seed +
-                  0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(g);
-        bt.activeFlows.assign(static_cast<std::size_t>(fpb), false);
-        for (int f = 0; f < fpb; ++f) {
-            const FlowId F = g * fpb + f;
-            bt.activeFlows[static_cast<std::size_t>(f)] =
-                net_.slotUsable(j, f % slots) && traffic_.flowActive(F);
-        }
-        if (!traffic_.flowRates.empty()) {
-            bt.flowRates.assign(
-                traffic_.flowRates.begin() + g * fpb,
-                traffic_.flowRates.begin() + (g + 1) * fpb);
-        }
-        gens_.push_back(std::make_unique<TrafficGenerator>(
-            net_.blockCfg(g), bt, workload));
-    }
-}
-
-std::uint64_t
-FabricTrafficSource::suppressed() const
-{
-    std::uint64_t n = suppressed_;
-    for (const auto &gen : gens_)
-        n += gen->suppressed();
-    return n;
-}
-
-void
-FabricTrafficSource::tick(Cycle now, PacketPool &pool,
-                          std::vector<InjectorQueue> &injectors,
-                          SimMetrics &metrics)
-{
-    const int B = net_.blocksPerChip();
-    const int H = net_.gridHeight();
-    const int slots = net_.slotsPerNode();
-    const int fpb = net_.flowsPerBlock();
-
-    for (int g = 0; g < net_.blocks(); ++g) {
-        TrafficGenerator &gen = *gens_[static_cast<std::size_t>(g)];
-        gen.tick(now, pool, scratch_, metrics);
-        const int c = g / B;
-        const int j = g % B;
-        const int localSlots = static_cast<int>(net_.catchment(j).size());
-        const NodeId base = net_.blockBase(g);
-        // Only the flows the generator fired hold a staged packet, one
-        // each.
-        for (const FlowId f : gen.fired()) {
-            NetPacket *pkt = scratch_[static_cast<std::size_t>(f)].dequeue();
-            const int k = f % slots;
-            const int y = f / slots;
-            const FlowId F = g * fpb + f;
-            // Terminal flows originate at the block node itself. Row
-            // flows ride the origin chip's row mesh to its block-entry
-            // node first; the wiring decides which compute-node port
-            // pulls this flow's row queue. `src` stays the column entry
-            // so ACK/NACK distances remain column-local.
-            const NodeId localDst = pkt->dst; // generator picks 0..H-1
-            TAQOS_ASSERT(localDst >= 0 && localDst < H,
-                         "generated destination out of the block");
-            InjectorQueue *origin = &injectors[static_cast<std::size_t>(F)];
-            pkt->src = base + y;
-            if (k == 0) {
-                pkt->dst = base + localDst;
-            } else {
-                origin = &net_.rowQueues()[static_cast<std::size_t>(F)];
-                const int originChip =
-                    k > localSlots ? net_.remoteSourceChip(c, k) : c;
-                pkt->finalDst = base + localDst;
-                pkt->dst = net_.blockNodeId(originChip, j, y);
-            }
-            pkt->flow = F;
-
-            if (origin->queue().size() >= traffic_.maxQueueDepth) {
-                // Bounded memory far past saturation: undo the
-                // generator's accounting, as its own suppression would.
-                ++suppressed_;
-                --metrics.generatedPackets;
-                metrics.generatedFlits -=
-                    static_cast<std::uint64_t>(pkt->sizeFlits);
-                if (pkt->measured)
-                    --metrics.measuredGenerated;
-                pool.release(pkt);
-                continue;
-            }
-            origin->enqueue(pkt);
-        }
-    }
-}
-
-std::vector<std::uint64_t>
-FabricTrafficSource::packState() const
-{
-    std::vector<std::uint64_t> w;
-    w.push_back(gens_.size());
-    for (const auto &gen : gens_) {
-        const std::vector<std::uint64_t> g = gen->packState();
-        w.push_back(g.size());
-        w.insert(w.end(), g.begin(), g.end());
-    }
-    w.push_back(suppressed_);
-    return w;
-}
-
-void
-FabricTrafficSource::unpackState(const std::vector<std::uint64_t> &words)
-{
-    TAQOS_ASSERT(!words.empty(), "fabric traffic-source state empty");
-    TAQOS_ASSERT(words[0] == gens_.size(),
-                 "fabric traffic-source generator count mismatch");
-    std::size_t pos = 1;
-    for (const auto &gen : gens_) {
-        TAQOS_ASSERT(pos < words.size(),
-                     "fabric traffic-source state truncated");
-        const std::size_t len = static_cast<std::size_t>(words[pos++]);
-        TAQOS_ASSERT(pos + len < words.size() + 1,
-                     "fabric traffic-source state truncated");
-        gen->unpackState(std::vector<std::uint64_t>(
-            words.begin() + static_cast<std::ptrdiff_t>(pos),
-            words.begin() + static_cast<std::ptrdiff_t>(pos + len)));
-        pos += len;
-    }
-    TAQOS_ASSERT(pos + 1 == words.size(),
-                 "fabric traffic-source state size mismatch");
-    suppressed_ = words[pos];
-}
-
 FabricSim::FabricSim(const FabricSpec &spec, const TrafficConfig &traffic,
                      const WorkloadSpec &workload)
     : FabricSim(spec)
 {
-    if (network().rowless()) {
-        // The standalone column: its generator (or trace replayer) fills
-        // the entrance queues directly, with no dispatch step.
+    const ColumnConfig &col = network().blockCfg(0);
+    if (workload.kind == WorkloadKind::Trace) {
+        TAQOS_ASSERT(network().rowless(),
+                     "trace replay is a column workload; only a row-less "
+                     "fabric has an embedding for it");
         std::string err;
-        source_ = makeTrafficSource(workload, network().blockCfg(0),
-                                    traffic, &err);
-        TAQOS_ASSERT(source_ != nullptr, "workload '%s' failed: %s",
+        auto trace = loadTraceFile(workload.tracePath, &err, col);
+        TAQOS_ASSERT(trace != nullptr, "workload '%s' failed: %s",
                      workload.name().c_str(), err.c_str());
+        source_ = std::make_unique<TraceReplayer>(col, std::move(*trace),
+                                                  workload);
         return;
     }
-    auto src = std::make_unique<FabricTrafficSource>(network(), traffic,
-                                                     workload);
-    src_ = src.get();
-    source_ = std::move(src);
+    auto gen = std::make_unique<TrafficGenerator>(col, traffic, workload,
+                                                  originTable());
+    gen_ = gen.get();
+    source_ = std::move(gen);
 }
 
 FabricSim::FabricSim(const FabricSpec &spec, TrafficTrace trace)
@@ -188,6 +46,43 @@ FabricSim::FabricSim(const FabricSpec &spec, TrafficTrace trace)
                  "fabric has an embedding for it");
     source_ = std::make_unique<TraceReplayer>(network().blockCfg(0),
                                               std::move(trace));
+}
+
+std::vector<FlowInjection>
+FabricSim::originTable()
+{
+    FabricNetwork &net = network();
+    std::vector<FlowInjection> table(
+        static_cast<std::size_t>(net.totalFlows()));
+    const int B = net.blocksPerChip();
+    const int slots = net.slotsPerNode();
+    const bool rowless = net.rowless();
+    for (int g = 0; g < net.blocks(); ++g) {
+        const int c = g / B;
+        const int j = g % B;
+        const int localSlots = static_cast<int>(net.catchment(j).size());
+        const NodeId base = net.blockBase(g);
+        for (int y = 0; y < net.gridHeight(); ++y) {
+            for (int k = 0; k < slots; ++k) {
+                const FlowId f = net.flowOf(g, y, k);
+                const bool atColumn = k == 0 || rowless;
+                if (!atColumn && !net.slotUsable(j, k))
+                    continue; // no node originates this slot
+                FlowInjection &o = table[static_cast<std::size_t>(f)];
+                // `src` stays the column entry, so ACK/NACK distances
+                // remain column-local.
+                o.base = base;
+                o.src = base + y;
+                if (atColumn)
+                    continue;
+                const int originChip =
+                    k > localSlots ? net.remoteSourceChip(c, k) : c;
+                o.row = &net.rowQueues()[static_cast<std::size_t>(f)];
+                o.entry = net.blockNodeId(originChip, j, y);
+            }
+        }
+    }
+    return table;
 }
 
 FabricSim::FabricSim(const FabricSpec &spec)

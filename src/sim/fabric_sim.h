@@ -5,10 +5,10 @@
 /// (ColumnSim, the row-less fabric) through one 64-node chip (ChipSim,
 /// the one-chip, one-column fabric) to 1000+ routers.
 ///
-/// The traffic source follows the network that was built: a row-less
-/// fabric is fed by the column's own TrafficGenerator or TraceReplayer
-/// straight into its entrance queues; every other fabric by a
-/// FabricTrafficSource, which routes each block's traffic to its origin.
+/// One TrafficGenerator drives every flow of every block, building each
+/// packet once and enqueueing it straight into its origin queue, from an
+/// origin table built once from the layout. Trace replay, a column
+/// workload, is the one other source: it feeds a row-less fabric.
 ///
 /// A packet's journey:
 ///   1. generated into its origin compute node's aggregate source queue
@@ -42,59 +42,14 @@
 
 namespace taqos {
 
-/// Generates every block's column-flow traffic and injects it at the
-/// owning origin: the block entrance for terminal flows, the catchment
-/// compute node for local row flows, the remote chip's designated
-/// compute node for cross-chip flows. One deterministic generator per
-/// block; block 0 keeps the traffic seed unchanged, so a one-block
-/// fabric's stream is the standalone column generator's.
-class FabricTrafficSource : public TrafficSource {
-  public:
-    /// Bursty/ramp workloads modulate every block generator (each
-    /// block's modulator streams derive from its own decorrelated seed).
-    /// Steady and churn workloads run plain generators — churn is driven
-    /// from outside, by ChurnDriver reprogramming flow activity. Trace
-    /// replay is a column workload: only a row-less fabric, which does
-    /// not use this source, can run it.
-    FabricTrafficSource(FabricNetwork &net, const TrafficConfig &traffic,
-                        const WorkloadSpec &workload = {});
-
-    void tick(Cycle now, PacketPool &pool,
-              std::vector<InjectorQueue> &injectors,
-              SimMetrics &metrics) override;
-
-    /// Packets whose generation was skipped due to a full origin queue.
-    std::uint64_t suppressed() const;
-
-    /// Block `g`'s generator; its flow ids are block-local (block 0's
-    /// are the global ids).
-    TrafficGenerator &generator(int g)
-    {
-        return *gens_[static_cast<std::size_t>(g)];
-    }
-
-    /// Checkpointing: each block generator's state (length-prefixed per
-    /// block) plus the dispatch-side suppression counter. The scratch
-    /// queues drain within each tick, so they carry no cross-cycle state.
-    std::vector<std::uint64_t> packState() const override;
-    void unpackState(const std::vector<std::uint64_t> &words) override;
-
-  private:
-    FabricNetwork &net_;
-    TrafficConfig traffic_;
-    std::vector<std::unique_ptr<TrafficGenerator>> gens_; ///< per block
-    /// Staging queues (one block's local flows) the generators fill
-    /// before packets are dispatched to their origin queues.
-    std::vector<InjectorQueue> scratch_;
-    std::uint64_t suppressed_ = 0;
-};
-
 class FabricSim : public NetSim {
   public:
-    /// Drive the fabric under a declarative workload. A row-less fabric
-    /// takes every column workload, trace replay included (the spec's
-    /// tracePath is loaded here; a load failure asserts — CLIs load the
-    /// trace up front with loadTraceFile and fail with one line).
+    /// Drive the fabric under a declarative workload: one generator for
+    /// every flow (bursty/ramp modulate it; churn is driven from outside,
+    /// by ChurnDriver reprogramming flow activity). A row-less fabric
+    /// also takes trace replay (the spec's tracePath is loaded here; a
+    /// load failure asserts — CLIs load the trace up front with
+    /// loadTraceFile and fail with one line).
     FabricSim(const FabricSpec &spec, const TrafficConfig &traffic,
               const WorkloadSpec &workload = {});
     /// Drive a row-less fabric from a pre-recorded trace (bit-identical
@@ -107,12 +62,11 @@ class FabricSim : public NetSim {
         return static_cast<const FabricNetwork &>(*net_);
     }
     const FabricSpec &spec() const { return network().spec(); }
-    /// The block-dispatching source (not on a row-less fabric).
-    FabricTrafficSource &traffic()
+    /// The generator driving every flow (not under trace replay).
+    TrafficGenerator &generator()
     {
-        TAQOS_ASSERT(src_ != nullptr,
-                     "a row-less fabric has no fabric traffic source");
-        return *src_;
+        TAQOS_ASSERT(gen_ != nullptr, "a trace-fed fabric has no generator");
+        return *gen_;
     }
 
     /// Packets that crossed a row-to-column boundary handoff so far.
@@ -135,6 +89,12 @@ class FabricSim : public NetSim {
     /// constructors then install the traffic source.
     explicit FabricSim(const FabricSpec &spec);
 
+    /// Where each flow's packets enter: the entrance queue for terminal
+    /// flows and every flow of a row-less fabric, the origin compute
+    /// node's row queue and its chip's block-entry node for row flows,
+    /// and nothing for slots no node originates.
+    std::vector<FlowInjection> originTable();
+
     /// One inter-chip channel: a FIFO delay line with serialization
     /// (`nextFree` models the width-limited occupancy).
     struct ChipLink {
@@ -152,8 +112,8 @@ class FabricSim : public NetSim {
     /// Entrance enqueue shared by local handoffs and link arrivals.
     void enterColumn(NetPacket *pkt);
 
-    /// Owned by NetSim::source_; null on a row-less fabric.
-    FabricTrafficSource *src_ = nullptr;
+    /// Owned by NetSim::source_; null under trace replay.
+    TrafficGenerator *gen_ = nullptr;
     /// Point-to-point: links_[src * chips + dst] (diagonal unused).
     /// Ring: links_[c] is chip c's channel to (c + 1) % chips.
     std::vector<ChipLink> links_;

@@ -25,21 +25,30 @@ constexpr std::uint64_t kThinningSalt = 0x7a05'1f1a'7e00'0001ull;
 } // namespace
 
 OnOffModulator::OnOffModulator(const WorkloadSpec &spec, int numFlows,
-                               std::uint64_t seed)
+                               std::uint64_t seed, int blocks)
     : spec_(spec)
 {
     TAQOS_ASSERT(spec_.kind == WorkloadKind::Bursty,
                  "ON/OFF modulator needs a bursty workload, got %s",
                  workloadKindName(spec_.kind));
-    Rng master(splitmix64(seed ^ kModulatorSalt));
+    TAQOS_ASSERT(blocks > 0 && numFlows % blocks == 0,
+                 "%d flows do not split into %d blocks", numFlows, blocks);
+    const int perBlock = numFlows / blocks;
     chains_.resize(static_cast<std::size_t>(numFlows));
     on_.reserve(static_cast<std::size_t>(numFlows));
-    for (LookaheadStream &chain : chains_) {
-        chain.at = master.split();
-        // Start each chain in its stationary distribution so the burst
-        // phases are decorrelated from cycle 0 (no synchronized onset).
-        const double pOn = spec_.burstOn / (spec_.burstOn + spec_.burstOff);
-        on_.push_back(chain.at.nextDouble() < pOn);
+    for (int g = 0; g < blocks; ++g) {
+        Rng master(splitmix64(blockSeed(seed, g) ^ kModulatorSalt));
+        for (int f = 0; f < perBlock; ++f) {
+            LookaheadStream &chain =
+                chains_[static_cast<std::size_t>(g * perBlock + f)];
+            chain.at = master.split();
+            // Start each chain in its stationary distribution so the
+            // burst phases are decorrelated from cycle 0 (no
+            // synchronized onset).
+            const double pOn =
+                spec_.burstOn / (spec_.burstOn + spec_.burstOff);
+            on_.push_back(chain.at.nextDouble() < pOn);
+        }
     }
 }
 
@@ -180,11 +189,13 @@ RampModulator::scan(FlowId flow, double genProb, Rng &rng, Cycle from,
 }
 
 std::unique_ptr<RateModulator>
-makeRateModulator(const WorkloadSpec &spec, int numFlows, std::uint64_t seed)
+makeRateModulator(const WorkloadSpec &spec, int numFlows, std::uint64_t seed,
+                  int blocks)
 {
     switch (spec.kind) {
       case WorkloadKind::Bursty:
-        return std::make_unique<OnOffModulator>(spec, numFlows, seed);
+        return std::make_unique<OnOffModulator>(spec, numFlows, seed,
+                                                blocks);
       case WorkloadKind::Ramp:
         return std::make_unique<RampModulator>(spec);
       case WorkloadKind::Steady:
@@ -241,30 +252,6 @@ loadTraceFile(const std::string &path, std::string *err,
         return nullptr;
     }
     return std::make_unique<TrafficTrace>(std::move(*trace));
-}
-
-std::unique_ptr<TrafficSource>
-makeTrafficSource(const WorkloadSpec &spec, const ColumnConfig &col,
-                  const TrafficConfig &traffic, std::string *err)
-{
-    switch (spec.kind) {
-      case WorkloadKind::Steady:
-      case WorkloadKind::Churn:
-        // Churn reshapes a steady generator from outside (ChurnDriver
-        // reprograms flows at frame boundaries); the source is plain.
-        return std::make_unique<TrafficGenerator>(col, traffic);
-      case WorkloadKind::Bursty:
-      case WorkloadKind::Ramp:
-        return std::make_unique<TrafficGenerator>(col, traffic, spec);
-      case WorkloadKind::Trace: {
-        auto trace = loadTraceFile(spec.tracePath, err, col);
-        if (trace == nullptr)
-            return nullptr;
-        return std::make_unique<TraceReplayer>(col, std::move(*trace),
-                                               spec);
-      }
-    }
-    TAQOS_UNREACHABLE("bad workload kind");
 }
 
 } // namespace taqos

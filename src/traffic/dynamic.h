@@ -2,31 +2,28 @@
 /// Dynamic-load machinery behind WorkloadSpec: rate modulators that
 /// scale the Bernoulli generator (ON/OFF Markov bursts, diurnal
 /// triangle ramps), the deterministic trace-inflation transform, and the
-/// makeTrafficSource factory that turns a (WorkloadSpec, TrafficConfig)
-/// pair into a ready TrafficSource.
+/// trace-file loader behind trace replay.
 ///
-/// Modulators plug *into* TrafficGenerator (see its workload constructor)
-/// rather than wrapping it from outside, so every embedding of the
-/// generator — plain columns and FabricTrafficSource —
-/// inherits bursty/ramp workloads unchanged, and the generator's
-/// packState/unpackState covers the modulator words so checkpoint/restore
-/// stays bit-identical.
+/// Modulators plug *into* TrafficGenerator (see its constructor) rather
+/// than wrapping it from outside, so the one generator that drives a
+/// column or every flow of a fabric inherits bursty/ramp workloads
+/// unchanged, and the generator's packState/unpackState covers the
+/// modulator words so checkpoint/restore stays bit-identical.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "topo/topology.h"
 #include "traffic/lookahead.h"
-#include "traffic/source.h"
 #include "traffic/workload_spec.h"
 
 namespace taqos {
 
-struct TrafficConfig;
 class TrafficTrace;
 
 /// Injection-rate scaling over time, run as look-ahead streams. A flow's
@@ -92,8 +89,10 @@ class RateModulator {
 /// scale holds until its chain's next flip.
 class OnOffModulator : public RateModulator {
   public:
+    /// `numFlows` flows in `blocks` equal blocks (a fabric's); block g's
+    /// chains split from blockSeed(seed, g) (traffic/generator.h).
     OnOffModulator(const WorkloadSpec &spec, int numFlows,
-                   std::uint64_t seed);
+                   std::uint64_t seed, int blocks = 1);
 
     void rebase(Cycle stand, Cycle from) override;
     void advance(FlowId flow, Cycle now) override;
@@ -149,10 +148,11 @@ class RampModulator : public RateModulator {
 
 /// Modulator for a spec's kind (nullptr for non-modulated kinds). `seed`
 /// should be the traffic seed; the modulator derives its own independent
-/// streams from it.
+/// streams from it, per block of `numFlows / blocks` flows.
 std::unique_ptr<RateModulator> makeRateModulator(const WorkloadSpec &spec,
                                                  int numFlows,
-                                                 std::uint64_t seed);
+                                                 std::uint64_t seed,
+                                                 int blocks = 1);
 
 /// The ximulator-style load-inflation + window transform for trace
 /// replay: clip entries to [windowBegin, windowEnd), rebase them to
@@ -162,15 +162,6 @@ std::unique_ptr<RateModulator> makeRateModulator(const WorkloadSpec &spec,
 /// and the result is identical on every machine.
 TrafficTrace applyReplayWindow(const TrafficTrace &trace,
                                const WorkloadSpec &spec);
-
-/// Build the TrafficSource a workload calls for on one column:
-/// steady/churn -> TrafficGenerator (churn dynamics live in the driver),
-/// bursty/ramp -> TrafficGenerator with the matching modulator,
-/// trace -> TraceReplayer over the inflated window (loading `tracePath`).
-/// Returns nullptr and sets `*err` when the trace cannot be loaded.
-std::unique_ptr<TrafficSource>
-makeTrafficSource(const WorkloadSpec &spec, const ColumnConfig &col,
-                  const TrafficConfig &traffic, std::string *err = nullptr);
 
 /// Load + parse a CSV trace file with a diagnosed error ("<path>: <why>"),
 /// checking its flows and destinations against `column` (every trace

@@ -8,40 +8,56 @@
 namespace taqos {
 
 TrafficGenerator::TrafficGenerator(const ColumnConfig &col,
-                                   const TrafficConfig &traffic)
-    : col_(col), traffic_(traffic)
-{
-    Rng master(traffic_.seed);
-    const int flows = col_.numFlows();
-    streams_.resize(static_cast<std::size_t>(flows));
-    genProb_.reserve(static_cast<std::size_t>(flows));
-    for (FlowId f = 0; f < flows; ++f) {
-        streams_[static_cast<std::size_t>(f)].at = master.split();
-        const double rate =
-            traffic_.flowActive(f) ? traffic_.rateOf(f) : 0.0;
-        genProb_.push_back(rate / traffic_.meanPacketFlits());
-    }
-}
-
-TrafficGenerator::TrafficGenerator(const ColumnConfig &col,
                                    const TrafficConfig &traffic,
-                                   const WorkloadSpec &workload)
-    : TrafficGenerator(col, traffic)
+                                   const WorkloadSpec &workload,
+                                   std::vector<FlowInjection> origins)
+    : col_(col), traffic_(traffic), origins_(std::move(origins))
 {
-    mod_ = makeRateModulator(workload, col_.numFlows(), traffic_.seed);
+    const int perBlock = col_.numFlows();
+    if (origins_.empty()) {
+        origins_.resize(static_cast<std::size_t>(perBlock));
+        for (FlowId f = 0; f < perBlock; ++f)
+            origins_[static_cast<std::size_t>(f)].src = col_.nodeOfFlow(f);
+    }
+    const std::size_t flows = origins_.size();
+    TAQOS_ASSERT(flows % static_cast<std::size_t>(perBlock) == 0,
+                 "%zu flows do not fill blocks of %d", flows, perBlock);
+    const int blocks = static_cast<int>(flows) / perBlock;
+    streams_.resize(flows);
+    for (int g = 0; g < blocks; ++g) {
+        Rng master(blockSeed(traffic_.seed, g));
+        for (int f = 0; f < perBlock; ++f)
+            streams_[static_cast<std::size_t>(g * perBlock + f)].at =
+                master.split();
+    }
+    genProb_.reserve(flows);
+    for (std::size_t f = 0; f < flows; ++f)
+        genProb_.push_back(genProbOf(f));
+    mod_ = makeRateModulator(workload, static_cast<int>(flows),
+                             traffic_.seed, blocks);
 }
 
 TrafficGenerator::~TrafficGenerator() = default;
 
+double
+TrafficGenerator::genProbOf(std::size_t f) const
+{
+    const auto flow = static_cast<FlowId>(f);
+    if (origins_[f].src == kInvalidNode || !traffic_.flowActive(flow))
+        return 0.0;
+    return traffic_.rateOf(flow) / traffic_.meanPacketFlits();
+}
+
 void
 TrafficGenerator::setFlowActive(FlowId flow, bool active)
 {
+    const auto f = static_cast<std::size_t>(flow);
+    TAQOS_ASSERT(!active || origins_[f].src != kInvalidNode,
+                 "flow %d has no origin to generate at", flow);
     if (traffic_.activeFlows.empty())
         traffic_.activeFlows.assign(streams_.size(), true);
-    const auto f = static_cast<std::size_t>(flow);
     traffic_.activeFlows[f] = active;
-    const double rate = active ? traffic_.rateOf(flow) : 0.0;
-    const double p = rate / traffic_.meanPacketFlits();
+    const double p = genProbOf(f);
     if (p == genProb_[f])
         return;
     if (next_ != kNoCycle) {
@@ -55,10 +71,9 @@ TrafficGenerator::setFlowActive(FlowId flow, bool active)
 }
 
 NodeId
-TrafficGenerator::pickDest(FlowId flow)
+TrafficGenerator::pickDest(std::size_t f, NodeId src)
 {
-    const NodeId src = col_.nodeOfFlow(flow);
-    Rng &rng = streams_[static_cast<std::size_t>(flow)].at;
+    Rng &rng = streams_[f].at;
     switch (traffic_.pattern) {
       case TrafficPattern::UniformRandom: {
         // Uniform over the other nodes; local terminal accesses do not
@@ -141,14 +156,16 @@ TrafficGenerator::visit(std::size_t f, Cycle now, PacketPool &pool,
         s.commit();
     }
 
-    const auto flow = static_cast<FlowId>(f);
-    InjectorQueue &inj = injectors[f];
+    const FlowInjection &o = origins_[f];
+    InjectorQueue &inj = o.row != nullptr ? *o.row : injectors[f];
     // Size and destination are drawn even when suppressed so that the
     // downstream random sequence is unperturbed.
     const int size = s.at.bernoulli(traffic_.shortPacketProb)
         ? traffic_.shortFlits
         : traffic_.longFlits;
-    const NodeId dest = pickDest(flow);
+    const NodeId dest = pickDest(f, o.src - o.base);
+    TAQOS_ASSERT(dest >= 0 && dest < col_.numNodes,
+                 "generated destination %d outside the column", dest);
     search(f);
 
     if (inj.queue().size() >= traffic_.maxQueueDepth) {
@@ -157,16 +174,22 @@ TrafficGenerator::visit(std::size_t f, Cycle now, PacketPool &pool,
     }
 
     NetPacket *pkt = pool.alloc();
-    pkt->flow = flow;
-    pkt->src = col_.nodeOfFlow(flow);
-    pkt->dst = dest;
+    pkt->flow = static_cast<FlowId>(f);
+    pkt->src = o.src;
+    if (o.row != nullptr) {
+        // The row mesh carries the packet to the block-entry node; the
+        // handoff there sends it on to its real destination.
+        pkt->dst = o.entry;
+        pkt->finalDst = o.base + dest;
+    } else {
+        pkt->dst = o.base + dest;
+    }
     pkt->sizeFlits = size;
     pkt->genCycle = now;
     pkt->queuedCycle = now;
     pkt->state = PacketState::Queued;
     pkt->measured = metrics.inWindow(now);
     inj.enqueue(pkt);
-    fired_.push_back(flow);
 
     ++metrics.generatedPackets;
     metrics.generatedFlits += static_cast<std::uint64_t>(size);
@@ -179,7 +202,6 @@ TrafficGenerator::tick(Cycle now, PacketPool &pool,
                        std::vector<InjectorQueue> &injectors,
                        SimMetrics &metrics)
 {
-    fired_.clear();
     if (now >= traffic_.genUntil)
         return;
     if (now != next_)

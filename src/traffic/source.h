@@ -1,9 +1,9 @@
 /// \file source.h
 /// The traffic-source interface the NetSim engine drives once per cycle.
 /// Implementations push newly generated packets into the network's
-/// per-flow injector queues: TrafficGenerator (stochastic),
-/// TraceReplayer (deterministic replay), and FabricTrafficSource
-/// (compute-node injection on whole-chip and multi-chip fabrics).
+/// per-flow injector queues: TrafficGenerator (stochastic; on a fabric
+/// it also fills the compute nodes' row queues) and TraceReplayer
+/// (deterministic replay).
 #pragma once
 
 #include <cstdint>

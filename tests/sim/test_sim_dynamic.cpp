@@ -1,7 +1,7 @@
 /// Dynamic workloads at simulation level: bursty/ramp columns are
 /// bit-identical between the activity-driven and always-tick engines and
-/// across checkpoint restore; trace replay with inflation is
-/// deterministic at cell level; the tenant-churn driver's schedule is a
+/// across checkpoint restore; every workload kind reaches its source;
+/// trace replay with inflation is deterministic at cell level; the tenant-churn driver's schedule is a
 /// pure function of (seed, epoch), holds the co-scheduling invariant,
 /// and a churned chip reproduces exactly under either engine and across
 /// a mid-run restore that may switch engines;
@@ -195,6 +195,41 @@ TEST(SimDynamic, TraceInflationCellsAreDeterministicAndThinned)
     EXPECT_LT(half.get("delivered_packets"), full.get("delivered_packets"));
     EXPECT_GT(half.get("delivered_packets"),
               0.3 * full.get("delivered_packets"));
+}
+
+TEST(SimDynamic, RoutesEveryWorkloadKindToItsSource)
+{
+    ColumnConfig col;
+    col.topology = TopologyKind::Dps;
+    const TrafficConfig traffic = uniformTraffic(0.05);
+
+    EXPECT_EQ(ColumnSim(col, traffic).generator().modulator(), nullptr);
+    EXPECT_NE(ColumnSim(col, traffic, burstyDefaults())
+                  .generator()
+                  .modulator(),
+              nullptr);
+    EXPECT_NE(ColumnSim(col, traffic, rampSpec(1000))
+                  .generator()
+                  .modulator(),
+              nullptr);
+    // Churn cells keep a plain generator (the driver reshapes it from
+    // outside at frame boundaries).
+    WorkloadSpec churn;
+    churn.kind = WorkloadKind::Churn;
+    EXPECT_EQ(ColumnSim(col, traffic, churn).generator().modulator(),
+              nullptr);
+
+    // A trace workload replays the file: every entry is generated.
+    const TrafficTrace recorded = TrafficTrace::record(col, traffic, 2000);
+    const std::string path = ::testing::TempDir() + "sim_dynamic_route.csv";
+    ASSERT_TRUE(writeTextFile(path, recorded.toCsv()));
+    WorkloadSpec trace;
+    trace.kind = WorkloadKind::Trace;
+    trace.tracePath = path;
+    ColumnSim replay(col, traffic, trace);
+    replay.run(2000);
+    EXPECT_GT(recorded.size(), 0u);
+    EXPECT_EQ(replay.metrics().generatedPackets, recorded.size());
 }
 
 // ------------------------------------------------------- tenant churn

@@ -1,8 +1,8 @@
 /// The dynamic-load machinery behind WorkloadSpec: the ON/OFF Markov
 /// modulator (duty cycle, determinism, checkpoint words), the diurnal
 /// triangle ramp, the deterministic trace-inflation + window transform
-/// (thinning at x0.5 is a strict subset of x1), and the
-/// makeTrafficSource factory that every embedding routes through.
+/// (thinning at x0.5 is a strict subset of x1), and the trace-file
+/// loader's diagnoses.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -250,63 +250,20 @@ TEST(ReplayWindow, HalfInflationKeepsPinnedEntries)
                                          41, 43, 50, 51, 53, 54, 57}));
 }
 
-TEST(MakeTrafficSource, RoutesEveryKindToItsSource)
+TEST(LoadTraceFile, ErrorsAreDiagnosed)
 {
     ColumnConfig col;
     col.canonicalize();
-    TrafficConfig traffic;
-    traffic.injectionRate = 0.05;
 
-    WorkloadSpec steady;
-    auto src = makeTrafficSource(steady, col, traffic);
-    ASSERT_NE(src, nullptr);
-    auto *gen = dynamic_cast<TrafficGenerator *>(src.get());
-    ASSERT_NE(gen, nullptr);
-    EXPECT_EQ(gen->modulator(), nullptr);
-
-    auto burstySrc = makeTrafficSource(burstySpec(), col, traffic);
-    auto *burstyGen = dynamic_cast<TrafficGenerator *>(burstySrc.get());
-    ASSERT_NE(burstyGen, nullptr);
-    EXPECT_NE(burstyGen->modulator(), nullptr);
-
-    // Churn cells keep a plain generator (the driver reshapes it from
-    // outside at frame boundaries).
-    WorkloadSpec churn;
-    churn.kind = WorkloadKind::Churn;
-    auto churnSrc = makeTrafficSource(churn, col, traffic);
-    auto *churnGen = dynamic_cast<TrafficGenerator *>(churnSrc.get());
-    ASSERT_NE(churnGen, nullptr);
-    EXPECT_EQ(churnGen->modulator(), nullptr);
-
-    const std::string path = ::testing::TempDir() + "dyn_factory.csv";
-    const TrafficTrace recorded = TrafficTrace::record(col, traffic, 2000);
-    ASSERT_TRUE(writeTextFile(path, recorded.toCsv()));
-    WorkloadSpec trace;
-    trace.kind = WorkloadKind::Trace;
-    trace.tracePath = path;
+    const std::string missing =
+        ::testing::TempDir() + "no_such_trace.csv";
     std::string err;
-    auto traceSrc = makeTrafficSource(trace, col, traffic, &err);
-    ASSERT_NE(traceSrc, nullptr) << err;
-    EXPECT_NE(dynamic_cast<TraceReplayer *>(traceSrc.get()), nullptr);
-}
-
-TEST(MakeTrafficSource, TraceErrorsAreDiagnosed)
-{
-    ColumnConfig col;
-    col.canonicalize();
-    TrafficConfig traffic;
-
-    WorkloadSpec spec;
-    spec.kind = WorkloadKind::Trace;
-    spec.tracePath = ::testing::TempDir() + "no_such_trace.csv";
-    std::string err;
-    EXPECT_EQ(makeTrafficSource(spec, col, traffic, &err), nullptr);
-    EXPECT_EQ(err, spec.tracePath + ": cannot open trace file");
+    EXPECT_EQ(loadTraceFile(missing, &err, col), nullptr);
+    EXPECT_EQ(err, missing + ": cannot open trace file");
 
     const std::string bad = ::testing::TempDir() + "dyn_bad_trace.csv";
     ASSERT_TRUE(writeTextFile(bad, "cycle,flow,dst,size\n5,x,0,1\n"));
-    spec.tracePath = bad;
-    EXPECT_EQ(makeTrafficSource(spec, col, traffic, &err), nullptr);
+    EXPECT_EQ(loadTraceFile(bad, &err, col), nullptr);
     EXPECT_EQ(err, bad + ": trace csv line 2: bad flow 'x'");
 }
 

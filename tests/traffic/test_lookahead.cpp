@@ -273,23 +273,6 @@ TEST(LookaheadGenerator, MatchesThePerCycleReferenceEveryCycle)
     }
 }
 
-TEST(LookaheadGenerator, FiredListsTheEnqueuedFlowsInOrder)
-{
-    Case c = cases()[6]; // suppression: some successes are not enqueued
-    ASSERT_EQ(c.name, "suppression");
-    Feed<TrafficGenerator> live(lookahead(c));
-    std::uint64_t suppressedBefore = 0;
-    for (Cycle cyc = 0; cyc < 2000; ++cyc) {
-        const auto sent = live.tick(cyc, c.drainEvery);
-        std::vector<FlowId> flows;
-        for (const Sent &s : sent)
-            flows.push_back(std::get<1>(s));
-        ASSERT_EQ(live.gen->fired(), flows) << "cycle " << cyc;
-        suppressedBefore = live.gen->suppressed();
-    }
-    EXPECT_GT(suppressedBefore, 0u);
-}
-
 TEST(LookaheadGenerator, RestoredSourceContinuesInsideLookaheadWindows)
 {
     // 50 restore points per case, none on a multiple of the toggle or
