@@ -167,7 +167,8 @@ main(int argc, char **argv)
     emit("hotpath_legacy_sat", legacy, false);
     w.endArray();
     w.endObject();
-    if (writeTextFile(json, w.str() + "\n"))
+    const bool wrote = writeTextFile(json, w.str() + "\n");
+    if (wrote)
         std::printf("wrote %s\n", json.c_str());
 
     if (mismatches != 0) {
@@ -176,5 +177,5 @@ main(int argc, char **argv)
                      mismatches);
         return 1;
     }
-    return 0;
+    return wrote ? 0 : 1;
 }

@@ -28,7 +28,8 @@ namespace {
 
 /// One policy's arbitration-path cost: simulated cycles/second of a DPS
 /// column at a moderate uniform load (the micro_bench convention).
-void
+/// False when the record cannot be written.
+bool
 writePolicyPerfJson(const char *path)
 {
     constexpr Cycle kCycles = 20000;
@@ -61,8 +62,10 @@ writePolicyPerfJson(const char *path)
     }
     w.endArray();
     w.endObject();
-    if (writeTextFile(path, w.str() + "\n"))
-        std::printf("wrote %s\n", path);
+    if (!writeTextFile(path, w.str() + "\n"))
+        return false;
+    std::printf("wrote %s\n", path);
+    return true;
 }
 
 } // namespace
@@ -82,7 +85,8 @@ main(int argc, char **argv)
         "Arbitration-policy ablation: latency vs load, all six policies",
         "Fig. 4 grid; Sec. 2 related schemes (GSF after Lee et al. [15])");
 
-    writePolicyPerfJson("BENCH_qos_policy.json");
+    if (!writePolicyPerfJson("BENCH_qos_policy.json"))
+        return 1;
 
     SweepSpec spec = fig4Spec(TrafficPattern::UniformRandom, rates, phases);
     spec.name = "ablation_qos_policy";
@@ -90,8 +94,11 @@ main(int argc, char **argv)
 
     const SweepResult result = SweepRunner(threads).run(spec);
     const std::string json = opts.get("json", "");
-    if (!json.empty() && result.writeJson(json))
+    if (!json.empty()) {
+        if (!result.writeJson(json))
+            return 1;
         std::printf("wrote %s\n", json.c_str());
+    }
 
     // One latency table per topology: rate rows x policy columns.
     for (auto kind : result.spec.topologies) {

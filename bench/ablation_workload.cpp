@@ -164,10 +164,8 @@ main(int argc, char **argv)
     }
     w.endArray();
     w.endObject();
-    if (!writeTextFile(json, w.str() + "\n")) {
-        std::fprintf(stderr, "failed to write %s\n", json.c_str());
+    if (!writeTextFile(json, w.str() + "\n"))
         return 1;
-    }
     std::printf("wrote %s\n", json.c_str());
     return 0;
 }

@@ -25,23 +25,35 @@ using namespace taqos;
 
 namespace {
 
-void
+/// Run one pattern's sweep, write its record (json=) and print its
+/// tables, the figure's header first when `first`. The record is written
+/// before anything is printed, so a failed write is the one line the run
+/// prints; false then.
+bool
 runPattern(TrafficPattern pattern, const std::vector<double> &rates,
            const RunPhases &phases, int threads, const std::string &json,
-           QosMode mode, const WorkloadSpec &workload)
+           QosMode mode, const WorkloadSpec &workload, bool first)
 {
-    std::printf("--- %s traffic (%s, %s) ---\n", patternName(pattern),
-                qosModeName(mode), workload.name().c_str());
     SweepSpec spec = fig4Spec(pattern, rates, phases, mode);
     spec.workloadSpecs = {workload};
     const SweepResult result = SweepRunner(threads).run(spec);
-    const auto series = latencySeriesFromSweep(result);
-    if (!json.empty()) {
-        const std::string path =
-            strFormat("%s_%s.json", json.c_str(), patternName(pattern));
-        if (result.writeJson(path))
-            std::printf("wrote %s\n", path.c_str());
+    const std::string path =
+        json.empty()
+            ? std::string()
+            : strFormat("%s_%s.json", json.c_str(), patternName(pattern));
+    if (!path.empty() && !result.writeJson(path))
+        return false;
+
+    if (first) {
+        benchutil::header(
+            "Latency vs injection rate (cycles; 'sat' = beyond saturation)",
+            "Figure 4(a) uniform random, Figure 4(b) tornado (Sec. 5.2)");
     }
+    std::printf("--- %s traffic (%s, %s) ---\n", patternName(pattern),
+                qosModeName(mode), workload.name().c_str());
+    if (!path.empty())
+        std::printf("wrote %s\n", path.c_str());
+    const auto series = latencySeriesFromSweep(result);
 
     TextTable t;
     std::vector<std::string> head{"rate"};
@@ -75,6 +87,7 @@ runPattern(TrafficPattern pattern, const std::vector<double> &rates,
     std::printf("Accepted throughput (%% flits/cycle/injector):\n%s\n",
                 thr.render().c_str());
     std::printf("CSV (latency):\n%s\n", t.renderCsv().c_str());
+    return true;
 }
 
 } // namespace
@@ -112,15 +125,14 @@ main(int argc, char **argv)
     if (which != "both" && which != "uniform" && which != "tornado")
         unknownValue("pattern", which, "both uniform tornado");
 
-    benchutil::header(
-        "Latency vs injection rate (cycles; 'sat' = beyond saturation)",
-        "Figure 4(a) uniform random, Figure 4(b) tornado (Sec. 5.2)");
-    if (which == "both" || which == "uniform")
-        runPattern(TrafficPattern::UniformRandom, rates, phases, threads,
-                   json, mode, workload);
-    if (which == "both" || which == "tornado")
-        runPattern(TrafficPattern::Tornado, rates, phases, threads, json,
-                   mode, workload);
+    const bool uniform = which == "both" || which == "uniform";
+    if (uniform && !runPattern(TrafficPattern::UniformRandom, rates, phases,
+                               threads, json, mode, workload, true))
+        return 1;
+    if ((which == "both" || which == "tornado") &&
+        !runPattern(TrafficPattern::Tornado, rates, phases, threads, json,
+                    mode, workload, !uniform))
+        return 1;
 
     std::printf(
         "Paper expectations: mesh_x1/x2 saturate first (lowest bisection);\n"

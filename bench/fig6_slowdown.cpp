@@ -39,8 +39,11 @@ main(int argc, char **argv)
     const SweepResult result =
         SweepRunner(opts.getInt("threads", 0)).run(spec);
     const std::string json = opts.get("json", "");
-    if (!json.empty() && result.writeJson(json))
+    if (!json.empty()) {
+        if (!result.writeJson(json))
+            return 1;
         std::printf("wrote %s\n", json.c_str());
+    }
     const auto rows = adversarialFromSweep(result);
     for (int w = 1; w <= 2; ++w) {
         std::printf("--- Workload %d ---\n", w);

@@ -146,7 +146,7 @@ timeSim(const std::string &name, Sim &sim, Cycle cycles)
     return row;
 }
 
-void
+bool
 writeMicroJson(const char *path)
 {
     constexpr Cycle kCycles = 20000;
@@ -188,8 +188,10 @@ writeMicroJson(const char *path)
     }
     w.endArray();
     w.endObject();
-    if (writeTextFile(path, w.str() + "\n"))
-        std::printf("wrote %s (%zu entries)\n", path, rows.size());
+    if (!writeTextFile(path, w.str() + "\n"))
+        return false;
+    std::printf("wrote %s (%zu entries)\n", path, rows.size());
+    return true;
 }
 
 } // namespace
@@ -205,7 +207,8 @@ BENCHMARK(BM_BuildChip)->DenseRange(0, 4);
 int
 main(int argc, char **argv)
 {
-    writeMicroJson("BENCH_micro.json");
+    if (!writeMicroJson("BENCH_micro.json"))
+        return 1;
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

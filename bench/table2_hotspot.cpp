@@ -40,8 +40,11 @@ main(int argc, char **argv)
         SweepRunner(opts.getInt("threads", 0))
             .run(table2Spec(measure, 20000, mode));
     const std::string json = opts.get("json", "");
-    if (!json.empty() && result.writeJson(json))
+    if (!json.empty()) {
+        if (!result.writeJson(json))
+            return 1;
         std::printf("wrote %s\n", json.c_str());
+    }
 
     TextTable t;
     t.setHeader({"topology", "mean", "min (% of mean)", "max (% of mean)",

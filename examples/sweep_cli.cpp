@@ -193,10 +193,18 @@ main(int argc, char **argv)
     if (!cacheDir.empty()) {
         CellCache cache(cacheDir);
         result = runner.run(spec, &cache);
-        std::printf("cell cache %s: %zu hits, %zu misses\n",
-                    cacheDir.c_str(), result.cacheHits, result.cacheMisses);
     } else {
         result = runner.run(spec);
+    }
+    // Write the record before printing anything: a failed write is then
+    // the one line the run prints.
+    const std::string out = opts.get("out", "");
+    if (!out.empty() && !result.writeJson(out))
+        return 1;
+
+    if (!cacheDir.empty()) {
+        std::printf("cell cache %s: %zu hits, %zu misses\n",
+                    cacheDir.c_str(), result.cacheHits, result.cacheMisses);
     }
 
     std::printf("sweep '%s' (%s): %zu cells on %d threads, %.1f ms\n\n",
@@ -261,11 +269,7 @@ main(int argc, char **argv)
         std::printf("%s\n", t.render().c_str());
     }
 
-    const std::string out = opts.get("out", "");
-    if (!out.empty()) {
-        if (!result.writeJson(out))
-            return 1;
+    if (!out.empty())
         std::printf("wrote %s\n", out.c_str());
-    }
     return 0;
 }

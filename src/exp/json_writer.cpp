@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "common/assert.h"
-#include "common/log.h"
 #include "common/strings.h"
 
 namespace taqos {
@@ -165,17 +164,17 @@ bool
 writeTextFile(const std::string &path, const std::string &content)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        TAQOS_LOG_ERROR("cannot write %s", path.c_str());
-        return false;
+    bool ok = f != nullptr;
+    if (ok) {
+        ok = std::fwrite(content.data(), 1, content.size(), f) ==
+             content.size();
+        // Buffered bytes reach the file only at the closing flush, so a
+        // full disk often fails there.
+        ok = std::fclose(f) == 0 && ok;
     }
-    const std::size_t n = std::fwrite(content.data(), 1, content.size(), f);
-    std::fclose(f);
-    if (n != content.size()) {
-        TAQOS_LOG_ERROR("short write to %s", path.c_str());
-        return false;
-    }
-    return true;
+    if (!ok)
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return ok;
 }
 
 } // namespace taqos

@@ -73,7 +73,9 @@ class JsonWriter {
     bool pendingKey_ = false;
 };
 
-/// Write `content` to `path`; returns false (and logs) on failure.
+/// Write `content` to `path`. On failure (the file cannot be opened, or a
+/// write or the closing flush fails, as on a full disk) prints one
+/// `cannot write <path>` line to stderr and returns false.
 bool writeTextFile(const std::string &path, const std::string &content);
 
 } // namespace taqos

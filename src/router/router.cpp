@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "common/log.h"
 #include "noc/trace_sink.h"
 
 namespace taqos {
@@ -814,11 +813,6 @@ Router::killPacket(NetPacket *victim, TickContext &ctx)
     TAQOS_ASSERT(ctx.ack != nullptr, "PVC preemption requires an ACK network");
     ctx.ack->send(ctx.now, std::abs(node_ - victim->src), victim,
                   /*isNack=*/true);
-    TAQOS_LOG_DEBUG("cycle %llu: node %d preempted packet %llu "
-                    "(flow %d, %.1f hops wasted)",
-                    static_cast<unsigned long long>(ctx.now), node_,
-                    static_cast<unsigned long long>(victim->id),
-                    victim->flow, wasted);
 }
 
 void

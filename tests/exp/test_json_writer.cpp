@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "exp/json_writer.h"
 
 namespace taqos {
@@ -66,6 +71,37 @@ TEST(JsonWriter, TopLevelArray)
     w.value(std::uint64_t{18446744073709551615ull});
     w.endArray();
     EXPECT_EQ(w.str(), "[\n  \"a\",\n  18446744073709551615\n]");
+}
+
+TEST(WriteTextFile, WritesTheContent)
+{
+    const std::string path = ::testing::TempDir() + "write_text_file.txt";
+    ASSERT_TRUE(writeTextFile(path, "one\ntwo\n"));
+    std::ifstream is(path);
+    std::ostringstream os;
+    os << is.rdbuf();
+    EXPECT_EQ(os.str(), "one\ntwo\n");
+}
+
+TEST(WriteTextFile, AFailedCloseIsAFailedWrite)
+{
+    // /dev/full opens and buffers a small write; the disk-full error
+    // surfaces only when fclose flushes.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full";
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(writeTextFile("/dev/full", "{}\n"));
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "cannot write /dev/full\n");
+}
+
+TEST(WriteTextFile, AnUnopenablePathIsAFailedWrite)
+{
+    const std::string path = ::testing::TempDir() + "no_such_dir/x.json";
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(writeTextFile(path, "{}\n"));
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "cannot write " + path + "\n");
 }
 
 } // namespace

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "common/log.h"
 #include "noc/metrics.h"
 
 namespace taqos {
@@ -52,18 +51,6 @@ TEST(Metrics, SummaryMentionsKeyNumbers)
     EXPECT_NE(s.find("42"), std::string::npos);
     EXPECT_NE(s.find("40"), std::string::npos);
     EXPECT_NE(s.find("10.0"), std::string::npos);
-}
-
-TEST(Log, LevelGate)
-{
-    const LogLevel prev = logLevel();
-    setLogLevel(LogLevel::None);
-    EXPECT_EQ(logLevel(), LogLevel::None);
-    // No crash on suppressed and emitted paths.
-    TAQOS_LOG_ERROR("suppressed %d", 1);
-    setLogLevel(LogLevel::Trace);
-    TAQOS_LOG_DEBUG("emitted %s", "ok");
-    setLogLevel(prev);
 }
 
 } // namespace
