@@ -50,7 +50,6 @@ Network::addTermPort(NodeId node, int vcs)
     term->unboundedVcs = unbounded();
     term->vcs.resize(static_cast<std::size_t>(vcs));
     termPorts_.push_back(std::move(term));
-    termOutIdx_.push_back(-1);
     return termPorts_.back().get();
 }
 
@@ -94,7 +93,6 @@ Network::addTerminalOutput(NodeId n)
                                           /*meshHops=*/1.0});
     const int idx = static_cast<int>(r->outputs().size());
     r->addOutputPort(std::move(out));
-    termOutIdx_[static_cast<std::size_t>(n)] = idx;
     r->setRoute(n, RouteEntry{idx, 1, 0});
 }
 

@@ -56,13 +56,6 @@ class Network {
         return termPorts_[static_cast<std::size_t>(n)].get();
     }
 
-    /// Output-port index of node `n`'s terminal (ejection) port, or -1
-    /// when the node has no terminal output (e.g. a pure transit router).
-    int termOutIdx(NodeId n) const
-    {
-        return termOutIdx_[static_cast<std::size_t>(n)];
-    }
-
     /// Canonical per-flow source queue at the network's injection
     /// boundary: traffic enters here, NACKed packets return here, and the
     /// retransmission window is accounted here.
@@ -167,7 +160,6 @@ class Network {
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<std::unique_ptr<InputPort>> termPorts_;
     std::vector<InjectorQueue> injectors_;
-    std::vector<int> termOutIdx_;
     std::vector<InputPort *> auxPorts_;
     ActivityWorklist worklist_;
 };

@@ -51,7 +51,6 @@ TEST_P(BuildTest, SelfRouteIsTerminal)
     for (NodeId n = 0; n < net->numNodes(); ++n) {
         pkt.dst = n;
         const RouteEntry e = net->router(n)->routeFor(pkt);
-        EXPECT_EQ(e.outPort, net->termOutIdx(n));
         const OutputPort &out =
             *net->router(n)->outputs()[static_cast<std::size_t>(e.outPort)];
         EXPECT_EQ(out.drops[0].down, net->termPort(n));
