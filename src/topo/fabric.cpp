@@ -7,6 +7,7 @@
 #include "topo/fabric.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <string>
 
@@ -105,6 +106,40 @@ fabricSpecError(const FabricSpec &spec)
                              spec.column.injectorsPerNode - 1);
         }
     }
+
+    // Sizes in 64 bits, so a fabric too large to number or to allocate
+    // fails here instead of overflowing an id or exhausting memory.
+    const std::int64_t H = chip.nodesY();
+    const std::int64_t nodes = std::int64_t{spec.chips} * chip.nodesX() * H;
+    if (nodes > INT_MAX)
+        return strFormat("%lld nodes; node ids must fit an int (at most %d)",
+                         static_cast<long long>(nodes), INT_MAX);
+    // Slots per block node, as FabricLayout lays them out.
+    std::int64_t slots = spec.column.injectorsPerNode;
+    if (chip.nodesX() > static_cast<int>(cols.size())) {
+        std::vector<int> catchment(cols.size(), 0);
+        for (int x = 0; x < chip.nodesX(); ++x) {
+            if (!chip.isSharedColumn(x))
+                ++catchment[static_cast<std::size_t>(
+                    std::find(cols.begin(), cols.end(),
+                              chip.nearestSharedColumn(x)) -
+                    cols.begin())];
+        }
+        slots = 1 + *std::max_element(catchment.begin(), catchment.end()) +
+                (spec.chips - 1);
+    }
+    const std::int64_t flows =
+        std::int64_t{spec.chips} * static_cast<std::int64_t>(cols.size()) *
+        H * slots;
+    if (flows > INT_MAX)
+        return strFormat("%lld flows; flow ids must fit an int (at most %d)",
+                         static_cast<long long>(flows), INT_MAX);
+    if (flows > kMaxFlowTableCounters / (H * H))
+        return strFormat("%lld flows need %lld flow-table counters each; the "
+                         "build allocates at most %lld",
+                         static_cast<long long>(flows),
+                         static_cast<long long>(H * H),
+                         static_cast<long long>(kMaxFlowTableCounters));
     return {};
 }
 

@@ -45,6 +45,7 @@
 /// own [g*flowsPerBlock, (g+1)*flowsPerBlock) only.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -84,13 +85,25 @@ struct FabricSpec {
     LinkTopology links = LinkTopology::PointToPoint;
 };
 
+/// The most flow-table counters the build allocates for a fabric's block
+/// routers, its dominant allocation: each router keeps one 8-byte counter
+/// per output and flow of its block, counted here with one output per
+/// column node, as a DPS router has. A DPS fabric just under the cap
+/// (41 chips of 32x32 tiles, shared columns 4 and 12: 16,457,728
+/// counters) peaked at 265 MB resident once built (getrusage, g++ 12.2
+/// Release on a 4-vCPU Xeon KVM guest); the 8-chip, 2048-router fabric
+/// needs 1,048,576.
+inline constexpr std::int64_t kMaxFlowTableCounters = std::int64_t{1}
+                                                      << 24;
+
 /// The first rule `spec` breaks, as one line, or "" when it builds: at
 /// least one chip; a tile grid that divides into square nodes of
 /// `concentration` tiles; at least two node rows; at least one shared
-/// column, each inside the grid and none twice; and a grid without
-/// compute columns must be one chip's one column with its east row
-/// injectors inside its row injectors. FabricLayout asserts on it, and
-/// CLIs call it before any work starts.
+/// column, each inside the grid and none twice; a grid without compute
+/// columns must be one chip's one column with its east row injectors
+/// inside its row injectors; node and flow ids that fit an `int`; and at
+/// most kMaxFlowTableCounters flow-table counters. FabricLayout asserts
+/// on it, and CLIs call it before any work starts.
 std::string fabricSpecError(const FabricSpec &spec);
 
 /// The whole-chip scenario (Sec. 2.1): one chip, its first shared column

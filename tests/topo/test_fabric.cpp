@@ -237,6 +237,34 @@ TEST(FabricBuild, FlowTablesHoldOnlyTheirBlocksFlows)
     }
 }
 
+TEST(FabricSpecError, BoundsIdsAndTheFlowTables)
+{
+    // The fabrics CI runs build: 4 chips (1024 routers) and 8 chips.
+    EXPECT_EQ(fabricSpecError(wideSpec(4)), "");
+    EXPECT_EQ(fabricSpecError(wideSpec(8)), "");
+
+    // 16-node columns, 8 + chips slots per node: 41 chips need
+    // 64,288 x 256 = 16,457,728 counters, 42 chips 67,200 x 256.
+    EXPECT_EQ(fabricSpecError(wideSpec(41)), "");
+    EXPECT_EQ(fabricSpecError(wideSpec(42)),
+              "67200 flows need 256 flow-table counters each; the build "
+              "allocates at most 16777216");
+    EXPECT_EQ(fabricSpecError(wideSpec(3000)),
+              "288768000 flows need 256 flow-table counters each; the "
+              "build allocates at most 16777216");
+
+    // Past an int, where FabricLayout::totalFlows() used to wrap.
+    EXPECT_EQ(fabricSpecError(wideSpec(100000)),
+              "320025600000 flows; flow ids must fit an int (at most "
+              "2147483647)");
+
+    FabricSpec huge = wideSpec(2);
+    huge.chip.tilesX = huge.chip.tilesY = 65536;
+    EXPECT_EQ(fabricSpecError(huge),
+              "2147483648 nodes; node ids must fit an int (at most "
+              "2147483647)");
+}
+
 TEST(FabricLinks, TopologyNamesRoundTrip)
 {
     for (LinkTopology k : {LinkTopology::PointToPoint, LinkTopology::Ring})
