@@ -13,45 +13,13 @@ constexpr int kLinkDelay = 8;
 /// Link serialization width, flits accepted per cycle.
 constexpr int kLinkWidthFlits = 4;
 
-} // namespace
-
-FabricSim::FabricSim(const FabricSpec &spec, const TrafficConfig &traffic,
-                     const WorkloadSpec &workload)
-    : FabricSim(spec)
-{
-    const ColumnConfig &col = network().blockCfg(0);
-    if (workload.kind == WorkloadKind::Trace) {
-        TAQOS_ASSERT(network().rowless(),
-                     "trace replay is a column workload; only a row-less "
-                     "fabric has an embedding for it");
-        std::string err;
-        auto trace = loadTraceFile(workload.tracePath, &err, col);
-        TAQOS_ASSERT(trace != nullptr, "workload '%s' failed: %s",
-                     workload.name().c_str(), err.c_str());
-        source_ = std::make_unique<TraceReplayer>(col, std::move(*trace),
-                                                  workload);
-        return;
-    }
-    auto gen = std::make_unique<TrafficGenerator>(col, traffic, workload,
-                                                  originTable());
-    gen_ = gen.get();
-    source_ = std::move(gen);
-}
-
-FabricSim::FabricSim(const FabricSpec &spec, TrafficTrace trace)
-    : FabricSim(spec)
-{
-    TAQOS_ASSERT(network().rowless(),
-                 "trace replay is a column workload; only a row-less "
-                 "fabric has an embedding for it");
-    source_ = std::make_unique<TraceReplayer>(network().blockCfg(0),
-                                              std::move(trace));
-}
-
+/// Where each of `net`'s flows enters: the entrance queue for terminal
+/// flows and every flow of a row-less fabric, the origin compute node's
+/// row queue and its chip's block-entry node for row flows, and nothing
+/// for slots no node originates.
 std::vector<FlowInjection>
-FabricSim::originTable()
+originTable(FabricNetwork &net)
 {
-    FabricNetwork &net = network();
     std::vector<FlowInjection> table(
         static_cast<std::size_t>(net.totalFlows()));
     const int B = net.blocksPerChip();
@@ -83,6 +51,41 @@ FabricSim::originTable()
         }
     }
     return table;
+}
+
+} // namespace
+
+FabricSim::FabricSim(const FabricSpec &spec, const TrafficConfig &traffic,
+                     const WorkloadSpec &workload)
+    : FabricSim(spec)
+{
+    const ColumnConfig &col = network().blockCfg(0);
+    if (workload.kind == WorkloadKind::Trace) {
+        TAQOS_ASSERT(network().rowless(),
+                     "trace replay is a column workload; only a row-less "
+                     "fabric has an embedding for it");
+        std::string err;
+        auto trace = loadTraceFile(workload.tracePath, &err, col);
+        TAQOS_ASSERT(trace != nullptr, "workload '%s' failed: %s",
+                     workload.name().c_str(), err.c_str());
+        source_ = std::make_unique<TraceReplayer>(col, std::move(*trace),
+                                                  workload);
+        return;
+    }
+    auto gen = std::make_unique<TrafficGenerator>(col, traffic, workload,
+                                                  originTable(network()));
+    gen_ = gen.get();
+    source_ = std::move(gen);
+}
+
+FabricSim::FabricSim(const FabricSpec &spec, TrafficTrace trace)
+    : FabricSim(spec)
+{
+    TAQOS_ASSERT(network().rowless(),
+                 "trace replay is a column workload; only a row-less "
+                 "fabric has an embedding for it");
+    source_ = std::make_unique<TraceReplayer>(network().blockCfg(0),
+                                              std::move(trace));
 }
 
 FabricSim::FabricSim(const FabricSpec &spec)

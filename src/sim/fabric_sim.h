@@ -89,12 +89,6 @@ class FabricSim : public NetSim {
     /// constructors then install the traffic source.
     explicit FabricSim(const FabricSpec &spec);
 
-    /// Where each flow's packets enter: the entrance queue for terminal
-    /// flows and every flow of a row-less fabric, the origin compute
-    /// node's row queue and its chip's block-entry node for row flows,
-    /// and nothing for slots no node originates.
-    std::vector<FlowInjection> originTable();
-
     /// One inter-chip channel: a FIFO delay line with serialization
     /// (`nextFree` models the width-limited occupancy).
     struct ChipLink {

@@ -50,6 +50,20 @@ ChipNetConfig::fabricSpec() const
     return spec;
 }
 
+namespace {
+
+/// Injector slots per block node: the terminal, the largest catchment and
+/// one per remote chip, or the column's own injectors when row-less.
+std::int64_t
+slotsPerNodeOf(const FabricSpec &spec, std::int64_t maxCatchment,
+               bool rowless)
+{
+    return rowless ? spec.column.injectorsPerNode
+                   : 1 + maxCatchment + (spec.chips - 1);
+}
+
+} // namespace
+
 FabricSpec
 columnFabricSpec(const ColumnConfig &col)
 {
@@ -114,20 +128,17 @@ fabricSpecError(const FabricSpec &spec)
     if (nodes > INT_MAX)
         return strFormat("%lld nodes; node ids must fit an int (at most %d)",
                          static_cast<long long>(nodes), INT_MAX);
-    // Slots per block node, as FabricLayout lays them out.
-    std::int64_t slots = spec.column.injectorsPerNode;
-    if (chip.nodesX() > static_cast<int>(cols.size())) {
-        std::vector<int> catchment(cols.size(), 0);
-        for (int x = 0; x < chip.nodesX(); ++x) {
-            if (!chip.isSharedColumn(x))
-                ++catchment[static_cast<std::size_t>(
-                    std::find(cols.begin(), cols.end(),
-                              chip.nearestSharedColumn(x)) -
-                    cols.begin())];
-        }
-        slots = 1 + *std::max_element(catchment.begin(), catchment.end()) +
-                (spec.chips - 1);
+    std::vector<int> catchment(cols.size(), 0);
+    for (int x = 0; x < chip.nodesX(); ++x) {
+        if (!chip.isSharedColumn(x))
+            ++catchment[static_cast<std::size_t>(
+                std::find(cols.begin(), cols.end(),
+                          chip.nearestSharedColumn(x)) -
+                cols.begin())];
     }
+    const std::int64_t slots = slotsPerNodeOf(
+        spec, *std::max_element(catchment.begin(), catchment.end()),
+        chip.nodesX() == static_cast<int>(cols.size()));
     const std::int64_t flows =
         std::int64_t{spec.chips} * static_cast<std::int64_t>(cols.size()) *
         H * slots;
@@ -165,8 +176,8 @@ FabricLayout::FabricLayout(FabricSpec spec) : spec_(std::move(spec))
         maxCatchment_ =
             std::max(maxCatchment_, static_cast<int>(catchments_[j].size()));
     }
-    slotsPerNode_ = rowless() ? spec_.column.injectorsPerNode
-                              : 1 + maxCatchment_ + remoteSlots();
+    slotsPerNode_ =
+        static_cast<int>(slotsPerNodeOf(spec_, maxCatchment_, rowless()));
 }
 
 bool

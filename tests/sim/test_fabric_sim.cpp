@@ -2,7 +2,8 @@
 /// one-column fabric is metric-identical to ChipSim on the same seed),
 /// cross-chip delivery over both link topologies, activity-driven vs
 /// always-tick bit-identity up to the kilo-node scale, a column with no
-/// catchment generating nothing it cannot originate, and recorded
+/// catchment generating nothing it cannot originate, generation that
+/// allocates no packet for a full origin queue, and recorded
 /// fabric traces passing the independent checker's audit
 /// byte-identically under both engines.
 #include <gtest/gtest.h>
@@ -99,6 +100,24 @@ TEST(FabricSimTest, TwoChipsDeliverEverythingAcrossTheLinks)
     EXPECT_EQ(sim.metrics().deliveredFlits, sim.metrics().generatedFlits);
     EXPECT_GT(sim.handoffs(), 0u);
     EXPECT_GT(sim.linkHops(), 0u); // remote flows really crossed chips
+    sim.checkInvariants();
+}
+
+TEST(FabricSimTest, AFullOriginQueueAllocatesNoPacket)
+{
+    // Far past saturation with two-packet origin queues, most successes
+    // find their queue full. Each is suppressed before a packet is
+    // allocated, so every packet id went to a generated packet.
+    TrafficConfig t;
+    t.pattern = TrafficPattern::UniformRandom;
+    t.injectionRate = 0.5;
+    t.maxQueueDepth = 2;
+    t.genUntil = 1500;
+
+    FabricSim sim(twoChipSpec(), t);
+    sim.run(1500);
+    EXPECT_GT(sim.generator().suppressed(), 0u);
+    EXPECT_EQ(sim.pool().nextId(), sim.metrics().generatedPackets);
     sim.checkInvariants();
 }
 
