@@ -90,10 +90,11 @@ class TrafficGenerator : public TrafficSource {
 
     /// Switch one flow on or off mid-run (the tenant-churn driver's hook;
     /// apply at frame boundaries); a flow switched on runs at its
-    /// configured rate (TrafficConfig::rateOf), and must have a `src`. An inactive flow's stream
-    /// freezes — it consumes no draws — so the change is exactly
-    /// reproducible under either engine and across checkpoint restore.
-    /// The flow's look-ahead restarts at the next tick's cycle.
+    /// configured rate (TrafficConfig::rateOf), and must have a `src`.
+    /// An inactive flow's stream freezes — it consumes no draws — so the
+    /// change is exactly reproducible under either engine and across
+    /// checkpoint restore. The flow's look-ahead restarts at the next
+    /// tick's cycle.
     void setFlowActive(FlowId flow, bool active);
 
     /// The installed modulator (null for steady workloads).

@@ -1,12 +1,12 @@
 /// Dynamic workloads at simulation level: bursty/ramp columns are
 /// bit-identical between the activity-driven and always-tick engines and
 /// across checkpoint restore; every workload kind reaches its source;
-/// trace replay with inflation is deterministic at cell level; the tenant-churn driver's schedule is a
-/// pure function of (seed, epoch), holds the co-scheduling invariant,
-/// and a churned chip reproduces exactly under either engine and across
-/// a mid-run restore that may switch engines;
-/// and the sweep layer keys non-steady workloads into cell seeds and
-/// cache keys while leaving steady cells untouched.
+/// trace replay with inflation is deterministic at cell level; the
+/// tenant-churn driver's schedule is a pure function of (seed, epoch),
+/// holds the co-scheduling invariant, and a churned chip reproduces
+/// exactly under either engine and across a mid-run restore that may
+/// switch engines; and the sweep layer keys non-steady workloads into
+/// cell seeds and cache keys while leaving steady cells untouched.
 #include <gtest/gtest.h>
 
 #include <cstdint>
