@@ -81,9 +81,12 @@ main(int argc, char **argv)
     cfg.phases.measure = opts.getCycles("measure", cfg.phases.measure);
     cfg.phases.drain = opts.getCycles("drain", cfg.phases.drain);
 
+    // The spec runFabricConsolidation builds, checked before any work.
     FabricSpec spec;
     spec.chips = cfg.chips;
     spec.chip = cfg.chip;
+    spec.column = paperColumn(cfg.topology, cfg.mode);
+    spec.links = cfg.links;
     const std::string err = fabricSpecError(spec);
     if (!err.empty())
         optionError("bad fabric: " + err);

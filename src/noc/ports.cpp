@@ -48,29 +48,21 @@ InputPort::attachVcs()
 }
 
 void
-InputPort::recountHot()
-{
-    occupied_ = occupiedVcs();
-}
-
-void
 InputPort::onVcReserved(VirtualChannel &vc)
 {
-    ++occupied_;
     if (trace != nullptr) {
         trace->vcReserved(*this, vcIndex(vc), *vc.packet(),
                           vc.headArrival(), vc.tailArrival());
     }
     if (owner != nullptr)
         owner->noteVcReserved(this, vcIndex(vc));
+    if (ejection != nullptr)
+        ejection->arm(vc.tailArrival(), ejectIdx, vcIndex(vc));
 }
 
 void
 InputPort::onVcFreed(VirtualChannel &vc, NetPacket *freed)
 {
-    --occupied_;
-    TAQOS_ASSERT(occupied_ >= 0, "occupancy underflow on %s",
-                 name.c_str());
     if (trace != nullptr && freed != nullptr)
         trace->vcFreed(*this, vcIndex(vc), *freed);
     if (owner != nullptr)
@@ -171,7 +163,7 @@ OutputPort::startTransfer(NetPacket *pkt, int dropIdx, VcRef srcVc, Cycle now)
     nextStart_ = now + static_cast<Cycle>(pkt->sizeFlits);
     pkt->addXfer(this);
     if (owner != nullptr)
-        owner->noteXferStarted(xfer_.tailDepart);
+        owner->noteXferStarted(index, xfer_.tailDepart);
 
     if (srcVc.port != nullptr)
         srcVc.port->vcs[static_cast<std::size_t>(srcVc.vc)].startDrain();
@@ -197,7 +189,7 @@ OutputPort::tickCompletion(Cycle now)
     xfer_.active = false;
     xfer_.pkt = nullptr;
     if (owner != nullptr)
-        owner->noteXferEnded();
+        owner->noteXferEnded(index);
 }
 
 double
@@ -223,7 +215,7 @@ OutputPort::cancelTransfer(Cycle now)
     if (nextStart_ > now + 1)
         nextStart_ = now + 1;
     if (owner != nullptr)
-        owner->noteXferEnded();
+        owner->noteXferEnded(index);
     return wasted;
 }
 

@@ -14,11 +14,12 @@
 /// Activity tracking: every state change that can alter an arbitration
 /// outcome flows through this layer — a VC reservation/release, an
 /// injector enqueue/dequeue, a transfer start/completion, a window-slot
-/// retire. Each hook maintains incremental occupancy counts on the port
-/// and notifies the owning Router so the activity-driven engine re-arms
-/// it (see router.h). Ports without an owner (terminal/handoff buffers,
-/// standalone unit-test fixtures) still keep their occupancy counts,
-/// which the engine uses to skip idle ejection scans.
+/// retire. Each hook notifies the owning Router so the activity-driven
+/// engine re-arms it (see router.h). A port without an owner is a
+/// terminal or handoff buffer, whose reservations arm the engine's
+/// ejection due list (noc/activity.h), or a standalone unit-test fixture,
+/// which notifies nobody. Ports keep no occupancy count; occupiedVcs()
+/// counts from the VC array.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "noc/activity.h"
 #include "noc/packet.h"
 #include "noc/vc.h"
 
@@ -148,6 +150,12 @@ class InputPort {
     /// null for terminal/handoff buffers owned by the engine).
     Router *owner = nullptr;
 
+    /// Terminal and handoff buffers only: the due list a reservation arms
+    /// and this buffer's position in the ejection order, terminals by
+    /// node and then aux ports (wired by NetSim; null elsewhere).
+    EjectionDueList *ejection = nullptr;
+    int ejectIdx = -1;
+
     /// Flit-trace recorder observing this port's VC transitions (null =
     /// not recording; wired by Network::setTraceSink).
     TraceSink *trace = nullptr;
@@ -165,22 +173,12 @@ class InputPort {
     /// available.
     int findFreeVc(Cycle now, bool rateCompliant);
 
+    /// VCs currently not Free (counted from the VC array).
     int occupiedVcs() const;
-
-    // --- incremental activity state -----------------------------------
-
-    /// VCs currently not Free — maintained by the VirtualChannel hooks
-    /// once attachVcs() has run, so the engine can skip empty terminal
-    /// and handoff ports without touching the VC array.
-    int occupied() const { return occupied_; }
 
     /// Point every VC of this port back at it (idempotent; called from
     /// Network::finalizeRouters; unbounded-VC growth self-attaches).
     void attachVcs();
-
-    /// Recompute occupied() from the VC states (checkpoint restore
-    /// rebuilds it after the raw overwrites that bypass the hooks).
-    void recountHot();
 
     /// Global enumeration base of this port's slots within its router's
     /// input-major candidate order (the round-robin key of VC/injector
@@ -203,9 +201,6 @@ class InputPort {
     {
         return static_cast<int>(&vc - vcs.data());
     }
-
-  private:
-    int occupied_ = 0;
 };
 
 class OutputPort {
@@ -237,9 +232,11 @@ class OutputPort {
     NodeId node = kInvalidNode;
     std::vector<Drop> drops;
 
-    /// Router this channel belongs to (set by addOutputPort; transfer
-    /// start/completion keeps its active-transfer count in step).
+    /// Router this channel belongs to and the channel's position among
+    /// its outputs (set by addOutputPort; transfer start and completion
+    /// keep the router's active-transfer bit for it in step).
     Router *owner = nullptr;
+    int index = -1;
 
     /// Flow-state table this output charges/queries. Replicated mesh
     /// channels in the same direction form one logical output and share a
@@ -269,7 +266,7 @@ class OutputPort {
 
     /// Checkpoint access: channel-hold horizon plus the verbatim
     /// in-progress transfer. Restore bypasses the owner hooks — the
-    /// restoring router recounts active transfers itself.
+    /// restoring router re-derives its transfer bits itself.
     Cycle nextStart() const { return nextStart_; }
     void restoreRaw(Cycle nextStart, const Transfer &xfer)
     {

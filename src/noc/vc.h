@@ -55,17 +55,18 @@ class VirtualChannel {
     /// (for preemption waste accounting).
     int flitsPresent(Cycle now) const;
 
-    /// Attach the port whose occupancy this VC feeds. State transitions
-    /// then notify the port (incremental occupancy counts + router
-    /// activity arming); a detached VC (unit tests, scratch buffers) is
-    /// tracked by nobody. Wired by Network::finalizeRouters.
+    /// Attach the port this VC belongs to. State transitions then notify
+    /// the port (router activity arming, the ejection due list, the flit
+    /// trace); a detached VC (unit tests, scratch buffers) is tracked by
+    /// nobody. Wired by Network::finalizeRouters.
     void setPort(InputPort *port) { port_ = port; }
     InputPort *port() const { return port_; }
 
     /// Restore: overwrite the full VC state without firing the port
-    /// hooks (the restoring router recomputes occupancy counts and
-    /// re-adds arbitration slots afterwards, so the usual notify-on-
-    /// transition path must stay silent). freeVisibleAt matters even
+    /// hooks (the restoring router recomputes its counts and re-adds
+    /// arbitration slots, and the engine re-arms its ejection due list,
+    /// afterwards, so the usual notify-on-transition path must stay
+    /// silent). freeVisibleAt matters even
     /// for Free VCs — an in-flight credit is part of the state.
     void restoreRaw(State state, NetPacket *pkt, Cycle headArrival,
                     Cycle tailArrival, Cycle freeVisibleAt)

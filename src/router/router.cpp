@@ -1,6 +1,7 @@
 #include "router/router.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 
 #include "noc/trace_sink.h"
@@ -26,6 +27,7 @@ OutputPort *
 Router::addOutputPort(std::unique_ptr<OutputPort> port)
 {
     port->owner = this;
+    port->index = static_cast<int>(outputs_.size());
     outputs_.push_back(std::move(port));
     return outputs_.back().get();
 }
@@ -42,16 +44,25 @@ Router::arm()
 {
     if (worklist_ != nullptr && !inWorklist_) {
         inWorklist_ = true;
-        worklist_->pending.push_back(node_);
+        worklist_->arm(node_);
     }
+}
+
+void
+Router::setAllOutBits(OutBit kind)
+{
+    std::uint64_t *words = outBits(kind);
+    std::fill(words, words + outWords_, ~std::uint64_t{0});
+    // Keep the bits past the last output clear.
+    const int tail = static_cast<int>(outputs_.size()) % 64;
+    if (tail != 0)
+        words[outWords_ - 1] = bitOf(tail) - 1;
 }
 
 void
 Router::markArbDirty()
 {
-    for (auto &d : outDirty_)
-        d = 1;
-    anyOutDirty_ = true;
+    setAllOutBits(kDirty);
 }
 
 void
@@ -68,8 +79,10 @@ Router::insertSlot(int outPort, const ArbSlot &slot)
     // The new candidate cannot change the winner before it is eligible by
     // time, so the scan at that cycle is the first that could see it:
     // schedule that scan instead of dirtying the output.
-    if (slot.eligible < outWake_[o])
+    if (slot.eligible < outWake_[o]) {
         outWake_[o] = slot.eligible;
+        setOutBit(kWake, outPort, true);
+    }
     if (slot.eligible < minWake_)
         minWake_ = slot.eligible;
 }
@@ -213,20 +226,20 @@ Router::noteInjectorWindowChange(InjectorQueue &inj)
 }
 
 void
-Router::noteXferStarted(Cycle tailDepart)
+Router::noteXferStarted(int out, Cycle tailDepart)
 {
-    ++activeXfers_;
+    setOutBit(kXfer, out, true);
     if (tailDepart < nextCompletion_)
         nextCompletion_ = tailDepart;
     arm();
 }
 
 void
-Router::noteXferEnded()
+Router::noteXferEnded(int out)
 {
-    --activeXfers_;
-    TAQOS_ASSERT(activeXfers_ >= 0, "router %d transfer-count underflow",
-                 node_);
+    TAQOS_ASSERT(outBit(kXfer, out), "router %d output %d ended a transfer "
+                 "it never started", node_, out);
+    setOutBit(kXfer, out, false);
 }
 
 void
@@ -310,8 +323,12 @@ Router::finalize()
         }
     }
     slots_.assign(outputs_.size(), {});
-    outDirty_.assign(outputs_.size(), 1);
     outWake_.assign(outputs_.size(), 0);
+    outWords_ = static_cast<int>((outputs_.size() + 63) / 64);
+    outBitWords_.assign(
+        static_cast<std::size_t>(kNumOutBits * outWords_), 0);
+    setAllOutBits(kDirty);
+    setAllOutBits(kWake);
     tableOuts_.assign(static_cast<std::size_t>(numTables), {});
     for (std::size_t o = 0; o < outputs_.size(); ++o) {
         tableOuts_[static_cast<std::size_t>(outputs_[o]->tableIdx)]
@@ -445,6 +462,8 @@ Router::scanOutput(int outPort, TickContext &ctx)
         }
     }
     outWake_[o] = wake;
+    setOutBit(kWake, outPort, wake != kNoCycle);
+    setOutBit(kWinner, outPort, win != nullptr);
     if (win == nullptr)
         best_[o].slot.pkt = nullptr;
     else
@@ -454,6 +473,7 @@ Router::scanOutput(int outPort, TickContext &ctx)
 void
 Router::checkSlots(Cycle now, bool wakes) const
 {
+    const bool anyDirty = anyOutBit(kDirty);
     std::size_t expected = 0;
     for (const auto &in : inputs_) {
         for (std::size_t v = 0; v < in->vcs.size(); ++v) {
@@ -527,7 +547,7 @@ Router::checkSlots(Cycle now, bool wakes) const
                                        !pkt->inWindow &&
                                        !slot.inj->windowOpen();
             TAQOS_ASSERT(!wakes || slot.eligible < now || windowStalled ||
-                             outDirty_[o] != 0 ||
+                             outBit(kDirty, out) ||
                              outWake_[o] <= slot.eligible,
                          "router %d output %d: slot %s/%d eligible at "
                          "%llu but the output wakes at %llu",
@@ -535,15 +555,37 @@ Router::checkSlots(Cycle now, bool wakes) const
                          static_cast<unsigned long long>(slot.eligible),
                          static_cast<unsigned long long>(outWake_[o]));
         }
-        TAQOS_ASSERT(!wakes || anyOutDirty_ ||
-                         (outDirty_[o] == 0 && minWake_ <= outWake_[o]),
-                     "router %d: summary misses output %d's dirty flag or "
-                     "wake",
-                     node_, out);
+        TAQOS_ASSERT(!wakes || anyDirty || minWake_ <= outWake_[o],
+                     "router %d: min wake %llu misses output %d's wake %llu",
+                     node_, static_cast<unsigned long long>(minWake_), out,
+                     static_cast<unsigned long long>(outWake_[o]));
+        TAQOS_ASSERT(outBit(kWake, out) == (outWake_[o] != kNoCycle),
+                     "router %d output %d: wake bit %d, wake %llu", node_,
+                     out, outBit(kWake, out) ? 1 : 0,
+                     static_cast<unsigned long long>(outWake_[o]));
+        TAQOS_ASSERT(!wakes ||
+                         outBit(kWinner, out) == (best_[o].slot.pkt != nullptr),
+                     "router %d output %d: winner bit %d disagrees with "
+                     "the cached winner",
+                     node_, out, outBit(kWinner, out) ? 1 : 0);
+        TAQOS_ASSERT(outBit(kXfer, out) == outputs_[o]->transfer().active,
+                     "router %d output %d: transfer bit %d, transfer "
+                     "active %d",
+                     node_, out, outBit(kXfer, out) ? 1 : 0,
+                     outputs_[o]->transfer().active ? 1 : 0);
     }
     TAQOS_ASSERT(held == expected,
                  "router %d holds %zu arbitration slots for %zu candidates",
                  node_, held, expected);
+    // No bit of any kind past the last output: the loops that walk the
+    // bits would visit an output that does not exist.
+    const int tail = static_cast<int>(outputs_.size()) % 64;
+    for (int k = 0; tail != 0 && k < kNumOutBits; ++k) {
+        TAQOS_ASSERT((outBits(static_cast<OutBit>(k))[outWords_ - 1] &
+                      ~(bitOf(tail) - 1)) == 0,
+                     "router %d: output bit kind %d set past output %d",
+                     node_, k, static_cast<int>(outputs_.size()) - 1);
+    }
 }
 
 bool
@@ -832,15 +874,18 @@ Router::tickCompletions(Cycle now)
     // nextCompletion is a lower bound on the earliest active transfer's
     // tail departure (a cancellation can only raise the true minimum), so
     // ticks before it are exact no-ops for every output.
-    if (activeXfers_ == 0 || now < nextCompletion_)
+    if (now < nextCompletion_)
         return;
     Cycle next = kNoCycle;
-    for (const auto &out : outputs_) {
-        out->tickCompletion(now);
-        const OutputPort::Transfer &xfer = out->transfer();
+    // Only streaming outputs, in output order; a completion clears the
+    // output's transfer bit, which the walk has already read.
+    forEachBit(outBits(kXfer), outWords_, [&](int o) {
+        OutputPort &out = *outputs_[static_cast<std::size_t>(o)];
+        out.tickCompletion(now);
+        const OutputPort::Transfer &xfer = out.transfer();
         if (xfer.active && xfer.tailDepart < next)
             next = xfer.tailDepart;
-    }
+    });
     nextCompletion_ = next;
 }
 
@@ -872,30 +917,35 @@ Router::arbitrate(TickContext &ctx)
     // cycle regardless, so time-driven grant conditions (link free,
     // credit visibility, crossbar slots, preemption wait thresholds) are
     // evaluated on exactly the cycles the always-tick engine would.
-    if (anyOutDirty_ || ctx.now >= minWake_) {
+    if (anyOutBit(kDirty) || ctx.now >= minWake_) {
+        std::uint64_t *dirty = outBits(kDirty);
+        const std::uint64_t *wakes = outBits(kWake);
         Cycle minWake = kNoCycle;
-        int winners = 0;
-        for (std::size_t o = 0; o < outputs_.size(); ++o) {
-            if (outDirty_[o] != 0 || ctx.now >= outWake_[o]) {
-                scanOutput<P>(static_cast<int>(o), ctx);
-                ++ctx.stats.outputScans;
-                outDirty_[o] = 0;
+        for (int w = 0; w < outWords_; ++w) {
+            // Rescan the dirty outputs and those whose wake has come due;
+            // the other pending wakes bound the next scan.
+            std::uint64_t scan = dirty[w];
+            dirty[w] = 0;
+            for (std::uint64_t b = wakes[w] & ~scan; b != 0; b &= b - 1) {
+                const int o = w * 64 + std::countr_zero(b);
+                const Cycle wake = outWake_[static_cast<std::size_t>(o)];
+                if (ctx.now >= wake)
+                    scan |= bitOf(o);
+                else
+                    minWake = std::min(minWake, wake);
             }
-            if (outWake_[o] < minWake)
-                minWake = outWake_[o];
-            if (best_[o].slot.pkt != nullptr)
-                ++winners;
+            for (; scan != 0; scan &= scan - 1) {
+                const int o = w * 64 + std::countr_zero(scan);
+                scanOutput<P>(o, ctx);
+                ++ctx.stats.outputScans;
+                minWake =
+                    std::min(minWake, outWake_[static_cast<std::size_t>(o)]);
+            }
         }
-        anyOutDirty_ = false;
         minWake_ = minWake;
-        winners_ = winners;
     }
-    if (winners_ == 0)
-        return;
-    for (std::size_t o = 0; o < outputs_.size(); ++o) {
-        if (best_[o].slot.pkt != nullptr)
-            tryGrant(static_cast<int>(o), ctx);
-    }
+    forEachBit(outBits(kWinner), outWords_,
+               [&](int o) { tryGrant(o, ctx); });
 }
 
 void
@@ -910,18 +960,17 @@ Router::rebuildFromRestore()
 {
     occupiedVcs_ = 0;
     queuedPkts_ = 0;
-    activeXfers_ = 0;
     nextCompletion_ = kNoCycle;
+    std::fill(outBitWords_.begin(), outBitWords_.end(), 0);
     for (const auto &in : inputs_) {
-        in->recountHot();
-        occupiedVcs_ += in->occupied();
+        occupiedVcs_ += in->occupiedVcs();
         for (const InjectorQueue *inj : in->injectors)
             queuedPkts_ += static_cast<int>(inj->queue().size());
     }
     for (const auto &out : outputs_) {
         const OutputPort::Transfer &xfer = out->transfer();
         if (xfer.active) {
-            ++activeXfers_;
+            setOutBit(kXfer, out->index, true);
             if (xfer.tailDepart < nextCompletion_)
                 nextCompletion_ = xfer.tailDepart;
         }
@@ -952,12 +1001,11 @@ Router::rebuildFromRestore()
     // the always-tick cross-check proves bit-identical.
     for (auto &b : best_)
         b = Winner{};
-    std::fill(outDirty_.begin(), outDirty_.end(), 1);
     std::fill(outWake_.begin(), outWake_.end(), 0);
-    anyOutDirty_ = true;
+    setAllOutBits(kDirty);
+    setAllOutBits(kWake);
     minWake_ = 0;
-    winners_ = 0;
-    inWorklist_ = false; // the engine repopulates its pending list
+    inWorklist_ = false; // the engine re-arms the routers with work
 }
 
 void

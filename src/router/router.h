@@ -13,7 +13,8 @@
 /// its mode selects (qos/policy.h).
 ///
 /// Per-cycle operation:
-///   1. tickCompletion on every output (tail departures free source VCs).
+///   1. tickCompletion on every streaming output (tail departures free
+///      source VCs).
 ///   2. Virtual-channel allocation per output port: the highest-priority
 ///      eligible packet gets a downstream VC and starts streaming
 ///      (virtual cut-through: the whole packet follows, crossbar
@@ -24,6 +25,7 @@
 ///      source, and replayed.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -58,12 +60,17 @@ struct EngineStats {
     /// engine's full scans are not counted).
     std::uint64_t outputScans = 0;
     std::uint64_t hops = 0; ///< transfers started (OutputPort::startTransfer)
+    /// Ejection due-list entries the activity engine visited, stale ones
+    /// (left by a packet killed in its terminal or handoff buffer)
+    /// included; the always-tick engine's full scans are not counted.
+    std::uint64_t ejections = 0;
 
     EngineStats &operator+=(const EngineStats &o)
     {
         routerTicks += o.routerTicks;
         outputScans += o.outputScans;
         hops += o.hops;
+        ejections += o.ejections;
         return *this;
     }
 };
@@ -157,20 +164,23 @@ class Router {
     // --- activity tracking (the activity-driven engine) ---------------
     //
     // Two layers. (1) Engine worklist: the engine ticks only routers on
-    // the shared worklist; a router re-arms itself when an event gives it
-    // work. (2) Per-output candidate cache: each output keeps the list of
-    // arbitration slots currently routed to it — a Reserved VC, or an
-    // injector queue's head packet — maintained incrementally by the port
-    // hooks, plus a dirty flag and a time-driven wake. An output's
-    // candidate scan reruns only when an event dirtied its inputs or a
-    // scheduled eligibility (head arrival + pipeline, injection
-    // readiness) has come due; everything else re-attempts the cached
-    // winner, which is exactly what the always-tick engine would
-    // recompute. A new slot schedules a wake at its eligibility instead
-    // of dirtying: it cannot win before then. Each slot carries what the
-    // scan reads, so a scan touches no port or VC. All scans of a cycle
-    // run before any grant, mirroring the legacy collect-then-grant
-    // phases. See README "Performance".
+    // the shared worklist (noc/activity.h); a router re-arms itself when
+    // an event gives it work. (2) Per-output candidate cache: each output
+    // keeps the list of arbitration slots currently routed to it — a
+    // Reserved VC, or an injector queue's head packet — maintained
+    // incrementally by the port hooks, plus a dirty flag and a
+    // time-driven wake. An output's candidate scan reruns only when an
+    // event dirtied its inputs or a scheduled eligibility (head arrival +
+    // pipeline, injection readiness) has come due; everything else
+    // re-attempts the cached winner, which is exactly what the
+    // always-tick engine would recompute. A new slot schedules a wake at
+    // its eligibility instead of dirtying: it cannot win before then.
+    // Each slot carries what the scan reads, so a scan touches no port or
+    // VC. All scans of a cycle run before any grant, mirroring the legacy
+    // collect-then-grant phases. Four bit sets over the outputs (dirty,
+    // wake pending, cached winner, active transfer) let the scan, grant
+    // and completion loops visit only the outputs with work, in ascending
+    // output order. See README "Performance".
 
     /// Register with the engine worklist (arms the router immediately).
     void setWorklist(ActivityWorklist *wl);
@@ -183,7 +193,7 @@ class Router {
     /// A router with none is a provable no-op and is skipped entirely.
     bool hasWork() const
     {
-        return occupiedVcs_ + queuedPkts_ + activeXfers_ > 0;
+        return occupiedVcs_ + queuedPkts_ > 0 || anyOutBit(kXfer);
     }
 
     /// Policy state changed behind every output's back (frame flush, GSF
@@ -210,9 +220,9 @@ class Router {
     void noteInjectorEnqueue(InjectorQueue &inj, bool headChanged);
     void noteInjectorDequeue(InjectorQueue &inj);
     void noteInjectorWindowChange(InjectorQueue &inj);
-    /// An output began streaming; its tail departs at `tailDepart`.
-    void noteXferStarted(Cycle tailDepart);
-    void noteXferEnded(); ///< transfer completed or cancelled
+    /// Output `out` began streaming; its tail departs at `tailDepart`.
+    void noteXferStarted(int out, Cycle tailDepart);
+    void noteXferEnded(int out); ///< transfer completed or cancelled
     /// Flow-table mutation at table `tableIdx` (-1 = all tables): the
     /// virtual-clock priorities of every output charging that table are
     /// stale. Replicated mesh channels share one table, so one charge can
@@ -224,10 +234,13 @@ class Router {
 
     /// Assert that every arbitration slot matches the live state it
     /// caches (packet, eligibility cycle, age, flow, carried flag, route)
-    /// and that every Reserved VC and non-empty injector queue holds one.
+    /// and that every Reserved VC and non-empty injector queue holds one;
+    /// that each output's wake-pending and active-transfer bits equal
+    /// the state they summarise, and no bit is set past the last output.
     /// `now` is the next cycle to run; with `wakes`, also assert that
     /// every slot not yet eligible at `now` has its output dirty or woken
-    /// by then (activity engine only). NetSim::checkInvariants calls it.
+    /// by then, and that the cached-winner bits equal the cached winners
+    /// (activity engine only). NetSim::checkInvariants calls it.
     void checkSlots(Cycle now, bool wakes) const;
 
   private:
@@ -285,11 +298,35 @@ class Router {
     void insertSlot(int outPort, const ArbSlot &slot);
     void removeVcSlot(int outPort, const InputPort *in, int vcIdx);
     void removeInjectorSlot(int outPort, const InjectorQueue *inj);
-    void dirtyOutput(int outPort)
+
+    /// The four per-output bit sets, `outWords_` words each.
+    enum OutBit { kDirty, kWake, kWinner, kXfer, kNumOutBits };
+    std::uint64_t *outBits(OutBit kind)
     {
-        outDirty_[static_cast<std::size_t>(outPort)] = 1;
-        anyOutDirty_ = true;
+        return outBitWords_.data() + kind * outWords_;
     }
+    const std::uint64_t *outBits(OutBit kind) const
+    {
+        return outBitWords_.data() + kind * outWords_;
+    }
+    void setOutBit(OutBit kind, int outPort, bool on)
+    {
+        std::uint64_t &w = outBits(kind)[outPort / 64];
+        w = on ? (w | bitOf(outPort)) : (w & ~bitOf(outPort));
+    }
+    bool outBit(OutBit kind, int outPort) const
+    {
+        return (outBits(kind)[outPort / 64] & bitOf(outPort)) != 0;
+    }
+    bool anyOutBit(OutBit kind) const
+    {
+        const std::uint64_t *words = outBits(kind);
+        return std::any_of(words, words + outWords_,
+                           [](std::uint64_t w) { return w != 0; });
+    }
+    void dirtyOutput(int outPort) { setOutBit(kDirty, outPort, true); }
+    /// Set `kind`'s bit for every output.
+    void setAllOutBits(OutBit kind);
 
     static ArbKey arbKey(const ArbSlot &slot, std::uint64_t prio)
     {
@@ -335,27 +372,28 @@ class Router {
     /// cycle a currently-ineligible slot matures by time alone (kNoCycle
     /// = none pending); it starts at 0 so the first tick scans.
     std::vector<std::vector<ArbSlot>> slots_;
-    std::vector<std::uint8_t> outDirty_;
     std::vector<Cycle> outWake_;
     /// tableIdx -> outputs charging it (replicated channels share).
     std::vector<std::vector<int>> tableOuts_;
 
-    /// Router-level summaries for the per-cycle fast path: OR of
-    /// outDirty_, min of outWake_, and the number of outputs holding a
-    /// cached winner — when all three say "nothing to do", tickArbitrate
-    /// is a provable no-op and returns immediately.
-    bool anyOutDirty_ = true;
+    /// One bit per output for each OutBit kind, kind-major: output o's
+    /// bit is bit o % 64 of word o / 64 of its kind. kDirty: an event
+    /// invalidated the cached winner. kWake: outWake_[o] != kNoCycle.
+    /// kWinner: best_[o] holds a winner (activity engine). kXfer: the
+    /// output is streaming a packet. Bits past the last output stay 0.
+    std::vector<std::uint64_t> outBitWords_;
+    int outWords_ = 0;
+    /// Min of outWake_: with no dirty bit, tickArbitrate scans nothing
+    /// before this cycle.
     Cycle minWake_ = 0;
-    int winners_ = 0;
 
     ActivityWorklist *worklist_ = nullptr;
     bool inWorklist_ = false;
 
-    /// The counts hasWork() sums, kept by the port hooks: VCs not Free,
-    /// packets in injector queues, transfers in progress.
+    /// The counts hasWork() sums with the transfer bits, kept by the port
+    /// hooks: VCs not Free, packets in injector queues.
     int occupiedVcs_ = 0;
     int queuedPkts_ = 0;
-    int activeXfers_ = 0;
     /// Lower bound on the earliest in-flight transfer completion
     /// (kNoCycle when none): completion ticks before it are exact no-ops.
     Cycle nextCompletion_ = kNoCycle;

@@ -872,19 +872,19 @@ NetSim::restoreCheckpoint(std::istream &is, std::string *err)
         // under.
         for (NodeId n = 0; n < net_->numNodes(); ++n)
             net_->router(n)->rebuildFromRestore();
-        for (NodeId n = 0; n < net_->numNodes(); ++n)
-            net_->termPort(n)->recountHot();
-        for (InputPort *p : net_->auxPorts())
-            p->recountHot();
 
         now_ = info.now;
+
+        // Re-arm the ejection due list with every Reserved terminal and
+        // handoff VC. The uninterrupted run's list may also hold stale
+        // entries of killed packets, which deliver nothing.
+        rearmEjections();
 
         // Re-arm the worklist with exactly the routers that have work.
         // The uninterrupted run's worklist may hold extra (just-drained)
         // routers, but ticking a work-less router is a provable no-op,
         // so the restored run stays bit-identical.
-        net_->worklist().pending.clear();
-        active_.clear();
+        net_->worklist().clear();
         for (NodeId n = 0; n < net_->numNodes(); ++n) {
             Router *rt = net_->router(n);
             if (rt->hasWork())

@@ -4,9 +4,11 @@
 /// A checkpoint captures the complete *structural* state of a NetSim run
 /// at a cycle boundary — every packet record, VC, injector queue,
 /// in-flight transfer, policy register, RNG stream and metric counter —
-/// and none of the *derived* state (hot counters, cached winner sets,
-/// activity worklists). Restore rebuilds the derived state from the
-/// structural state (Router::rebuildFromRestore), which is equivalent to
+/// and none of the *derived* state (hot counters, output bits, cached
+/// winner sets, the activity worklist, the ejection due list). Restore
+/// rebuilds the derived state from the structural state
+/// (Router::rebuildFromRestore; the engine re-arms its worklist and due
+/// list), which is equivalent to
 /// the frame-boundary invalidation the engines are already proven
 /// bit-identical under. A checkpoint is therefore engine-neutral: a run
 /// saved under either engine (activity-driven or always-tick) restores

@@ -162,17 +162,6 @@ FabricSim::tickTerminals()
 {
     processLinkArrivals();
     NetSim::tickTerminals();
-    for (InputPort *port : network().auxPorts()) {
-        if (activityDriven() && port->occupied() == 0)
-            continue;
-        for (int v = 0; v < static_cast<int>(port->vcs.size()); ++v) {
-            VirtualChannel &vc = port->vcs[static_cast<std::size_t>(v)];
-            if (vc.state() != VirtualChannel::State::Reserved)
-                continue;
-            if (now_ >= vc.tailArrival())
-                handoff(vc.packet(), port, v);
-        }
-    }
 }
 
 void

@@ -77,7 +77,11 @@ class FabricSim : public NetSim {
     void checkInvariants() const override;
 
   protected:
+    /// Link arrivals, then the engine's deliveries and handoffs.
     void tickTerminals() override;
+    /// Row-to-column boundary: release the row window slot, then enter
+    /// the destination column here or cross the link fabric.
+    void handoff(NetPacket *pkt, InputPort *port, int vcIdx) override;
     /// Checkpoint "extra" section: the handoff/link counters, the
     /// compute-node source queues, and every inter-chip link's occupancy
     /// horizon and in-flight FIFO.
@@ -97,7 +101,6 @@ class FabricSim : public NetSim {
         std::deque<std::pair<NetPacket *, Cycle>> inFlight; ///< (pkt, due)
     };
 
-    void handoff(NetPacket *pkt, InputPort *port, int vcIdx);
     void sendOnLink(NetPacket *pkt, int srcChip, int dstChip);
     /// Serial, top of phase 5: pop due link packets in fixed link order
     /// and enqueue them into their destination-block entrance queues

@@ -14,6 +14,16 @@ NetSim::NetSim(std::unique_ptr<Network> net)
     if (net_->policyTraits().usesSourceQuota())
         quota_ = std::make_unique<QuotaTracker>(net_->pvcParams());
     gate_ = makeSourceGate(net_->mode(), net_->pvcParams());
+
+    // The ejection order: every node's terminal, then the aux ports.
+    for (NodeId n = 0; n < net_->numNodes(); ++n)
+        ejectPorts_.push_back(net_->termPort(n));
+    for (InputPort *port : net_->auxPorts())
+        ejectPorts_.push_back(port);
+    for (std::size_t i = 0; i < ejectPorts_.size(); ++i) {
+        ejectPorts_[i]->ejection = &ejections_;
+        ejectPorts_[i]->ejectIdx = static_cast<int>(i);
+    }
 }
 
 NetSim::~NetSim() = default;
@@ -39,35 +49,6 @@ NetSim::attachTraceSink(TraceSink *sink)
 {
     trace_ = sink;
     net_->setTraceSink(sink);
-}
-
-void
-NetSim::mergeWorklist()
-{
-    auto &pending = net_->worklist().pending;
-    if (pending.empty())
-        return;
-    // Restore node order: the always-tick engine visits routers by
-    // ascending node id, and same-cycle mutations (a grant at router A
-    // dirtying router B) must stay ordered identically.
-    std::sort(pending.begin(), pending.end());
-    const auto mid = static_cast<std::ptrdiff_t>(active_.size());
-    active_.insert(active_.end(), pending.begin(), pending.end());
-    std::inplace_merge(active_.begin(), active_.begin() + mid,
-                       active_.end());
-    pending.clear();
-}
-
-void
-NetSim::sweepWorklist()
-{
-    std::erase_if(active_, [this](NodeId n) {
-        Router *r = net_->router(n);
-        if (r->hasWork())
-            return false;
-        r->leaveWorklist();
-        return true;
-    });
 }
 
 void
@@ -107,9 +88,8 @@ NetSim::processFrameBoundary()
     for (NodeId n = 0; n < net_->numNodes(); ++n) {
         for (const auto &in : net_->router(n)->inputs())
             clearPort(in.get());
-        clearPort(net_->termPort(n));
     }
-    for (InputPort *port : net_->auxPorts())
+    for (InputPort *port : ejectPorts_)
         clearPort(port);
 
     // The flush rewrote the state cached winner rankings were computed
@@ -183,20 +163,55 @@ NetSim::deliver(NetPacket *pkt, InputPort *port, int vcIdx)
 }
 
 void
+NetSim::eject(int idx, int vcIdx)
+{
+    InputPort *port = ejectPorts_[static_cast<std::size_t>(idx)];
+    VirtualChannel &vc = port->vcs[static_cast<std::size_t>(vcIdx)];
+    if (vc.state() != VirtualChannel::State::Reserved ||
+        now_ < vc.tailArrival())
+        return;
+    if (idx < net_->numNodes())
+        deliver(vc.packet(), port, vcIdx);
+    else
+        handoff(vc.packet(), port, vcIdx);
+}
+
+void
 NetSim::tickTerminals()
 {
-    for (NodeId n = 0; n < net_->numNodes(); ++n) {
-        InputPort *port = net_->termPort(n);
-        // Incremental-occupancy shortcut: an empty ejection buffer has
-        // nothing to deliver (exact — occupied()==0 means every VC Free).
-        if (engineCfg_.activityDriven && port->occupied() == 0)
-            continue;
-        for (int v = 0; v < static_cast<int>(port->vcs.size()); ++v) {
-            VirtualChannel &vc = port->vcs[static_cast<std::size_t>(v)];
-            if (vc.state() != VirtualChannel::State::Reserved)
-                continue;
-            if (now_ >= vc.tailArrival())
-                deliver(vc.packet(), port, v);
+    EjectionDueList::Entry due;
+    if (engineCfg_.activityDriven) {
+        // Only the VCs whose tail arrives this cycle, in the full scan's
+        // (port, VC) order. A stale entry, left by a packet killed in its
+        // buffer, finds its VC Free or holding a later packet, whose own
+        // entry delivers it.
+        while (ejections_.popDue(now_, due)) {
+            ++stats_.ejections;
+            eject(due.port, due.vc);
+        }
+        return;
+    }
+    for (std::size_t i = 0; i < ejectPorts_.size(); ++i) {
+        for (std::size_t v = 0; v < ejectPorts_[i]->vcs.size(); ++v)
+            eject(static_cast<int>(i), static_cast<int>(v));
+    }
+    // The full scan is the reference; the due list is only kept in step
+    // for the invariant checks.
+    while (ejections_.popDue(now_, due)) {
+    }
+}
+
+void
+NetSim::rearmEjections()
+{
+    ejections_.clear();
+    for (std::size_t i = 0; i < ejectPorts_.size(); ++i) {
+        const InputPort &port = *ejectPorts_[i];
+        for (std::size_t v = 0; v < port.vcs.size(); ++v) {
+            const VirtualChannel &vc = port.vcs[v];
+            if (vc.state() == VirtualChannel::State::Reserved)
+                ejections_.arm(vc.tailArrival(), static_cast<int>(i),
+                               static_cast<int>(v));
         }
     }
 }
@@ -219,19 +234,23 @@ NetSim::step()
     ctx.gate = gate_.get();
     ctx.forceScan = !engineCfg_.activityDriven;
 
+    ActivityWorklist &worklist = net_->worklist();
     if (engineCfg_.activityDriven) {
-        // Tick only routers with work. Arms raised by the phases above
-        // (NACK requeues, fresh traffic) are folded in first; arms raised
+        // Tick only routers with work, in node order: the always-tick
+        // engine visits routers by ascending node id, and same-cycle
+        // mutations (a grant at router A dirtying router B) must stay
+        // ordered identically. Arms raised by the phases above (NACK
+        // requeues, fresh traffic) are folded in first; arms raised
         // *during* the router phases (a grant reserving a downstream VC,
         // a handoff enqueue in the terminal phase) target state that is
         // not actionable until next cycle — a previously-idle router's
         // tick this cycle would be a no-op — so they join then, exactly
         // matching the always-tick schedule.
-        mergeWorklist();
-        for (NodeId n : active_)
-            net_->router(n)->tickCompletions(now_);
-        for (NodeId n : active_)
-            net_->router(n)->tickArbitrate(ctx);
+        worklist.merge();
+        worklist.forEachActive(
+            [&](NodeId n) { net_->router(n)->tickCompletions(now_); });
+        worklist.forEachActive(
+            [&](NodeId n) { net_->router(n)->tickArbitrate(ctx); });
     } else {
         for (NodeId n = 0; n < net_->numNodes(); ++n)
             net_->router(n)->tickCompletions(now_);
@@ -242,8 +261,16 @@ NetSim::step()
     stats_ += ctx.stats;
 
     tickTerminals();
-    if (engineCfg_.activityDriven)
-        sweepWorklist();
+    if (engineCfg_.activityDriven) {
+        // Drop the routers whose work drained this cycle.
+        worklist.sweep([this](NodeId n) {
+            Router *r = net_->router(n);
+            if (r->hasWork())
+                return false;
+            r->leaveWorklist();
+            return true;
+        });
+    }
     ++now_;
 }
 
@@ -300,9 +327,8 @@ NetSim::checkInvariants() const
     for (NodeId n = 0; n < net->numNodes(); ++n) {
         for (const auto &in : net->router(n)->inputs())
             checkPortInvariants(*in);
-        checkPortInvariants(*net->termPort(n));
     }
-    for (const InputPort *port : net->auxPorts())
+    for (const InputPort *port : ejectPorts_)
         checkPortInvariants(*port);
     for (const auto &inj : net->injectors()) {
         TAQOS_ASSERT(inj.outstanding >= 0 &&
@@ -318,11 +344,7 @@ NetSim::checkInvariants() const
         int occupied = 0;
         int queued = 0;
         for (const auto &in : r->inputs()) {
-            TAQOS_ASSERT(in->occupied() == in->occupiedVcs(),
-                         "port %s occupancy count drifted (%d vs %d)",
-                         in->name.c_str(), in->occupied(),
-                         in->occupiedVcs());
-            occupied += in->occupied();
+            occupied += in->occupiedVcs();
             for (const InjectorQueue *inj : in->injectors)
                 queued += static_cast<int>(inj->queue().size());
         }
@@ -336,15 +358,32 @@ NetSim::checkInvariants() const
                      "router %d has work but is not armed", n);
         r->checkSlots(now_, engineCfg_.activityDriven);
     }
-    for (NodeId n = 0; n < net->numNodes(); ++n) {
-        const InputPort *term = net->termPort(n);
-        TAQOS_ASSERT(term->occupied() == term->occupiedVcs(),
-                     "terminal %d occupancy count drifted", n);
-    }
-    for (const InputPort *port : net->auxPorts()) {
-        TAQOS_ASSERT(port->occupied() == port->occupiedVcs(),
-                     "aux port %s occupancy count drifted",
-                     port->name.c_str());
+
+    // Every Reserved terminal or handoff VC has a due entry at its tail
+    // cycle (a buffer missing one would never deliver), and no entry is
+    // overdue.
+    std::vector<EjectionDueList::Entry> due = ejections_.entries();
+    std::sort(due.begin(), due.end());
+    TAQOS_ASSERT(due.empty() || due.front().due >= now_,
+                 "ejection due entry %d/%d overdue at %llu (now %llu)",
+                 due.front().port, due.front().vc,
+                 static_cast<unsigned long long>(due.front().due),
+                 static_cast<unsigned long long>(now_));
+    for (std::size_t i = 0; i < ejectPorts_.size(); ++i) {
+        const InputPort &port = *ejectPorts_[i];
+        for (std::size_t v = 0; v < port.vcs.size(); ++v) {
+            const VirtualChannel &vc = port.vcs[v];
+            if (vc.state() != VirtualChannel::State::Reserved)
+                continue;
+            const EjectionDueList::Entry want{vc.tailArrival(),
+                                              static_cast<int>(i),
+                                              static_cast<int>(v)};
+            TAQOS_ASSERT(std::binary_search(due.begin(), due.end(), want),
+                         "reserved VC %s/%zu has no ejection due entry at "
+                         "its tail cycle %llu",
+                         port.name.c_str(), v,
+                         static_cast<unsigned long long>(vc.tailArrival()));
+        }
     }
 }
 

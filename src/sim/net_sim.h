@@ -15,18 +15,24 @@
 ///   3. Traffic generation into the source queues.
 ///   4. Router ticks: transfer completions, then VC allocation /
 ///      preemption per output.
-///   5. Terminal ejection: packets whose tail has arrived are delivered.
+///   5. Terminal ejection: packets whose tail has arrived are delivered
+///      from the terminals (by node), then handed off from the aux ports.
 ///
-/// By default the engine is *activity-driven*: phase 4 visits only the
-/// routers on the shared worklist (those holding an occupied VC, a queued
-/// source packet, or an in-flight transfer — see Router::hasWork), and
-/// within a ticked router the candidate scan reruns only when an event
-/// invalidated the cached winner set. Both optimizations are exact —
-/// skipped work is provably a no-op — so the engine is bit-identical to
-/// the always-tick reference (EngineConfig::activityDriven = false), which the
-/// golden-digest and toggle-equivalence tests pin. Engine phases 1-3 and
-/// 5 always run: time-driven policy state (the GSF frame window) must
-/// advance even when every router is idle.
+/// By default the engine is *activity-driven*: phase 4 walks the set bits
+/// of the router worklist (noc/activity.h), in node order, so it visits
+/// only the routers holding an occupied VC, a queued source packet, or an
+/// in-flight transfer (Router::hasWork); within a ticked router the
+/// scan, grant and completion loops visit only the outputs whose bits
+/// say they have work, and the candidate scan reruns only when an event
+/// invalidated the cached winner set. Phase 5 takes from the ejection
+/// due list only the terminal and handoff VCs whose tail arrives this
+/// cycle, in the full scan's order. Each shortcut is exact — skipped work
+/// is provably a no-op — so the engine is bit-identical to the
+/// always-tick reference (EngineConfig::activityDriven = false), which
+/// ticks every router and scans every ejection buffer every cycle and
+/// which the golden-digest and toggle-equivalence tests pin. Engine
+/// phases 1-3 always run: time-driven policy state (the GSF frame
+/// window) must advance even when every router is idle.
 ///
 /// One run is serial: a sweep keeps every core busy with independent
 /// cells instead (exp/sweep.h). See README "Why the engine is serial".
@@ -120,9 +126,10 @@ class NetSim {
 
     /// Structural self-check: every occupied VC's packet holds a matching
     /// location record, occupancy chains are acyclic, window counters
-    /// are within bounds, and every router's arbitration slots match the
-    /// live VC and injector state they cache (Router::checkSlots). Used
-    /// by tests after every scenario.
+    /// are within bounds, every router's arbitration slots and output
+    /// bits match the live state they cache (Router::checkSlots), and
+    /// every Reserved terminal or handoff VC has an ejection due entry
+    /// at its tail cycle. Used by tests after every scenario.
     virtual void checkInvariants() const;
 
   protected:
@@ -135,11 +142,14 @@ class NetSim {
 
     void processFrameBoundary();
     void processAcks();
-    /// Phase 5: scan the per-node terminal buffers and deliver
-    /// tail-arrived packets. Subclasses extend it for extra ejection-side
-    /// buffers (the fabric's row-to-column handoffs).
+    /// Phase 5: deliver the tail-arrived packets of the per-node terminal
+    /// buffers, then hand off those of the aux ports. Subclasses extend
+    /// it with other ejection-side work (the fabric's link arrivals).
     virtual void tickTerminals();
     void deliver(NetPacket *pkt, InputPort *port, int vcIdx);
+    /// A packet whose tail has arrived in aux port `port` (a fabric's
+    /// row-to-column handoff buffer) leaves it.
+    virtual void handoff(NetPacket *pkt, InputPort *port, int vcIdx) = 0;
 
     std::unique_ptr<Network> net_;
     /// Per-cycle traffic source, installed before the first step.
@@ -154,13 +164,16 @@ class NetSim {
     TraceSink *trace_ = nullptr; ///< flit-trace recorder (null = off)
 
   private:
-    /// Fold newly-armed routers into the sorted active list (node order —
-    /// the same relative order the always-tick engine visits).
-    void mergeWorklist();
-    /// Drop routers whose work drained this cycle.
-    void sweepWorklist();
+    /// Deliver or hand off the packet in VC `vcIdx` of ejection port
+    /// `idx` if its tail has arrived (a no-op for a Free VC).
+    void eject(int idx, int vcIdx);
+    /// Re-arm the ejection due list from the VC states (restore).
+    void rearmEjections();
 
-    std::vector<NodeId> active_; ///< sorted ids of routers with work
+    /// The ejection order: every node's terminal, then the aux ports.
+    std::vector<InputPort *> ejectPorts_;
+    /// Terminal and handoff VCs by tail-arrival cycle (the ports arm it).
+    EjectionDueList ejections_;
     EngineStats stats_;
 };
 

@@ -13,6 +13,8 @@
 
 #include "common/assert.h"
 #include "common/strings.h"
+#include "noc/packet.h"
+#include "qos/policy.h"
 
 namespace taqos {
 
@@ -151,6 +153,21 @@ fabricSpecError(const FabricSpec &spec)
                          static_cast<long long>(flows),
                          static_cast<long long>(H * H),
                          static_cast<long long>(kMaxFlowTableCounters));
+    // A mesh route charges one flow-table entry at every row it crosses,
+    // and a packet logs each charge of its attempt for a preemption's
+    // refund (build_mesh.cpp).
+    const TopologyKind topo = spec.column.topology;
+    const bool mesh = topo == TopologyKind::MeshX1 ||
+                      topo == TopologyKind::MeshX2 ||
+                      topo == TopologyKind::MeshX4;
+    if (mesh && H > NetPacket::kMaxCharges &&
+        makeQosPolicy(spec.column.mode, spec.column.pvc)->usesFlowTable())
+        return strFormat("a %s column of %lld rows under %s charges a "
+                         "flow-table entry per row, but a packet's charge "
+                         "log holds %d",
+                         topologyName(topo), static_cast<long long>(H),
+                         qosModeName(spec.column.mode),
+                         NetPacket::kMaxCharges);
     return {};
 }
 

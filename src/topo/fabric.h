@@ -101,9 +101,11 @@ inline constexpr std::int64_t kMaxFlowTableCounters = std::int64_t{1}
 /// `concentration` tiles; at least two node rows; at least one shared
 /// column, each inside the grid and none twice; a grid without compute
 /// columns must be one chip's one column with its east row injectors
-/// inside its row injectors; node and flow ids that fit an `int`; and at
-/// most kMaxFlowTableCounters flow-table counters. FabricLayout asserts
-/// on it, and CLIs call it before any work starts.
+/// inside its row injectors; node and flow ids that fit an `int`; at
+/// most kMaxFlowTableCounters flow-table counters; and, under a policy
+/// with flow tables, no mesh column taller than NetPacket::kMaxCharges
+/// rows. FabricLayout asserts on it, and CLIs call it before any work
+/// starts.
 std::string fabricSpecError(const FabricSpec &spec);
 
 /// The whole-chip scenario (Sec. 2.1): one chip, its first shared column

@@ -103,10 +103,11 @@ Network::finalizeRouters()
         r->finalize();
 
     // Wire the activity tracking. Port owners were set at addInput/
-    // OutputPort time; here every VC learns its port (occupancy counts),
+    // OutputPort time; here every VC learns its port (transition hooks),
     // every injector queue learns its injection port (enqueue arming),
     // and every router joins the worklist — conservatively armed, so the
     // engine's first sweep observes real state before skipping anything.
+    worklist_.reset(numNodes());
     for (auto &r : routers_) {
         for (const auto &in : r->inputs()) {
             in->attachVcs();

@@ -79,9 +79,9 @@ class Network {
     /// invariant checks.
     const std::vector<InputPort *> &auxPorts() const { return auxPorts_; }
 
-    /// Routers armed by activity events since the engine's last merge
-    /// (see noc/activity.h); the activity-driven NetSim consumes it once
-    /// per cycle.
+    /// The routers with work, one bit per node (see noc/activity.h):
+    /// routers arm themselves on activity events, and the
+    /// activity-driven NetSim walks and sweeps it every cycle.
     ActivityWorklist &worklist() { return worklist_; }
 
     /// Invalidate every router's cached arbitration state (frame flushes,
@@ -134,7 +134,7 @@ class Network {
     void addTerminalOutput(NodeId n);
 
     /// Call Router::finalize on every router, then wire the activity
-    /// tracking: VC-to-port back-pointers (incremental occupancy),
+    /// tracking: VC-to-port back-pointers (transition hooks),
     /// injector-to-port back-pointers (enqueue arming), and the shared
     /// worklist every router initially arms onto. Builders must call this
     /// once, after the full port structure exists.

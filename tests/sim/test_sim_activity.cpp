@@ -1,10 +1,12 @@
 /// The activity-driven engine: bit-identity with the always-tick
 /// reference across every QOS policy (toggle equivalence), on the
-/// preemption-heavy adversarial workload, and on the whole-chip
-/// simulator; the GSF frame-boundary/worklist interaction (a gated flow
+/// preemption-heavy adversarial workload, on the whole-chip simulator
+/// and on routers with more than 64 outputs (several words per output
+/// bit set); the GSF frame-boundary/worklist interaction (a gated flow
 /// must be re-admitted across quiet periods — the engine may never skip
-/// the gate's per-cycle rollover, however idle the routers are); and the
-/// consistency of the incrementally-maintained activity state.
+/// the gate's per-cycle rollover, however idle the routers are); the
+/// ejection due list's stale entries; and the consistency of the
+/// incrementally-maintained activity state.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -141,6 +143,38 @@ TEST(ToggleEquivalence, WholeChipSimulationMatches)
     EXPECT_EQ(digests[0], digests[1]);
 }
 
+TEST(ToggleEquivalence, RoutersWithMoreThan64OutputsMatch)
+{
+    // A 72-node DPS column: each router has one subnet output per node,
+    // so its output bits span two words and outputs 64..71 sit in the
+    // second. Uniform traffic sends to every node.
+    std::uint64_t digests[2] = {0, 0};
+    Cycle done[2] = {0, 0};
+    for (int activity = 0; activity < 2; ++activity) {
+        ColumnConfig col = paperColumn(TopologyKind::Dps, QosMode::NoQos);
+        col.numNodes = 72;
+        TrafficConfig t;
+        t.pattern = TrafficPattern::UniformRandom;
+        t.injectionRate = 0.05;
+        t.genUntil = 1500;
+        ColumnSim sim(col, t);
+        ASSERT_EQ(sim.net().router(0)->outputs().size(), 72u);
+        sim.configure({.activityDriven = activity == 1});
+        sim.setMeasureWindow(0, 1500);
+        while (sim.now() < 1500) {
+            sim.run(100);
+            sim.checkInvariants();
+        }
+        done[activity] = sim.runUntilDrained(50000, 1500);
+        ASSERT_NE(done[activity], kNoCycle);
+        EXPECT_GT(sim.metrics().deliveredPackets, 5000u);
+        digests[activity] = runDigest(sim);
+        expectQuiescent(sim);
+    }
+    EXPECT_EQ(done[0], done[1]);
+    EXPECT_EQ(digests[0], digests[1]);
+}
+
 // ------------------------------- GSF gate vs the idle-engine worklist
 
 NetPacket *
@@ -212,6 +246,79 @@ TEST(GsfActivity, FrameRolloverReadmitsAGatedFlowAfterAQuietPeriod)
     }
     EXPECT_EQ(done[0], done[1]);
     EXPECT_EQ(digests[0], digests[1]);
+}
+
+// ------------------------------ stale entries of the ejection due list
+
+TEST(EjectionDueList, APacketKilledMidEjectionLetsTheNextOneDeliverOnce)
+{
+    // Packets from nodes 1 and 2 of a MECS column race for node 0's
+    // terminal. The first to stream into a terminal VC is killed one
+    // cycle before its tail arrives, leaving its due entry behind; the
+    // other, blocked on the same terminal channel until then, takes the
+    // freed VC at the stale entry's cycle. The stale entry must find it
+    // not yet arrived and deliver nothing; the packet is delivered once,
+    // by its own entry, at its own tail cycle.
+    for (bool activity : {true, false}) {
+        const ColumnConfig col = paperColumn(TopologyKind::Mecs,
+                                             QosMode::NoQos);
+        TrafficConfig quiet;
+        quiet.injectionRate = 0.0;
+        ColumnSim sim(col, quiet);
+        sim.configure({.activityDriven = activity});
+        NetPacket *a = enqueuePacket(sim, col.flowOf(1, 0), 0, 4);
+        NetPacket *b = enqueuePacket(sim, col.flowOf(2, 0), 0, 4);
+
+        InputPort *term = sim.net().termPort(0);
+        const auto heldBy = [&](const NetPacket *pkt) {
+            for (std::size_t v = 0; v < term->vcs.size(); ++v) {
+                if (term->vcs[v].packet() == pkt &&
+                    term->vcs[v].state() ==
+                        VirtualChannel::State::Reserved)
+                    return static_cast<int>(v);
+            }
+            return -1;
+        };
+        while (heldBy(a) < 0 && heldBy(b) < 0 && sim.now() < 200)
+            sim.step();
+        NetPacket *victim = heldBy(a) >= 0 ? a : b;
+        NetPacket *next = victim == a ? b : a;
+        const int vc = heldBy(victim);
+        ASSERT_GE(vc, 0);
+        ASSERT_LT(heldBy(next), 0);
+        const Cycle staleDue =
+            term->vcs[static_cast<std::size_t>(vc)].tailArrival();
+        while (sim.now() + 1 < staleDue)
+            sim.step();
+
+        AckNetwork ack;
+        TickContext ctx;
+        ctx.now = sim.now();
+        ctx.ack = &ack;
+        sim.net().router(0)->killPacket(victim, ctx);
+        EXPECT_EQ(victim->state, PacketState::Dropped);
+        sim.checkInvariants();
+
+        Cycle nextTail = kNoCycle;
+        while (next->state != PacketState::Delivered && sim.now() < 200) {
+            sim.step();
+            sim.checkInvariants();
+            if (nextTail == kNoCycle && heldBy(next) >= 0) {
+                EXPECT_EQ(heldBy(next), vc);
+                EXPECT_EQ(sim.now() - 1, staleDue)
+                    << "reserved in the stale entry's cycle";
+                nextTail = term->vcs[static_cast<std::size_t>(vc)]
+                               .tailArrival();
+            }
+        }
+        ASSERT_EQ(next->state, PacketState::Delivered);
+        EXPECT_GT(nextTail, staleDue);
+        EXPECT_EQ(next->deliverCycle, nextTail);
+        sim.run(20);
+        EXPECT_EQ(sim.metrics().deliveredPackets, 1u);
+        // The stale entry and the delivery, under the activity engine.
+        EXPECT_EQ(sim.engineStats().ejections, activity ? 2u : 0u);
+    }
 }
 
 } // namespace

@@ -265,6 +265,47 @@ TEST(FabricSpecError, BoundsIdsAndTheFlowTables)
               "2147483647)");
 }
 
+TEST(FabricSpecError, BoundsAMeshColumnByThePacketChargeLog)
+{
+    // A mesh route charges a flow-table entry at every row, and the
+    // packet logs at most NetPacket::kMaxCharges of them: 32x32 tiles
+    // make 16-row columns, 16x16 tiles 8-row ones.
+    for (TopologyKind topo : {TopologyKind::MeshX1, TopologyKind::MeshX2,
+                              TopologyKind::MeshX4}) {
+        FabricSpec spec = wideSpec(1);
+        spec.column.topology = topo;
+        for (QosMode mode : kAllQosModes) {
+            spec.column.mode = mode;
+            const bool tables = mode == QosMode::Pvc ||
+                                mode == QosMode::PerFlowQueue ||
+                                mode == QosMode::Wrr;
+            const std::string want =
+                tables ? std::string("a ") + topologyName(topo) +
+                             " column of 16 rows under " +
+                             qosModeName(mode) +
+                             " charges a flow-table entry per row, but a "
+                             "packet's charge log holds 12"
+                       : "";
+            EXPECT_EQ(fabricSpecError(spec), want);
+        }
+        spec.column.mode = QosMode::Pvc;
+        spec.chip.sharedColumns = {4};
+        spec.chip.tilesX = spec.chip.tilesY = 24; // 12 rows
+        EXPECT_EQ(fabricSpecError(spec), "");
+        spec.chip.tilesX = spec.chip.tilesY = 26; // 13 rows
+        EXPECT_EQ(fabricSpecError(spec),
+                  std::string("a ") + topologyName(topo) +
+                      " column of 13 rows under pvc charges a flow-table "
+                      "entry per row, but a packet's charge log holds "
+                      "12");
+    }
+    // Columns whose routes charge once per hop are not bounded by it.
+    FabricSpec dps = wideSpec(1);
+    dps.column.topology = TopologyKind::Dps;
+    dps.column.mode = QosMode::Pvc;
+    EXPECT_EQ(fabricSpecError(dps), "");
+}
+
 TEST(FabricLinks, TopologyNamesRoundTrip)
 {
     for (LinkTopology k : {LinkTopology::PointToPoint, LinkTopology::Ring})
