@@ -1,17 +1,23 @@
 /// \file strings.h
 /// Small string utilities: printf-style formatting, splitting, trimming,
-/// strict number parsing, and a `key=value` command-line option parser
-/// used by examples/benches.
+/// strict number parsing, the line and token reader the text-file
+/// parsers share, and a `key=value` command-line option parser used by
+/// examples/benches.
 #pragma once
 
+#include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <concepts>
 #include <cstdarg>
 #include <cstdint>
+#include <cstdlib>
 #include <initializer_list>
 #include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -60,6 +66,125 @@ parseIntTok(const std::string &tok, T &out)
     if (!ok || !std::in_range<T>(v))
         return false;
     out = static_cast<T>(v);
+    return true;
+}
+
+/// The six characters the C locale's `operator>>` skips between tokens.
+inline constexpr bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// The whitespace-separated tokens of one line, split as the C locale's
+/// `operator>>` splits them and read in order. Every numeric read is
+/// checked and consumes its token even when the token does not parse.
+class Tokens {
+  public:
+    explicit Tokens(std::string_view line) : rest_(line) {}
+
+    /// False, consuming nothing, at the end of the line.
+    bool next(std::string_view &tok)
+    {
+        const char *p = rest_.data();
+        const char *const end = p + rest_.size();
+        while (p != end && isSpace(*p))
+            ++p;
+        if (p == end)
+            return false;
+        const char *q = p;
+        while (q != end && !isSpace(*q))
+            ++q;
+        tok = std::string_view(p, static_cast<std::size_t>(q - p));
+        rest_ = std::string_view(q, static_cast<std::size_t>(end - q));
+        return true;
+    }
+
+    bool next(std::string &out)
+    {
+        std::string_view tok;
+        if (!next(tok))
+            return false;
+        out.assign(tok);
+        return true;
+    }
+
+    /// As strtoull: a '-' negates in the unsigned type.
+    bool nextU64(std::uint64_t &out)
+    {
+        bool neg = false;
+        std::uint64_t mag = 0;
+        if (!nextMagnitude(neg, mag))
+            return false;
+        out = neg ? 0 - mag : mag;
+        return true;
+    }
+
+    /// As strtoll, then a check that the value fits 32 bits.
+    bool nextI32(std::int32_t &out)
+    {
+        bool neg = false;
+        std::uint64_t mag = 0;
+        if (!nextMagnitude(neg, mag) ||
+            mag > (neg ? 0x80000000u : 0x7fffffffu)) {
+            return false;
+        }
+        const auto v = static_cast<std::int64_t>(mag);
+        out = static_cast<std::int32_t>(neg ? -v : v);
+        return true;
+    }
+
+    /// strtod on a terminated copy of the token, which must be read
+    /// whole and in range.
+    bool nextDouble(double &out)
+    {
+        std::string_view tok;
+        if (!next(tok))
+            return false;
+        const std::string s(tok);
+        errno = 0;
+        char *end = nullptr;
+        out = std::strtod(s.c_str(), &end);
+        return errno == 0 && end != s.c_str() && *end == '\0';
+    }
+
+    bool atEnd()
+    {
+        std::string_view tok;
+        return !next(tok);
+    }
+
+  private:
+    /// strtoull's reading of a token: an optional sign, then decimal
+    /// digits up to the token's end or a NUL (strtoull reads the token as
+    /// a C string). The magnitude must fit 64 bits.
+    bool nextMagnitude(bool &neg, std::uint64_t &mag)
+    {
+        std::string_view tok;
+        if (!next(tok))
+            return false;
+        const char *p = tok.data();
+        const char *const end = p + tok.size();
+        neg = p != end && *p == '-';
+        if (p != end && (*p == '-' || *p == '+'))
+            ++p;
+        const auto [q, ec] = std::from_chars(p, end, mag);
+        return ec == std::errc{} && (q == end || *q == '\0');
+    }
+
+    std::string_view rest_;
+};
+
+/// Pop the next line off `rest` as std::getline reads it: split at '\n',
+/// with no empty line after a final '\n'.
+inline bool
+nextLine(std::string_view &rest, std::string_view &line)
+{
+    if (rest.empty())
+        return false;
+    const std::size_t nl = std::min(rest.find('\n'), rest.size());
+    line = rest.substr(0, nl);
+    rest.remove_prefix(std::min(nl + 1, rest.size()));
     return true;
 }
 

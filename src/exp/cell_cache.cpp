@@ -1,9 +1,12 @@
 #include "exp/cell_cache.h"
 
+#include <sys/stat.h>
+
+#include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "common/rng.h"
@@ -21,14 +24,43 @@ hexFloat(double v)
     return strFormat("%a", v);
 }
 
+/// strtod on a terminated copy of `tok`, which must read up to its end
+/// or to a NUL inside it (where the C string ends).
 bool
-parseHexFloat(const std::string &tok, double &out)
+parseHexFloat(std::string_view tok, double &out)
 {
     if (tok.empty())
         return false;
+    const std::string s(tok);
     char *end = nullptr;
-    out = std::strtod(tok.c_str(), &end);
+    out = std::strtod(s.c_str(), &end);
     return end != nullptr && *end == '\0';
+}
+
+std::string
+keyLine(std::uint64_t key)
+{
+    return strFormat("key %016llx", static_cast<unsigned long long>(key));
+}
+
+/// The shortest metric line and its separator ("m 0\n").
+constexpr std::size_t kMinMetricLine = 4;
+
+/// The whole of the regular file at `path`, in one read.
+bool
+readFile(const std::string &path, std::string &text)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr)
+        return false;
+    struct stat st {};
+    bool ok = ::fstat(::fileno(f), &st) == 0 && S_ISREG(st.st_mode);
+    if (ok) {
+        text.resize(static_cast<std::size_t>(st.st_size));
+        ok = std::fread(text.data(), 1, text.size(), f) == text.size();
+    }
+    std::fclose(f);
+    return ok;
 }
 
 } // namespace
@@ -105,26 +137,35 @@ specLine(const CellSpec &c)
 bool
 CellCache::load(const CellSpec &cell, CellResult &out) const
 {
-    const std::uint64_t key = cellKey(cell);
-    std::ifstream is(path(key));
-    if (!is)
+    std::string text;
+    return readFile(path(cellKey(cell)), text) &&
+           parseFragment(text, cell, out);
+}
+
+bool
+CellCache::parseFragment(std::string_view text, const CellSpec &cell,
+                         CellResult &out)
+{
+    // Lines split as std::getline splits them and tokens as the C
+    // locale's operator>> does: which damaged fragments still hit is
+    // pinned (CellCacheIO.MutantFragmentsLoadOrMiss), so these rules are
+    // part of the format.
+    std::string_view rest = text;
+    std::string_view line;
+    if (!nextLine(rest, line) || line != kCellCacheSchema)
+        return false;
+    if (!nextLine(rest, line) || line != keyLine(cellKey(cell)))
+        return false;
+    if (!nextLine(rest, line) || line != specLine(cell))
         return false;
 
-    std::string line;
-    if (!std::getline(is, line) || line != kCellCacheSchema)
-        return false;
-    if (!std::getline(is, line) ||
-        line != "key " + strFormat("%016llx",
-                                   static_cast<unsigned long long>(key)))
-        return false;
-    if (!std::getline(is, line) || line != specLine(cell))
-        return false;
-
+    // `>> count` reads a numeric prefix after an optional sign and
+    // ignores the rest of the line; a stream reads this one line so.
     std::size_t count = 0;
     {
-        if (!std::getline(is, line))
+        if (!nextLine(rest, line))
             return false;
-        std::istringstream hs(line);
+        std::istringstream hs{std::string(line)};
         std::string word;
         if (!(hs >> word >> count) || word != "metrics")
             return false;
@@ -132,43 +173,47 @@ CellCache::load(const CellSpec &cell, CellResult &out) const
 
     CellResult res;
     res.spec = cell;
+    // The count is outside input: reserve no more than the rest of the
+    // text can hold.
+    res.metrics.reserve(std::min(count, (rest.size() + 1) / kMinMetricLine));
     for (std::size_t i = 0; i < count; ++i) {
-        if (!std::getline(is, line))
+        if (!nextLine(rest, line))
             return false;
-        std::istringstream ls(line);
-        std::string name, tok;
-        if (!(ls >> name >> tok))
-            return false;
+        Tokens r(line);
+        std::string_view name, tok;
         double v = 0.0;
-        if (!parseHexFloat(tok, v))
+        if (!r.next(name) || !r.next(tok) || !parseHexFloat(tok, v))
             return false;
-        res.put(std::move(name), v);
+        res.put(std::string(name), v);
     }
-    if (!std::getline(is, line) || line != "end")
+    if (!nextLine(rest, line) || line != "end")
         return false;
 
     out = std::move(res);
     return true;
 }
 
-bool
-CellCache::store(const CellSpec &cell, const CellResult &res) const
+std::string
+CellCache::fragmentText(const CellSpec &cell, const CellResult &res)
 {
-    const std::uint64_t key = cellKey(cell);
     std::string body = std::string(kCellCacheSchema) + "\n";
-    body += "key " +
-            strFormat("%016llx", static_cast<unsigned long long>(key)) + "\n";
+    body += keyLine(cellKey(cell)) + "\n";
     body += specLine(cell) + "\n";
     body += strFormat("metrics %zu", res.metrics.size()) + "\n";
     for (const auto &[name, v] : res.metrics)
         body += name + " " + hexFloat(v) + "\n";
     body += "end\n";
+    return body;
+}
 
+bool
+CellCache::store(const CellSpec &cell, const CellResult &res) const
+{
     // Write-then-rename: a concurrent reader sees either the old
     // fragment or the complete new one, never a torn write.
-    const std::string final = path(key);
+    const std::string final = path(cellKey(cell));
     const std::string tmp = final + ".tmp";
-    if (!writeTextFile(tmp, body))
+    if (!writeTextFile(tmp, fragmentText(cell, res)))
         return false;
     std::error_code ec;
     std::filesystem::rename(tmp, final, ec);

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "exp/sweep.h"
 
@@ -50,6 +51,15 @@ class CellCache {
     /// Store one finished cell (atomic write-then-rename). Returns
     /// false when the fragment could not be written.
     bool store(const CellSpec &cell, const CellResult &res) const;
+
+    /// The fragment text `store` writes for `res`.
+    static std::string fragmentText(const CellSpec &cell,
+                                    const CellResult &res);
+
+    /// `load` without the file: parse fragment `text` as `cell`'s, with
+    /// the same hit or miss and the same result on a hit.
+    static bool parseFragment(std::string_view text, const CellSpec &cell,
+                              CellResult &out);
 
   private:
     std::string path(std::uint64_t key) const;

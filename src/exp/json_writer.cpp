@@ -1,48 +1,79 @@
 #include "exp/json_writer.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
 #include "common/assert.h"
-#include "common/strings.h"
 
 namespace taqos {
+namespace {
 
-std::string
-jsonEscape(std::string_view s)
+/// Room for the longest number the writer prints: a 20-digit integer
+/// and its sign, or a 12-digit mantissa, its sign, point and exponent.
+constexpr std::size_t kMaxNumber = 32;
+
+/// Append `std::to_chars(..., format...)` to `out`.
+template <typename... Format>
+void
+appendChars(std::string &out, Format... format)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
+    char buf[kMaxNumber];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, format...);
+    TAQOS_ASSERT(ec == std::errc{}, "number does not fit the buffer");
+    out.append(buf, end);
+}
+
+/// `v` as printf prints it: integers below 1e15 as %.0f, everything else
+/// as %.12g, which to_chars' fixed and general forms match byte for
+/// byte; non-finite values become null.
+void
+appendNumber(std::string &out, double v)
+{
+    if (!std::isfinite(v)) {
+        out += "null";
+        return;
+    }
+    // Integers (the common case for counters and cycle values) print
+    // exactly; everything else keeps 12 significant digits, enough to
+    // round-trip every metric the simulator produces while staying free
+    // of float noise like 0.060000000000000005.
+    if (v == std::floor(v) && std::fabs(v) < 1e15)
+        appendChars(out, v, std::chars_format::fixed, 0);
+    else
+        appendChars(out, v, std::chars_format::general, 12);
+}
+
+/// `s` escaped for inclusion inside JSON double quotes: quote, backslash,
+/// \n, \r and \t by name, every other control byte as \u00xx, and every
+/// other byte (0x7f and above included) as itself.
+void
+appendEscaped(std::string &out, std::string_view s)
+{
+    std::size_t plain = 0; // start of the run not yet appended
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.substr(plain, i - plain));
+        plain = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
           case '\n': out += "\\n"; break;
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strFormat("\\u%04x", c);
-            else
-                out += c;
+          default: {
+            static constexpr char kHex[] = "0123456789abcdef";
+            const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+            out.append(u, sizeof u);
+          }
         }
     }
-    return out;
+    out.append(s.substr(plain));
 }
 
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    // Integers (the common case for counters and cycle values) print
-    // exactly; everything else keeps 12 significant digits, enough to
-    // round-trip every metric the simulator produces while staying free
-    // of float noise like 0.060000000000000005.
-    if (v == std::floor(v) && std::fabs(v) < 1e15)
-        return strFormat("%.0f", v);
-    return strFormat("%.12g", v);
-}
+} // namespace
 
 void
 JsonWriter::separate()
@@ -112,7 +143,7 @@ JsonWriter::key(std::string_view k)
     TAQOS_ASSERT(!pendingKey_, "key() twice without a value");
     separate();
     raw("\"");
-    raw(jsonEscape(k));
+    appendEscaped(out_, k);
     raw("\": ");
     pendingKey_ = true;
     return *this;
@@ -122,7 +153,7 @@ JsonWriter &
 JsonWriter::value(double v)
 {
     separate();
-    raw(jsonNumber(v));
+    appendNumber(out_, v);
     return *this;
 }
 
@@ -130,7 +161,7 @@ JsonWriter &
 JsonWriter::value(std::int64_t v)
 {
     separate();
-    raw(strFormat("%lld", static_cast<long long>(v)));
+    appendChars(out_, v);
     return *this;
 }
 
@@ -138,7 +169,7 @@ JsonWriter &
 JsonWriter::value(std::uint64_t v)
 {
     separate();
-    raw(strFormat("%llu", static_cast<unsigned long long>(v)));
+    appendChars(out_, v);
     return *this;
 }
 
@@ -155,7 +186,7 @@ JsonWriter::value(std::string_view v)
 {
     separate();
     raw("\"");
-    raw(jsonEscape(v));
+    appendEscaped(out_, v);
     raw("\"");
     return *this;
 }

@@ -13,14 +13,6 @@
 
 namespace taqos {
 
-/// Escape a string for inclusion inside JSON double quotes.
-std::string jsonEscape(std::string_view s);
-
-/// Format a double the way the writer does: integers without a decimal
-/// point, everything else with up to 12 significant digits; non-finite
-/// values become null.
-std::string jsonNumber(double v);
-
 class JsonWriter {
   public:
     JsonWriter() = default;

@@ -73,6 +73,41 @@ NetPacket::beginAttempt()
     numCharges = 0;
 }
 
+namespace {
+
+/// Give a recycled record a fresh packet's scalars and empty logs. The
+/// location, transfer and charge arrays keep stale entries, which their
+/// counts guard, so most of the record is not rewritten.
+void
+resetForReuse(NetPacket &p)
+{
+    static_assert(sizeof(NetPacket) == 408,
+                  "a new NetPacket field needs a reset here");
+    static constexpr NetPacket kFresh{};
+    p.flow = kFresh.flow;
+    p.src = kFresh.src;
+    p.dst = kFresh.dst;
+    p.finalDst = kFresh.finalDst;
+    p.sizeFlits = kFresh.sizeFlits;
+    p.genCycle = kFresh.genCycle;
+    p.queuedCycle = kFresh.queuedCycle;
+    p.deliverCycle = kFresh.deliverCycle;
+    p.state = kFresh.state;
+    p.measured = kFresh.measured;
+    p.rateCompliant = kFresh.rateCompliant;
+    p.attempt = kFresh.attempt;
+    p.carriedPrio = kFresh.carriedPrio;
+    p.frameTag = kFresh.frameTag;
+    p.blockedSince = kFresh.blockedSince;
+    p.hopsThisAttempt = kFresh.hopsThisAttempt;
+    p.numLocs = kFresh.numLocs;
+    p.numXfers = kFresh.numXfers;
+    p.inWindow = kFresh.inWindow;
+    p.numCharges = kFresh.numCharges;
+}
+
+} // namespace
+
 NetPacket *
 PacketPool::alloc()
 {
@@ -80,9 +115,8 @@ PacketPool::alloc()
     if (!free_.empty()) {
         pkt = free_.back();
         free_.pop_back();
-        const PacketId keep = nextId_++;
-        *pkt = NetPacket{};
-        pkt->id = keep;
+        resetForReuse(*pkt);
+        pkt->id = nextId_++;
     } else {
         all_.push_back(std::make_unique<NetPacket>());
         pkt = all_.back().get();

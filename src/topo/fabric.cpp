@@ -177,11 +177,13 @@ FabricLayout::FabricLayout(FabricSpec spec) : spec_(std::move(spec))
     TAQOS_ASSERT(err.empty(), "%s", err.c_str());
     ChipConfig &chip = spec_.chip;
     std::sort(chip.sharedColumns.begin(), chip.sharedColumns.end());
-    spec_.column.numNodes = chip.nodesY();
+    gridWidth_ = chip.nodesX();
+    gridHeight_ = chip.nodesY();
+    spec_.column.numNodes = gridHeight_;
 
     catchments_.resize(chip.sharedColumns.size());
-    blockOfX_.assign(static_cast<std::size_t>(chip.nodesX()), -1);
-    for (int x = 0; x < chip.nodesX(); ++x) {
+    blockOfX_.assign(static_cast<std::size_t>(gridWidth_), -1);
+    for (int x = 0; x < gridWidth_; ++x) {
         if (chip.isSharedColumn(x))
             continue;
         const auto j = static_cast<std::size_t>(
@@ -251,8 +253,8 @@ FabricNetwork::FabricNetwork(FabricSpec fabric)
       Network(spec().column.mode, fabricPvc(*this))
 {
     const ChipConfig &chip = spec().chip;
-    rankOfX_.assign(static_cast<std::size_t>(chip.nodesX()), -1);
-    for (int x = 0; x < chip.nodesX(); ++x) {
+    rankOfX_.assign(static_cast<std::size_t>(gridWidth()), -1);
+    for (int x = 0; x < gridWidth(); ++x) {
         if (chip.isSharedColumn(x))
             continue;
         rankOfX_[static_cast<std::size_t>(x)] =

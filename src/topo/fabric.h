@@ -167,11 +167,11 @@ class FabricLayout {
         return static_cast<int>(spec_.chip.sharedColumns.size());
     }
     int blocks() const { return chips() * blocksPerChip(); }
-    int gridHeight() const { return spec_.chip.nodesY(); }
-    int computePerRow() const
-    {
-        return spec_.chip.nodesX() - blocksPerChip();
-    }
+    /// The chip's node grid, computed once: ChipConfig derives it from
+    /// the concentration with a square root on every call.
+    int gridWidth() const { return gridWidth_; }
+    int gridHeight() const { return gridHeight_; }
+    int computePerRow() const { return gridWidth_ - blocksPerChip(); }
     /// True for the standalone column: no compute nodes, so no rows.
     bool rowless() const { return computePerRow() == 0; }
     /// Injector slots per block node: terminal + largest catchment +
@@ -191,7 +191,7 @@ class FabricLayout {
     /// Local block index whose catchment contains compute column `x`.
     int blockOfX(int x) const
     {
-        TAQOS_ASSERT(x >= 0 && x < spec_.chip.nodesX() &&
+        TAQOS_ASSERT(x >= 0 && x < gridWidth_ &&
                          blockOfX_[static_cast<std::size_t>(x)] >= 0,
                      "grid column %d is not a compute column", x);
         return blockOfX_[static_cast<std::size_t>(x)];
@@ -234,6 +234,8 @@ class FabricLayout {
 
   private:
     FabricSpec spec_;
+    int gridWidth_ = 0;
+    int gridHeight_ = 0;
     int slotsPerNode_ = 0;
     int maxCatchment_ = 0;
     std::vector<std::vector<int>> catchments_; ///< per local block
@@ -247,7 +249,7 @@ class FabricNetwork : public FabricLayout, public Network {
     static std::unique_ptr<FabricNetwork> build(FabricSpec spec);
 
     // --- geometry ---
-    int nodesPerChip() const { return spec().chip.numNodes(); }
+    int nodesPerChip() const { return gridWidth() * gridHeight(); }
 
     /// The per-block column configuration global block `g` was wired
     /// with (the crossbar grouping differs per block).
@@ -297,7 +299,7 @@ class FabricNetwork : public FabricLayout, public Network {
     /// Row rank of compute column `x` (asserts `x` is one).
     int rankOf(int x) const
     {
-        const int r = x >= 0 && x < spec().chip.nodesX()
+        const int r = x >= 0 && x < gridWidth()
             ? rankOfX_[static_cast<std::size_t>(x)]
             : -1;
         TAQOS_ASSERT(r >= 0, "grid column %d is not a compute column", x);

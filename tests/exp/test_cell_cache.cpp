@@ -7,8 +7,11 @@
 /// mutants of a stored fragment each loading as a hit or a miss.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,6 +46,77 @@ tinySpec()
     spec.phases.measure = 1000;
     spec.phases.drain = 500;
     return spec;
+}
+
+/// A fixed result, so a pin on its fragment depends on the cache alone.
+CellResult
+fixedResult()
+{
+    CellResult res;
+    res.put("avg_latency", 23.4375);
+    res.put("p95_latency", 41.0);
+    res.put("preemption_packet_rate", 0.0123);
+    res.put("window_flits", 1536.0);
+    res.put("saturated", 0.0);
+    return res;
+}
+
+/// The iostream reader CellCache::load used before it parsed fragments
+/// with the shared line and token reader, reading `text` instead of a
+/// file and given the key and spec echo lines it expects: the reference
+/// parseFragment is held to.
+bool
+iostreamParse(const std::string &text, const std::string &keyLine,
+              const std::string &specLine, const CellSpec &cell,
+              CellResult &out)
+{
+    std::istringstream is(text);
+    std::string line;
+    if (!std::getline(is, line) || line != kCellCacheSchema)
+        return false;
+    if (!std::getline(is, line) || line != keyLine)
+        return false;
+    if (!std::getline(is, line) || line != specLine)
+        return false;
+
+    std::size_t count = 0;
+    {
+        if (!std::getline(is, line))
+            return false;
+        std::istringstream hs(line);
+        std::string word;
+        if (!(hs >> word >> count) || word != "metrics")
+            return false;
+    }
+
+    CellResult res;
+    res.spec = cell;
+    for (std::size_t i = 0; i < count; ++i) {
+        if (!std::getline(is, line))
+            return false;
+        std::istringstream ls(line);
+        std::string name, tok;
+        if (!(ls >> name >> tok))
+            return false;
+        char *end = nullptr;
+        const double v = std::strtod(tok.c_str(), &end);
+        if (*end != '\0')
+            return false;
+        res.put(std::move(name), v);
+    }
+    if (!std::getline(is, line) || line != "end")
+        return false;
+
+    out = std::move(res);
+    return true;
+}
+
+/// A string literal with the NULs inside it.
+template <std::size_t N>
+std::string
+withNuls(const char (&s)[N])
+{
+    return std::string(s, N - 1);
 }
 
 void
@@ -157,13 +231,7 @@ TEST(CellCacheIO, MutantFragmentsLoadOrMiss)
 
     // A fixed result, so the pin depends on the reader alone.
     const CellSpec cell = tinySpec().expand()[0];
-    CellResult res;
-    res.put("avg_latency", 23.4375);
-    res.put("p95_latency", 41.0);
-    res.put("preemption_packet_rate", 0.0123);
-    res.put("window_flits", 1536.0);
-    res.put("saturated", 0.0);
-    ASSERT_TRUE(cache.store(cell, res));
+    ASSERT_TRUE(cache.store(cell, fixedResult()));
     const std::string frag =
         dir + "/" + CellCache::fragmentName(CellCache::cellKey(cell));
     std::string base;
@@ -210,6 +278,91 @@ TEST(CellCacheIO, MutantFragmentsLoadOrMiss)
     EXPECT_EQ(echoMutants, 1699u);
     EXPECT_EQ(hits, 196u);
     EXPECT_EQ(verdicts.h, 10074141753090629108ull);
+}
+
+TEST(CellCacheIO, StoredFragmentBytesArePinned)
+{
+    // Caches filled by earlier builds stay hits only while the format
+    // holds to the byte.
+    const std::string dir = cacheDir("cellcache_bytes");
+    const CellCache cache(dir);
+    const CellSpec cell = tinySpec().expand()[0];
+    ASSERT_TRUE(cache.store(cell, fixedResult()));
+    std::ifstream is(dir + "/" +
+                         CellCache::fragmentName(CellCache::cellKey(cell)),
+                     std::ios::binary);
+    const std::string stored((std::istreambuf_iterator<char>(is)),
+                             std::istreambuf_iterator<char>());
+    EXPECT_EQ(stored,
+              "taqos-cell/v1\n"
+              "key e12a96ac5e58e7a5\n"
+              "spec latency_load dps uniform pvc 0x1.47ae147ae147bp-6 0 0 0 "
+              "4626745117281619370 500 1000 500 100000\n"
+              "metrics 5\n"
+              "avg_latency 0x1.77p+4\n"
+              "p95_latency 0x1.48p+5\n"
+              "preemption_packet_rate 0x1.930be0ded288dp-7\n"
+              "window_flits 0x1.8p+10\n"
+              "saturated 0x0p+0\n"
+              "end\n");
+    EXPECT_EQ(stored, CellCache::fragmentText(cell, fixedResult()));
+}
+
+TEST(CellCacheIO, ParseFragmentAgreesWithTheIostreamReader)
+{
+    const CellSpec cell = tinySpec().expand()[0];
+    const std::string base = CellCache::fragmentText(cell, fixedResult());
+    const std::vector<std::string> lines = mutants::splitLines(base);
+    ASSERT_EQ(lines.size(), 10u);
+    const std::string keyLine = lines[1].substr(0, lines[1].size() - 1);
+    const std::string specLine = lines[2].substr(0, lines[2].size() - 1);
+    const std::string head = lines[0] + lines[1] + lines[2];
+
+    // The edges of operator>>, getline and strtod, then seeded mutants
+    // at ten times MutantFragmentsLoadOrMiss's count.
+    std::vector<std::string> texts = {
+        base,
+        base.substr(0, base.size() - 1),
+        base + "trailing\n",
+        head + "metrics 0\nend\n",
+        head + "metrics -0\nend",
+        head + "metrics +1 more\nm 0x1p+0\nend\n",
+        head + "metrics 1x\n\t m\v0x1p+0 \f extra\nend\n",
+        head + "metrics 18446744073709551616\nm 0\nend\n",
+        head + "metrics 1\nm 0x1p+9999\nend\n",
+        head + "metrics 1\nm 1e-400\nend\n",
+        head + "metrics 1\nm nan\nend\n",
+        head + "metrics 1\nm 0x1p+0\r\nend\n",
+        head + "metrics 1\nm 0x1p+0\nend\r\n",
+        head + "metrics 1\nm\n0x1p+0\nend\n",
+        head + "metrics 1\n\n\nend\n",
+        head + withNuls("metrics 1\nm 0x1p+0\0junk\nend\n"),
+        head + withNuls("metrics 1\nm \0\nend\n"),
+        head + withNuls("metrics\0 1\nm 0\nend\n"),
+    };
+    Rng rng(0xd1ff5eed);
+    for (int i = 0; i < 30000; ++i)
+        texts.push_back(mutants::mutate(base, rng));
+
+    std::size_t hits = 0;
+    for (const std::string &text : texts) {
+        CellResult got, want;
+        const bool hit = CellCache::parseFragment(text, cell, got);
+        ASSERT_EQ(hit, iostreamParse(text, keyLine, specLine, cell, want))
+            << text;
+        if (!hit)
+            continue;
+        ++hits;
+        EXPECT_EQ(got.spec.seed, cell.seed);
+        ASSERT_EQ(got.metrics.size(), want.metrics.size()) << text;
+        for (std::size_t m = 0; m < got.metrics.size(); ++m) {
+            EXPECT_EQ(got.metrics[m].first, want.metrics[m].first) << text;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.metrics[m].second),
+                      std::bit_cast<std::uint64_t>(want.metrics[m].second))
+                << text;
+        }
+    }
+    EXPECT_GE(hits, 1000u);
 }
 
 TEST(CellCacheSweep, CachedRerunIsAllHitsAndByteIdentical)

@@ -3,10 +3,13 @@
 /// equivalence of the engine's cells with hand-built simulator runs.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <limits>
 
 #include "core/experiments.h"
 #include "exp/sweep.h"
+#include "mutants.h"
 #include "sim/column_sim.h"
 #include "traffic/workloads.h"
 
@@ -293,6 +296,52 @@ TEST(SweepResult, JsonSerializesSchemaAndCells)
     EXPECT_NE(json.find("\"topology\": \"dps\""), std::string::npos);
     EXPECT_NE(json.find("\"avg_latency\""), std::string::npos);
     EXPECT_NE(json.find("\"aggregates\""), std::string::npos);
+}
+
+/// Two replicates of one grid point with hand-set metrics: integers
+/// either side of 1e15, signed zero, repeating fractions, a subnormal,
+/// DBL_MAX, NaN and infinity, and names and a sweep name with bytes the
+/// writer escapes.
+SweepResult
+handBuiltResult()
+{
+    SweepSpec spec = tinySpec(2);
+    spec.name = "pinned \"json\"\t\\";
+    spec.topologies = {TopologyKind::Dps};
+    spec.rates = {0.0123};
+    SweepResult result;
+    result.spec = spec.canonical();
+    const std::vector<CellSpec> cells = result.spec.expand();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const double values[2][7] = {
+        {23.4375, 1e15, -0.0, 1.0 / 3.0, 4.9e-324, nan, 1536.0},
+        {41.0, 999999999999999.0, 0.1, 2.0 / 3.0, DBL_MAX, inf, -7.0},
+    };
+    const char *const names[7] = {"avg_latency", "big",    "zero",
+                                  "third",       "tiny",   "non\"finite",
+                                  "ctl\x01name"};
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        CellResult cell;
+        cell.spec = cells[i];
+        for (std::size_t m = 0; m < 7; ++m)
+            cell.put(names[m], values[i][m]);
+        result.cells.push_back(cell);
+    }
+    result.aggregates = aggregateCells(result.spec, result.cells);
+    return result;
+}
+
+TEST(SweepResult, JsonBytesArePinned)
+{
+    // No simulation runs, so only the JSON formatter can move this pin.
+    const SweepResult result = handBuiltResult();
+    ASSERT_EQ(result.cells.size(), 2u);
+    const std::string json = result.toJson();
+    mutants::Fnv h;
+    h.bytes(json);
+    EXPECT_EQ(json.size(), 2757u);
+    EXPECT_EQ(h.h, 12793804260549949884ull);
 }
 
 } // namespace
